@@ -137,19 +137,24 @@ def segments_intersect(p0, p1, q0, q1, tol: float = EPS) -> np.ndarray:
     """Whether segment p0->p1 intersects each segment q0[i]->q1[i].
 
     Touching configurations (endpoint on the other segment) count as
-    intersections; collinear overlap counts too.
+    intersections; collinear overlap counts too. p0 and p1 are points (2,)
+    giving a result of shape (n,), or broadcast to stacks (m, 2) giving one
+    row per segment, (m, n); every row is computed exactly as the single
+    segment would be.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
+    single = p0.ndim == 1 and p1.ndim == 1
+    p0, p1 = np.broadcast_arrays(np.atleast_2d(p0), np.atleast_2d(p1))
     q0 = np.atleast_2d(np.asarray(q0, dtype=float))
     q1 = np.atleast_2d(np.asarray(q1, dtype=float))
-    r = p1 - p0
+    r = p1 - p0  # (m,2)
     s = q1 - q0  # (n,2)
-    denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-    qp = q0 - p0  # (n,2)
-    t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
-    u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
-    out = np.zeros(len(q0), dtype=bool)
+    denom = r[:, None, 0] * s[:, 1] - r[:, None, 1] * s[:, 0]
+    qp = q0 - p0[:, None, :]  # (m,n,2)
+    t_num = qp[..., 0] * s[:, 1] - qp[..., 1] * s[:, 0]
+    u_num = qp[..., 0] * r[:, None, 1] - qp[..., 1] * r[:, None, 0]
+    out = np.zeros(denom.shape, dtype=bool)
     nonpar = np.abs(denom) > tol
     if np.any(nonpar):
         t = t_num[nonpar] / denom[nonpar]
@@ -158,15 +163,16 @@ def segments_intersect(p0, p1, q0, q1, tol: float = EPS) -> np.ndarray:
     par = ~nonpar
     if np.any(par):
         # parallel: intersect iff collinear and 1D intervals overlap
-        coll = par & (np.abs(t_num) <= tol * (1 + np.abs(qp).max()))
-        if np.any(coll):
-            rr = max(float(r @ r), EPS)
-            t0 = (qp[coll] @ r) / rr
-            t1v = t0 + (s[coll] @ r) / rr
+        coll = par & (np.abs(t_num) <= tol * (1 + np.abs(qp).max(axis=(1, 2)))[:, None])
+        for i in np.flatnonzero(coll.any(axis=1)):
+            ci = coll[i]
+            rr = max(float(r[i] @ r[i]), EPS)
+            t0 = (qp[i][ci] @ r[i]) / rr
+            t1v = t0 + (s[ci] @ r[i]) / rr
             lo = np.minimum(t0, t1v)
             hi = np.maximum(t0, t1v)
-            out[coll] = (hi >= -tol) & (lo <= 1 + tol)
-    return out
+            out[i, ci] = (hi >= -tol) & (lo <= 1 + tol)
+    return out[0] if single else out
 
 
 def triangle_areas(v0, v1, v2) -> np.ndarray:

@@ -10,8 +10,8 @@ clearance from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +63,13 @@ class DyadicGrid:
         """Perturbation scale delta_h per vertex (graft ring uses delta_hmax)."""
         return self.R * 2.0 ** (-self.ring_of.astype(float))
 
+    @cached_property
+    def envelopes(self) -> list:
+        """Per-triangle hull polygons of the alpha * delta_h vertex balls,
+        built on first use."""
+        radii = self.alpha * self.vertex_delta()
+        return [_geom.hull_of_disks(self.verts[t], radii[t], narc=24) for t in self.tris]
+
     def to_json(self) -> dict:
         return {
             "R": self.R,
@@ -77,14 +84,6 @@ class DyadicGrid:
             "c2_hat": self.c2_hat,
             "alpha": self.alpha,
         }
-
-
-def _ring_points(center, R: float, h: int, rotation: float = 0.0) -> np.ndarray:
-    n = 2**h
-    j = np.arange(1, n + 1)
-    ang = 2 * np.pi * j / n + rotation
-    Rh = R * (1.0 - 2.0**-h)
-    return center + Rh * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def _stitch_doubling(inner_idx, outer_idx):
@@ -117,38 +116,35 @@ def _stitch_graft(inner_idx, outer_idx):
     return tris
 
 
-def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -> DyadicGrid:
-    """Construct the dyadic grid of B_R with rings h = 0..h_max plus the
-    boundary graft ring, and measure its edge-length constants.
+@lru_cache(maxsize=None)  # build_grid admits 13 values of h_max
+def _topology(h_max: int) -> tuple:
+    """The rotation- and radius-free part of the h_max grid, read-only.
 
-    rotation turns the whole vertex pattern rigidly; the adaptation step uses
-    it to steer coarse edges away from the jump.
+    Returns (ring_of, on_boundary, tris, edges, ang0, rfac, edge_scale):
+    vertex j = 1..2^h of ring h sits at angle ang0 = 2 pi j / 2^h (plus the
+    rotation) and radius R * rfac with rfac = 1 - 2^-h (1 on the graft
+    ring); edge_scale = 2^-h_e for the finer ring h_e of each edge.
     """
-    if not (2 <= h_max <= H_MAX_LIMIT):
-        raise ToolkitError(f"h_max must lie in [2, {H_MAX_LIMIT}], got {h_max}")
-    if R <= 0:
-        raise ToolkitError("R must be positive")
-    center = np.asarray(center, dtype=float)
-
-    verts = [center.copy()]
     ring_of = [0]
+    ang0 = [np.zeros(1)]
+    rfac = [0.0]
     ring_index: list[np.ndarray] = [np.array([0])]
+    nv = 1
     for h in range(1, h_max + 1):
-        pts = _ring_points(center, R, h, rotation)
-        ring_index.append(np.arange(len(verts), len(verts) + len(pts)))
-        verts.extend(pts)
-        ring_of.extend([h] * len(pts))
+        n = 2**h
+        ang0.append(2 * np.pi * np.arange(1, n + 1) / n)
+        ring_index.append(np.arange(nv, nv + n))
+        ring_of.extend([h] * n)
+        rfac.extend([1.0 - 2.0**-h] * n)
+        nv += n
     # graft ring on the boundary circle, aligned with ring h_max
     n_b = 2**h_max
-    jb = np.arange(1, n_b + 1)
-    ang = 2 * np.pi * jb / n_b + rotation
-    bpts = center + R * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    boundary_index = np.arange(len(verts), len(verts) + n_b)
-    verts.extend(bpts)
+    ang0.append(2 * np.pi * np.arange(1, n_b + 1) / n_b)
+    boundary_index = np.arange(nv, nv + n_b)
     ring_of.extend([h_max] * n_b)
-    verts = np.asarray(verts)
+    rfac.extend([1.0] * n_b)
     ring_of = np.asarray(ring_of)
-    on_boundary = np.zeros(len(verts), dtype=bool)
+    on_boundary = np.zeros(len(ring_of), dtype=bool)
     on_boundary[boundary_index] = True
 
     tris: list = []
@@ -166,10 +162,36 @@ def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -
     tris = np.asarray(tris, dtype=int)
 
     edges = np.unique(np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1), axis=0)
-    elen = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
     h_edge = np.maximum(ring_of[edges[:, 0]], ring_of[edges[:, 1]])
-    delta_edge = R * 2.0 ** (-h_edge.astype(float))
-    ratios = elen / delta_edge
+    edge_scale = 2.0 ** (-h_edge.astype(float))
+    out = (ring_of, on_boundary, tris, edges, np.concatenate(ang0), np.asarray(rfac), edge_scale)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -> DyadicGrid:
+    """Construct the dyadic grid of B_R with rings h = 0..h_max plus the
+    boundary graft ring, and measure its edge-length constants.
+
+    rotation turns the whole vertex pattern rigidly; the adaptation step uses
+    it to steer coarse edges away from the jump. The topology arrays
+    (ring_of, on_boundary, tris, edges) are read-only and shared by every
+    grid of the same h_max.
+    """
+    if not (2 <= h_max <= H_MAX_LIMIT):
+        raise ToolkitError(f"h_max must lie in [2, {H_MAX_LIMIT}], got {h_max}")
+    if R <= 0:
+        raise ToolkitError("R must be positive")
+    center = np.asarray(center, dtype=float)
+    ring_of, on_boundary, tris, edges, ang0, rfac, edge_scale = _topology(h_max)
+
+    ang = ang0 + rotation
+    verts = center + (R * rfac)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    verts[0] = center
+
+    elen = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
+    ratios = elen / (R * edge_scale)
     c1_hat = float(ratios.min())
     c2_hat = float(ratios.max())
     alpha = c1_hat / (8.0 * c2_hat)
@@ -277,12 +299,10 @@ class AdaptedTriangulation:
     edge_stats: dict = field(default_factory=dict)
     seed: int = 0
 
-    @cached_property
+    @property
     def envelopes(self) -> list:
-        """Per-triangle hull polygons of the base balls, built on first use."""
-        g = self.base
-        radii = g.alpha * g.vertex_delta()
-        return [_geom.hull_of_disks(g.verts[t], radii[t], narc=24) for t in g.tris]
+        """Per-triangle hull polygons of the base balls (cached on the base)."""
+        return self.base.envelopes
 
     @property
     def envelope_areas(self) -> np.ndarray:
@@ -301,13 +321,33 @@ class AdaptedTriangulation:
         }
 
 
-def _edges_avoid_jump(p, committed_pts, J: JumpSet) -> bool:
-    if len(J) == 0:
-        return True
-    for q in committed_pts:
-        if np.any(_geom.segments_intersect(p, q, J.a, J.b)):
-            return False
-    return True
+def _admissible(cands: np.ndarray, nbr_pts: np.ndarray, J: JumpSet, clearance: float) -> np.ndarray:
+    """Which candidate positions (m, 2) keep the clearance from J and join
+    every committed neighbour in nbr_pts (k, 2) by an edge that misses J."""
+    ok = ~(np.min(_geom.point_segment_distance(cands, J.a, J.b), axis=1) < clearance)
+    if len(nbr_pts) and np.any(ok):
+        idx = np.flatnonzero(ok)
+        hit = _geom.segments_intersect(
+            np.repeat(cands[idx], len(nbr_pts), axis=0), np.tile(nbr_pts, (len(idx), 1)), J.a, J.b
+        )
+        ok[idx] = ~hit.reshape(len(idx), -1).any(axis=1)
+    return ok
+
+
+def _draw_candidates(grid: DyadicGrid, vi: int, rad, rng, m: int) -> np.ndarray:
+    """m perturbed positions of vertex vi, drawn as m scalar trials would
+    draw them: two doubles each (radius, angle) inside the alpha * delta_h
+    disk, or one (angular jitter along the circle) on the boundary ring."""
+    base_pt = grid.verts[vi]
+    if grid.on_boundary[vi]:
+        dtheta = rng.uniform(-rad, rad, m) / grid.R
+        rel = base_pt - grid.center
+        ca, sa = np.cos(dtheta), np.sin(dtheta)
+        return grid.center + np.stack([ca * rel[0] - sa * rel[1], sa * rel[0] + ca * rel[1]], axis=1)
+    draws = rng.random(2 * m).reshape(m, 2)
+    rr = rad * np.sqrt(draws[:, 0])
+    tt = 2 * np.pi * draws[:, 1]
+    return base_pt + rr[:, None] * np.stack([np.cos(tt), np.sin(tt)], axis=1)
 
 
 def adapt_to_jump(
@@ -320,9 +360,17 @@ def adapt_to_jump(
 ) -> AdaptedTriangulation:
     """Perturb grid vertices by rejection sampling so no edge meets u's jump.
 
-    Vertices commit ring by ring; the zero perturbation is tried first, so a
-    jump-free instance keeps the base grid verbatim. Boundary-ring vertices
-    perturb along the circle (angular jitter) so the grid keeps covering B_R.
+    Vertices commit ring by ring. Each first tries its zero perturbation, so
+    a jump-free instance keeps the base grid verbatim. If that fails, the
+    other samples_per_vertex - 1 candidates are drawn in one call: uniform in
+    the alpha * delta_h disk, or, on the boundary ring, an angular jitter
+    that keeps the vertex on the circle so the grid keeps covering B_R. One
+    broadcast then rejects every candidate closer than the clearance to the
+    jump or joined to a committed neighbour by an edge that meets it, and
+    the first survivor is placed. The generator is rewound and redraws only
+    the trials up to that survivor, so the placement and the random stream
+    (hence the kappa sample) are exactly those of trying the candidates one
+    at a time.
     """
     J = u.jump
     rng = np.random.default_rng(seed)
@@ -331,11 +379,11 @@ def adapt_to_jump(
     alpha = grid.alpha
     n = len(verts)
 
-    # adjacency from the triangle list
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for e in grid.edges:
-        nbrs[e[0]].append(e[1])
-        nbrs[e[1]].append(e[0])
+    # adjacency (CSR) from the edge list
+    pairs = np.concatenate([grid.edges, grid.edges[:, ::-1]])
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    nbr_ptr = np.searchsorted(pairs[:, 0], np.arange(n + 1))
+    nbrs = pairs[:, 1]
 
     order = np.lexsort((np.arange(n), grid.on_boundary.astype(int), grid.ring_of))
     committed = np.zeros(n, dtype=bool)
@@ -343,58 +391,48 @@ def adapt_to_jump(
     for vi in order:
         base_pt = grid.verts[vi]
         rad = alpha * delta_v[vi]
-        clearance = LEBESGUE_CLEARANCE * delta_v[vi]
-        placed = False
-        committed_nbr_pts = [verts[w] for w in nbrs[vi] if committed[w]]
-        for trial in range(samples_per_vertex):
-            if trial == 0:
-                cand = base_pt.copy()
-            elif grid.on_boundary[vi]:
-                # angular jitter keeps the vertex on the circle
-                dtheta = rng.uniform(-rad, rad) / grid.R
-                rel = base_pt - grid.center
-                ca, sa = np.cos(dtheta), np.sin(dtheta)
-                cand = grid.center + np.array(
-                    [ca * rel[0] - sa * rel[1], sa * rel[0] + ca * rel[1]]
-                )
-            else:
-                rr = rad * np.sqrt(rng.random())
-                tt = 2 * np.pi * rng.random()
-                cand = base_pt + rr * np.array([np.cos(tt), np.sin(tt)])
-            if len(J):
-                if np.min(_geom.point_segment_distance(cand[None, :], J.a, J.b)) < clearance:
-                    continue
-                if not _edges_avoid_jump(cand, committed_nbr_pts, J):
-                    continue
-            verts[vi] = cand
-            committed[vi] = True
-            max_ratio = max(max_ratio, float(np.linalg.norm(cand - base_pt) / rad))
-            placed = True
-            break
-        if not placed:
+        cand = base_pt
+        if samples_per_vertex < 1:
+            cand = None
+        elif len(J):
+            nb = nbrs[nbr_ptr[vi] : nbr_ptr[vi + 1]]
+            nbr_pts = verts[nb[committed[nb]]]
+            clearance = LEBESGUE_CLEARANCE * delta_v[vi]
+            if not _admissible(base_pt[None, :], nbr_pts, J, clearance)[0]:
+                state = rng.bit_generator.state
+                cands = _draw_candidates(grid, vi, rad, rng, samples_per_vertex - 1)
+                ok = np.flatnonzero(_admissible(cands, nbr_pts, J, clearance))
+                cand = None
+                if len(ok):
+                    cand = cands[ok[0]]
+                    rng.bit_generator.state = state
+                    _draw_candidates(grid, vi, rad, rng, ok[0] + 1)
+        if cand is None:
             raise AdaptationError(
                 f"vertex {vi} (ring {grid.ring_of[vi]}) could not be placed in "
                 f"{samples_per_vertex} samples; jump budget too large here",
                 vertex=int(vi),
             )
+        verts[vi] = cand
+        committed[vi] = True
+        max_ratio = max(max_ratio, float(np.linalg.norm(cand - base_pt) / rad))
 
-    adapted = AdaptedTriangulation(
-        base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed
-    )
-    if not compute_stats:
-        return adapted
-    envelopes = adapted.envelopes
-    pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * _dirs(
-        kappa_samples, rng
-    )
-    counts = np.zeros(kappa_samples, dtype=int)
-    for poly in envelopes:
-        counts += _geom.points_in_convex_polygon(pts, poly)
-    return replace(
-        adapted,
-        kappa_hat=int(counts.max()),
-        lambda_stats=_lambda_ratios(grid, envelopes),
-        edge_stats=_edge_integrals(grid, verts, u, delta_v),
+    stats = {}
+    if compute_stats:
+        envelopes = grid.envelopes
+        pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * _dirs(
+            kappa_samples, rng
+        )
+        counts = np.zeros(kappa_samples, dtype=int)
+        for poly in envelopes:
+            counts += _geom.points_in_convex_polygon(pts, poly)
+        stats = dict(
+            kappa_hat=int(counts.max()),
+            lambda_stats=_lambda_ratios(grid, envelopes),
+            edge_stats=_edge_integrals(grid, verts, u, delta_v),
+        )
+    return AdaptedTriangulation(
+        base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed, **stats
     )
 
 

@@ -404,16 +404,6 @@ class DiscreteSbvMap:
         jump = self.jump.clip_outside_disk(patch.circle) if clip_jump else self.jump
         return replace(self, patches=self.patches + (patch,), jump=jump)
 
-    def sup_norm(self) -> float:
-        """Sup of |u| over cell vertex evaluations (exact for affine cells)."""
-        best = 0.0
-        for i, patch in enumerate(self.patches):
-            vv = patch.verts[patch.tris]  # (nt, 3, 2)
-            d = vv - patch.barycenters[:, None, :]
-            vals = patch.values[:, None, :] + np.einsum("nkj,nmj->nmk", patch.grads, d)
-            best = max(best, float(np.max(np.linalg.norm(vals, axis=-1))))
-        return best
-
     # -- quadrature ---------------------------------------------------------
 
     def bulk_samples(self, region=None, level: int = 2):

@@ -162,17 +162,22 @@ def local_phi(
         )
 
     rng = np.random.default_rng(seed)
-    last_err: Exception | None = None
+    radius_err: Exception | None = None
+    vertex_err: AdaptationError | None = None
     adapted = None
     R = None
     n_rot = 16
+    n_radii = 0
     for attempt in range(radius_retries):
         sub = int(rng.integers(0, 2**31 - 1))
         try:
             R = select_good_radius(u.jump, r, eta, seed=sub, center=center, h_max=h_max)
         except SearchExhaustedError as err:
-            last_err = err
+            # kept without its traceback, which would tie this frame and its
+            # maps into a reference cycle that only the cyclic GC frees
+            radius_err = err.with_traceback(None)
             continue
+        n_radii += 1
         base_rot = float(rng.uniform(0, 2 * np.pi))
         for irot in range(n_rot):
             # steering the coarse edges: rigid rotations of the vertex pattern
@@ -184,12 +189,19 @@ def local_phi(
                 )
                 break
             except AdaptationError as err:
-                last_err = err
+                vertex_err = err.with_traceback(None)
                 adapted = None
         if adapted is not None:
             break
     if adapted is None:
-        raise last_err  # type: ignore[misc]
+        if vertex_err is None:
+            raise radius_err  # type: ignore[misc]
+        raise AdaptationError(
+            f"local_phi(seed={seed}, center={center.tolist()}, r={float(r)!r}): no jump-avoiding "
+            f"grid in {n_radii} radii x {n_rot} rotations ({radius_retries} radius draws); "
+            f"last: {vertex_err}",
+            vertex=vertex_err.vertex,
+        ) from vertex_err
 
     patch = _interpolant_patch(u, adapted, center, R)
     phi = u.with_patch(patch)

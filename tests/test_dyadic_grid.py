@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbvx import _geom, dyadic_grid
 from sbvx._geom import segments_intersect, triangle_areas
-from sbvx.dyadic_grid import adapt_to_jump, build_grid, select_good_radius
+from sbvx.dyadic_grid import LEBESGUE_CLEARANCE, adapt_to_jump, build_grid, select_good_radius
 from sbvx.errors import AdaptationError, JumpBudgetError, SearchExhaustedError, ToolkitError
 from sbvx.quadrature import Disk
-from sbvx.sbv2d import JumpSet, synthesize
+from sbvx.sbv2d import CellPatch, DiscreteSbvMap, JumpSet, fan_mesh, synthesize
 
 
 def test_ring_structure_h2():
@@ -152,22 +157,26 @@ def test_adapt_avoids_chord_exhaustively(unit_disk):
     assert np.all(dist <= g.alpha * delta + 1e-12)
 
 
+def _flat_map_with_jump(a, b):
+    """A constant map on the unit disk whose jump is the segments a -> b."""
+    n = len(a)
+    jump = JumpSet.from_segments(a, b, np.ones((n, 1)), np.zeros((n, 1)))
+    verts, tris, arc = fan_mesh(Disk((0, 0), 1.0), 8)
+    vals = np.zeros((len(tris), 1))
+    grads = np.zeros((len(tris), 1, 2))
+    return DiscreteSbvMap(
+        Disk((0, 0), 1.0),
+        (CellPatch(verts, tris, vals, grads, Disk((0, 0), 1.0), arc),),
+        jump,
+    )
+
+
 def test_adapt_failure_names_vertex(unit_disk):
     # a dense star of segments through the centre defeats the sampler
     th = np.linspace(0, np.pi, 12, endpoint=False)
     a = np.stack([-0.2 * np.cos(th), -0.2 * np.sin(th)], axis=1)
     b = -a
-    jump = JumpSet.from_segments(a, b, np.ones((12, 1)), np.zeros((12, 1)))
-    from sbvx.sbv2d import CellPatch, DiscreteSbvMap, fan_mesh
-
-    verts, tris, arc = fan_mesh(Disk((0, 0), 1.0), 8)
-    vals = np.zeros((len(tris), 1))
-    grads = np.zeros((len(tris), 1, 2))
-    u = DiscreteSbvMap(
-        Disk((0, 0), 1.0),
-        (CellPatch(verts, tris, vals, grads, Disk((0, 0), 1.0), arc),),
-        jump,
-    )
+    u = _flat_map_with_jump(a, b)
     g = build_grid(1.0, 4)
     with pytest.raises(AdaptationError) as exc:
         adapt_to_jump(g, u, samples_per_vertex=40, seed=3)
@@ -216,3 +225,218 @@ def test_lambda_stats_independent_of_adapt_seed(unit_disk):
     a2 = adapt_to_jump(g, u, seed=99)
     assert a1.lambda_stats["lambda1_hat"] == a2.lambda_stats["lambda1_hat"]
     assert a1.lambda_stats["lambda2_hat"] == a2.lambda_stats["lambda2_hat"]
+
+
+def test_stats_build_envelopes_once(monkeypatch):
+    g = build_grid(1.0, 5)
+    u = synthesize("piecewise-constant-with-arc-jump", {"budget": 0.05, "k": 2}, seed=3)
+    ad = adapt_to_jump(g, u, seed=1)
+    calls = []
+    hull = _geom.hull_of_disks
+
+    def counted(centers, radii, narc=48):
+        calls.append(narc)
+        return hull(centers, radii, narc=narc)
+
+    monkeypatch.setattr(_geom, "hull_of_disks", counted)
+    assert len(ad.envelopes) == len(g.tris)
+    assert len(ad.to_json()["envelopes"]) == len(g.tris)
+    assert calls.count(24) == 0
+
+
+# ---------------------------------------------------------------------------
+# batched adaptation against the scalar rejection loop
+# ---------------------------------------------------------------------------
+
+
+def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
+    """The one-candidate-at-a-time rejection loop that adapt_to_jump must
+    reproduce bitwise: returns (verts, perturbation_ratio_max, kappa_hat)."""
+    J = u.jump
+    rng = np.random.default_rng(seed)
+    verts = grid.verts.copy()
+    delta_v = grid.vertex_delta()
+    alpha = grid.alpha
+    n = len(verts)
+    nbrs = [[] for _ in range(n)]
+    for e in grid.edges:
+        nbrs[e[0]].append(e[1])
+        nbrs[e[1]].append(e[0])
+    order = np.lexsort((np.arange(n), grid.on_boundary.astype(int), grid.ring_of))
+    committed = np.zeros(n, dtype=bool)
+    max_ratio = 0.0
+    for vi in order:
+        base_pt = grid.verts[vi]
+        rad = alpha * delta_v[vi]
+        clearance = LEBESGUE_CLEARANCE * delta_v[vi]
+        placed = False
+        committed_nbr_pts = [verts[w] for w in nbrs[vi] if committed[w]]
+        for trial in range(samples_per_vertex):
+            if trial == 0:
+                cand = base_pt.copy()
+            elif grid.on_boundary[vi]:
+                dtheta = rng.uniform(-rad, rad) / grid.R
+                rel = base_pt - grid.center
+                ca, sa = np.cos(dtheta), np.sin(dtheta)
+                cand = grid.center + np.array(
+                    [ca * rel[0] - sa * rel[1], sa * rel[0] + ca * rel[1]]
+                )
+            else:
+                rr = rad * np.sqrt(rng.random())
+                tt = 2 * np.pi * rng.random()
+                cand = base_pt + rr * np.array([np.cos(tt), np.sin(tt)])
+            if len(J):
+                if np.min(_geom.point_segment_distance(cand[None, :], J.a, J.b)) < clearance:
+                    continue
+                if any(np.any(segments_intersect(cand, q, J.a, J.b)) for q in committed_nbr_pts):
+                    continue
+            verts[vi] = cand
+            committed[vi] = True
+            max_ratio = max(max_ratio, float(np.linalg.norm(cand - base_pt) / rad))
+            placed = True
+            break
+        if not placed:
+            raise AdaptationError(f"vertex {vi}", vertex=int(vi))
+    pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * dyadic_grid._dirs(
+        kappa_samples, rng
+    )
+    counts = np.zeros(kappa_samples, dtype=int)
+    for poly in grid.envelopes:
+        counts += _geom.points_in_convex_polygon(pts, poly)
+    return verts, max_ratio, int(counts.max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([3, 4, 5]),
+    st.sampled_from([1, 2, 40, 200]),
+    st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples, rotation):
+    rng = np.random.default_rng(jump_seed)
+    R = float(rng.uniform(0.4, 1.0))
+    center = rng.uniform(-0.1, 0.1, 2)
+    g = build_grid(R, h_max, center=center, rotation=rotation)
+    a, b = [], []
+    # short cuts across an edge to an earlier-placed neighbour of a few
+    # vertices: the zero perturbation fails, a candidate may clear the cut
+    rad = g.alpha * g.vertex_delta()
+    n = len(g.verts)
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((np.arange(n), g.on_boundary, g.ring_of))] = np.arange(n)
+    for vi in rng.choice(np.arange(1, n), size=int(rng.integers(0, 5)), replace=False):
+        e = g.edges[(g.edges == vi).any(axis=1)]
+        nbrs = e[e != vi]
+        q = g.verts[rng.choice(nbrs[rank[nbrs] < rank[vi]])]
+        along = (q - g.verts[vi]) / np.linalg.norm(q - g.verts[vi])
+        mid = g.verts[vi] + rng.uniform(0.0, 1.0) * rad[vi] * along
+        th = rng.normal(scale=0.3)
+        across = np.array([-along[1], along[0]]) * np.cos(th) + along * np.sin(th)
+        half = rng.uniform(0.05, 0.8) * rad[vi] * across
+        a.append((mid - half)[None])
+        b.append((mid + half)[None])
+    # a random walk, long enough to defeat the sampler now and then
+    for _ in range(int(rng.random() < 0.3)):
+        k = int(rng.integers(2, 9))
+        steps = rng.normal(scale=float(rng.uniform(0.02, 0.3)) * R, size=(k, 2))
+        pts = center + rng.uniform(-0.8, 0.8, 2) * R + np.cumsum(steps, axis=0)
+        a.append(pts[:-1])
+        b.append(pts[1:])
+    a = np.concatenate(a) if a else np.zeros((0, 2))
+    b = np.concatenate(b) if b else np.zeros((0, 2))
+    # pull the jump into the unit disk, the domain of the map
+    a /= np.maximum(1.0, np.linalg.norm(a, axis=1) / 0.95)[:, None]
+    b /= np.maximum(1.0, np.linalg.norm(b, axis=1) / 0.95)[:, None]
+    u = _flat_map_with_jump(a, b)
+    try:
+        expected = _adapt_scalar(g, u, samples, seed, kappa_samples=500)
+    except AdaptationError as err:
+        with pytest.raises(AdaptationError) as exc:
+            adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
+        assert exc.value.vertex == err.vertex
+        return
+    # the lambda and edge statistics draw no random numbers; skip their cost
+    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}), mock.patch.object(
+        dyadic_grid, "_edge_integrals", lambda *a: {}
+    ):
+        ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, kappa_samples=500)
+    verts, ratio, kappa = expected
+    assert np.array_equal(ad.verts, verts)
+    assert ad.perturbation_ratio_max == ratio
+    assert ad.kappa_hat == kappa
+
+
+def _build_grid_reference(R, h_max, center=(0.0, 0.0), rotation=0.0):
+    """Ring-by-ring construction of every grid array, with no shared cache."""
+    center = np.asarray(center, dtype=float)
+    verts = [center.copy()]
+    ring_of = [0]
+    ring_index = [np.array([0])]
+    for h in range(1, h_max + 1):
+        n = 2**h
+        ang = 2 * np.pi * np.arange(1, n + 1) / n + rotation
+        pts = center + R * (1.0 - 2.0**-h) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ring_index.append(np.arange(len(verts), len(verts) + n))
+        verts.extend(pts)
+        ring_of.extend([h] * n)
+    n_b = 2**h_max
+    ang = 2 * np.pi * np.arange(1, n_b + 1) / n_b + rotation
+    bpts = center + R * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    boundary_index = np.arange(len(verts), len(verts) + n_b)
+    verts.extend(bpts)
+    ring_of.extend([h_max] * n_b)
+    verts, ring_of = np.asarray(verts), np.asarray(ring_of)
+    on_boundary = np.zeros(len(verts), dtype=bool)
+    on_boundary[boundary_index] = True
+    p1, p2 = ring_index[1]
+    q1, q2, q3, q4 = ring_index[2]
+    tris = [
+        (q1, q2, p1), (q1, p1, 0), (q1, 0, p2), (q1, p2, q4),
+        (q3, p1, q2), (q3, 0, p1), (q3, p2, 0), (q3, q4, p2),
+    ]
+    for h in range(2, h_max):
+        tris += dyadic_grid._stitch_doubling(ring_index[h], ring_index[h + 1])
+    tris += dyadic_grid._stitch_graft(ring_index[h_max], boundary_index)
+    tris = np.asarray(tris, dtype=int)
+    edges = np.unique(np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1), axis=0)
+    elen = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
+    h_edge = np.maximum(ring_of[edges[:, 0]], ring_of[edges[:, 1]])
+    ratios = elen / (R * 2.0 ** (-h_edge.astype(float)))
+    v = verts[tris]
+    angs = []
+    for i in range(3):
+        e1 = v[:, (i + 1) % 3] - v[:, i]
+        e2 = v[:, (i + 2) % 3] - v[:, i]
+        cosang = np.einsum("ij,ij->i", e1, e2) / (np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+        angs.append(np.arccos(np.clip(cosang, -1, 1)))
+    return dict(
+        verts=verts, ring_of=ring_of, on_boundary=on_boundary, tris=tris, edges=edges,
+        c1_hat=float(ratios.min()), c2_hat=float(ratios.max()),
+        alpha=float(ratios.min()) / (8.0 * float(ratios.max())),
+        min_angle=float(np.min(angs)), max_angle=float(np.max(angs)),
+    )
+
+
+@pytest.mark.parametrize(
+    "R,h_max,center,rotation",
+    [(1.0, 2, (0.0, 0.0), 0.0), (0.37, 5, (0.1, -0.2), 1.234), (2.5, 8, (-1.0, 3.0), 5.9),
+     (0.61, 5, (0.0, 0.0), 0.0625 * np.pi), (1e-3, 4, (0.3, 0.3), 2.0)],
+)
+def test_cached_topology_grid_equals_full_construction(R, h_max, center, rotation):
+    g = build_grid(R, h_max, center=center, rotation=rotation)
+    ref = _build_grid_reference(R, h_max, center=center, rotation=rotation)
+    for name in ("verts", "ring_of", "on_boundary", "tris", "edges"):
+        assert np.array_equal(getattr(g, name), ref[name]), name
+    for name in ("c1_hat", "c2_hat", "alpha", "min_angle", "max_angle"):
+        assert getattr(g, name) == ref[name], name
+    # topology arrays are shared between grids and cannot be written
+    g2 = build_grid(2 * R, h_max, rotation=rotation + 1.0)
+    for name in ("ring_of", "on_boundary", "tris", "edges"):
+        arr = getattr(g, name)
+        assert arr is getattr(g2, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert g.verts.flags.writeable and g.verts is not g2.verts

@@ -187,6 +187,56 @@ def test_segments_intersect_basic():
     assert coll[0]
 
 
+def _segments_intersect_single(p0, p1, q0, q1, tol=_geom.EPS):
+    """One segment p0->p1 against many: the unbatched form of the predicate."""
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    q0, q1 = np.atleast_2d(q0).astype(float), np.atleast_2d(q1).astype(float)
+    r = p1 - p0
+    s = q1 - q0
+    denom = r[0] * s[:, 1] - r[1] * s[:, 0]
+    qp = q0 - p0
+    t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+    u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
+    out = np.zeros(len(q0), dtype=bool)
+    nonpar = np.abs(denom) > tol
+    t = t_num[nonpar] / denom[nonpar]
+    u = u_num[nonpar] / denom[nonpar]
+    out[nonpar] = (t >= -tol) & (t <= 1 + tol) & (u >= -tol) & (u <= 1 + tol)
+    coll = ~nonpar & (np.abs(t_num) <= tol * (1 + np.abs(qp).max(initial=0.0)))
+    if np.any(coll):
+        rr = max(float(r @ r), _geom.EPS)
+        t0 = (qp[coll] @ r) / rr
+        t1 = t0 + (s[coll] @ r) / rr
+        out[coll] = (np.maximum(t0, t1) >= -tol) & (np.minimum(t0, t1) <= 1 + tol)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_segments_intersect_batched_rows_match_single(seed):
+    rng = np.random.default_rng(seed)
+    # small integer lattice: parallel, collinear, touching and point segments
+    # occur often next to general positions
+    lattice = rng.random() < 0.5
+    draw = (lambda *sh: rng.integers(-3, 4, sh).astype(float)) if lattice else (
+        lambda *sh: rng.uniform(-3, 3, sh)
+    )
+    m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    p0, p1, q0, q1 = draw(m, 2), draw(m, 2), draw(n, 2), draw(n, 2)
+    single = np.array([_segments_intersect_single(p0[i], p1[i], q0, q1) for i in range(m)])
+    assert np.array_equal(_geom.segments_intersect(p0, p1, q0, q1), single)
+    for i in range(m):
+        assert np.array_equal(_geom.segments_intersect(p0[i], p1[i], q0, q1), single[i])
+    # a single end point broadcasts against a stack
+    assert np.array_equal(
+        _geom.segments_intersect(p0, p1[0], q0, q1),
+        np.array([_segments_intersect_single(p0[i], p1[0], q0, q1) for i in range(m)]),
+    )
+    d = _geom.point_segment_distance(p0, q0, q1)
+    for i in range(m):
+        assert np.array_equal(_geom.point_segment_distance(p0[i][None], q0, q1), d[i : i + 1])
+
+
 def test_point_segment_distance():
     d = _geom.point_segment_distance([[0, 1]], [[-1, 0]], [[1, 0]])
     assert d[0, 0] == pytest.approx(1.0, abs=1e-12)

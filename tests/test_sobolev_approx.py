@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sbvx.errors import JumpBudgetError
+from sbvx import sobolev_approx
+from sbvx.errors import AdaptationError, JumpBudgetError
 from sbvx.quadrature import Disk
 from sbvx.sbv2d import jump_length, synthesize
 from sbvx.sobolev_approx import (
@@ -33,6 +34,29 @@ def test_local_phi_budget_precondition(affine_field):
     u = synthesize("piecewise-constant-with-arc-jump", {"budget": 0.2, "k": 2}, seed=1)
     with pytest.raises(JumpBudgetError):
         local_phi(u, affine_field, eta=0.05, seed=0)
+
+
+def test_local_phi_exhaustion_names_its_search(affine_field, monkeypatch):
+    tried = []
+
+    def never_adapts(grid, u, **kw):
+        tried.append(grid.rotation)
+        raise AdaptationError(
+            "vertex 2 (ring 1) could not be placed in 200 samples; jump budget too large here",
+            vertex=2,
+        )
+
+    monkeypatch.setattr(sobolev_approx, "adapt_to_jump", never_adapts)
+    u = synthesize("affine", {"G": np.eye(2)}, seed=1)
+    with pytest.raises(AdaptationError) as exc:
+        local_phi(u, affine_field, eta=0.05, seed=7, center=(0.1, -0.05), r=0.3, radius_retries=3)
+    assert len(tried) == 3 * 16
+    msg = str(exc.value)
+    for part in ("seed=7", "center=[0.1, -0.05]", "r=0.3", "3 radii", "16 rotations"):
+        assert part in msg
+    assert exc.value.vertex == 2
+    assert isinstance(exc.value.__cause__, AdaptationError)
+    assert str(exc.value.__cause__).startswith("vertex 2 (ring 1)")
 
 
 def test_local_phi_piecewise_constant_collapse(affine_field):
