@@ -21,6 +21,7 @@ from .sbv2d import (
     JumpSet,
     fan_mesh,
     jump_length,
+    transform_map,
 )
 
 __all__ = [
@@ -170,23 +171,6 @@ def upper_bound_competitor(
 # ---------------------------------------------------------------------------
 # blow-up
 # ---------------------------------------------------------------------------
-
-
-def transform_map(u: DiscreteSbvMap, origin, scale: float, new_origin=(0.0, 0.0)) -> DiscreteSbvMap:
-    """Push the map through x -> new_origin + (x - origin) * scale."""
-    o = np.asarray(origin, dtype=float)
-    no = np.asarray(new_origin, dtype=float)
-    patches = []
-    for q in u.patches:
-        circle = Disk(tuple(no + scale * (np.asarray(q.circle.center) - o)), q.circle.radius * scale)
-        patches.append(
-            CellPatch(no + scale * (q.verts - o), q.tris, q.values, q.grads / scale, circle, q.arc_cells)
-        )
-    jump = u.jump.transformed(o, scale, no)
-    dom = Disk(
-        tuple(no + scale * (np.asarray(u.domain.center) - o)), u.domain.radius * scale
-    )
-    return DiscreteSbvMap(dom, tuple(patches), jump, u.target)
 
 
 def scale_map_values(u: DiscreteSbvMap, factor: float) -> DiscreteSbvMap:

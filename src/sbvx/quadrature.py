@@ -9,6 +9,7 @@ triangles; those live with the map machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,9 +87,18 @@ class Rect:
 Region = Disk | Annulus | Rect
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _panel_nodes(a: float, b: float, n_panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -97,35 +107,29 @@ def _panel_nodes(a: float, b: float, n_panels: int, order: int):
     return nodes, weights
 
 
+def _polar_rule(center, r_inner: float, r_outer: float, n_r: int, n_t: int, order: int):
+    """Polar composite GL rule on r_inner <= |x - center| <= r_outer.
+
+    Points are radius-major: (N, 2) with N = n_r * n_t * order**2, and the
+    weights (N,) carry the Jacobian r. cos and sin are taken once per angle.
+    """
+    r, wr = _panel_nodes(r_inner, r_outer, n_r, order)
+    t, wt = _panel_nodes(0.0, TWO_PI, n_t, order)
+    W = (wr[:, None] * wt[None, :]) * r[:, None]
+    pts = np.empty((len(r), len(t), 2))
+    np.add(center[0], r[:, None] * np.cos(t), out=pts[..., 0])
+    np.add(center[1], r[:, None] * np.sin(t), out=pts[..., 1])
+    return pts.reshape(-1, 2), W.ravel()
+
+
 def disk_rule(disk: Disk, n_r: int = 24, n_t: int = 48, order: int = 8):
     """Polar composite GL rule on a disk: points (N,2), weights (N,)."""
-    r, wr = _panel_nodes(0.0, disk.radius, n_r, order)
-    t, wt = _panel_nodes(0.0, TWO_PI, n_t, order)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    W = (wr[:, None] * wt[None, :]) * R
-    pts = np.stack(
-        [
-            disk.center[0] + R.ravel() * np.cos(T.ravel()),
-            disk.center[1] + R.ravel() * np.sin(T.ravel()),
-        ],
-        axis=1,
-    )
-    return pts, W.ravel()
+    return _polar_rule(disk.center, 0.0, disk.radius, n_r, n_t, order)
 
 
 def annulus_rule(ann: Annulus, n_r: int = 16, n_t: int = 48, order: int = 8):
-    r, wr = _panel_nodes(ann.r_inner, ann.r_outer, n_r, order)
-    t, wt = _panel_nodes(0.0, TWO_PI, n_t, order)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    W = (wr[:, None] * wt[None, :]) * R
-    pts = np.stack(
-        [
-            ann.center[0] + R.ravel() * np.cos(T.ravel()),
-            ann.center[1] + R.ravel() * np.sin(T.ravel()),
-        ],
-        axis=1,
-    )
-    return pts, W.ravel()
+    """Polar composite GL rule on an annulus: points (N,2), weights (N,)."""
+    return _polar_rule(ann.center, ann.r_inner, ann.r_outer, n_r, n_t, order)
 
 
 def rect_rule(rect: Rect, n_x: int = 24, n_y: int = 24, order: int = 8):

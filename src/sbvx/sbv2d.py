@@ -17,6 +17,7 @@ from scipy.spatial import Delaunay, cKDTree
 from . import _geom
 from .errors import ConstructionError, DegenerateInputError, ToolkitError
 from .quadrature import Annulus, Disk, Rect, subdivision_lattice, tri_subcentroids
+from .vexp import luxembourg_from_samples
 
 __all__ = [
     "JumpSet",
@@ -29,6 +30,7 @@ __all__ = [
     "fan_mesh",
     "delaunay_disk_mesh",
     "dilate_map",
+    "transform_map",
 ]
 
 
@@ -520,38 +522,14 @@ class DiscreteSbvMap:
         return float(np.sum(w * g**q))
 
     def gradient_luxembourg_norm(self, p, region=None, level: int = 2) -> float:
-        """Luxembourg norm of |grad u| over the region, by bisection."""
-        from .vexp import BISECT_MAX_ITER, BISECT_TOL
+        """Luxembourg norm of |grad u| over the region on the bulk samples.
 
+        Solved by ``vexp.luxembourg_from_samples``: Newton's method in
+        log lambda, stopped once its error bound on log lambda is at most
+        ``vexp.NEWTON_TOL``.
+        """
         pts, w, g = self.bulk_samples(region, level)
-        pv = p(pts)
-        m0 = float(np.sum(w * g**pv))
-        if m0 == 0.0:
-            return 0.0
-        lo = hi = 1.0
-        if float(np.sum(w * g**pv)) > 1.0:
-            for _ in range(BISECT_MAX_ITER):
-                hi *= 2.0
-                if float(np.sum(w * (g / hi) ** pv)) <= 1.0:
-                    break
-            lo = hi / 2.0
-        else:
-            for _ in range(BISECT_MAX_ITER):
-                lo /= 2.0
-                if float(np.sum(w * (g / lo) ** pv)) > 1.0:
-                    break
-            else:
-                return 0.0
-            hi = lo * 2.0
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo <= BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if float(np.sum(w * (g / mid) ** pv)) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return luxembourg_from_samples(g, p(pts), w)
 
     def to_json(self) -> dict:
         return {
@@ -1046,24 +1024,27 @@ def two_constant_map(
     return DiscreteSbvMap(domain, (patch,), jump, target or {"kind": "free"})
 
 
-def dilate_map(u: DiscreteSbvMap, factor: float, new_center=(0.0, 0.0)) -> DiscreteSbvMap:
-    """Push the map through x -> new_center + factor * (x - old_center).
+def transform_map(u: DiscreteSbvMap, origin, scale: float, new_origin=(0.0, 0.0)) -> DiscreteSbvMap:
+    """Push the map through x -> new_origin + (x - origin) * scale, scale > 0.
 
-    Gradients scale by 1/factor; values and traces are unchanged, so jump
-    lengths scale by exactly factor and cell areas by factor^2.
+    Gradients scale by 1/scale; values and traces are unchanged, so jump
+    lengths scale by exactly scale and cell areas by scale^2.
     """
-    oc = np.asarray(u.domain.center, dtype=float)
-    nc = np.asarray(new_center, dtype=float)
+    o = np.asarray(origin, dtype=float)
+    no = np.asarray(new_origin, dtype=float)
     patches = []
-    for p in u.patches:
-        circle = Disk(
-            tuple(nc + factor * (np.asarray(p.circle.center) - oc)), p.circle.radius * factor
-        )
+    for q in u.patches:
+        circle = Disk(tuple(no + scale * (np.asarray(q.circle.center) - o)), q.circle.radius * scale)
         patches.append(
-            CellPatch(
-                nc + factor * (p.verts - oc), p.tris, p.values, p.grads / factor, circle, p.arc_cells
-            )
+            CellPatch(no + scale * (q.verts - o), q.tris, q.values, q.grads / scale, circle, q.arc_cells)
         )
-    jump = u.jump.transformed(oc, factor, nc)
-    dom = Disk(tuple(nc), u.domain.radius * factor)
+    jump = u.jump.transformed(o, scale, no)
+    dom = Disk(
+        tuple(no + scale * (np.asarray(u.domain.center) - o)), u.domain.radius * scale
+    )
     return DiscreteSbvMap(dom, tuple(patches), jump, u.target)
+
+
+def dilate_map(u: DiscreteSbvMap, factor: float, new_center=(0.0, 0.0)) -> DiscreteSbvMap:
+    """Push the map through x -> new_center + factor * (x - old_center)."""
+    return transform_map(u, u.domain.center, factor, new_center)

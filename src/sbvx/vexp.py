@@ -3,7 +3,9 @@
 An exponent field assigns to each point of a planar domain an exponent in
 (1, p_plus]. The modular of a function f is the integral of |f|^{p(x)} and
 the Luxembourg norm is the scaling lambda that brings the modular of f/lambda
-down to one.
+down to one. Both norms of the package, of a sampled function here and of a
+map's gradient in ``sbv2d``, come from one solver, ``luxembourg_from_samples``:
+Newton's method in log lambda on the log of the sampled modular.
 
 Closed-form fields are restricted to a whitelist (see ``CLOSED_FORMS``):
     affine        p0 + a . x
@@ -26,14 +28,15 @@ __all__ = [
     "LogHolderReport",
     "modular",
     "luxembourg_norm",
+    "luxembourg_from_samples",
     "log_holder_diagnose",
     "embedding_constant",
 ]
 
 CLOSED_FORMS = ("affine", "radial_log", "radial_power", "ridge_power")
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 200
+NEWTON_TOL = 1e-16  # bound on the error in log lambda after the last Newton step
+NEWTON_MAX_ITER = 100
 
 
 def _eval_closed_form(form: str, params: dict, pts: np.ndarray) -> np.ndarray:
@@ -273,51 +276,69 @@ def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
     return float(np.sum(w * fv**pv))
 
 
-def modular_from_samples(fv: np.ndarray, pv: np.ndarray, w: np.ndarray, lam: float = 1.0) -> float:
-    """Modular of f/lam from precomputed samples (used by norm bisection)."""
-    return float(np.sum(w * (fv / lam) ** pv))
+def luxembourg_from_samples(fv, pv, w) -> float:
+    """Luxembourg norm of sampled magnitudes: the lam > 0 with
+    sum_i w_i (f_i / lam)^{p_i} = 1, or 0.0 when every w_i f_i is zero.
+
+    fv are magnitudes |f| >= 0, pv exponents > 0 and w weights >= 0 at the
+    same samples; samples with w = 0 or f = 0 add nothing (0^p = 0) and are
+    dropped. With t = log lam, the solver runs Newton's method on
+
+        g(t) = log sum_i w_i f_i^{p_i} e^{-p_i t},
+
+    a log-sum-exp of affine functions of t: convex and decreasing, with slope
+    in [-p+, -p-] (p-, p+ the extreme kept exponents) and curvature at most
+    (p+ - p-)^2 / 4. From t = 0 the first step lands at or left of the root,
+    and every later step climbs to it monotonically. A step s leaves the root
+    within (p+/p-)|s| of the previous iterate, so the new iterate is within
+    K s^2 of it, K = (p+ - p-)^2 p+^2 / (8 p-^3); the solver stops once
+    K s^2 <= NEWTON_TOL, with log lam exact up to round-off in g. A constant
+    exponent (K = 0) takes one step. A solve that has not converged in
+    NEWTON_MAX_ITER steps raises ToolkitError.
+    """
+    fv, pv, w = (np.asarray(x, dtype=float).ravel() for x in (fv, pv, w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(w) + pv * np.log(fv)  # log(w f^p): -inf where w = 0 or f = 0
+    keep = a != -np.inf
+    a, pk = a[keep], pv[keep]
+    if not len(a):
+        return 0.0
+    p_lo, p_hi = pk.min(), pk.max()
+    if not (np.all(np.isfinite(a)) and p_lo > 0):
+        raise ToolkitError(
+            f"Luxembourg norm of {len(fv)} samples: samples must be finite, "
+            f"with f >= 0, w >= 0 and p > 0"
+        )
+    k = (p_hi - p_lo) ** 2 * p_hi**2 / (8 * p_lo**3)
+    t = 0.0
+    z = np.empty_like(a)
+    for _ in range(NEWTON_MAX_ITER):
+        np.multiply(pk, -t, out=z)
+        z += a
+        zmax = z.max()
+        z -= zmax
+        np.exp(z, out=z)
+        s = z.sum()
+        step = (zmax + np.log(s)) * s / (z @ pk)  # -g(t) / g'(t)
+        t += step
+        if k * step * step <= NEWTON_TOL:
+            return float(np.exp(t))
+    raise ToolkitError(
+        f"Luxembourg norm of {len(a)} of {len(fv)} samples: Newton in log lambda "
+        f"did not converge in {NEWTON_MAX_ITER} steps (last step {step:.3g})"
+    )
 
 
 def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
-    """Luxembourg norm inf{lam > 0 : modular(f/lam) <= 1} by bisection.
+    """Luxembourg norm inf{lam > 0 : modular(f/lam) <= 1} on the region's rule.
 
-    Bracket expansion around lam = 1 followed by bisection to absolute
-    tolerance BISECT_TOL on lam (hard cap BISECT_MAX_ITER iterations).
+    The sampled modular is solved for one by ``luxembourg_from_samples``:
+    Newton's method in log lam, stopped once its error bound on log lam is
+    at most NEWTON_TOL, which leaves |modular(f/lam) - 1| at round-off.
     """
     if not p.covers(region):
         raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
-    fv, pv, w = _sampled_integrand(f, p, region, resolution)
-    if not np.all(np.isfinite(fv)):
-        raise ToolkitError("modular is not finite: integrand has non-finite values")
-    m0 = float(np.sum(w * fv**pv))
-    if m0 == 0.0:
-        return 0.0
-    if not np.isfinite(m0):
-        raise ToolkitError("modular is not finite")
-    lo = hi = 1.0
-    if modular_from_samples(fv, pv, w, hi) > 1.0:
-        for _ in range(BISECT_MAX_ITER):
-            hi *= 2.0
-            if modular_from_samples(fv, pv, w, hi) <= 1.0:
-                break
-        lo = hi / 2.0
-    else:
-        for _ in range(BISECT_MAX_ITER):
-            lo /= 2.0
-            if modular_from_samples(fv, pv, w, lo) > 1.0:
-                break
-        else:
-            return 0.0
-        hi = lo * 2.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if modular_from_samples(fv, pv, w, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return luxembourg_from_samples(*_sampled_integrand(f, p, region, resolution))
 
 
 def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):

@@ -14,6 +14,7 @@ from sbvx.sbv2d import (
     jump_length,
     synthesize,
     total_variation_parts,
+    transform_map,
     two_constant_map,
 )
 
@@ -233,6 +234,32 @@ def test_dilation_covariance(unit_disk):
     assert v.patches[0].cell_areas.sum() == pytest.approx(
         sigma**2 * u.patches[0].cell_areas.sum(), rel=1e-12
     )
+
+
+def _reference_dilate(u, factor, new_center):
+    """The former stand-alone dilate_map body."""
+    oc = np.asarray(u.domain.center, dtype=float)
+    nc = np.asarray(new_center, dtype=float)
+    patches = []
+    for p in u.patches:
+        circle = Disk(tuple(nc + factor * (np.asarray(p.circle.center) - oc)), p.circle.radius * factor)
+        patches.append(
+            CellPatch(nc + factor * (p.verts - oc), p.tris, p.values, p.grads / factor, circle, p.arc_cells)
+        )
+    jump = u.jump.transformed(oc, factor, nc)
+    return DiscreteSbvMap(Disk(tuple(nc), u.domain.radius * factor), tuple(patches), jump, u.target)
+
+
+@pytest.mark.parametrize("factor", [0.05, 0.37, 1.0, 2.0, 1e3])
+def test_dilate_is_transform_about_domain_center(factor):
+    from sbvx import energy
+
+    assert energy.transform_map is transform_map
+    u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
+    u = transform_map(u, (0.0, 0.0), 1.0, (0.25, -0.5))  # off-origin domain centre
+    got = dilate_map(u, factor, new_center=(-1.5, 0.75))
+    ref = _reference_dilate(u, factor, (-1.5, 0.75))
+    assert got.to_json() == ref.to_json()
 
 
 def test_map_json_roundtrip(unit_disk):

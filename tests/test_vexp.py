@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from sbvx import vexp
 from sbvx.errors import DomainMismatchError, OrderingViolationError, ToolkitError
-from sbvx.quadrature import Disk, Rect
+from sbvx.quadrature import Disk, Rect, region_rule
+from sbvx.sbv2d import synthesize
 from sbvx.vexp import (
     ExponentField,
     embedding_constant,
     log_holder_diagnose,
+    luxembourg_from_samples,
     luxembourg_norm,
     modular,
 )
@@ -144,6 +147,111 @@ def test_norm_modular_inequalities_both_branches(unit_disk, affine_field):
             assert m ** (1 / pp) - 1e-8 <= nrm <= m ** (1 / pm) + 1e-8
         else:
             assert m ** (1 / pm) - 1e-8 <= nrm <= m ** (1 / pp) + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the shared Luxembourg solver
+# ---------------------------------------------------------------------------
+
+
+def _brentq_norm(fv, pv, w):
+    """Root of the sampled modular minus one, bracketed by the constant-exponent
+    bounds m^(1/p+-) of the modular m at lam = 1."""
+    m1 = float(np.sum(w * fv**pv))
+    ends = [m1 ** (1 / pv.min()), m1 ** (1 / pv.max())]
+    return optimize.brentq(
+        lambda lam: float(np.sum(w * (fv / lam) ** pv)) - 1.0,
+        0.5 * min(ends), 2.0 * max(ends), xtol=1e-300, rtol=4 * np.finfo(float).eps,
+    )
+
+
+samples = st.integers(1, 80).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n),
+        st.lists(st.floats(1.05, 3.0), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, st.floats(-6.0, 6.0))
+def test_solver_matches_brentq_on_sampled_modular(wfp, log_amp):
+    w, f, p = (np.asarray(a) for a in wfp)
+    fv = 10.0**log_amp * f
+    got = luxembourg_from_samples(fv, p, w)
+    if not np.any(fv > 0):
+        assert got == 0.0
+        return
+    assert got == pytest.approx(_brentq_norm(fv, p, w), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples, st.floats(-6.0, 6.0), st.floats(1.05, 3.0))
+def test_solver_constant_exponent_is_classical(wfp, log_amp, q):
+    w, f, _ = (np.asarray(a) for a in wfp)
+    fv = 10.0**log_amp * f
+    m = float(np.sum(w * fv**q))
+    got = luxembourg_from_samples(fv, np.full(len(fv), q), w)
+    assert got == pytest.approx(m ** (1 / q), rel=1e-13, abs=0.0)
+
+
+def test_solver_drops_zero_weights_and_values():
+    fv = np.array([2.0, 0.0, 3.0, 5.0])
+    pv = np.array([1.5, 2.0, 1.2, 1.7])
+    w = np.array([0.3, 0.7, 0.0, 0.2])
+    assert luxembourg_from_samples(fv, pv, w) == luxembourg_from_samples(fv[[0, 3]], pv[[0, 3]], w[[0, 3]])
+    assert luxembourg_from_samples(np.zeros(4), pv, w) == 0.0
+    assert luxembourg_from_samples(fv, pv, np.zeros(4)) == 0.0
+
+
+def test_solver_rejects_bad_samples():
+    pv, w = np.full(3, 1.5), np.ones(3)
+    with pytest.raises(ToolkitError, match="3 samples"):
+        luxembourg_from_samples(np.array([1.0, np.inf, 2.0]), pv, w)
+    with pytest.raises(ToolkitError):
+        luxembourg_from_samples(np.array([1.0, -1.0, 2.0]), pv, w)
+    with pytest.raises(ToolkitError):
+        luxembourg_from_samples(np.ones(3), pv, -w)
+
+
+def test_solver_raises_when_not_converged(monkeypatch):
+    fv, pv, w = np.array([0.5, 40.0, 3.0]), np.array([1.1, 2.9, 1.5]), np.array([0.2, 0.3, 0.5])
+    monkeypatch.setattr(vexp, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ToolkitError, match="3 of 3 samples"):
+        luxembourg_from_samples(fv, pv, w)
+
+
+def test_norm_solves_modular_to_round_off(unit_disk, affine_field):
+    # the functions of the CLI norms pipeline
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        amp = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        freq = rng.uniform(0.5, 4.0, 2)
+        phase = 2 * np.pi * rng.random()
+
+        def f(pts, amp=amp, freq=freq, phase=phase):
+            return amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
+
+        lam = luxembourg_norm(f, affine_field, unit_disk)
+        assert abs(modular(lambda pts: f(pts) / lam, affine_field, unit_disk) - 1.0) <= 1e-12
+
+
+def test_norm_is_solver_on_region_rule(unit_disk, affine_field):
+    f = lambda pts: 0.4 + np.abs(pts[:, 1])  # noqa: E731
+    pts, w = region_rule(unit_disk, resolution=12)
+    expect = luxembourg_from_samples(f(pts), affine_field(pts), w)
+    assert luxembourg_norm(f, affine_field, unit_disk, resolution=12) == expect
+
+
+def test_gradient_norm_is_solver_on_bulk_samples(affine_field):
+    u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
+    region = Disk((0.1, -0.2), 0.6)
+    for level in (1, 2):
+        pts, w, g = u.bulk_samples(region, level)
+        expect = luxembourg_from_samples(g, affine_field(pts), w)
+        assert expect > 0
+        assert u.gradient_luxembourg_norm(affine_field, region, level) == expect
 
 
 # ---------------------------------------------------------------------------
