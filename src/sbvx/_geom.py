@@ -20,17 +20,28 @@ def segment_disk_length(a, b, center, radius) -> np.ndarray:
     """Length of (segment a->b) ∩ (closed disk) for each segment.
 
     Solves |a + t(b-a) - c|^2 = r^2 and clamps the inside interval to [0,1].
+    One centre (2,) and one radius give shape (n,). Stacks of disks
+    broadcast: centres (..., 2) with radii (...) give (..., n), C-contiguous,
+    each row equal to the call for its disk alone.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.asarray(center, dtype=float)
+    # a float squares through pow(), an array by multiplying, and the two
+    # differ in the last bit now and then: a stack squares each radius as a float
+    if np.ndim(radius):
+        r2 = np.reshape([r**2 for r in np.ravel(radius).tolist()], np.shape(radius) + (1,))
+    else:
+        r2 = radius**2
     d = b - a
-    f = a - c
+    f = a - c[..., None, :]
     A = np.einsum("ij,ij->i", d, d)
-    B = 2.0 * np.einsum("ij,ij->i", f, d)
-    C = np.einsum("ij,ij->i", f, f) - radius**2
+    B = 2.0 * np.einsum("...ij,ij->...i", f, d)
+    C = np.einsum("...ij,...ij->...i", f, f) - r2
+    if C.shape != A.shape:
+        A, B = np.broadcast_to(A, C.shape), np.broadcast_to(B, C.shape)
     disc = B * B - 4.0 * A * C
-    out = np.zeros(len(a))
+    out = np.zeros(C.shape)
     ok = (disc > 0) & (A > EPS)
     if np.any(ok):
         sq = np.sqrt(disc[ok])

@@ -32,7 +32,7 @@ from .retract import RetractionConfig, project_w
 from .sbv2d import DiscreteSbvMap, jump_length, synthesize
 from .sobolev_approx import cover_jump, global_approx
 from .svgplot import draw_field, draw_map, draw_profile
-from .vexp import ExponentField, luxembourg_norm, modular, sample_region
+from .vexp import ExponentField, modular_and_norm, sample_region
 
 PIPELINES = ("norms", "approximate", "cover", "retract", "energy-probe", "counterexample")
 OUT_ENV = "SBVX_OUT"
@@ -141,8 +141,7 @@ def _pipe_norms(sc, seed, tol):
         def f(pts, amp=amp, freq=freq, phase=phase):
             return amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
 
-        m = modular(f, p, dom)
-        nrm = luxembourg_norm(f, p, dom)
+        m, nrm = modular_and_norm(f, p, dom)
         if nrm > 1:
             lo, hi = m ** (1 / p.p_plus), m ** (1 / p.p_minus)
             branch = ">1"

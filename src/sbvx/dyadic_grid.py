@@ -170,6 +170,35 @@ def _topology(h_max: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=None)
+def _commit_rings(h_max: int) -> tuple:
+    """The order in which adapt_to_jump commits the h_max grid, read-only.
+
+    Vertices commit ring by ring (the graft ring after ring h_max), each ring
+    in index order. Returns one (ring, later, earlier, pos) per ring: its
+    vertices in commit order; each edge whose later-committed end is in the
+    ring, as that end and the earlier one; and the later end's position in
+    ring.
+    """
+    ring_of, on_boundary, _, edges, *_ = _topology(h_max)
+    n = len(ring_of)
+    order = np.lexsort((np.arange(n), on_boundary.astype(int), ring_of))
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    flip = rank[edges[:, 0]] > rank[edges[:, 1]]
+    later = np.where(flip, edges[:, 0], edges[:, 1])
+    earlier = np.where(flip, edges[:, 1], edges[:, 0])
+    key = (2 * ring_of + on_boundary)[order]
+    rings = []
+    for ring in np.split(order, np.flatnonzero(np.diff(key)) + 1):
+        sel = np.flatnonzero(np.isin(later, ring))
+        out = (ring, later[sel], earlier[sel], rank[later[sel]] - rank[ring[0]])
+        for a in out:
+            a.flags.writeable = False
+        rings.append(out)
+    return tuple(rings)
+
+
 def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -> DyadicGrid:
     """Construct the dyadic grid of B_R with rings h = 0..h_max plus the
     boundary graft ring, and measure its edge-length constants.
@@ -334,6 +363,14 @@ def _admissible(cands: np.ndarray, nbr_pts: np.ndarray, J: JumpSet, clearance: f
     return ok
 
 
+def _raise_unplaced(grid: DyadicGrid, vi: int, samples_per_vertex: int):
+    raise AdaptationError(
+        f"vertex {vi} (ring {grid.ring_of[vi]}) could not be placed in "
+        f"{samples_per_vertex} samples; jump budget too large here",
+        vertex=int(vi),
+    )
+
+
 def _draw_candidates(grid: DyadicGrid, vi: int, rad, rng, m: int) -> np.ndarray:
     """m perturbed positions of vertex vi, drawn as m scalar trials would
     draw them: two doubles each (radius, angle) inside the alpha * delta_h
@@ -360,62 +397,65 @@ def adapt_to_jump(
 ) -> AdaptedTriangulation:
     """Perturb grid vertices by rejection sampling so no edge meets u's jump.
 
-    Vertices commit ring by ring. Each first tries its zero perturbation, so
-    a jump-free instance keeps the base grid verbatim. If that fails, the
-    other samples_per_vertex - 1 candidates are drawn in one call: uniform in
-    the alpha * delta_h disk, or, on the boundary ring, an angular jitter
-    that keeps the vertex on the circle so the grid keeps covering B_R. One
-    broadcast then rejects every candidate closer than the clearance to the
-    jump or joined to a committed neighbour by an edge that meets it, and
-    the first survivor is placed. The generator is rewound and redraws only
-    the trials up to that survivor, so the placement and the random stream
-    (hence the kappa sample) are exactly those of trying the candidates one
-    at a time.
+    Vertices commit ring by ring, and each first tries its zero
+    perturbation, so a jump-free instance keeps the base grid verbatim. The
+    zero perturbations of a ring are tested together: one clearance call
+    for its vertices and one crossing call for its edges to vertices
+    committed before them, each edge oriented from the later-committed end
+    to the earlier one. The walk then goes to the first vertex of the ring
+    that fails. Its other samples_per_vertex - 1 candidates are drawn in
+    one call: uniform in the alpha * delta_h disk, or, on the boundary ring,
+    an angular jitter that keeps the vertex on the circle so the grid keeps
+    covering B_R. One broadcast rejects every candidate closer than the
+    clearance to the jump or joined to a committed neighbour by an edge that
+    meets it, and the first survivor is placed. The generator is rewound and
+    redraws only the trials up to that survivor. Only the edges from later
+    vertices of the ring into the moved vertex are tested again before the
+    walk goes on. The placements, the failing vertex and the random stream
+    (hence the kappa sample) are exactly those of testing the vertices, and
+    their candidates, one at a time.
     """
     J = u.jump
     rng = np.random.default_rng(seed)
     verts = grid.verts.copy()
     delta_v = grid.vertex_delta()
     alpha = grid.alpha
-    n = len(verts)
-
-    # adjacency (CSR) from the edge list
-    pairs = np.concatenate([grid.edges, grid.edges[:, ::-1]])
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    nbr_ptr = np.searchsorted(pairs[:, 0], np.arange(n + 1))
-    nbrs = pairs[:, 1]
-
-    order = np.lexsort((np.arange(n), grid.on_boundary.astype(int), grid.ring_of))
-    committed = np.zeros(n, dtype=bool)
+    rings = _commit_rings(grid.h_max)
+    if samples_per_vertex < 1:
+        _raise_unplaced(grid, rings[0][0][0], samples_per_vertex)
     max_ratio = 0.0
-    for vi in order:
-        base_pt = grid.verts[vi]
-        rad = alpha * delta_v[vi]
-        cand = base_pt
-        if samples_per_vertex < 1:
-            cand = None
-        elif len(J):
-            nb = nbrs[nbr_ptr[vi] : nbr_ptr[vi + 1]]
-            nbr_pts = verts[nb[committed[nb]]]
-            clearance = LEBESGUE_CLEARANCE * delta_v[vi]
-            if not _admissible(base_pt[None, :], nbr_pts, J, clearance)[0]:
-                state = rng.bit_generator.state
-                cands = _draw_candidates(grid, vi, rad, rng, samples_per_vertex - 1)
-                ok = np.flatnonzero(_admissible(cands, nbr_pts, J, clearance))
-                cand = None
-                if len(ok):
-                    cand = cands[ok[0]]
-                    rng.bit_generator.state = state
-                    _draw_candidates(grid, vi, rad, rng, ok[0] + 1)
-        if cand is None:
-            raise AdaptationError(
-                f"vertex {vi} (ring {grid.ring_of[vi]}) could not be placed in "
-                f"{samples_per_vertex} samples; jump budget too large here",
-                vertex=int(vi),
-            )
-        verts[vi] = cand
-        committed[vi] = True
-        max_ratio = max(max_ratio, float(np.linalg.norm(cand - base_pt) / rad))
+    for ring, later, earlier, pos in rings if len(J) else ():
+        clearance = LEBESGUE_CLEARANCE * delta_v[ring]
+        far = ~(np.min(_geom.point_segment_distance(verts[ring], J.a, J.b), axis=1) < clearance)
+        hit = np.zeros(len(later), dtype=bool)
+        if len(later):
+            hit = _geom.segments_intersect(verts[later], verts[earlier], J.a, J.b).any(axis=1)
+        i = 0
+        while True:
+            ok = far.copy()
+            ok[pos[hit]] = False
+            bad = np.flatnonzero(~ok[i:])
+            if not len(bad):
+                break
+            i += int(bad[0])
+            vi = ring[i]
+            rad = alpha * delta_v[vi]
+            nbr_pts = verts[earlier[pos == i]]
+            state = rng.bit_generator.state
+            cands = _draw_candidates(grid, vi, rad, rng, samples_per_vertex - 1)
+            good = np.flatnonzero(_admissible(cands, nbr_pts, J, clearance[i]))
+            if not len(good):
+                _raise_unplaced(grid, vi, samples_per_vertex)
+            rng.bit_generator.state = state
+            _draw_candidates(grid, vi, rad, rng, good[0] + 1)
+            verts[vi] = cands[good[0]]
+            max_ratio = max(max_ratio, float(np.linalg.norm(verts[vi] - grid.verts[vi]) / rad))
+            into = np.flatnonzero(earlier == vi)
+            if len(into):
+                hit[into] = _geom.segments_intersect(
+                    verts[later[into]], verts[vi], J.a, J.b
+                ).any(axis=1)
+            i += 1
 
     stats = {}
     if compute_stats:

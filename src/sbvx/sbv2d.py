@@ -10,6 +10,7 @@ so that cell areas partition the patch disk exactly.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -31,6 +32,7 @@ __all__ = [
     "delaunay_disk_mesh",
     "dilate_map",
     "transform_map",
+    "value_gap",
 ]
 
 
@@ -66,7 +68,11 @@ class JumpSet:
         if np.any(L <= 0):
             raise ToolkitError("jump segments must have positive length")
         d = (b - a) / L[:, None]
-        if np.max(np.abs(np.einsum("ij,ij->i", d, nrm))) > 1e-12:
+        # d carries the round-off of the stored endpoints, about eps |a| / L:
+        # a short segment far from the origin cannot be checked to 1e-12
+        reach = np.maximum(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+        tol = 1e-12 + 8 * np.finfo(float).eps * reach / L
+        if np.any(np.abs(np.einsum("ij,ij->i", d, nrm)) > tol):
             raise ToolkitError("jump normals must be perpendicular to the segments")
         if np.max(np.abs(np.linalg.norm(nrm, axis=1) - 1.0)) > 1e-12:
             raise ToolkitError("jump normals must be unit vectors")
@@ -210,27 +216,65 @@ class CellPatch:
         return np.argsort(np.abs(d - self.circle.radius), axis=1)[:, :2]
 
     def locate(self, pts: np.ndarray, k_query: int = 12) -> np.ndarray:
-        """Containing cell index per point (nearest-cell fallback)."""
+        """Containing cell index per point (nearest-cell fallback).
+
+        The rule: the k_query cells with the nearest barycentres are tested
+        nearest first, and the first that contains the point (barycentric
+        coordinates within 1e-9 of the triangle) wins; a point none of them
+        contains (in an arc bulge, or marginally outside) takes the nearest.
+        Cells at exactly equal barycentre distance are tested in the order
+        the kd-tree lists them, so on a shared edge or vertex that order
+        decides.
+
+        A first pass asks for the 3 nearest cells and tests the first two.
+        When it finds the cell at a barycentre distance that no other cell
+        shares, the cells the rule tests before it are exactly the nearer
+        ones, none of which contains the point, so that cell is the rule's
+        answer. Every other point, an exact tie included, goes through the
+        full rule.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         nq = min(k_query, len(self.tris))
-        _, cand = self._tree.query(pts, k=nq)
-        cand = np.atleast_2d(cand)
-        out = np.full(len(pts), -1, dtype=int)
-        v = self.verts[self.tris]  # (nt, 3, 2)
-        for col in range(cand.shape[1]):
-            miss = out < 0
-            if not np.any(miss):
-                break
-            t = cand[miss, col]
-            p = pts[miss]
-            inside = _points_in_tris(p, v[t])
-            idx = np.nonzero(miss)[0]
-            out[idx[inside]] = t[inside]
-        miss = out < 0
-        if np.any(miss):
-            # points in an arc bulge or marginally outside: nearest cell wins
-            out[miss] = cand[miss, 0]
+        if nq <= 3:
+            return self._first_containing(pts, nq)
+        dist, cand = self._tree.query(pts, k=3)
+        inside = self._contains(np.repeat(pts, 2, axis=0), cand[:, :2].ravel()).reshape(-1, 2)
+        alone = dist[:, :2] != dist[:, 1:]
+        alone[:, 1] &= alone[:, 0]
+        rows = np.arange(len(pts))
+        first = np.argmax(inside, axis=1)
+        found = inside[rows, first] & alone[rows, first]
+        out = np.where(found, cand[rows, first], -1)
+        rest = np.flatnonzero(~found)
+        if len(rest):
+            out[rest] = self._first_containing(pts[rest], nq)
         return out
+
+    def _first_containing(self, pts: np.ndarray, nq: int) -> np.ndarray:
+        """locate's rule over the nq nearest cells."""
+        _, cand = self._tree.query(pts, k=nq)
+        cand = cand.reshape(len(pts), nq)
+        inside = self._contains(np.repeat(pts, nq, axis=0), cand.ravel()).reshape(cand.shape)
+        # argmax is the first containing cell, or 0, the nearest, if none does
+        return cand[np.arange(len(pts)), np.argmax(inside, axis=1)]
+
+    @cached_property
+    def _frames(self):
+        """Per cell: first corner, the two edge vectors from it, determinant."""
+        v = self.verts[self.tris]
+        d1 = v[:, 1] - v[:, 0]
+        d2 = v[:, 2] - v[:, 0]
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        return v[:, 0], d1, d2, np.where(np.abs(det) < 1e-300, 1e-300, det)
+
+    def _contains(self, pts: np.ndarray, cells: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether cell cells[i] contains pts[i]: barycentric coordinates
+        within tol of the triangle."""
+        v0, d1, d2, det = (a[cells] for a in self._frames)
+        w = pts - v0
+        l1 = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * w[:, 1] - d1[:, 1] * w[:, 0]) / det
+        return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
 
     def eval(self, pts: np.ndarray, cells: np.ndarray | None = None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -244,19 +288,6 @@ class CellPatch:
         if cells is None:
             cells = self.locate(pts)
         return self.grads[cells]
-
-
-def _points_in_tris(pts: np.ndarray, tri_verts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """pts (m,2) vs matching tri_verts (m,3,2): barycentric membership."""
-    v0 = tri_verts[:, 0]
-    d1 = tri_verts[:, 1] - v0
-    d2 = tri_verts[:, 2] - v0
-    w = pts - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-    l1 = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * w[:, 1] - d1[:, 1] * w[:, 0]) / det
-    return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +726,24 @@ def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndar
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
+
+
+def value_gap(u: DiscreteSbvMap, w: DiscreteSbvMap, pts) -> np.ndarray:
+    """|u(x) - w(x)| at each point.
+
+    When w's patch stack starts with u's patches, a point that no later patch
+    of w holds is evaluated on the same patch by both maps, so its gap is
+    0.0; only the other points are evaluated, on both maps.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = len(u.patches)
+    moved = np.ones(len(pts), dtype=bool)
+    if len(w.patches) >= n and all(p is q for p, q in zip(u.patches, w.patches)):
+        moved = w._layer_of(pts) >= n
+    gap = np.zeros(len(pts))
+    if np.any(moved):
+        gap[moved] = np.linalg.norm(u.value_at(pts[moved]) - w.value_at(pts[moved]), axis=1)
+    return gap
 
 
 def jump_length(u: DiscreteSbvMap, region) -> float:

@@ -27,12 +27,13 @@ from .errors import (
     WindowNotFoundError,
 )
 from .quadrature import Disk, disk_rule
-from .sbv2d import CellPatch, DiscreteSbvMap
+from .sbv2d import CellPatch, DiscreteSbvMap, value_gap
 
 __all__ = ["BallFamily", "ApproxReport", "local_phi", "cover_jump", "global_approx",
            "project_to_sphere_stage"]
 
 XI_CAP = 16
+WINDOW_BLOCK = 16  # density-window centres measured per call: bounds its (block, k_max, n) arrays
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def local_phi(
     report["modular_bound_const"] = modular_out / var_bound if var_bound > 0 else 0.0
 
     pts, w = disk_rule(ball_R, n_r=10, n_t=20, order=4)
-    diff = np.linalg.norm(u.value_at(pts) - phi.value_at(pts), axis=1)
+    diff = value_gap(u, phi, pts)
     l1 = float(np.sum(w * diff))
     from .sbv2d import total_variation_parts
 
@@ -244,7 +245,7 @@ def local_phi(
     nb = 2 ** adapted.base.h_max
     th = 2 * np.pi * (np.arange(2 * nb) + 0.5) / (2 * nb)
     bpts = center + R * np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-12)
-    band = float(np.max(np.linalg.norm(u.value_at(bpts) - phi.value_at(bpts), axis=1)))
+    band = float(np.max(value_gap(u, phi, bpts)))
     report["trace_band"] = band
 
     report["jump_in_2r"] = jump_in_2r
@@ -282,13 +283,25 @@ def _new_jump_length(w: DiscreteSbvMap, u: DiscreteSbvMap, tol_factor: float = 1
 # ---------------------------------------------------------------------------
 
 
-def _window_radius(J, x, lam: float, eta: float, k_max: int = 60):
-    """Largest dyadic radius lam / 2^k whose ball sees jump density >= eta."""
-    for k in range(1, k_max + 1):
-        rk = lam / 2.0**k
-        if J.length_in(Disk(tuple(x), rk)) >= eta * rk:
-            return rk, k
-    return None, None
+def _window_radii(J, xs, lams, eta: float, k_max: int = 60):
+    """For each centre xs[i], the largest dyadic radius lams[i] / 2^k whose
+    ball sees jump density >= eta, and that k; (None, None) where no k in
+    1..k_max does. One segment-disk call measures all k_max balls of up to
+    WINDOW_BLOCK centres.
+    """
+    xs = np.reshape(xs, (-1, 1, 2))
+    # lam * 2^-k by exponent shift: exactly lam / 2.0**k
+    rk = np.ldexp(np.asarray(lams, dtype=float)[:, None], -np.arange(1, k_max + 1))
+    out = []
+    for i in range(0, len(xs), WINDOW_BLOCK):
+        r = rk[i : i + WINDOW_BLOCK]
+        seen = _geom.segment_disk_length(J.a, J.b, xs[i : i + WINDOW_BLOCK], r).sum(axis=-1)
+        dense = seen >= eta * r
+        first = np.argmax(dense, axis=1)
+        out += [
+            (float(q[k]), int(k) + 1) if ok[k] else (None, None) for q, ok, k in zip(r, dense, first)
+        ]
+    return out
 
 
 def cover_jump(
@@ -329,9 +342,8 @@ def cover_jump(
 
     def window_balls(cands):
         out = []
-        for x in cands:
-            lam = float(rng.uniform((1 - s) * rho, 2 * (1 - s) * rho))
-            rx, k = _window_radius(J, x, lam, eta)
+        lams = rng.uniform((1 - s) * rho, 2 * (1 - s) * rho, len(cands))
+        for x, (rx, k) in zip(cands, _window_radii(J, cands, lams, eta)):
             if rx is None:
                 raise WindowNotFoundError(
                     f"density window empty at {x} (eta = {eta}); refine sampling"
@@ -493,7 +505,7 @@ def global_approx(
     if len(family) > 0:
         probe = _sample_outside(u.domain, family, rng, 512)
         if len(probe):
-            dmax = float(np.max(np.linalg.norm(u.value_at(probe) - w.value_at(probe), axis=1)))
+            dmax = float(np.max(value_gap(u, w, probe)))
         else:
             dmax = 0.0
         est["outside_identity_max_error"] = dmax
@@ -524,9 +536,7 @@ def global_approx(
         est[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)
 
     pts, wq = disk_rule(ball_rho, n_r=10, n_t=20, order=4)
-    est["l1_distance"] = float(
-        np.sum(wq * np.linalg.norm(u.value_at(pts) - w.value_at(pts), axis=1))
-    )
+    est["l1_distance"] = float(np.sum(wq * value_gap(u, w, pts)))
 
     if len(family) > 0:
         st = family.stats
@@ -551,17 +561,23 @@ def global_approx(
 
 
 def _sample_outside(domain: Disk, family: BallFamily, rng, n: int) -> np.ndarray:
-    c = np.asarray(domain.center)
-    out = []
-    for _ in range(20 * n):
-        if len(out) >= n:
-            break
-        r = domain.radius * np.sqrt(rng.random())
-        t = 2 * np.pi * rng.random()
-        x = c + r * np.array([np.cos(t), np.sin(t)])
-        if np.all(np.linalg.norm(family.centers - x, axis=1) > family.radii + 1e-9):
-            out.append(x)
-    return np.asarray(out) if out else np.zeros((0, 2))
+    """Up to n uniform points of the domain outside every ball of the family.
+
+    Trials draw a radius and then an angle, and stop at the n-th point kept
+    or after 20 n trials. All 20 n are drawn in one block; the generator is
+    then rewound and redraws only the trials up to the stop, so it ends
+    where one trial at a time would leave it.
+    """
+    state = rng.bit_generator.state
+    draws = rng.random(2 * 20 * n).reshape(-1, 2)
+    r = domain.radius * np.sqrt(draws[:, 0])
+    t = 2 * np.pi * draws[:, 1]
+    x = np.asarray(domain.center) + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+    dist = np.linalg.norm(family.centers[None, :, :] - x[:, None, :], axis=-1)
+    kept = np.flatnonzero(np.all(dist > family.radii + 1e-9, axis=1))[:n]
+    rng.bit_generator.state = state
+    rng.random(2 * (kept[-1] + 1 if 0 < n == len(kept) else 20 * n))
+    return x[kept]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "modular",
     "luxembourg_norm",
     "luxembourg_from_samples",
+    "modular_and_norm",
     "log_holder_diagnose",
     "embedding_constant",
 ]
@@ -253,6 +254,9 @@ def _as_magnitude(fv: np.ndarray) -> np.ndarray:
 
 
 def _sampled_integrand(f, p: ExponentField, region: Region, resolution: int):
+    """(|f|, p, weights) on the region's rule, once p is known to cover it."""
+    if not p.covers(region):
+        raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
     pts, w = region_rule(region, resolution=resolution)
     if callable(f):
         fv = _as_magnitude(f(pts))
@@ -268,9 +272,10 @@ def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
     Uses the fixed composite rule of the region; the rule resolution is an
     explicit argument so callers can report their integration tolerance.
     """
-    if not p.covers(region):
-        raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
-    fv, pv, w = _sampled_integrand(f, p, region, resolution)
+    return _modular_sum(*_sampled_integrand(f, p, region, resolution))
+
+
+def _modular_sum(fv, pv, w) -> float:
     if not np.all(np.isfinite(fv)):
         raise ToolkitError("integrand is not finite on the region")
     return float(np.sum(w * fv**pv))
@@ -336,9 +341,14 @@ def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -
     Newton's method in log lam, stopped once its error bound on log lam is
     at most NEWTON_TOL, which leaves |modular(f/lam) - 1| at round-off.
     """
-    if not p.covers(region):
-        raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
     return luxembourg_from_samples(*_sampled_integrand(f, p, region, resolution))
+
+
+def modular_and_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> tuple:
+    """(modular, luxembourg_norm) of f on the region, equal to the two calls,
+    from one evaluation of f and p on the rule."""
+    fv, pv, w = _sampled_integrand(f, p, region, resolution)
+    return _modular_sum(fv, pv, w), luxembourg_from_samples(fv, pv, w)
 
 
 def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):

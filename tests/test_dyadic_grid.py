@@ -349,7 +349,10 @@ def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples,
     # pull the jump into the unit disk, the domain of the map
     a /= np.maximum(1.0, np.linalg.norm(a, axis=1) / 0.95)[:, None]
     b /= np.maximum(1.0, np.linalg.norm(b, axis=1) / 0.95)[:, None]
-    u = _flat_map_with_jump(a, b)
+    _assert_adapt_matches_scalar(g, _flat_map_with_jump(a, b), samples, seed)
+
+
+def _assert_adapt_matches_scalar(g, u, samples, seed):
     try:
         expected = _adapt_scalar(g, u, samples, seed, kappa_samples=500)
     except AdaptationError as err:
@@ -366,6 +369,47 @@ def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples,
     assert np.array_equal(ad.verts, verts)
     assert ad.perturbation_ratio_max == ratio
     assert ad.kappa_hat == kappa
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([4, 5, 6]),
+    st.sampled_from([2, 40, 200]),
+)
+def test_batched_adaptation_matches_scalar_loop_past_ring_two(jump_seed, seed, h_max, samples):
+    # cuts that move vertices of ring 3 and beyond (graft ring included),
+    # and short cuts in their balls, where a moved vertex may land: the edges
+    # from later vertices of the ring into it are tested again
+    rng = np.random.default_rng(jump_seed)
+    R = float(rng.uniform(0.3, 0.85))  # the cuts stay inside the unit disk
+    g = build_grid(R, h_max, center=rng.uniform(-0.1, 0.1, 2), rotation=float(rng.uniform(0, 2 * np.pi)))
+    rad = g.alpha * g.vertex_delta()
+    n = len(g.verts)
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((np.arange(n), g.on_boundary, g.ring_of))] = np.arange(n)
+    a, b = [], []
+    for vi in rng.choice(np.flatnonzero(g.ring_of >= 3), size=int(rng.integers(1, 9)), replace=False):
+        e = g.edges[(g.edges == vi).any(axis=1)]
+        nbrs = e[e != vi]
+        q = g.verts[rng.choice(nbrs[rank[nbrs] < rank[vi]])]
+        along = _unit(q - g.verts[vi])
+        mid = g.verts[vi] + rng.uniform(0.05, 1.0) * rad[vi] * along
+        across = _unit(np.array([-along[1], along[0]]) + rng.normal(scale=0.3, size=2))
+        half = rng.uniform(0.05, 0.8) * rad[vi] * across
+        a.append(mid - half)
+        b.append(mid + half)
+        if rng.random() < 0.7:
+            p = g.verts[vi] + rad[vi] * np.sqrt(rng.random()) * _unit(rng.normal(size=2))
+            half = rng.uniform(0.05, 0.6) * rad[vi] * _unit(rng.normal(size=2))
+            a.append(p - half)
+            b.append(p + half)
+    _assert_adapt_matches_scalar(g, _flat_map_with_jump(np.array(a), np.array(b)), samples, seed)
 
 
 def _build_grid_reference(R, h_max, center=(0.0, 0.0), rotation=0.0):

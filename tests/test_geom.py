@@ -272,3 +272,55 @@ def test_hull_of_disks_two_radii():
     assert _geom.points_in_convex_polygon(np.array([[0, 0.49], [2, -0.19]]), hull).all()
     area = _geom.polygon_area(hull)
     assert area > np.pi * 0.25  # at least the bigger disk
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=70),
+)
+def test_segment_disk_length_radius_rows_equal_scalar_calls(seed, n, k):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, 2)
+    a = c + rng.normal(scale=float(rng.uniform(0.01, 2.0)), size=(n, 2))
+    b = a + rng.normal(scale=float(rng.uniform(1e-4, 1.0)), size=(n, 2))
+    if n and rng.random() < 0.3:
+        b[0] = a[0]  # a zero-length segment
+        b[-1] = c + (a[-1] - c) * 1.5  # a radial segment through the circle
+    # dyadic radii as the density window asks for them, then arbitrary ones
+    lam = float(rng.uniform(0.05, 2.0))
+    radii = [lam / 2.0**j for j in range(1, k + 1)] if rng.random() < 0.5 else list(
+        rng.uniform(0.0, 3.0, k)
+    )
+    rows = _geom.segment_disk_length(a, b, c, np.array(radii))
+    assert rows.shape == (k, n) and rows.flags.c_contiguous
+    for r, row, total in zip(radii, rows, rows.sum(axis=1)):
+        one = _geom.segment_disk_length(a, b, c, float(r))
+        assert np.array_equal(row, one)
+        # row sums equal the 1-D sums JumpSet.length_in takes
+        assert float(np.sum(one)) == total
+    # a stack of centres, each with its own radii
+    cs = c + rng.normal(size=(3, 1, 2))
+    rr = np.outer(rng.uniform(0.1, 2.0, 3), 0.5 ** np.arange(k))
+    grid = _geom.segment_disk_length(a, b, cs, rr)
+    assert grid.shape == (3, k, n) and grid.flags.c_contiguous
+    for ci, ri, rows_i, sums_i in zip(cs, rr, grid, grid.sum(axis=-1)):
+        for r, row, total in zip(ri, rows_i, sums_i):
+            one = _geom.segment_disk_length(a, b, ci[0], float(r))
+            assert np.array_equal(row, one)
+            assert float(np.sum(one)) == total
+
+
+def test_segment_disk_length_rows_square_radii_as_scalar_calls_do():
+    # radii whose float square (pow) and array square (r * r) differ in the
+    # last bit; the chords' lengths see the difference
+    rs = [float(r) for r in np.random.default_rng(1).uniform(0.01, 1.0, 20000)]
+    radii = [r for r in rs if r**2 != r * r][:8]
+    assert len(radii) == 8
+    y = np.linspace(-0.95, 0.95, 60)
+    a = np.stack([np.full(60, -2.0), y], axis=1)
+    b = np.stack([np.full(60, 2.0), y], axis=1)
+    rows = _geom.segment_disk_length(a, b, (0.0, 0.0), np.array(radii))
+    for r, row in zip(radii, rows):
+        assert np.array_equal(row, _geom.segment_disk_length(a, b, (0.0, 0.0), r))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from sbvx.errors import ConstructionError, DegenerateInputError, ToolkitError
@@ -9,6 +11,7 @@ from sbvx.sbv2d import (
     DiscreteSbvMap,
     JumpSet,
     bv_poincare_check,
+    delaunay_disk_mesh,
     dilate_map,
     fan_mesh,
     jump_length,
@@ -16,6 +19,7 @@ from sbvx.sbv2d import (
     total_variation_parts,
     transform_map,
     two_constant_map,
+    value_gap,
 )
 
 
@@ -325,3 +329,150 @@ def test_bulk_samples_weights_sum_to_exact_area(unit_disk):
         assert np.sum(w) == pytest.approx(np.pi * r * r, rel=1e-12)
     _, w, _ = u.bulk_samples(Disk((0.2, -0.1), 1.5), 2)
     assert np.sum(w) == pytest.approx(np.pi, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# point location against the 12-neighbour rule
+# ---------------------------------------------------------------------------
+
+
+def _points_in_tris(pts, tri_verts, tol=1e-9):
+    """pts (m,2) vs matching tri_verts (m,3,2): barycentric membership."""
+    v0 = tri_verts[:, 0]
+    d1 = tri_verts[:, 1] - v0
+    d2 = tri_verts[:, 2] - v0
+    w = pts - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    l1 = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * w[:, 1] - d1[:, 1] * w[:, 0]) / det
+    return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
+
+
+def _locate_scalar(patch, pts, k_query=12):
+    """The column-by-column 12-neighbour rule CellPatch.locate must equal."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    _, cand = patch._tree.query(pts, k=min(k_query, len(patch.tris)))
+    cand = np.atleast_2d(cand)
+    out = np.full(len(pts), -1, dtype=int)
+    v = patch.verts[patch.tris]
+    for col in range(cand.shape[1]):
+        miss = out < 0
+        if not np.any(miss):
+            break
+        t = cand[miss, col]
+        inside = _points_in_tris(pts[miss], v[t])
+        out[np.nonzero(miss)[0][inside]] = t[inside]
+    miss = out < 0
+    out[miss] = cand[miss, 0]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["fan", "delaunay", "adapted"]),
+    st.integers(min_value=1, max_value=12),
+)
+def test_locate_equals_twelve_neighbour_rule(seed, mesh, n_rings):
+    rng = np.random.default_rng(seed)
+    disk = Disk(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(0.05, 3.0)))
+    if mesh == "fan":
+        verts, tris, arc = fan_mesh(disk, n_rings)
+    elif mesh == "delaunay":
+        verts, tris, arc = delaunay_disk_mesh(disk, 5 * n_rings + 3, rng)
+    else:
+        from sbvx.dyadic_grid import build_grid
+
+        g = build_grid(disk.radius, min(max(n_rings, 2), 6), center=disk.center,
+                       rotation=float(rng.uniform(0, 2 * np.pi)))
+        verts, tris, arc = g.verts, g.tris, g.on_boundary[g.tris].sum(axis=1) == 2
+    patch = CellPatch(verts, tris, np.zeros((len(tris), 1)), np.zeros((len(tris), 1, 2)), disk, arc)
+    c = np.asarray(disk.center)
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    s = rng.random((len(e), 1))
+    pts = np.concatenate([
+        verts,  # mesh vertices, the centre among them
+        c[None, :],
+        0.5 * (verts[e[:, 0]] + verts[e[:, 1]]),  # edge midpoints: tied barycentres
+        verts[e[:, 0]] + s * (verts[e[:, 1]] - verts[e[:, 0]]),  # points on shared edges
+        patch.barycenters,
+        c + disk.radius * rng.uniform(-1.1, 1.1, (300, 2)),  # arc bulges and outside too
+    ])
+    assert np.array_equal(patch.locate(pts), _locate_scalar(patch, pts))
+
+
+def _square_fan_patch(n=4):
+    """n x n unit squares, each cut into 4 triangles at its centre: dyadic
+    coordinates, so mirror-image barycentres are at exactly equal distances."""
+    h = 1.0 / n
+    ij = np.array([(i, j) for j in range(n + 1) for i in range(n + 1)], dtype=float) * h
+    cen = np.array([(i + 0.5, j + 0.5) for j in range(n) for i in range(n)]) * h
+    verts = np.concatenate([ij, cen])
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a, b = j * (n + 1) + i, j * (n + 1) + i + 1
+            c, d = a + n + 1, b + n + 1
+            m = (n + 1) ** 2 + j * n + i
+            tris += [(a, b, m), (b, d, m), (d, c, m), (c, a, m)]
+    tris = np.asarray(tris)
+    nt = len(tris)
+    return CellPatch(verts, tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), Disk((0.5, 0.5), 0.75))
+
+
+def test_locate_exact_ties_follow_the_twelve_neighbour_rule():
+    patch = _square_fan_patch()
+    v, t = patch.verts, patch.tris
+    s = np.array([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])[:, None, None]
+    e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    pts = np.concatenate([v, (v[e[:, 0]] + s * (v[e[:, 1]] - v[e[:, 0]])).reshape(-1, 2)])
+    dist, _ = patch._tree.query(pts, k=4)
+    tied = (dist[:, 0] == dist[:, 1]) | (dist[:, 1] == dist[:, 2]) | (dist[:, 2] == dist[:, 3])
+    assert tied.mean() > 0.5
+    assert np.array_equal(patch.locate(pts), _locate_scalar(patch, pts))
+
+
+# ---------------------------------------------------------------------------
+# jump normal check at small scales
+# ---------------------------------------------------------------------------
+
+
+def test_jumpset_normal_check_scales_with_endpoint_round_off():
+    u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
+    v = dilate_map(u, 1e-3, new_center=(-1.5, 0.75))
+    assert jump_length(v, v.domain) == pytest.approx(1e-3 * jump_length(u, u.domain), rel=1e-9)
+    assert np.array_equal(v.jump.normal, u.jump.normal)
+
+
+def _tilted(normal, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c * normal[:, 0] - s * normal[:, 1], s * normal[:, 0] + c * normal[:, 1]], axis=1)
+
+
+@pytest.mark.parametrize("factor, center", [(1.0, (0.0, 0.0)), (1e-3, (-1.5, 0.75))])
+def test_jumpset_normal_tilted_by_1e9_raises(factor, center):
+    u = dilate_map(
+        synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5),
+        factor, new_center=center,
+    )
+    J = u.jump
+    JumpSet(J.a, J.b, J.trace_plus, J.trace_minus, _tilted(J.normal, 0.0))
+    with pytest.raises(ToolkitError, match="perpendicular"):
+        JumpSet(J.a, J.b, J.trace_plus, J.trace_minus, _tilted(J.normal, 1e-9))
+
+
+def test_value_gap_equals_both_evaluations(unit_disk):
+    u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
+    w = u.with_patch(_inner_patch(u, (0.2, -0.1), 0.3)).with_patch(_inner_patch(u, (-0.3, 0.3), 0.2))
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (2000, 2))
+    pts = np.concatenate([pts, [[0.2, -0.1], [0.5, -0.1], [-0.3, 0.5]]])  # centres, on circles
+    full = np.linalg.norm(u.value_at(pts) - w.value_at(pts), axis=1)
+    assert np.array_equal(value_gap(u, w, pts), full)
+    assert np.count_nonzero(full) > 100
+    # stacks that do not extend each other are evaluated point by point
+    v = w.with_patch(_inner_patch(w, (0.0, 0.0), 0.5))
+    other = DiscreteSbvMap(u.domain, v.patches[:1] + v.patches[2:], u.jump)
+    assert np.array_equal(
+        value_gap(w, other, pts), np.linalg.norm(w.value_at(pts) - other.value_at(pts), axis=1)
+    )

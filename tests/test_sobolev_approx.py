@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbvx import sobolev_approx
 from sbvx.errors import AdaptationError, JumpBudgetError
 from sbvx.quadrature import Disk
-from sbvx.sbv2d import jump_length, synthesize
+from sbvx.sbv2d import JumpSet, jump_length, synthesize
 from sbvx.sobolev_approx import (
+    BallFamily,
     _free_endpoints,
-    _window_radius,
+    _sample_outside,
+    _window_radii,
     cover_jump,
     global_approx,
     local_phi,
@@ -130,7 +134,7 @@ def test_cover_single_segment_window_oracle(unit_disk):
     x = np.array([0.0, 0.0])
     rng = np.random.default_rng(99)
     lam = float(rng.uniform((1 - s) * rho, 2 * (1 - s) * rho))
-    rx, k = _window_radius(u.jump, x, lam, eta)
+    [(rx, k)] = _window_radii(u.jump, x[None], [lam], eta)
     assert rx is not None and k >= 2
     ball_r = u.jump.length_in(Disk((0, 0), rx))
     ball_2r = u.jump.length_in(Disk((0, 0), 2 * rx))
@@ -270,3 +274,83 @@ def test_stage_after_global(affine_field):
             nrm = np.linalg.norm(patch.values[sel], axis=1)
             assert np.max(np.abs(nrm - 1.0)) < 1e-9
     assert prj["stage_boundary_mismatch"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# broadcast loops against their scalar forms
+# ---------------------------------------------------------------------------
+
+
+def _window_radius_scalar(J, x, lam, eta, k_max=60):
+    """The per-radius loop _window_radii must reproduce bitwise, centre by
+    centre."""
+    for k in range(1, k_max + 1):
+        rk = lam / 2.0**k
+        if J.length_in(Disk(tuple(x), rk)) >= eta * rk:
+            return rk, k
+    return None, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=40),  # several blocks of WINDOW_BLOCK centres
+    st.sampled_from([1e-3, 0.01, 0.05, 0.5, 3.0]),
+    st.sampled_from([1, 8, 60]),
+)
+def test_window_radii_equal_per_radius_loop(seed, n, m, eta, k_max):
+    rng = np.random.default_rng(seed)
+    if n:
+        pts = rng.uniform(-0.5, 0.5, 2) + np.cumsum(
+            rng.normal(scale=float(rng.uniform(1e-3, 0.2)), size=(n + 1, 2)), axis=0
+        )
+        J = JumpSet.from_segments(pts[:-1], pts[1:], np.ones((n, 1)), np.zeros((n, 1)))
+        # centres on the jump, as cover_jump draws them, or anywhere
+        xs = np.where(rng.random((m, 1)) < 0.7, pts[rng.integers(n + 1, size=m)], rng.uniform(-1, 1, (m, 2)))
+    else:
+        J, xs = JumpSet.empty(1), rng.uniform(-1, 1, (m, 2))
+    lams = rng.uniform(1e-3, 1.0, m)
+    got = _window_radii(J, xs, lams, eta, k_max=k_max)
+    want = [_window_radius_scalar(J, x, float(lam), eta, k_max=k_max) for x, lam in zip(xs, lams)]
+    assert got == want
+    assert all(type(g) is type(w) for gw, ww in zip(got, want) for g, w in zip(gw, ww))
+
+
+def _sample_outside_scalar(domain, family, rng, n):
+    """The one-trial-at-a-time loop _sample_outside must reproduce."""
+    c = np.asarray(domain.center)
+    out = []
+    for _ in range(20 * n):
+        if len(out) >= n:
+            break
+        r = domain.radius * np.sqrt(rng.random())
+        t = 2 * np.pi * rng.random()
+        x = c + r * np.array([np.cos(t), np.sin(t)])
+        if np.all(np.linalg.norm(family.centers - x, axis=1) > family.radii + 1e-9):
+            out.append(x)
+    return np.asarray(out) if out else np.zeros((0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.sampled_from([0, 1, 7, 64, 512]),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.01, 0.2, 0.6, 1.5]),
+)
+def test_sample_outside_equals_scalar_loop(geo_seed, seed, n, n_balls, size):
+    geo = np.random.default_rng(geo_seed)
+    domain = Disk(tuple(geo.uniform(-2, 2, 2)), float(geo.uniform(0.1, 3.0)))
+    centers = np.asarray(domain.center) + geo.uniform(-1, 1, (n_balls, 2)) * domain.radius
+    # large balls leave fewer than n points in 20 n trials
+    radii = geo.uniform(0.1, 1.0, n_balls) * size * domain.radius
+    family = BallFamily(centers, radii, np.ones(n_balls, dtype=int), 1)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_outside(domain, family, rng_a, n)
+    want = _sample_outside_scalar(domain, family, rng_b, n)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert rng_a.random() == rng_b.random()

@@ -15,6 +15,7 @@ from sbvx.vexp import (
     luxembourg_from_samples,
     luxembourg_norm,
     modular,
+    modular_and_norm,
 )
 
 
@@ -46,6 +47,28 @@ def test_modular_halfdisk_vs_adaptive_oracle(unit_disk, halfdisk_field):
 def test_modular_domain_mismatch(affine_field):
     with pytest.raises(DomainMismatchError):
         modular(1.0, affine_field, Disk((5.0, 0.0), 1.0))
+
+
+def test_modular_and_norm_equal_the_two_calls_from_one_sampling(unit_disk, affine_field):
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        amp = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        freq = rng.uniform(0.5, 4.0, 2)
+        phase = 2 * np.pi * rng.random()
+        calls = []
+
+        def f(pts):
+            calls.append(len(pts))
+            return amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
+
+        m, nrm = modular_and_norm(f, affine_field, unit_disk)
+        assert len(calls) == 1
+        assert m == modular(f, affine_field, unit_disk)
+        assert nrm == luxembourg_norm(f, affine_field, unit_disk)
+    with pytest.raises(DomainMismatchError):
+        modular_and_norm(1.0, affine_field, Disk((5.0, 0.0), 1.0))
+    with pytest.raises(ToolkitError, match="not finite"):
+        modular_and_norm(lambda pts: np.full(len(pts), np.inf), affine_field, unit_disk)
 
 
 def test_modular_additive_over_disjoint_regions(unit_disk, affine_field):
