@@ -32,7 +32,7 @@ from .retract import RetractionConfig, project_w
 from .sbv2d import DiscreteSbvMap, jump_length, synthesize
 from .sobolev_approx import cover_jump, global_approx
 from .svgplot import draw_field, draw_map, draw_profile
-from .vexp import ExponentField, modular_and_norm, sample_region
+from .vexp import ExponentField, modulars_and_norms
 
 PIPELINES = ("norms", "approximate", "cover", "retract", "energy-probe", "counterexample")
 OUT_ENV = "SBVX_OUT"
@@ -133,15 +133,15 @@ def _pipe_norms(sc, seed, tol):
     rows = [("index", "modular", "norm", "branch", "lower", "upper", "margin")]
     worst = np.inf
     tol_nm = float(tol.get("norm_modular", 1e-8))
-    for i in range(n_funcs):
+
+    def draw():
         amp = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         freq = rng.uniform(0.5, 4.0, 2)
         phase = 2 * np.pi * rng.random()
+        return lambda pts: amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
 
-        def f(pts, amp=amp, freq=freq, phase=phase):
-            return amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
-
-        m, nrm = modular_and_norm(f, p, dom)
+    fs = [draw() for _ in range(n_funcs)]
+    for i, (m, nrm) in enumerate(modulars_and_norms(fs, p, dom)):
         if nrm > 1:
             lo, hi = m ** (1 / p.p_plus), m ** (1 / p.p_minus)
             branch = ">1"
@@ -358,8 +358,7 @@ _PIPE_FUNCS = {
 
 
 def run_scenario(scenario_path: str, out_dir: str | None = None,
-                 seed_override: int | None = None, jobs: int = 1,
-                 figures_only: bool = False) -> int:
+                 seed_override: int | None = None, figures_only: bool = False) -> int:
     """Execute a scenario; returns the process exit code."""
     try:
         sc = load_scenario(scenario_path)
@@ -397,7 +396,6 @@ def run_scenario(scenario_path: str, out_dir: str | None = None,
                     "elapsed_s": time.time() - t_start,
                     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                     "platform": platform.platform(),
-                    "jobs": jobs,
                 },
                 f, indent=2,
             )
@@ -444,7 +442,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--seed-override", type=int, default=None)
 
     cor_p = sub.add_parser("corpus", help="generate scenario files")
@@ -457,7 +454,7 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     if args.cmd == "run":
-        return run_scenario(args.scenario, args.out, args.seed_override, args.jobs)
+        return run_scenario(args.scenario, args.out, args.seed_override)
     if args.cmd == "corpus":
         return build_corpus(args.spec, args.out)
     if args.cmd == "render":

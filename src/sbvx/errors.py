@@ -41,10 +41,6 @@ class DegenerateInputError(ToolkitError):
     """Input map degenerate for the requested operation."""
 
 
-class InversionError(ToolkitError):
-    """Newton inversion of a shifted retraction failed to converge."""
-
-
 class ConstructionError(ToolkitError):
     """A synthetic construction could not be completed as requested."""
 

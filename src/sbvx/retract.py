@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InversionError, ToolkitError
-from .quadrature import Disk
+from .errors import DegenerateInputError, ToolkitError
 from .sbv2d import CellPatch, DiscreteSbvMap, JumpSet
 
 __all__ = [
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 SIGMA_THRESHOLD = 0.5  # shifts above this fraction of the sphere radius are rejected
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
+SHIFT_BLOCK = 8  # shifts per broadcast in choose_shift; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -113,16 +111,18 @@ def retraction_jacobian(y: np.ndarray) -> np.ndarray:
 def _composed_gmags(values: np.ndarray, grads: np.ndarray, a: np.ndarray):
     """Per-cell Frobenius norms of grad(P_a o w) via the exact chain rule.
 
-    Returns (gmags, min_dist): the distance of cell values to the shifted
-    singular point is reported so callers can reject singular hits.
+    a is one shift (k,) or a block of shifts (b, k). Returns (gmags, min_dist)
+    of shapes (n,) and () or (b, n) and (b,): the distance of cell values to
+    the shifted singular point is reported so callers can reject singular hits.
     """
-    ya = values - a[None, :]
-    d = np.linalg.norm(ya, axis=1)
-    yh = ya / np.maximum(d, 1e-300)[:, None]
-    # (I - yh yh^T) grads / d, per cell
-    proj = grads - yh[:, :, None] * np.einsum("nk,nkj->nj", yh, grads)[:, None, :]
-    gm = np.linalg.norm(proj.reshape(len(values), -1), axis=1) / np.maximum(d, 1e-300)
-    return gm, float(d.min())
+    ya = values - a[..., None, :]
+    d = np.linalg.norm(ya, axis=-1)
+    yh = ya / np.maximum(d, 1e-300)[..., None]
+    # (I - yh yh^T) grads / d, per cell; a broadcast einsum is several times slower
+    yg = sum(yh[..., i, None] * grads[:, i] for i in range(values.shape[1]))
+    proj = grads - yh[..., None] * yg[..., None, :]
+    gm = np.linalg.norm(proj.reshape(*d.shape, -1), axis=-1) / np.maximum(d, 1e-300)
+    return gm, d.min(axis=-1)
 
 
 def choose_shift(
@@ -138,7 +138,8 @@ def choose_shift(
     Uniform shift samples; the minimiser is below the sample mean, which is
     the testable surrogate of the averaging (Chebyshev) selection. Samples
     hitting the singular set of some cell are discarded; five full redraws
-    before giving up.
+    before giving up. The chain rule is broadcast over SHIFT_BLOCK shifts at
+    a time.
     """
     values, grads, cell_id, pts, wq = w.cell_samples(region, level)
     pv = p(pts)
@@ -146,11 +147,12 @@ def choose_shift(
     for _round in range(5):
         shifts = _uniform_ball(config.k, config.shift_samples, rng) * config.sigma
         mods = np.full(len(shifts), np.nan)
-        for i, a in enumerate(shifts):
-            gm, dmin = _composed_gmags(values, grads, a)
-            if dmin < 1e-9:
-                continue
-            mods[i] = float(np.sum(wq * gm[cell_id] ** pv))
+        for i in range(0, len(shifts), SHIFT_BLOCK):
+            gm, dmin = _composed_gmags(values, grads, shifts[i : i + SHIFT_BLOCK])
+            # one 1-D pass over the samples per shift: a (block, samples) pass
+            # was slower, and its row sums round differently
+            for j in np.flatnonzero(dmin >= 1e-9):
+                mods[i + j] = np.sum(wq * gm[j, cell_id] ** pv)
         ok = np.isfinite(mods)
         if np.any(ok):
             best = int(np.nanargmin(mods))
@@ -163,47 +165,34 @@ def choose_shift(
     raise DegenerateInputError("all shift samples hit the singular set in 5 rounds")
 
 
-def invert_shifted_retraction(target: np.ndarray, a: np.ndarray, init: np.ndarray):
-    """Solve P_a(z) = target for z on the unit sphere by tangent-space Newton.
+def invert_shifted_retraction(target: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The z on the unit sphere with P_a(z) = target, for |a| < 1.
 
-    init is the unshifted normalisation guess. Residual tolerance 1e-12,
-    50-iteration cap.
+    target holds unit vectors, shape (k,) or (n, k). The ray from a along m
+    meets the sphere once, at z = a + t m with t the positive root of
+    |a + t m|^2 = 1: t = -a.m + sqrt((a.m)^2 + 1 - |a|^2).
     """
-    t = np.asarray(target, dtype=float)
-    z = _normalize(np.asarray(init, dtype=float).copy())
-    k = len(z)
-    for _ in range(NEWTON_MAX_ITER):
-        ya = z - a
-        d = np.linalg.norm(ya)
-        if d < 1e-300:
-            raise InversionError("iterate hit the shifted singular point")
-        m = ya / d
-        res = m - t
-        if np.linalg.norm(res) <= NEWTON_TOL:
-            return z
-        JP = (np.eye(k) - np.outer(m, m)) / d
-        Js = JP @ (np.eye(k) - np.outer(z, z))
-        step = -np.linalg.pinv(Js) @ res
-        z = _normalize(z + step)
-    raise InversionError(
-        f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations; "
-        "shift radius sigma is too large"
-    )
+    m = np.asarray(target, dtype=float)
+    am = m @ a
+    t = np.sqrt(am * am + (1.0 - a @ a)) - am
+    return a + t[..., None] * m
 
 
-def _transform_jet(value: np.ndarray, grad: np.ndarray, a: np.ndarray):
-    """Exact 1-jet of (P_a|_M)^{-1} o P_a at an off-sphere cell value."""
-    ya = value - a
-    d = np.linalg.norm(ya)
-    m = ya / d
-    z = invert_shifted_retraction(m, a, value / np.linalg.norm(value))
-    k = len(value)
-    JP_w = (np.eye(k) - np.outer(m, m)) / d
-    dz = np.linalg.norm(z - a)
-    JP_z = (np.eye(k) - np.outer(m, m)) / dz  # P_a(z) = m by construction
-    M1 = JP_z @ (np.eye(k) - np.outer(z, z))
-    new_grad = np.linalg.pinv(M1) @ (JP_w @ grad)
-    return z, new_grad
+def _lift_jets(values: np.ndarray, grads: np.ndarray, a: np.ndarray):
+    """1-jets of (P_a|_S)^{-1} o P_a at values (n, k) with gradients (n, k, 2).
+
+    With m = P_a(v) and z = a + t m the lift, dm = (I - m m^T) grad / |v - a|.
+    Differentiating |z|^2 = 1 gives z.(t dm + m dt) = 0, so
+    dz = t (dm - m (z.dm) / (z.m)), a map of T_m S onto T_z S.
+    """
+    ya = values - a
+    d = np.linalg.norm(ya, axis=1)
+    m = ya / d[:, None]
+    z = invert_shifted_retraction(m, a)
+    dm = (grads - m[:, :, None] * np.einsum("nk,nkj->nj", m, grads)[:, None, :]) / d[:, None, None]
+    zdm = np.einsum("nk,nkj->nj", z, dm) / np.einsum("nk,nk->n", z, m)[:, None]
+    t = np.einsum("nk,nk->n", z - a, m)
+    return z, t[:, None, None] * (dm - m[:, :, None] * zdm[:, None, :])
 
 
 def project_w(
@@ -215,17 +204,22 @@ def project_w(
     level: int = 2,
     force_shift=None,
 ):
-    """Sphere-valued replacement (P_a|_M)^{-1} o P_a o w with a chosen shift.
+    """Sphere-valued replacement (P_a|_S)^{-1} o P_a o w with a chosen shift.
 
-    Cells already on the sphere (and jump traces on it) are bitwise
-    unchanged. When region is given, only cells with barycentre strictly
-    inside it are transformed (the gluing stage). force_shift bypasses the
-    shift search (a = 0 gives plain normalisation). Returns (map, report).
+    The lift of each value and its gradient is the closed-form 1-jet of
+    ``_lift_jets``, taken in one broadcast per patch; the jump traces are
+    lifted in one more call. Cells already on the sphere (and jump traces on
+    it) are bitwise unchanged. When region is given, only cells with
+    barycentre strictly inside it are transformed (the gluing stage).
+    force_shift bypasses the shift search (a = 0 gives plain normalisation).
+    Returns (map, report).
     """
     if p.p_plus >= 2.0:
         raise ToolkitError(f"projection needs p_plus < 2, got {p.p_plus}")
     if force_shift is not None:
         a, shift_rep = np.asarray(force_shift, dtype=float), {"forced": True}
+        if not np.linalg.norm(a) < 1.0:
+            raise ToolkitError(f"forced shift {a} must lie inside the unit sphere")
     else:
         a, shift_rep = choose_shift(w, p, config, seed=seed, region=region, level=level)
 
@@ -235,35 +229,27 @@ def project_w(
             f"|w| reaches {sup_w:.4g}, above the configured bound {config.M_bound}"
         )
 
+    def selected(values, pts):
+        off = np.abs(np.linalg.norm(values, axis=1) - 1.0) > 1e-12
+        return off if region is None else off & region.contains(pts, tol=-1e-12)
+
     new_patches = []
     for patch in w.patches:
         vals = patch.values.copy()
         grads = patch.grads.copy()
-        if region is not None:
-            sel = region.contains(patch.barycenters, tol=-1e-12)
-        else:
-            sel = np.ones(len(vals), dtype=bool)
-        off = np.abs(np.linalg.norm(vals, axis=1) - 1.0) > 1e-12
-        for c in np.nonzero(sel & off)[0]:
-            vals[c], grads[c] = _transform_jet(patch.values[c], patch.grads[c], a)
+        c = selected(vals, patch.barycenters)
+        vals[c], grads[c] = _lift_jets(vals[c], grads[c], a)
         new_patches.append(
             CellPatch(patch.verts, patch.tris, vals, grads, patch.circle, patch.arc_cells)
         )
 
     jump = w.jump
     if len(jump):
-        tp = jump.trace_plus.copy()
-        tm = jump.trace_minus.copy()
+        traces = np.concatenate([jump.trace_plus, jump.trace_minus])
         mids = 0.5 * (jump.a + jump.b)
-        if region is not None:
-            jsel = region.contains(mids, tol=-1e-12)
-        else:
-            jsel = np.ones(len(jump), dtype=bool)
-        for i in np.nonzero(jsel)[0]:
-            if abs(np.linalg.norm(tp[i]) - 1.0) > 1e-12:
-                tp[i], _ = _transform_jet(tp[i], np.zeros((len(tp[i]), 2)), a)
-            if abs(np.linalg.norm(tm[i]) - 1.0) > 1e-12:
-                tm[i], _ = _transform_jet(tm[i], np.zeros((len(tm[i]), 2)), a)
+        c = selected(traces, np.concatenate([mids, mids]))
+        traces[c] = invert_shifted_retraction(_normalize(traces[c] - a), a)
+        tp, tm = np.split(traces, 2)
         keep = np.linalg.norm(tp - tm, axis=1) > 1e-12
         jump = (
             JumpSet(jump.a[keep], jump.b[keep], tp[keep], tm[keep], jump.normal[keep])

@@ -30,6 +30,7 @@ __all__ = [
     "luxembourg_norm",
     "luxembourg_from_samples",
     "modular_and_norm",
+    "modulars_and_norms",
     "log_holder_diagnose",
     "embedding_constant",
 ]
@@ -246,23 +247,26 @@ class LogHolderReport:
             raise ToolkitError("strong_profile scales must be strictly decreasing")
 
 
-def _as_magnitude(fv: np.ndarray) -> np.ndarray:
-    fv = np.asarray(fv, dtype=float)
-    if fv.ndim == 1:
-        return np.abs(fv)
-    return np.linalg.norm(fv, axis=-1)
+def _sampled_rule(p: ExponentField, region: Region, resolution: int):
+    """(points, p, weights) of the region's rule, once p is known to cover it."""
+    if not p.covers(region):
+        raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
+    pts, w = region_rule(region, resolution=resolution)
+    return pts, p(pts), w
+
+
+def _magnitude_at(f, pts: np.ndarray) -> np.ndarray:
+    """|f| at the points, for f a callable (scalar or vector values) or a constant."""
+    if not callable(f):
+        return np.full(len(pts), abs(float(f)))
+    fv = np.asarray(f(pts), dtype=float)
+    return np.abs(fv) if fv.ndim == 1 else np.linalg.norm(fv, axis=-1)
 
 
 def _sampled_integrand(f, p: ExponentField, region: Region, resolution: int):
     """(|f|, p, weights) on the region's rule, once p is known to cover it."""
-    if not p.covers(region):
-        raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
-    pts, w = region_rule(region, resolution=resolution)
-    if callable(f):
-        fv = _as_magnitude(f(pts))
-    else:
-        fv = np.full(len(pts), abs(float(f)))
-    return fv, p(pts), w
+    pts, pv, w = _sampled_rule(p, region, resolution)
+    return _magnitude_at(f, pts), pv, w
 
 
 def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
@@ -347,8 +351,17 @@ def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -
 def modular_and_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> tuple:
     """(modular, luxembourg_norm) of f on the region, equal to the two calls,
     from one evaluation of f and p on the rule."""
-    fv, pv, w = _sampled_integrand(f, p, region, resolution)
-    return _modular_sum(fv, pv, w), luxembourg_from_samples(fv, pv, w)
+    return next(modulars_and_norms([f], p, region, resolution))
+
+
+def modulars_and_norms(fs, p: ExponentField, region: Region, resolution: int = 24):
+    """Yield modular_and_norm(f, p, region, resolution) for each f of fs in
+    turn. The rule and p are sampled once, when the first value is asked for;
+    each f is evaluated only when its turn comes."""
+    pts, pv, w = _sampled_rule(p, region, resolution)
+    for f in fs:
+        fv = _magnitude_at(f, pts)
+        yield _modular_sum(fv, pv, w), luxembourg_from_samples(fv, pv, w)
 
 
 def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):

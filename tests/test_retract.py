@@ -7,6 +7,7 @@ from sbvx.quadrature import Disk
 from sbvx.retract import (
     RetractionConfig,
     _composed_gmags,
+    _lift_jets,
     choose_shift,
     invert_shifted_retraction,
     project_w,
@@ -99,6 +100,17 @@ def test_choose_shift_zero_is_identity_on_sphere(unit_disk, affine_field):
     assert rep["modular_min"] <= w.modular_of_gradient(affine_field, None) * (1 + 1e-6)
 
 
+def test_composed_gmags_block_matches_single_shifts():
+    # the blocked chain rule of choose_shift against one shift at a time, bitwise
+    w = wobble_map()
+    values, grads = w.patches[0].values, w.patches[0].grads
+    shifts = 0.05 * np.random.default_rng(4).standard_normal((8, 2))
+    gm, dmin = _composed_gmags(values, grads, shifts)
+    for a, g, d in zip(shifts, gm, dmin):
+        g1, d1 = _composed_gmags(values, grads, a)
+        assert np.array_equal(g, g1) and d == d1
+
+
 def test_choose_shift_min_below_mean(unit_disk, affine_field):
     w = wobble_map()
     cfg = RetractionConfig(k=2, sigma=0.1, shift_samples=64)
@@ -107,27 +119,54 @@ def test_choose_shift_min_below_mean(unit_disk, affine_field):
 
 
 # ---------------------------------------------------------------------------
-# Newton inversion
+# inversion of the shifted retraction and its 1-jet
 # ---------------------------------------------------------------------------
+
+
+def _random_shift(k, rng, r_max=0.5):
+    a = rng.standard_normal(k)
+    return r_max * rng.random() * a / np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_invert_shifted_retraction(k):
+    # the definition, on stacked targets: P_a(z) = target and |z| = 1
     rng = np.random.default_rng(k)
     for _ in range(20):
-        a = 0.04 * rng.standard_normal(k)
-        z_true = rng.standard_normal(k)
-        z_true /= np.linalg.norm(z_true)
-        target = (z_true - a) / np.linalg.norm(z_true - a)
-        z = invert_shifted_retraction(target, a, z_true + 0.05 * rng.standard_normal(k))
-        assert abs(np.linalg.norm(z) - 1) < 1e-12
-        back = (z - a) / np.linalg.norm(z - a)
-        assert np.linalg.norm(back - target) < 1e-11
-        # closed-form oracle: z = a + s t with s the positive quadratic root
-        at = float(a @ target)
-        s = -at + np.sqrt(at * at + 1 - float(a @ a))
-        z_cf = a + s * target
-        assert np.linalg.norm(z - z_cf) < 1e-10
+        a = _random_shift(k, rng)
+        target = rng.standard_normal((50, k))
+        target /= np.linalg.norm(target, axis=1, keepdims=True)
+        z = invert_shifted_retraction(target, a)
+        assert z.shape == (50, k)
+        assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1)) < 4e-15
+        back = (z - a) / np.linalg.norm(z - a, axis=1, keepdims=True)
+        assert np.max(np.abs(back - target)) < 4e-15
+        assert np.allclose(invert_shifted_retraction(target[0], a), z[0], rtol=0, atol=4e-15)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lift_jet_vs_finite_differences(k):
+    # d/dx of (P_a|_S)^{-1} o P_a (v + G x) at x = 0, column by column
+    rng = np.random.default_rng(40 + k)
+    h = 1e-6
+
+    def lift(y, a):
+        return invert_shifted_retraction((y - a) / np.linalg.norm(y - a), a)
+
+    for _ in range(30):
+        a = _random_shift(k, rng)
+        v = rng.standard_normal(k)
+        v *= rng.uniform(0.2, 2.0) / np.linalg.norm(v)
+        G = rng.standard_normal((k, 2))
+        z, new_grad = _lift_jets(v[None], G[None], a)
+        assert np.allclose(z[0], lift(v, a), rtol=0, atol=4e-15)
+        fd = np.stack(
+            [(lift(v + h * G[:, j], a) - lift(v - h * G[:, j], a)) / (2 * h) for j in range(2)],
+            axis=1,
+        )
+        scale = np.linalg.norm(G) / np.linalg.norm(v - a)
+        assert np.max(np.abs(new_grad[0] - fd)) < 1e-7 * scale
+        assert np.max(np.abs(z[0] @ new_grad[0])) < 4e-15 * scale  # tangent at z
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +189,14 @@ def test_project_forced_zero_shift_is_normalization(affine_field):
     wt, _ = project_w(w, affine_field, cfg, seed=1, force_shift=np.zeros(2))
     expect = w.patches[0].values / np.linalg.norm(w.patches[0].values, axis=1, keepdims=True)
     assert np.allclose(wt.patches[0].values, expect, atol=1e-11)
+
+
+def test_project_forced_shift_inside_unit_sphere(affine_field):
+    # every ray from a meets the sphere only for |a| < 1
+    w = scaled_sphere_map(0.9)
+    cfg = RetractionConfig(k=2, sigma=0.05, M_bound=1.0)
+    with pytest.raises(ToolkitError):
+        project_w(w, affine_field, cfg, force_shift=np.array([0.6, -0.8]))
 
 
 def test_project_output_unit_and_ratio(affine_field):
