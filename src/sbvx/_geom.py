@@ -16,13 +16,15 @@ def seg_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(b) - np.asarray(a), axis=-1)
 
 
-def segment_disk_length(a, b, center, radius) -> np.ndarray:
-    """Length of (segment a->b) ∩ (closed disk) for each segment.
+def segment_disk_interval(a, b, center, radius):
+    """Parameter interval [lo, hi] ⊂ [0, 1] of each segment a->b inside the
+    closed disk.
 
-    Solves |a + t(b-a) - c|^2 = r^2 and clamps the inside interval to [0,1].
-    One centre (2,) and one radius give shape (n,). Stacks of disks
-    broadcast: centres (..., 2) with radii (...) give (..., n), C-contiguous,
-    each row equal to the call for its disk alone.
+    Solves |a + t(b-a) - c|^2 = r^2 and clamps the roots to [0, 1]; a segment
+    that misses the disk, touches it at one point, or is degenerate
+    (|b - a|^2 <= EPS) gets lo = hi = 0. One centre (2,) and one radius give
+    shape (n,). Stacks of disks broadcast: centres (..., 2) with radii (...)
+    give (..., n), each row equal to the call for its disk alone.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -38,97 +40,48 @@ def segment_disk_length(a, b, center, radius) -> np.ndarray:
     A = np.einsum("ij,ij->i", d, d)
     B = 2.0 * np.einsum("...ij,ij->...i", f, d)
     C = np.einsum("...ij,...ij->...i", f, f) - r2
-    if C.shape != A.shape:
-        A, B = np.broadcast_to(A, C.shape), np.broadcast_to(B, C.shape)
     disc = B * B - 4.0 * A * C
-    out = np.zeros(C.shape)
     ok = (disc > 0) & (A > EPS)
-    if np.any(ok):
-        sq = np.sqrt(disc[ok])
-        t1 = (-B[ok] - sq) / (2.0 * A[ok])
-        t2 = (-B[ok] + sq) / (2.0 * A[ok])
-        lo = np.clip(t1, 0.0, 1.0)
-        hi = np.clip(t2, 0.0, 1.0)
-        out[ok] = (hi - lo) * np.sqrt(A[ok])
-    # degenerate zero-length segments contribute nothing
-    return out
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    den = 2.0 * np.where(ok, A, 1.0)
+    lo = np.where(ok, np.clip((-B - sq) / den, 0.0, 1.0), 0.0)
+    hi = np.where(ok, np.clip((-B + sq) / den, 0.0, 1.0), 0.0)
+    return lo, hi
 
 
-def segment_annulus_length(a, b, center, r_outer, r_inner) -> np.ndarray:
-    """Length of segment ∩ (closed annulus r_inner <= |x-c| <= r_outer)."""
-    return segment_disk_length(a, b, center, r_outer) - segment_disk_length(
-        a, b, center, r_inner
-    )
+def segment_disk_length(a, b, center, radius) -> np.ndarray:
+    """Length of (segment a->b) ∩ (closed disk) for each segment; shapes as
+    in segment_disk_interval, and C-contiguous."""
+    lo, hi = segment_disk_interval(a, b, center, radius)
+    d = np.atleast_2d(np.asarray(b, dtype=float)) - np.atleast_2d(np.asarray(a, dtype=float))
+    return (hi - lo) * np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def clip_segments_outside_disk(a, b, center, radius):
-    """Return the parts of segments a->b lying outside the open disk.
+def split_segments_at_circle(a, b, center, radius):
+    """Cut segments a->b at a circle.
 
-    Output is a pair (a2, b2) of arrays; each input segment contributes 0, 1
-    or 2 sub-segments. Sub-segments shorter than EPS are dropped.
+    Returns (inside, outside), each a triple (a2, b2, src): the pieces in the
+    closed disk (at most one per segment) and outside the open disk (at most
+    two per segment), in input order, with the index of the segment each
+    piece comes from. A segment that the circle does not cut is outside
+    whole, endpoints unchanged. Pieces no longer than EPS are dropped, and
+    degenerate segments (|b - a|^2 <= EPS) give none.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.asarray(center, dtype=float)
-    keep_a, keep_b = [], []
+    lo, hi = segment_disk_interval(a, b, center, radius)
     d = b - a
-    f = a - c
     A = np.einsum("ij,ij->i", d, d)
-    B = 2.0 * np.einsum("ij,ij->i", f, d)
-    C = np.einsum("ij,ij->i", f, f) - radius**2
-    disc = B * B - 4.0 * A * C
-    for i in range(len(a)):
-        if A[i] <= EPS:
-            continue
-        if disc[i] <= 0:
-            keep_a.append(a[i])
-            keep_b.append(b[i])
-            continue
-        sq = np.sqrt(disc[i])
-        t1 = (-B[i] - sq) / (2.0 * A[i])
-        t2 = (-B[i] + sq) / (2.0 * A[i])
-        lo, hi = max(t1, 0.0), min(t2, 1.0)
-        if hi <= lo:
-            keep_a.append(a[i])
-            keep_b.append(b[i])
-            continue
-        L = np.sqrt(A[i])
-        if lo * L > EPS:
-            keep_a.append(a[i])
-            keep_b.append(a[i] + lo * d[i])
-        if (1.0 - hi) * L > EPS:
-            keep_a.append(a[i] + hi * d[i])
-            keep_b.append(b[i])
-    if not keep_a:
-        return np.zeros((0, 2)), np.zeros((0, 2))
-    return np.asarray(keep_a), np.asarray(keep_b)
-
-
-def clip_segments_to_disk(a, b, center, radius):
-    """Return the parts of segments a->b inside the closed disk."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.asarray(center, dtype=float)
-    keep_a, keep_b = [], []
-    d = b - a
-    f = a - c
-    A = np.einsum("ij,ij->i", d, d)
-    B = 2.0 * np.einsum("ij,ij->i", f, d)
-    C = np.einsum("ij,ij->i", f, f) - radius**2
-    disc = B * B - 4.0 * A * C
-    for i in range(len(a)):
-        if A[i] <= EPS or disc[i] <= 0:
-            continue
-        sq = np.sqrt(disc[i])
-        t1 = (-B[i] - sq) / (2.0 * A[i])
-        t2 = (-B[i] + sq) / (2.0 * A[i])
-        lo, hi = max(t1, 0.0), min(t2, 1.0)
-        if (hi - lo) * np.sqrt(A[i]) > EPS:
-            keep_a.append(a[i] + lo * d[i])
-            keep_b.append(a[i] + hi * d[i])
-    if not keep_a:
-        return np.zeros((0, 2)), np.zeros((0, 2))
-    return np.asarray(keep_a), np.asarray(keep_b)
+    L = np.sqrt(A)
+    cut = hi > lo
+    p = a + lo[:, None] * d
+    q = a + hi[:, None] * d
+    inner = cut & ((hi - lo) * L > EPS)
+    # slot 0: the whole segment or the piece before the disk; slot 1: the piece after it
+    keep = np.stack([(A > EPS) & (~cut | (lo * L > EPS)), cut & ((1.0 - hi) * L > EPS)], axis=1)
+    starts = np.stack([a, q], axis=1)[keep]
+    ends = np.stack([np.where(cut[:, None], p, b), b], axis=1)[keep]
+    return (p[inner], q[inner], np.flatnonzero(inner)), (starts, ends, np.nonzero(keep)[0])
 
 
 def point_segment_distance(x, a, b) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = ["DyadicGrid", "AdaptedTriangulation", "build_grid", "select_good_radi
 
 H_MAX_LIMIT = 14
 LEBESGUE_CLEARANCE = 1e-3  # times delta_h, distance kept from jump segments
+ANNULUS_MULTIPLIER = 10.0  # a good radius keeps each dyadic annulus below this * eta * delta_h
 
 
 @dataclass(frozen=True)
@@ -262,18 +263,18 @@ def select_good_radius(
     seed: int = 0,
     center=(0.0, 0.0),
     h_max: int = 8,
-    annulus_multiplier: float = 10.0,
 ) -> float:
     """Sample R in (r, 2r) until the jump misses the circle entirely and every
-    dyadic boundary annulus carries less than multiplier * eta * delta_h of
-    jump length.
+    dyadic boundary annulus carries less than ANNULUS_MULTIPLIER * eta *
+    delta_h of jump length.
 
     For polyline jumps the measure-zero condition on the circle is exactly
     "no crossing at the sampled radius", which we enforce outright: it is
-    what the edge-avoidance of the graft ring needs.
+    what the edge-avoidance of the graft ring needs. The disks B_R and
+    B_{R - delta_h}, h = 0..h_max, of one draw are measured in one call.
     """
     center = np.asarray(center, dtype=float)
-    budget = J.length_in(Disk(tuple(center), 2 * r)) if len(J) else 0.0
+    budget = J.length_in(Disk(tuple(center), 2 * r))
     if budget >= eta * 2 * r:
         raise JumpBudgetError(
             f"H1(J ∩ B_2r) = {budget:.6g} exceeds the smallness bound {eta * 2 * r:.6g}"
@@ -293,21 +294,12 @@ def select_good_radius(
             )
             if np.any(crosses):
                 continue
-        ok = True
-        for h in range(h_max + 1):
-            delta_h = R * 2.0**-h
-            ann_len = (
-                J.length_in(Disk(tuple(center), R))
-                - J.length_in(Disk(tuple(center), R - delta_h))
-                if len(J)
-                else 0.0
-            )
-            if ann_len >= annulus_multiplier * eta * delta_h:
-                ok = False
-                worst_h = h
-                break
-        if ok:
+        delta = np.ldexp(R, -np.arange(h_max + 1))  # exactly R * 2^-h
+        seen = _geom.segment_disk_length(J.a, J.b, center, np.append(R, R - delta)).sum(axis=-1)
+        bad = seen[0] - seen[1:] >= ANNULUS_MULTIPLIER * eta * delta
+        if not bad.any():
             return R
+        worst_h = int(np.argmax(bad))
     raise SearchExhaustedError(
         f"no good radius found in {trials} samples (last violation at h = {worst_h})",
         violating_h=worst_h,

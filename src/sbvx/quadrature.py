@@ -152,12 +152,14 @@ def region_rule(region: Region, resolution: int = 24, order: int = 8):
     raise TypeError(f"unsupported region type {type(region)!r}")
 
 
+@lru_cache(maxsize=None)
 def subdivision_lattice(level: int):
     """Integer lattice of the uniform 4**level subdivision of a triangle.
 
     Returns (cent (m, 2), corners (m, 3, 2)): subtriangle centroids in units
     of 1/(3 n) and corners in units of 1/n of the edge vectors v1 - v0 and
     v2 - v0, n = 2**level; the 'up' subtriangles first, then the 'down' ones.
+    Built once per level and shared read-only.
     """
     n = 1 << level
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -174,6 +176,8 @@ def subdivision_lattice(level: int):
         np.stack([np.stack([idn + 1, jdn], 1), np.stack([idn, jdn + 1], 1),
                   np.stack([idn + 1, jdn + 1], 1)], 1),
     ])
+    cent.setflags(write=False)
+    corners.setflags(write=False)
     return cent, corners
 
 

@@ -113,39 +113,22 @@ class JumpSet:
         """Exact H^1 measure of the jump inside a Disk or Annulus region."""
         if len(self) == 0:
             return 0.0
+        return float(np.sum(self._lengths_in(region)))
+
+    def _lengths_in(self, region) -> np.ndarray:
+        """Per-segment H^1 measure inside a Disk or Annulus region."""
         if isinstance(region, Disk):
-            return float(np.sum(_geom.segment_disk_length(self.a, self.b, region.center, region.radius)))
+            return _geom.segment_disk_length(self.a, self.b, region.center, region.radius)
         if isinstance(region, Annulus):
-            return float(
-                np.sum(
-                    _geom.segment_annulus_length(
-                        self.a, self.b, region.center, region.r_outer, region.r_inner
-                    )
-                )
-            )
+            return _geom.segment_disk_length(
+                self.a, self.b, region.center, region.r_outer
+            ) - _geom.segment_disk_length(self.a, self.b, region.center, region.r_inner)
         raise ToolkitError(f"unsupported region {region!r} for jump measurement")
 
     def clip_outside_disk(self, disk: Disk) -> "JumpSet":
         """Keep only the parts of the jump outside the given disk."""
-        if len(self) == 0:
-            return self
-        keep_a, keep_b, keep_tp, keep_tm, keep_n = [], [], [], [], []
-        for i in range(len(self)):
-            a2, b2 = _geom.clip_segments_outside_disk(
-                self.a[i : i + 1], self.b[i : i + 1], disk.center, disk.radius
-            )
-            for j in range(len(a2)):
-                keep_a.append(a2[j])
-                keep_b.append(b2[j])
-                keep_tp.append(self.trace_plus[i])
-                keep_tm.append(self.trace_minus[i])
-                keep_n.append(self.normal[i])
-        if not keep_a:
-            return JumpSet.empty(self.trace_plus.shape[1])
-        return JumpSet(
-            np.asarray(keep_a), np.asarray(keep_b), np.asarray(keep_tp),
-            np.asarray(keep_tm), np.asarray(keep_n),
-        )
+        _, (a, b, src) = _geom.split_segments_at_circle(self.a, self.b, disk.center, disk.radius)
+        return JumpSet(a, b, self.trace_plus[src], self.trace_minus[src], self.normal[src])
 
     def transformed(self, origin, scale: float, new_origin=(0.0, 0.0)) -> "JumpSet":
         """Affine reparametrisation x -> new_origin + (x - origin) * scale."""
@@ -433,8 +416,8 @@ class DiscreteSbvMap:
                 out[sel] = patch.grad(pts[sel])
         return out
 
-    def with_patch(self, patch: CellPatch, clip_jump: bool = True) -> "DiscreteSbvMap":
-        jump = self.jump.clip_outside_disk(patch.circle) if clip_jump else self.jump
+    def with_patch(self, patch: CellPatch) -> "DiscreteSbvMap":
+        jump = self.jump.clip_outside_disk(patch.circle)
         return replace(self, patches=self.patches + (patch,), jump=jump)
 
     # -- quadrature ---------------------------------------------------------
@@ -507,11 +490,6 @@ class DiscreteSbvMap:
             arr.setflags(write=False)
         self._bulk_memo[:] = [key, out]
         return out
-
-    def value_samples(self, region=None, level: int = 2):
-        """Like bulk_samples but returns map values at the sample points."""
-        pts, w, _ = self.bulk_samples(region, level)
-        return pts, w, self.value_at(pts)
 
     def cell_samples(self, region=None, level: int = 2):
         """Visible subcell decomposition keyed by flat cell ids.
@@ -762,15 +740,7 @@ def total_variation_parts(u: DiscreteSbvMap, region, level: int = 2):
     jump = 0.0
     if len(u.jump) > 0:
         amp = np.linalg.norm(u.jump.trace_plus - u.jump.trace_minus, axis=1)
-        if isinstance(region, Disk):
-            lens = _geom.segment_disk_length(u.jump.a, u.jump.b, region.center, region.radius)
-        elif isinstance(region, Annulus):
-            lens = _geom.segment_annulus_length(
-                u.jump.a, u.jump.b, region.center, region.r_outer, region.r_inner
-            )
-        else:
-            raise ToolkitError(f"unsupported region {region!r}")
-        jump = float(np.sum(amp * lens))
+        jump = float(np.sum(amp * u.jump._lengths_in(region)))
     return bulk, jump
 
 
@@ -780,7 +750,8 @@ def bv_poincare_check(u: DiscreteSbvMap, convex_region, level: int = 3):
     Returns (lhs, ratio): lhs = ||u - mean||_L1(region); ratio = lhs over
     diam(region) * |Du|(region).
     """
-    pts, w, vals = u.value_samples(convex_region, level)
+    pts, w, _ = u.bulk_samples(convex_region, level)
+    vals = u.value_at(pts)
     area = float(np.sum(w))
     if area <= 0:
         raise ToolkitError("region does not meet the map domain")
@@ -868,8 +839,6 @@ def synthesize(kind: str, params: dict, seed: int) -> DiscreteSbvMap:
         c_in = np.asarray(c_in, dtype=float)
         verts, tris, arc = fan_mesh(domain, n_rings)
         bc = verts[tris].mean(axis=1)
-        inside = np.linalg.norm(bc - loop_center, axis=1) <= r_loop * np.cos(np.pi / n_sides)
-        # classify by the polygon itself, not the inradius shortcut
         inside = _points_in_convex_loop(bc, loop)
         values = np.where(inside[:, None], c_in[None, :], c_out[None, :])
         grads = np.zeros((len(tris), k, 2))
@@ -1063,8 +1032,7 @@ def two_constant_map(
     tm = np.repeat(c_minus[None, :], len(a), axis=0)
     jump = JumpSet(a, b, tp, tm, nrm)
     # keep only the part of the jump inside the closed domain
-    ctr = np.asarray(domain.center)
-    aa, bb = _geom.clip_segments_to_disk(a, b, ctr, domain.radius)
+    (aa, bb, _), _ = _geom.split_segments_at_circle(a, b, domain.center, domain.radius)
     if len(aa) < len(a) or np.max(np.abs(aa - a)) > 1e-12 or np.max(np.abs(bb - b)) > 1e-12:
         na = len(aa)
         jump = JumpSet.from_segments(

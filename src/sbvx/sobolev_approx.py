@@ -27,13 +27,16 @@ from .errors import (
     WindowNotFoundError,
 )
 from .quadrature import Disk, disk_rule
-from .sbv2d import CellPatch, DiscreteSbvMap, value_gap
+from .sbv2d import CellPatch, DiscreteSbvMap, total_variation_parts, value_gap
 
 __all__ = ["BallFamily", "ApproxReport", "local_phi", "cover_jump", "global_approx",
            "project_to_sphere_stage"]
 
 XI_CAP = 16
 WINDOW_BLOCK = 16  # density-window centres measured per call: bounds its (block, k_max, n) arrays
+SPACING_CAP = 400  # cover_jump samples the jump at no finer than total length / SPACING_CAP
+MAX_ROUNDS = 6  # covering rounds global_approx runs before it gives up on the residual
+RESID_TOL_FACTOR = 1e-9  # residual jump in B_{s rho} below this * rho counts as empty
 
 
 @dataclass(frozen=True)
@@ -116,19 +119,23 @@ def _interpolant_patch(u: DiscreteSbvMap, adapted, center, R: float) -> CellPatc
 
 
 def _sup_norm_visible(u: DiscreteSbvMap) -> float:
-    """Sup of |u| over corner evaluations of cells not fully overridden."""
+    """Sup of |u| over corner evaluations of cells not fully overridden.
+
+    A cell is hidden when one later patch circle (Disk.contains, tol 1e-12)
+    holds all three of its corners.
+    """
+    circles = [q.circle for q in u.patches]
+    centers = np.array([c.center for c in circles], dtype=float)[:, None, None, :]
+    reach = np.array([c.radius for c in circles], dtype=float)[:, None, None] + 1e-12
     best = 0.0
     for i, patch in enumerate(u.patches):
         vv = patch.verts[patch.tris]
-        hidden = np.zeros(len(patch.tris), dtype=bool)
-        for later in u.patches[i + 1 :]:
-            inside = later.circle.contains(vv.reshape(-1, 2)).reshape(-1, 3)
-            hidden |= inside.all(axis=1)
-        if hidden.all():
-            continue
-        d = vv - patch.barycenters[:, None, :]
-        vals = patch.values[:, None, :] + np.einsum("nkj,nmj->nmk", patch.grads, d)
-        best = max(best, float(np.max(np.linalg.norm(vals[~hidden], axis=-1))))
+        inside = np.linalg.norm(vv - centers[i + 1 :], axis=-1) <= reach[i + 1 :]
+        visible = ~inside.all(axis=-1).any(axis=0)
+        if visible.any():
+            d = vv - patch.barycenters[:, None, :]
+            vals = patch.values[:, None, :] + np.einsum("nkj,nmj->nmk", patch.grads, d)
+            best = max(best, float(np.max(np.linalg.norm(vals[visible], axis=-1))))
     return best
 
 
@@ -143,7 +150,6 @@ def local_phi(
     radius_retries: int = 8,
     samples_per_vertex: int = 200,
     quad_level: int = 2,
-    compute_grid_stats: bool = False,
 ):
     """Local approximation inside B_2r: returns (R, phi_map, report).
 
@@ -185,8 +191,7 @@ def local_phi(
             grid = build_grid(R, h_max, center=center, rotation=base_rot + irot * np.pi / n_rot)
             try:
                 adapted = adapt_to_jump(
-                    grid, u, samples_per_vertex=samples_per_vertex, seed=sub,
-                    compute_stats=compute_grid_stats,
+                    grid, u, samples_per_vertex=samples_per_vertex, seed=sub, compute_stats=False
                 )
                 break
             except AdaptationError as err:
@@ -208,57 +213,56 @@ def local_phi(
     phi = u.with_patch(patch)
 
     ball_R = Disk(tuple(center), R)
-    p_minus = p.p_minus
-    report = {"R": R, "center": center.tolist(), "eta": eta}
-
-    for q, tag in ((1.0, "q1"), (p_minus, "q_pminus")):
-        out_q = phi.gradient_q_integral(q, ball_R, quad_level)
-        in_q = u.gradient_q_integral(q, ball_R, quad_level)
-        report[f"grad_{tag}_out"] = out_q
-        report[f"grad_{tag}_in"] = in_q
-        report[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)
-
-    modular_out = phi.modular_of_gradient(p, ball_R, quad_level)
-    modular_in = u.modular_of_gradient(p, ball_R, quad_level)
-    norm_in = u.gradient_luxembourg_norm(p, ball_R, quad_level)
-    var_bound = (1 + R**2) * max(norm_in**p_minus, norm_in**p.p_plus)
-    report["modular_out"] = modular_out
-    report["modular_in"] = modular_in
-    report["grad_norm_in"] = norm_in
-    report["modular_bound_const"] = modular_out / var_bound if var_bound > 0 else 0.0
-
-    pts, w = disk_rule(ball_R, n_r=10, n_t=20, order=4)
-    diff = value_gap(u, phi, pts)
-    l1 = float(np.sum(w * diff))
-    from .sbv2d import total_variation_parts
-
+    est, max_pow, gap = _measure(u, phi, p, ball_R, quad_level)
+    report = {"R": R, "center": center.tolist(), "eta": eta, **est}
+    report["modular_bound_const"] = (
+        est["modular_out"] / ((1 + R**2) * max_pow) if max_pow > 0 else 0.0
+    )
     bulk, jmp = total_variation_parts(u, ball_R, quad_level)
     du = bulk + jmp
-    report["l1_distance"] = l1
+    l1 = est["l1_distance"]
     report["l1_C_hat"] = l1 / (R * du) if du > 0 else (0.0 if l1 <= 1e-10 else np.inf)
-    report["max_pointwise_distance"] = float(diff.max())
-
-    report["linf_in"] = _sup_norm_visible(u)
-    report["linf_out"] = _sup_norm_visible(phi)
+    report["max_pointwise_distance"] = float(gap.max())
 
     # trace agreement band on the boundary circle (graft edges are chords)
     nb = 2 ** adapted.base.h_max
     th = 2 * np.pi * (np.arange(2 * nb) + 0.5) / (2 * nb)
     bpts = center + R * np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-12)
-    band = float(np.max(value_gap(u, phi, bpts)))
-    report["trace_band"] = band
+    report["trace_band"] = float(np.max(value_gap(u, phi, bpts)))
 
     report["jump_in_2r"] = jump_in_2r
     report["jump_out_2r"] = phi.jump.length_in(ball2r)
     report["jump_removed"] = jump_in_2r - report["jump_out_2r"]
     report["jump_new"] = _new_jump_length(phi, u)
-    if compute_grid_stats:
-        report["kappa_hat"] = adapted.kappa_hat
-        report["lambda_stats"] = {
-            k: v for k, v in adapted.lambda_stats.items() if not k.startswith("per_")
-        }
-        report["perturbation_ratio_max"] = adapted.perturbation_ratio_max
     return R, phi, report
+
+
+def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: int):
+    """The estimates of a replacement w of u that the local and the global
+    step both report, measured on ball.
+
+    Returns (est, max_pow, gap): the gradient q-integrals for q = 1 and
+    q = p_minus with their ratios c_hat, the two modulars, the Luxembourg
+    norm of grad u, the L1 distance on a fixed disk rule and both sup norms;
+    max(norm^p_minus, norm^p_plus) of that norm, which the modular bound
+    divides by; and |u - w| at the rule's points.
+    """
+    est = {}
+    for q, tag in ((1.0, "q1"), (p.p_minus, "q_pminus")):
+        in_q = u.gradient_q_integral(q, ball, quad_level)
+        out_q = w.gradient_q_integral(q, ball, quad_level)
+        est[f"grad_{tag}_in"] = in_q
+        est[f"grad_{tag}_out"] = out_q
+        est[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)
+    est["modular_in"] = u.modular_of_gradient(p, ball, quad_level)
+    est["modular_out"] = w.modular_of_gradient(p, ball, quad_level)
+    norm_in = est["grad_norm_in"] = u.gradient_luxembourg_norm(p, ball, quad_level)
+    pts, wq = disk_rule(ball, n_r=10, n_t=20, order=4)
+    gap = value_gap(u, w, pts)
+    est["l1_distance"] = float(np.sum(wq * gap))
+    est["linf_in"] = _sup_norm_visible(u)
+    est["linf_out"] = _sup_norm_visible(w)
+    return est, max(norm_in**p.p_minus, norm_in**p.p_plus), gap
 
 
 def _new_jump_length(w: DiscreteSbvMap, u: DiscreteSbvMap, tol_factor: float = 1e-9) -> float:
@@ -310,7 +314,6 @@ def cover_jump(
     eta: float,
     rho: float | None = None,
     seed: int = 0,
-    spacing_cap: int = 400,
 ) -> BallFamily:
     """Cover J_u ∩ B_{s rho} by balls found through the dyadic density window,
     greedily thinned and split into pairwise-disjoint families.
@@ -332,7 +335,7 @@ def cover_jump(
     # candidate centres: free polyline endpoints first (they give the
     # adaptation the most room around straight runs), then arc-length samples
     lens = _geom.seg_lengths(J.a, J.b)
-    spacing = max(float(lens.min()) / 4.0, J.total_length / spacing_cap)
+    spacing = max(float(lens.min()) / 4.0, J.total_length / SPACING_CAP)
     ends = _free_endpoints(J)
     mids = _geom.polyline_arclength_points(J.a, J.b, spacing)
     in_s = lambda q: q[np.linalg.norm(q - center, axis=1) <= s * rho]  # noqa: E731
@@ -358,29 +361,27 @@ def cover_jump(
     if not end_balls and not mid_balls:
         raise WindowNotFoundError("no admissible window radii found")
 
-    # greedy thinning: endpoint candidates first, then biggest balls first
-    end_balls.sort(key=lambda br: -br[1])
-    mid_balls.sort(key=lambda br: -br[1])
-    kept_c, kept_r = [], []
-    for x, rx in end_balls + mid_balls:
-        covered = any(
-            np.linalg.norm(x - c) <= 0.5 * rr for c, rr in zip(kept_c, kept_r)
-        )
-        if not covered:
-            kept_c.append(x)
-            kept_r.append(rx)
-    centers = np.asarray(kept_c)
-    radii = np.asarray(kept_r)
+    # greedy thinning: endpoint candidates first, then biggest balls first;
+    # a candidate within half the radius of a kept ball is dropped
+    balls = sorted(end_balls, key=lambda br: -br[1]) + sorted(mid_balls, key=lambda br: -br[1])
+    cands = np.array([x for x, _ in balls])
+    cand_r = np.array([rx for _, rx in balls])
+    dist = _distances(cands)
+    near = dist <= 0.5 * cand_r  # near[i, j]: a kept ball j covers candidate i
+    kept = np.zeros(len(cands), dtype=bool)
+    covered = np.zeros(len(cands), dtype=bool)
+    for i in range(len(cands)):
+        if not covered[i]:
+            kept[i] = True
+            covered |= near[:, i]
+    centers, radii = cands[kept], cand_r[kept]
 
     # greedy family split: smallest family index without intra-family overlap
+    overlap = dist[np.ix_(kept, kept)] <= radii[:, None] + radii
     order = np.argsort(-radii)
     fam = np.zeros(len(radii), dtype=int)
     for i in order:
-        used = set()
-        for j in order:
-            if fam[j] > 0 and j != i:
-                if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]:
-                    used.add(fam[j])
+        used = set(fam[overlap[i] & (fam > 0)].tolist())
         f = 1
         while f in used:
             f += 1
@@ -392,9 +393,7 @@ def cover_jump(
     # measured max overlap at sampled points
     probe = centers[:, None, :] + radii[:, None, None] * 0.5 * _dirgrid(8)[None, :, :]
     probe = probe.reshape(-1, 2)
-    counts = np.zeros(len(probe), dtype=int)
-    for c, rr in zip(centers, radii):
-        counts += np.linalg.norm(probe - c, axis=1) <= rr
+    counts = np.sum(np.linalg.norm(probe[:, None, :] - centers, axis=-1) <= radii, axis=1)
     perim = float(np.sum(2 * np.pi * radii))
     area = float(np.sum(np.pi * radii**2))
     h1 = budget
@@ -417,6 +416,14 @@ def cover_jump(
         ),
     }
     return BallFamily(centers, radii, fam, xi_hat, stats)
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| for all pairs, each as the 1-D np.linalg.norm of the
+    difference computes it: a dot product, which the stacked matmul repeats
+    bit for bit where a sum over the last axis may round differently."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def _dirgrid(n):
@@ -445,8 +452,6 @@ def global_approx(
     seed: int = 0,
     h_max: int = 5,
     quad_level: int = 2,
-    max_rounds: int = 6,
-    resid_tol_factor: float = 1e-9,
 ) -> ApproxReport:
     """Remove the jump of u inside B_{s rho} by iterated local replacement.
 
@@ -466,9 +471,9 @@ def global_approx(
     w = u
     family = BallFamily.empty()
     s_disk = Disk(tuple(center), s * rho)
-    resid_tol = resid_tol_factor * rho
+    resid_tol = RESID_TOL_FACTOR * rho
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < MAX_ROUNDS:
         resid = w.jump.length_in(s_disk)
         if resid <= resid_tol:
             break
@@ -489,7 +494,7 @@ def global_approx(
     resid = w.jump.length_in(s_disk)
     if resid > resid_tol:
         raise ToolkitError(
-            f"residual jump {resid:.3g} in B_s_rho after {max_rounds} rounds"
+            f"residual jump {resid:.3g} in B_s_rho after {MAX_ROUNDS} rounds"
         )
 
     ball_rho = Disk(tuple(center), rho)
@@ -502,44 +507,17 @@ def global_approx(
     est["jump_out"] = w.jump.length_in(ball_rho)
 
     # outside identity, checked pointwise at seeded samples
-    if len(family) > 0:
-        probe = _sample_outside(u.domain, family, rng, 512)
-        if len(probe):
-            dmax = float(np.max(value_gap(u, w, probe)))
-        else:
-            dmax = 0.0
-        est["outside_identity_max_error"] = dmax
-    else:
-        est["outside_identity_max_error"] = 0.0
+    probe = _sample_outside(u.domain, family, rng, 512) if len(family) else np.zeros((0, 2))
+    est["outside_identity_max_error"] = float(np.max(value_gap(u, w, probe), initial=0.0))
 
-    est["linf_in"] = _sup_norm_visible(u)
-    est["linf_out"] = _sup_norm_visible(w)
-
-    p_minus, p_plus = p.p_minus, p.p_plus
-    modular_in = u.modular_of_gradient(p, ball_rho, quad_level)
-    modular_out = w.modular_of_gradient(p, ball_rho, quad_level)
-    norm_in = u.gradient_luxembourg_norm(p, ball_rho, quad_level)
-    est["modular_in"] = modular_in
-    est["modular_out"] = modular_out
-    est["grad_norm_in"] = norm_in
-    max_pow = max(norm_in**p_minus, norm_in**p_plus)
+    measured, max_pow, _ = _measure(u, w, p, ball_rho, quad_level)
+    est.update(measured)
     est["modular_bound_const_var"] = (
-        modular_out / ((1 + rho**2) * max_pow) if max_pow > 0 else 0.0
+        est["modular_out"] / ((1 + rho**2) * max_pow) if max_pow > 0 else 0.0
     )
-    est["modular_bound_const_stripped"] = modular_out / max_pow if max_pow > 0 else 0.0
-
-    for q, tag in ((1.0, "q1"), (p_minus, "q_pminus")):
-        in_q = u.gradient_q_integral(q, ball_rho, quad_level)
-        out_q = w.gradient_q_integral(q, ball_rho, quad_level)
-        est[f"grad_{tag}_in"] = in_q
-        est[f"grad_{tag}_out"] = out_q
-        est[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)
-
-    pts, wq = disk_rule(ball_rho, n_r=10, n_t=20, order=4)
-    est["l1_distance"] = float(np.sum(wq * value_gap(u, w, pts)))
+    est["modular_bound_const_stripped"] = est["modular_out"] / max_pow if max_pow > 0 else 0.0
 
     if len(family) > 0:
-        st = family.stats
         h1 = budget
         est["family_perimeter"] = float(np.sum(2 * np.pi * family.radii))
         est["family_perimeter_bound"] = 2 * np.pi * family.xi_hat / eta * h1

@@ -118,6 +118,61 @@ def test_good_radius_vs_grid_oracle():
     assert not any(ok(Rc) for Rc in bad)
 
 
+def _good_radius_oracle(J, r, eta, seed, center, h_max, trials=64):
+    """select_good_radius replayed draw by draw with the crossing test and
+    one pair of length_in calls per dyadic annulus; (R, None) for the first
+    draw that passes, else (None, h of the last annulus violation)."""
+    c = np.asarray(center, dtype=float)
+    rng = np.random.default_rng(seed)
+    worst_h = None
+    for _ in range(trials):
+        R = float(rng.uniform(r, 2 * r))
+        din = np.linalg.norm(J.a - c, axis=1)
+        dout = np.linalg.norm(J.b - c, axis=1)
+        close = _geom.point_segment_distance(c[None, :], J.a, J.b)[0]
+        if np.any(((din - R) * (dout - R) < 0) | ((close < R) & ((din > R) | (dout > R)))):
+            continue
+        for h in range(h_max + 1):
+            delta = R * 2.0**-h
+            ann = J.length_in(Disk(tuple(c), R)) - J.length_in(Disk(tuple(c), R - delta))
+            if ann >= 10 * eta * delta:
+                worst_h = h
+                break
+        else:
+            return R, None
+    return None, worst_h
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=3, max_value=8),
+)
+def test_good_radius_is_first_draw_passing_the_length_in_oracle(seed, m, h_max):
+    # a short tangential chord just inside each of the first m circles the
+    # search will draw, at a depth inside a random dyadic annulus: those
+    # draws fail on an annulus, or on a crossing when the chord pokes out
+    rng = np.random.default_rng(seed)
+    r, eta = float(rng.uniform(0.1, 2.0)), 0.05
+    c = rng.uniform(-1.0, 1.0, 2)
+    draws = np.random.default_rng(seed).uniform(r, 2 * r, m)
+    depth = draws * 2.0 ** -rng.integers(3, 9, m) * rng.uniform(0.05, 0.95, m)
+    th = rng.uniform(0, 2 * np.pi, m)
+    radial = np.stack([np.cos(th), np.sin(th)], axis=1)
+    tangent = radial[:, ::-1] * [-1, 1]
+    half = 0.45 * eta * r / m * rng.uniform(0.3, 1.0, (m, 1))
+    mid = c + (draws - depth)[:, None] * radial
+    J = JumpSet.from_segments(mid - half * tangent, mid + half * tangent, np.ones((m, 1)), np.zeros((m, 1)))
+    want, worst_h = _good_radius_oracle(J, r, eta, seed, c, h_max)
+    if want is None:
+        with pytest.raises(SearchExhaustedError) as err:
+            select_good_radius(J, r, eta, seed=seed, center=c, h_max=h_max)
+        assert err.value.violating_h == worst_h
+    else:
+        assert select_good_radius(J, r, eta, seed=seed, center=c, h_max=h_max) == want
+
+
 def test_good_radius_exhaustion_reports_h():
     # jump hugging every circle in (r, 2r): a long radial segment within budget
     J = JumpSet.from_segments([[0.5, 0]], [[0.99, 0]], [[1.0, 0]], [[0.0, 0]])

@@ -36,11 +36,49 @@ def test_segment_disk_length_bounded(ax, ay, bx, by, r):
 def test_clip_inside_outside_partition():
     a = np.array([[-2.0, 0.3], [0.1, 0.1], [5.0, 5.0]])
     b = np.array([[2.0, 0.3], [0.2, 0.15], [6.0, 5.0]])
-    ain, bin_ = _geom.clip_segments_to_disk(a, b, (0, 0), 1.0)
-    aout, bout = _geom.clip_segments_outside_disk(a, b, (0, 0), 1.0)
+    (ain, bin_, src_in), (aout, bout, src_out) = _geom.split_segments_at_circle(a, b, (0, 0), 1.0)
     total = _geom.seg_lengths(a, b).sum()
     got = _geom.seg_lengths(ain, bin_).sum() + _geom.seg_lengths(aout, bout).sum()
     assert got == pytest.approx(total, rel=1e-9)
+    assert src_in.tolist() == [0, 1] and src_out.tolist() == [0, 0, 2]
+    # an uncut segment comes out whole, endpoints unchanged
+    assert np.array_equal(aout[2], a[2]) and np.array_equal(bout[2], b[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=12),
+)
+def test_split_at_circle_pieces_partition_each_segment(log_scale, seed, n):
+    # segments and disks from 1e-3 to 1e3: a segment's inside and outside
+    # pieces add up to its length, and each piece keeps to its side
+    scale = 10.0**log_scale
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-2.0, 2.0, 2) * scale
+    r = float(rng.uniform(0.05, 2.0)) * scale
+    a = c + rng.uniform(-3.0, 3.0, (n, 2)) * scale
+    t = rng.uniform(0, 2 * np.pi, (n, 1))
+    b = a + np.hstack([np.cos(t), np.sin(t)]) * scale * 10.0 ** rng.uniform(-2.0, 0.5, (n, 1))
+    if rng.random() < 0.3:  # a segment starting on the circle, another tangent to it
+        t = rng.uniform(0, 2 * np.pi, 2)
+        a[0] = c + r * np.array([np.cos(t[0]), np.sin(t[0])])
+        tangent = np.array([-np.sin(t[1]), np.cos(t[1])])
+        a[-1] = c + r * np.array([np.cos(t[1]), np.sin(t[1])]) - scale * tangent
+        b[-1] = a[-1] + 2 * scale * tangent
+    (ai, bi, si), (ao, bo, so) = _geom.split_segments_at_circle(a, b, c, r)
+    tol = 1e-9 * scale + 4 * _geom.EPS  # pieces no longer than EPS are dropped
+    L = _geom.seg_lengths(a, b)
+    got = np.bincount(si, _geom.seg_lengths(ai, bi), n) + np.bincount(so, _geom.seg_lengths(ao, bo), n)
+    assert np.allclose(got, L, rtol=0, atol=tol)
+    assert np.all(np.diff(si) > 0) and np.all(np.diff(so) >= 0)
+    assert np.all(np.linalg.norm(np.concatenate([ai, bi]) - c, axis=1) <= r + tol)
+    if len(ao):
+        assert np.all(_geom.point_segment_distance(c, ao, bo)[0] >= r - tol)
+    # the inside pieces measure what segment_disk_length measures
+    inside = np.bincount(si, _geom.seg_lengths(ai, bi), n)
+    assert np.allclose(inside, _geom.segment_disk_length(a, b, c, r), rtol=0, atol=tol)
 
 
 def test_tri_disk_area_quarter():

@@ -76,6 +76,38 @@ def test_jumpset_validation():
         )  # normal parallel to segment
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10))
+def test_clip_outside_disk_carries_source_traces_and_normal(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, 2))
+    b = a + rng.normal(scale=0.5, size=(n, 2))
+    tp = rng.normal(size=(n, 3))
+    J = JumpSet.from_segments(a, b, tp, tp + 1.0 + rng.random((n, 3)))
+    disk = Disk(tuple(rng.uniform(-0.5, 0.5, 2)), float(rng.uniform(0.05, 1.0)))
+    out = J.clip_outside_disk(disk)
+    # each segment alone gives the same pieces, all carrying its own data
+    rows = []
+    for i in range(n):
+        one = JumpSet(J.a[i : i + 1], J.b[i : i + 1], J.trace_plus[i : i + 1],
+                      J.trace_minus[i : i + 1], J.normal[i : i + 1]).clip_outside_disk(disk)
+        rows.append((one, i))
+    assert len(out) == sum(len(one) for one, _ in rows)
+    k = 0
+    for one, i in rows:
+        for j in range(len(one)):
+            assert np.array_equal(out.a[k], one.a[j]) and np.array_equal(out.b[k], one.b[j])
+            assert np.array_equal(out.trace_plus[k], J.trace_plus[i])
+            assert np.array_equal(out.trace_minus[k], J.trace_minus[i])
+            assert np.array_equal(out.normal[k], J.normal[i])
+            # the piece lies on its source segment
+            e, ends = J.b[i] - J.a[i], np.stack([out.a[k], out.b[k]]) - J.a[i]
+            assert np.all(np.abs(e[0] * ends[:, 1] - e[1] * ends[:, 0]) <= 1e-12 * (1 + e @ e))
+            k += 1
+    assert out.length_in(disk) <= 1e-9
+    assert out.total_length == pytest.approx(J.total_length - J.length_in(disk), abs=1e-9)
+
+
 def test_total_variation_constant(unit_disk):
     u = synthesize("affine", {"G": np.zeros((2, 2)), "u0": np.array([1.0, 2.0])}, seed=0)
     bulk, jmp = total_variation_parts(u, unit_disk)
