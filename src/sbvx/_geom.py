@@ -231,6 +231,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     if len(pts) <= 2:
         return pts
+    # the chain runs on Python floats: the same double arithmetic as numpy
+    # scalars, without their per-operation overhead
+    pts = pts.tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -241,7 +244,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             lower.pop()
         lower.append(q)
     upper: list = []
-    for q in pts[::-1]:
+    for q in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
             upper.pop()
         upper.append(q)
@@ -257,6 +260,29 @@ def points_in_convex_polygon(x: np.ndarray, poly: np.ndarray, tol: float = 1e-12
     w = x[:, None, :] - e0[None, :, :]  # (m,p,2)
     cr = d[None, :, 0] * w[:, :, 1] - d[None, :, 1] * w[:, :, 0]
     return np.all(cr >= -tol, axis=1)
+
+
+def convex_polygon_counts(x: np.ndarray, polys, tol: float = 1e-12) -> np.ndarray:
+    """How many of the ccw convex polygons hold each point of x (m,2), each
+    membership as points_in_convex_polygon decides it. A polygon tests only
+    the points in its bounding box widened by twice its tolerance's reach:
+    cr >= -tol admits points tol / |edge| outside an edge's line, and a
+    vertex where the edges turn by phi moves out by 1 / cos(phi / 2) of that.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    counts = np.zeros(len(x), dtype=int)
+    for poly in polys:
+        d = np.roll(poly, -1, axis=0) - poly
+        L = np.hypot(d[:, 0], d[:, 1])
+        cos_turn = np.sum(d * np.roll(d, 1, axis=0), axis=1) / (L * np.roll(L, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margin = 2 * tol / (L.min() * np.sqrt((1 + cos_turn.min()) / 2))
+        if not margin < np.inf:  # degenerate polygon: test every point
+            margin = np.inf
+        lo, hi = poly.min(axis=0) - margin, poly.max(axis=0) + margin
+        box = np.flatnonzero(np.all((x >= lo) & (x <= hi), axis=1))
+        counts[box] += points_in_convex_polygon(x[box], poly, tol)
+    return counts
 
 
 def hull_of_disks(centers: np.ndarray, radii: np.ndarray, narc: int = 48) -> np.ndarray:

@@ -325,10 +325,6 @@ class AdaptedTriangulation:
         """Per-triangle hull polygons of the base balls (cached on the base)."""
         return self.base.envelopes
 
-    @property
-    def envelope_areas(self) -> np.ndarray:
-        return np.array([_geom.polygon_area(e) for e in self.envelopes])
-
     def to_json(self) -> dict:
         return {
             "base": self.base.to_json(),
@@ -455,11 +451,8 @@ def adapt_to_jump(
         pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * _dirs(
             kappa_samples, rng
         )
-        counts = np.zeros(kappa_samples, dtype=int)
-        for poly in envelopes:
-            counts += _geom.points_in_convex_polygon(pts, poly)
         stats = dict(
-            kappa_hat=int(counts.max()),
+            kappa_hat=int(_geom.convex_polygon_counts(pts, envelopes).max()),
             lambda_stats=_lambda_ratios(grid, envelopes),
             edge_stats=_edge_integrals(grid, verts, u, delta_v),
         )

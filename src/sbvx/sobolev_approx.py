@@ -8,7 +8,8 @@ the map by balls found through a dyadic density window, splits them into
 pairwise-disjoint families, and applies the local step ball by ball; family
 l consumes the iterate produced by family l-1. Residual jump left between
 replacement disks is re-covered in further rounds until the target disk is
-jump free.
+jump free. The global step runs only the construction of the local step and
+measures the estimates once, on its final map.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from . import _geom
 from .dyadic_grid import adapt_to_jump, build_grid, select_good_radius
 from .errors import (
     AdaptationError,
-    DegenerateInputError,
     JumpBudgetError,
     SearchExhaustedError,
     ToolkitError,
@@ -161,8 +161,47 @@ def local_phi(
     center = np.asarray(u.domain.center if center is None else center, dtype=float)
     if r is None:
         r = u.domain.radius / 2.0
-    ball2r = Disk(tuple(center), 2 * r)
-    jump_in_2r = u.jump.length_in(ball2r)
+    R, phi, jump_in_2r = _replace_in_ball(
+        u, eta, seed, center, r, h_max, radius_retries, samples_per_vertex
+    )
+
+    ball_R = Disk(tuple(center), R)
+    est, max_pow, gap = _measure(u, phi, p, ball_R, quad_level)
+    report = {"R": R, "center": center.tolist(), "eta": eta, **est}
+    report["modular_bound_const"] = (
+        est["modular_out"] / ((1 + R**2) * max_pow) if max_pow > 0 else 0.0
+    )
+    bulk, jmp = total_variation_parts(u, ball_R, quad_level)
+    du = bulk + jmp
+    l1 = est["l1_distance"]
+    report["l1_C_hat"] = l1 / (R * du) if du > 0 else (0.0 if l1 <= 1e-10 else np.inf)
+    report["max_pointwise_distance"] = float(gap.max())
+
+    # trace agreement band on the boundary circle (graft edges are chords)
+    nb = 2**h_max
+    th = 2 * np.pi * (np.arange(2 * nb) + 0.5) / (2 * nb)
+    bpts = center + R * np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-12)
+    report["trace_band"] = float(np.max(value_gap(u, phi, bpts)))
+
+    report["jump_in_2r"] = jump_in_2r
+    report["jump_out_2r"] = phi.jump.length_in(Disk(tuple(center), 2 * r))
+    report["jump_removed"] = jump_in_2r - report["jump_out_2r"]
+    report["jump_new"] = _new_jump_length(phi, u)
+    return R, phi, report
+
+
+def _replace_in_ball(
+    u: DiscreteSbvMap, eta: float, seed: int, center: np.ndarray, r: float,
+    h_max: int = 5, radius_retries: int = 8, samples_per_vertex: int = 200,
+):
+    """The replacement of local_phi without its estimates: returns
+    (R, phi, jump_in_2r). Each of up to radius_retries draws picks
+    a good radius R and tries 16 rotations of the dyadic grid on B_R; phi is
+    u with the interpolant patch of the first grid that adapts to the jump.
+    """
+    if radius_retries < 1:
+        raise ToolkitError(f"radius_retries = {radius_retries!r}; it must be >= 1")
+    jump_in_2r = u.jump.length_in(Disk(tuple(center), 2 * r))
     if jump_in_2r >= eta * 2 * r:
         raise JumpBudgetError(
             f"H1(J ∩ B_2r) = {jump_in_2r:.6g} >= eta*2r = {eta * 2 * r:.6g}"
@@ -175,7 +214,7 @@ def local_phi(
     R = None
     n_rot = 16
     n_radii = 0
-    for attempt in range(radius_retries):
+    for _ in range(radius_retries):
         sub = int(rng.integers(0, 2**31 - 1))
         try:
             R = select_good_radius(u.jump, r, eta, seed=sub, center=center, h_max=h_max)
@@ -209,32 +248,8 @@ def local_phi(
             vertex=vertex_err.vertex,
         ) from vertex_err
 
-    patch = _interpolant_patch(u, adapted, center, R)
-    phi = u.with_patch(patch)
-
-    ball_R = Disk(tuple(center), R)
-    est, max_pow, gap = _measure(u, phi, p, ball_R, quad_level)
-    report = {"R": R, "center": center.tolist(), "eta": eta, **est}
-    report["modular_bound_const"] = (
-        est["modular_out"] / ((1 + R**2) * max_pow) if max_pow > 0 else 0.0
-    )
-    bulk, jmp = total_variation_parts(u, ball_R, quad_level)
-    du = bulk + jmp
-    l1 = est["l1_distance"]
-    report["l1_C_hat"] = l1 / (R * du) if du > 0 else (0.0 if l1 <= 1e-10 else np.inf)
-    report["max_pointwise_distance"] = float(gap.max())
-
-    # trace agreement band on the boundary circle (graft edges are chords)
-    nb = 2 ** adapted.base.h_max
-    th = 2 * np.pi * (np.arange(2 * nb) + 0.5) / (2 * nb)
-    bpts = center + R * np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-12)
-    report["trace_band"] = float(np.max(value_gap(u, phi, bpts)))
-
-    report["jump_in_2r"] = jump_in_2r
-    report["jump_out_2r"] = phi.jump.length_in(ball2r)
-    report["jump_removed"] = jump_in_2r - report["jump_out_2r"]
-    report["jump_new"] = _new_jump_length(phi, u)
-    return R, phi, report
+    phi = u.with_patch(_interpolant_patch(u, adapted, center, R))
+    return R, phi, jump_in_2r
 
 
 def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: int):
@@ -459,6 +474,8 @@ def global_approx(
     step applies on it with smallness constant 2 eta; replacements stay
     strictly inside their ball, so w = u holds exactly outside the union.
     Jump remaining between replacement disks is re-covered in later rounds.
+    Each ball runs the construction of local_phi without its estimates; only
+    the final map w is measured, as the inequalities are checked on w.
     """
     rho = u.domain.radius
     center = np.asarray(u.domain.center, dtype=float)
@@ -486,9 +503,8 @@ def global_approx(
             for x, rx in zip(cs, rs):
                 # the ball is the B_2r of the local step; the window bound
                 # H1(J ∩ B_r) < 2 eta r is exactly its hypothesis at 2 eta
-                _, w, _ = local_phi(
-                    w, p, eta=2 * eta, seed=int(rng.integers(0, 2**31 - 1)),
-                    center=x, r=rx / 2, h_max=h_max, quad_level=quad_level,
+                _, w, _ = _replace_in_ball(
+                    w, 2 * eta, int(rng.integers(0, 2**31 - 1)), x, rx / 2, h_max
                 )
         family = family.merged_with(fam)
     resid = w.jump.length_in(s_disk)

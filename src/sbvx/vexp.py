@@ -130,10 +130,6 @@ class ExponentField:
         v11 = vals[iy + 1, ix + 1]
         return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
-
     def covers(self, region: Region, tol: float = 1e-9) -> bool:
         """Whether the field's domain contains the region."""
         dom = self.domain

@@ -272,6 +272,26 @@ def test_kappa_regression_bound(unit_disk):
     assert worst <= KAPPA_CORPUS_MAX
 
 
+@pytest.mark.parametrize("h_max", [4, 5, 6])
+def test_envelope_counts_equal_unfiltered_loop(h_max):
+    g = build_grid(1.0, h_max, rotation=0.3)
+    tol = 1e-12
+    pts = [np.random.default_rng(h_max).uniform(-1.05, 1.05, (1000, 2))]
+    # the corners of the region each tolerance admits: where the tests of the
+    # edges into and out of a vertex both read -f * tol
+    for poly in g.envelopes[::8]:
+        d = np.roll(poly, -1, axis=0) - poly
+        rows = np.stack([-d[:, 1], d[:, 0]], axis=1)  # rows @ (x - e0) is the cross product
+        A = np.stack([np.roll(rows, 1, axis=0), rows], axis=1)
+        rhs = np.sum(rows * poly, axis=1)
+        b = np.stack([np.roll(rhs, 1), rhs], axis=1)
+        for f in (0.999, 1.001):
+            pts.append(np.linalg.solve(A, (b - f * tol)[..., None])[..., 0])
+    pts = np.concatenate(pts)
+    want = sum(_geom.points_in_convex_polygon(pts, poly, tol) for poly in g.envelopes)
+    assert np.array_equal(_geom.convex_polygon_counts(pts, g.envelopes, tol), want)
+
+
 def test_lambda_stats_independent_of_adapt_seed(unit_disk):
     # envelope ratios are a property of the base grid: identical across seeds
     g = build_grid(1.0, 5)

@@ -1,15 +1,21 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbvx import sobolev_approx
-from sbvx.errors import AdaptationError, JumpBudgetError
+from sbvx.errors import AdaptationError, JumpBudgetError, ToolkitError
 from sbvx.quadrature import Disk
-from sbvx.sbv2d import JumpSet, jump_length, synthesize
+from sbvx.sbv2d import JumpSet, jump_length, synthesize, value_gap
 from sbvx.sobolev_approx import (
     BallFamily,
     _free_endpoints,
+    _measure,
+    _new_jump_length,
+    _replace_in_ball,
     _sample_outside,
     _window_radii,
     cover_jump,
@@ -61,6 +67,25 @@ def test_local_phi_exhaustion_names_its_search(affine_field, monkeypatch):
     assert exc.value.vertex == 2
     assert isinstance(exc.value.__cause__, AdaptationError)
     assert str(exc.value.__cause__).startswith("vertex 2 (ring 1)")
+
+
+def test_local_phi_needs_a_radius_draw(affine_field, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(sobolev_approx, "select_good_radius", lambda *a, **kw: drawn.append(a))
+    u = synthesize("affine", {"G": np.eye(2)}, seed=1)
+    with pytest.raises(ToolkitError, match="radius_retries = 0; it must be >= 1"):
+        local_phi(u, affine_field, eta=0.05, radius_retries=0)
+    assert drawn == []
+
+
+def test_local_phi_builds_what_the_construction_builds(affine_field):
+    u = synthesize("sphere-vortex-with-slit", {"budget": 0.02}, seed=5)
+    center, r = np.array([0.05, -0.1]), 0.4
+    R, phi, rep = local_phi(u, affine_field, eta=0.05, seed=6, center=center, r=r, h_max=4)
+    R2, phi2, jump_in_2r = _replace_in_ball(u, 0.05, 6, center, r, h_max=4)
+    assert R == R2
+    assert rep["jump_in_2r"] == jump_in_2r
+    _assert_maps_equal(phi, phi2)
 
 
 def test_local_phi_piecewise_constant_collapse(affine_field):
@@ -245,6 +270,138 @@ def test_global_scale_covariance(affine_field, unit_disk):
     r1 = rep1.estimates["family_perimeter"] / rep1.estimates["jump_budget"]
     r2 = rep2.estimates["family_perimeter"] / rep2.estimates["jump_budget"]
     assert r2 == pytest.approx(r1, rel=0.05)
+
+
+def _assert_maps_equal(w1, w2):
+    assert len(w1.patches) == len(w2.patches)
+    for q1, q2 in zip(w1.patches, w2.patches):
+        for name in ("verts", "tris", "values", "grads", "arc_cells"):
+            assert np.array_equal(getattr(q1, name), getattr(q2, name))
+        assert q1.circle == q2.circle
+    for name in ("a", "b", "trace_plus", "trace_minus", "normal"):
+        assert np.array_equal(getattr(w1.jump, name), getattr(w2.jump, name))
+
+
+def _global_approx_calling_local_phi(u, p, s, eta, seed=0, h_max=5, quad_level=2):
+    """global_approx with every ball run through the full local_phi, its
+    report dropped: the reference the construction-only loop must reproduce
+    bitwise."""
+    rho = u.domain.radius
+    center = np.asarray(u.domain.center, dtype=float)
+    budget = u.jump.length_in(Disk(tuple(center), rho))
+    if budget >= eta * (1 - s) * rho / 2:
+        raise JumpBudgetError(f"H1(J) = {budget:.6g} >= eta(1-s)rho/2 = {eta * (1 - s) * rho / 2:.6g}")
+    rng = np.random.default_rng(seed)
+    w = u
+    family = BallFamily.empty()
+    s_disk = Disk(tuple(center), s * rho)
+    rounds = 0
+    while rounds < sobolev_approx.MAX_ROUNDS:
+        resid = w.jump.length_in(s_disk)
+        if resid <= sobolev_approx.RESID_TOL_FACTOR * rho:
+            break
+        rounds += 1
+        fam = cover_jump(w, s, eta, rho, seed=int(rng.integers(0, 2**31 - 1)))
+        if len(fam) == 0:
+            break
+        for j in range(1, fam.xi_hat + 1):
+            cs, rs = fam.balls_of(j)
+            for x, rx in zip(cs, rs):
+                _, w, _ = local_phi(
+                    w, p, eta=2 * eta, seed=int(rng.integers(0, 2**31 - 1)),
+                    center=x, r=rx / 2, h_max=h_max, quad_level=quad_level,
+                )
+        family = family.merged_with(fam)
+    resid = w.jump.length_in(s_disk)
+    if resid > sobolev_approx.RESID_TOL_FACTOR * rho:
+        raise ToolkitError(
+            f"residual jump {resid:.3g} in B_s_rho after {sobolev_approx.MAX_ROUNDS} rounds"
+        )
+    ball_rho = Disk(tuple(center), rho)
+    est = {
+        "rho": rho, "s": s, "eta": eta, "rounds": rounds,
+        "jump_budget": budget, "jump_residual_srho": resid,
+    }
+    est["jump_new"] = _new_jump_length(w, u)
+    est["jump_in"] = budget
+    est["jump_out"] = w.jump.length_in(ball_rho)
+    probe = _sample_outside(u.domain, family, rng, 512) if len(family) else np.zeros((0, 2))
+    est["outside_identity_max_error"] = float(np.max(value_gap(u, w, probe), initial=0.0))
+    measured, max_pow, _ = _measure(u, w, p, ball_rho, quad_level)
+    est.update(measured)
+    est["modular_bound_const_var"] = (
+        est["modular_out"] / ((1 + rho**2) * max_pow) if max_pow > 0 else 0.0
+    )
+    est["modular_bound_const_stripped"] = est["modular_out"] / max_pow if max_pow > 0 else 0.0
+    if len(family) > 0:
+        est["family_perimeter"] = float(np.sum(2 * np.pi * family.radii))
+        est["family_perimeter_bound"] = 2 * np.pi * family.xi_hat / eta * budget
+        est["family_area"] = float(np.sum(np.pi * family.radii**2))
+        est["family_area_bound_min_form"] = float(
+            min(
+                2 * np.pi * family.xi_hat / eta * rho * budget,
+                np.pi * (family.xi_hat / eta * budget) ** 2,
+            )
+        )
+        est["union_containment_margin"] = float(
+            (1 + s) * rho / 2
+            - np.max(np.linalg.norm(family.centers - center, axis=1) + family.radii)
+        )
+        est["xi_hat"] = family.xi_hat
+    else:
+        est["xi_hat"] = 0
+    return w, family, est
+
+
+CORPUS_KINDS = (
+    "piecewise-constant-with-arc-jump", "sphere-vortex-with-slit", "random-cells-with-random-polyline",
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(CORPUS_KINDS),
+    st.sampled_from([0.5, 0.75, 0.9]),
+    st.sampled_from([0.3, 0.55, 0.8]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+)
+def test_global_approx_equals_local_phi_loop(kind, s, frac, map_seed, seed, const_p):
+    from sbvx.vexp import ExponentField
+
+    eta = 0.05
+    u = synthesize(kind, {"budget": frac * eta * (1 - s) / 2, "k": 2}, seed=map_seed)
+    p = ExponentField.constant(1.6, u.domain) if const_p else ExponentField(
+        "closed_form", u.domain, 1.3, 1.7, {"form": "affine", "p0": 1.5, "a": [0.1, 0.05]}
+    )
+    try:
+        want = _global_approx_calling_local_phi(u, p, s, eta, seed=seed)
+    except ToolkitError as err:  # a failed search must fail the same way
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            global_approx(u, p, s, eta, seed=seed)
+        return
+    rep = global_approx(u, p, s, eta, seed=seed)
+    w, family, est = want
+    # float repr round-trips, so equal JSON means bitwise-equal estimates
+    assert json.dumps(rep.estimates, sort_keys=True) == json.dumps(est, sort_keys=True)
+    assert json.dumps(rep.family.to_json()) == json.dumps(family.to_json())
+    _assert_maps_equal(rep.w, w)
+
+
+def test_global_approx_measures_once(affine_field, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return _measure(*args)
+
+    monkeypatch.setattr(sobolev_approx, "_measure", counted)
+    s, eta = 0.75, 0.05
+    u = synthesize("sphere-vortex-with-slit", {"budget": 0.5 * eta * (1 - s) / 2}, seed=9)
+    rep = global_approx(u, affine_field, s, eta, seed=11)
+    assert len(rep.family) > 0
+    assert calls == [Disk((0.0, 0.0), 1.0)]
 
 
 # ---------------------------------------------------------------------------
