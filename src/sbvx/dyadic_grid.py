@@ -499,33 +499,35 @@ def _lambda_ratios(grid: DyadicGrid, envelopes) -> dict:
 
 
 def _edge_integrals(grid: DyadicGrid, verts, u: DiscreteSbvMap, delta_v, n_line: int = 16) -> dict:
-    """Line integrals of |grad u| along edges and capsule averages."""
-    line_int = []
-    cap_avg = []
+    """Line integrals of |grad u| along edges and capsule averages.
+
+    grad u is taken in one call for all line points and one for all capsule
+    samples; each point is located on its own, as with one call per edge.
+    """
+    a, b = verts[grid.edges[:, 0]], verts[grid.edges[:, 1]]
+    t = (np.arange(n_line) + 0.5) / n_line
+    line_pts = (a[:, None] + t[:, None] * (b - a)[:, None]).reshape(-1, 2)
+    g = np.split(np.linalg.norm(u.grad_at(line_pts).reshape(-1, 2 * u.k), axis=1), len(a))
+    line_int = [float(np.mean(gi) * float(np.linalg.norm(bi - ai))) for gi, ai, bi in zip(g, a, b)]
+    # capsules of the base balls around the edges
+    areas, samples = [], []
     for e in grid.edges:
-        a, b = verts[e[0]], verts[e[1]]
-        t = (np.arange(n_line) + 0.5) / n_line
-        pts = a + t[:, None] * (b - a)
-        g = np.linalg.norm(u.grad_at(pts).reshape(n_line, -1), axis=1)
-        L = float(np.linalg.norm(b - a))
-        line_int.append(float(np.mean(g) * L))
-        # capsule of the base balls around the edge
         x, y = grid.verts[e[0]], grid.verts[e[1]]
         r1, r2 = grid.alpha * delta_v[e[0]], grid.alpha * delta_v[e[1]]
         hull = _geom.hull_of_disks(np.stack([x, y]), np.array([r1, r2]), narc=16)
-        area = _geom.polygon_area(hull)
+        areas.append(_geom.polygon_area(hull))
         lo = hull.min(axis=0)
         hi = hull.max(axis=0)
         rng_local = np.random.default_rng(int(e[0]) * 100003 + int(e[1]))
         samp = lo + (hi - lo) * rng_local.random((64, 2))
-        inside = _geom.points_in_convex_polygon(samp, hull)
-        if np.any(inside):
-            gg = np.linalg.norm(u.grad_at(samp[inside]).reshape(int(inside.sum()), -1), axis=1)
-            integral = float(np.mean(gg) * area)
-        else:
-            integral = 0.0
-        h_e = max(grid.ring_of[e[0]], grid.ring_of[e[1]])
-        cap_avg.append(integral / (grid.R * 2.0 ** (-float(h_e))))
+        samples.append(samp[_geom.points_in_convex_polygon(samp, hull)])
+    gg = np.linalg.norm(u.grad_at(np.concatenate(samples)).reshape(-1, 2 * u.k), axis=1)
+    gg = np.split(gg, np.cumsum([len(sp) for sp in samples])[:-1])
+    h_e = np.maximum(grid.ring_of[grid.edges[:, 0]], grid.ring_of[grid.edges[:, 1]])
+    cap_avg = [
+        (float(np.mean(gi) * area) if len(gi) else 0.0) / (grid.R * 2.0 ** (-float(h)))
+        for gi, area, h in zip(gg, areas, h_e)
+    ]
     return {
         "edge_line_integrals": line_int,
         "envelope_averages": cap_avg,

@@ -33,11 +33,6 @@ class Disk:
         pts = np.atleast_2d(pts)
         return np.linalg.norm(pts - np.asarray(self.center), axis=-1) <= self.radius + tol
 
-    def scaled(self, factor: float, origin=None) -> "Disk":
-        o = np.asarray(self.center if origin is None else origin, dtype=float)
-        c = o + factor * (np.asarray(self.center) - o)
-        return Disk((float(c[0]), float(c[1])), factor * self.radius)
-
 
 @dataclass(frozen=True)
 class Annulus:

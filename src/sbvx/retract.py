@@ -135,11 +135,12 @@ def choose_shift(
 ):
     """Pick the shift a in B_sigma minimising the p(x)-modular of grad(P_a o w).
 
-    Uniform shift samples; the minimiser is below the sample mean, which is
-    the testable surrogate of the averaging (Chebyshev) selection. Samples
-    hitting the singular set of some cell are discarded; five full redraws
-    before giving up. The chain rule is broadcast over SHIFT_BLOCK shifts at
-    a time.
+    The modular is taken on w.cell_samples, the decomposition that
+    w.bulk_samples, and so project_w's report, reads. Uniform shift samples;
+    the minimiser is below the sample mean, which is the testable surrogate
+    of the averaging (Chebyshev) selection. Samples hitting the singular set
+    of some cell are discarded; five full redraws before giving up. The
+    chain rule is broadcast over SHIFT_BLOCK shifts at a time.
     """
     values, grads, cell_id, pts, wq = w.cell_samples(region, level)
     pv = p(pts)

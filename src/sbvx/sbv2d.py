@@ -174,6 +174,7 @@ class CellPatch:
         self.barycenters = (v0 + v1 + v2) / 3.0
         self.tri_areas = _geom.triangle_areas(v0, v1, v2)
         self._tree = cKDTree(self.barycenters)
+        self._sample_cache = None  # (level, samples) of _patch_samples_with_ids
         self._arc_extra = np.zeros(nt)
         arc_edges = self._arc_edges()
         for t in np.nonzero(self.arc_cells)[0]:
@@ -190,6 +191,11 @@ class CellPatch:
     @property
     def cell_areas(self) -> np.ndarray:
         return self.tri_areas + self._arc_extra
+
+    @cached_property
+    def gmag(self) -> np.ndarray:
+        """Per-cell Frobenius norm of the gradient."""
+        return np.linalg.norm(self.grads.reshape(len(self.tris), -1), axis=1)
 
     def _arc_edges(self) -> np.ndarray:
         """(nt, 2) indices (into each triangle) of the two vertices nearest
@@ -362,7 +368,8 @@ class DiscreteSbvMap:
     patches: tuple  # CellPatch stack; later entries override within their circle
     jump: JumpSet
     target: dict = field(default_factory=lambda: {"kind": "free"})
-    # the last bulk_samples result as [key, arrays]; replace() starts it empty
+    # the latest visible-sample decomposition as [key, arrays]; replace()
+    # starts it empty
     _bulk_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -397,23 +404,20 @@ class DiscreteSbvMap:
         return layer
 
     def value_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        layer = self._layer_of(pts)
-        out = np.empty((len(pts), self.k))
-        for i, patch in enumerate(self.patches):
-            sel = layer == i
-            if np.any(sel):
-                out[sel] = patch.eval(pts[sel])
-        return out
+        return self._by_layer(CellPatch.eval, pts, (self.k,))
 
     def grad_at(self, pts: np.ndarray) -> np.ndarray:
+        return self._by_layer(CellPatch.grad, pts, (self.k, 2))
+
+    def _by_layer(self, fn, pts, shape) -> np.ndarray:
+        """fn(patch, pts) of each point's topmost patch, stacked per point."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         layer = self._layer_of(pts)
-        out = np.empty((len(pts), self.k, 2))
+        out = np.empty((len(pts), *shape))
         for i, patch in enumerate(self.patches):
             sel = layer == i
             if np.any(sel):
-                out[sel] = patch.grad(pts[sel])
+                out[sel] = fn(patch, pts[sel])
         return out
 
     def with_patch(self, patch: CellPatch) -> "DiscreteSbvMap":
@@ -423,103 +427,60 @@ class DiscreteSbvMap:
     # -- quadrature ---------------------------------------------------------
 
     def bulk_samples(self, region=None, level: int = 2):
-        """Midpoint sample decomposition of the bulk layers.
+        """Bulk view of the visible-sample decomposition (see _build_samples):
+        (pts, weights, gmag), gmag the gradient norm of each sample's cell.
 
-        Returns (pts, weights, gmag): subcell centroids that survive the
-        patch layering, their areas, and the per-subcell gradient Frobenius
-        norms. For disk regions, subcells straddling the region boundary
-        carry their exact clipped area; patch layering uses the centroid
-        indicator. Arc bulges contribute an extra sample at the arc midpoint
-        carrying the segment area.
-
-        The map keeps the result of its latest (region, level) and hands the
+        cell_samples is the per-cell view of the same decomposition. The map
+        keeps the decomposition of its latest (region, level) and hands the
         same read-only arrays to every integral over that region.
         """
-        key = (_region_key(region), level)
-        if self._bulk_memo and self._bulk_memo[0] == key:
-            return self._bulk_memo[1]
-        all_pts, all_w, all_g = [np.zeros((0, 2))], [np.zeros(0)], [np.zeros(0)]
-        for i, patch in enumerate(self.patches):
-            if isinstance(region, Disk) and not _disks_meet(patch.circle, region):
-                continue
-            pts_i, w_i, cid_i, rad_sub = _patch_samples_with_ids(patch, level)
-            w_i = w_i.copy()
-
-            def corners(sel):  # called within this iteration only
-                return _subcell_corners(patch, level, pts_i, cid_i, np.nonzero(sel)[0])
-
-            keep = np.ones(len(pts_i), dtype=bool)
-            laters = [
-                q.circle for q in self.patches[i + 1 :] if _disks_meet(patch.circle, q.circle)
-            ]
-            near_later = np.zeros(len(pts_i), dtype=bool)
-            dls = []
-            for lc in laters:
-                dl = np.linalg.norm(pts_i - np.asarray(lc.center), axis=1)
-                dls.append(dl)
-                near_later |= np.abs(dl - lc.radius) <= rad_sub
-            for lc, dl in zip(laters, dls):
-                keep &= near_later | (dl > lc.radius)
-            if isinstance(region, Disk):
-                _clip_weights_disk(pts_i, w_i, keep, rad_sub, corners, region.center,
-                                   region.radius, near_later)
-            elif isinstance(region, Annulus):
-                w_out = w_i.copy()
-                keep_out = keep.copy()
-                _clip_weights_disk(pts_i, w_out, keep_out, rad_sub, corners, region.center,
-                                   region.r_outer, near_later)
-                w_inn = w_i.copy()
-                keep_inn = keep.copy()
-                _clip_weights_disk(pts_i, w_inn, keep_inn, rad_sub, corners, region.center,
-                                   region.r_inner, near_later)
-                w_i = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
-                keep &= keep_out & ((w_i > 0) | near_later)
-            elif region is not None:
-                keep &= near_later | region.contains(pts_i)
-            # subcells meeting a later-patch boundary: refined indicator,
-            # consistent between the region and the layering
-            refine = near_later & keep
-            w_i[refine] = _refined_weights(corners(refine), region, laters)
-            sel = keep & (w_i > 0)
-            gmag = np.linalg.norm(patch.grads.reshape(len(patch.tris), -1), axis=1)
-            all_pts.append(pts_i[sel])
-            all_w.append(w_i[sel])
-            all_g.append(gmag[cid_i[sel]])
-        out = (np.concatenate(all_pts), np.concatenate(all_w), np.concatenate(all_g))
-        for arr in out:
-            arr.setflags(write=False)
-        self._bulk_memo[:] = [key, out]
-        return out
+        pts, w, _, g = self._visible_samples(region, level)
+        return pts, w, g
 
     def cell_samples(self, region=None, level: int = 2):
-        """Visible subcell decomposition keyed by flat cell ids.
+        """Per-cell view of the visible-sample decomposition.
 
         Returns (cell_values (nc,k), cell_grads (nc,k,2), sub_cell_id (m,),
         sub_pts (m,2), sub_w (m,)): the per-cell data of every cell in the
-        patch stack plus the surviving subcell samples referencing them.
+        patch stack, and bulk_samples' points and weights with the flat id of
+        the cell each belongs to.
         """
+        pts, w, cell, _ = self._visible_samples(region, level)
         values = np.concatenate([p.values for p in self.patches])
         grads = np.concatenate([p.grads for p in self.patches])
-        ids_all, pts_all, w_all = [], [], []
-        offset = 0
-        for i, patch in enumerate(self.patches):
-            pts_i, w_i, cid_i, _ = _patch_samples_with_ids(patch, level)
-            keep = np.ones(len(pts_i), dtype=bool)
-            for later in self.patches[i + 1 :]:
-                keep &= ~later.circle.contains(pts_i)
-            if region is not None:
-                keep &= region.contains(pts_i)
-            ids_all.append(cid_i[keep] + offset)
-            pts_all.append(pts_i[keep])
-            w_all.append(w_i[keep])
-            offset += len(patch.tris)
-        return (
-            values,
-            grads,
-            np.concatenate(ids_all),
-            np.concatenate(pts_all),
-            np.concatenate(w_all),
-        )
+        return values, grads, cell, pts, w
+
+    def _visible_samples(self, region, level: int):
+        """The memoised (pts, w, cell, gmag) decomposition of (region, level)."""
+        key = (_region_key(region), level)
+        if not (self._bulk_memo and self._bulk_memo[0] == key):
+            self._bulk_memo[:] = [key, self._build_samples(region, level)]
+        return self._bulk_memo[1]
+
+    def _build_samples(self, region, level: int):
+        """Midpoint sample decomposition of the bulk layers.
+
+        Returns read-only (pts, w, cell, gmag): subcell centroids that survive
+        the patch layering, their areas, the flat id of their cell in the
+        concatenated patch stack, and that cell's gradient norm. For disk
+        regions, subcells straddling the region boundary carry their exact
+        clipped area, an annulus being its outer disk minus its inner one;
+        subcells meeting a later patch circle carry their refined area (see
+        _refined_weights). Arc bulges contribute an extra sample at the arc
+        midpoint carrying the segment area.
+        """
+        offsets = np.cumsum([0] + [len(p.tris) for p in self.patches])
+        parts = [
+            _visible_in_patch(patch, level, self.patches[i + 1 :], region, offsets[i])
+            for i, patch in enumerate(self.patches)
+            if not isinstance(region, Disk) or _disks_meet(patch.circle, region)
+        ]
+        empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
+        pts, w, cell = (np.concatenate(col) for col in zip(empty, *parts))
+        out = (pts, w, cell, np.concatenate([p.gmag for p in self.patches])[cell])
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def modular_of_gradient(self, p, region=None, level: int = 2) -> float:
         """Integral of |grad u|^{p(x)} over the region."""
@@ -600,17 +561,57 @@ def _region_key(region):
     return type(region), np.hstack(astuple(region)).astype(float).tobytes()
 
 
-def _clip_weights_disk(pts, w, keep, rad_sub, corners, center, radius, skip):
-    """In-place: drop subcells outside the disk, exact-clip straddlers.
+def _visible_in_patch(patch: CellPatch, level: int, later_patches, region, offset):
+    """(pts, w, offset + cell_id) of the patch's samples visible in the
+    region below the later patches (see DiscreteSbvMap._build_samples)."""
+    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)
+    laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
+    keep = np.ones(len(pts), dtype=bool)
+    near_later = np.zeros(len(pts), dtype=bool)
+    for lc in laters:
+        dl = np.linalg.norm(pts - np.asarray(lc.center), axis=1)
+        near_later |= np.abs(dl - lc.radius) <= rad_sub
+        keep &= dl > lc.radius
+    keep |= near_later
+    if isinstance(region, Disk):
+        keep, w = _clip_weights_disk(patch, level, keep, region.center, region.radius, near_later)
+    elif isinstance(region, Annulus):
+        (keep_out, w_out), (keep_inn, w_inn) = (
+            _clip_weights_disk(patch, level, keep, region.center, r, near_later)
+            for r in (region.r_outer, region.r_inner)
+        )
+        w = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
+        keep = keep_out & ((w > 0) | near_later)
+    elif region is not None:
+        keep &= near_later | region.contains(pts)
+    # subcells meeting a later-patch boundary: refined indicator,
+    # consistent between the region and the layering
+    refine = near_later & keep
+    if np.any(refine):
+        w = w.copy()
+        w[refine] = _refined_weights(
+            _subcell_corners(patch, level, pts, cid, np.flatnonzero(refine)), region, laters
+        )
+    sel = keep & (w > 0)
+    return pts[sel], w[sel], cid[sel] + offset
 
-    corners(mask) gives the (k, 3, 2) corners of the masked subcells.
-    Subcells flagged in skip are kept and left to the caller.
+
+def _clip_weights_disk(patch: CellPatch, level: int, keep, center, radius, skip):
+    """(keep, w) for the patch's samples against a disk.
+
+    keep drops the kept samples whose subcells miss the disk; w gives the
+    straddlers their exact clipped area. Samples flagged in skip are kept
+    and left to the caller.
     """
+    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)
     c = np.asarray(center)
     d = np.linalg.norm(pts - c, axis=1)
-    keep &= (d <= radius + rad_sub) | skip
-    straddle = keep & (d > radius - rad_sub) & ~skip
-    w[straddle] = _geom.polygons_disk_area(corners(straddle), c, radius)
+    keep = keep & ((d <= radius + rad_sub) | skip)
+    straddle = np.flatnonzero(keep & (d > radius - rad_sub) & ~skip)
+    w = w.copy()
+    corners = _subcell_corners(patch, level, pts, cid, straddle)
+    w[straddle] = _geom.polygons_disk_area(corners, c, radius)
+    return keep, w
 
 
 def _refined_weights(corners, region, laters, depth: int = 3) -> np.ndarray:
@@ -649,10 +650,8 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     arc midpoint carrying the bulge area (its corners collapse onto that
     point). Corners are not kept; _subcell_corners rebuilds them.
     """
-    key = ("_samples", level)
-    cached = getattr(patch, "_sample_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    if patch._sample_cache is not None and patch._sample_cache[0] == level:
+        return patch._sample_cache[1]
     nt = len(patch.tris)
     v = patch.verts[patch.tris]
     cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], level)
@@ -679,7 +678,7 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
         cell_id,
         np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0),
     )
-    patch._sample_cache = (key, out)
+    patch._sample_cache = (level, out)
     return out
 
 

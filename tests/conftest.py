@@ -43,3 +43,29 @@ class HalfDiskField(ExponentField):
 @pytest.fixture(scope="session")
 def halfdisk_field(unit_disk):
     return HalfDiskField(unit_disk, 1.5, 1.8)
+
+
+@pytest.fixture(scope="session")
+def global_map(affine_field):
+    """A two-patch map: global_approx's output on a slit vortex."""
+    from sbvx import global_approx, synthesize
+
+    s, eta = 0.75, 0.05
+    u = synthesize("sphere-vortex-with-slit", {"budget": 0.5 * eta * (1 - s) / 2}, seed=9)
+    w = global_approx(u, affine_field, s, eta, seed=11).w
+    assert len(w.patches) == 2
+    return w
+
+
+@pytest.fixture(scope="session")
+def cutting_regions(global_map):
+    """None, a disk and an annulus, each cutting global_map's last patch circle."""
+    from sbvx.quadrature import Annulus
+
+    c = np.asarray(global_map.patches[-1].circle.center)
+    r = global_map.patches[-1].circle.radius
+    return [
+        None,
+        Disk((c[0] + r, c[1]), 0.8 * r),
+        Annulus((0.0, 0.0), 0.2, float(np.linalg.norm(c))),
+    ]

@@ -280,6 +280,46 @@ def test_fubini_shift_averaging(affine_field):
     assert lhs <= rhs * 1.03
 
 
+def _stage_config(w):
+    sup = max(float(np.linalg.norm(q.values, axis=1).max()) for q in w.patches)
+    return RetractionConfig(k=w.k, M_bound=max(1.0, sup * (1 + 1e-9)))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_choose_shift_minimises_the_bulk_samples_modular(global_map, cutting_regions, which,
+                                                          affine_field):
+    region = cutting_regions[which]
+    a, rep = choose_shift(global_map, affine_field, _stage_config(global_map), seed=3,
+                          region=region)
+    # a map whose cells carry |grad(P_a o w)| as their gradient norm, on w's cells
+    patches = []
+    for q in global_map.patches:
+        gm, _ = _composed_gmags(q.values, q.grads, a)
+        grads = np.zeros_like(q.grads)
+        grads[:, 0, 0] = gm
+        patches.append(CellPatch(q.verts, q.tris, q.values, grads, q.circle, q.arc_cells))
+    composed = DiscreteSbvMap(global_map.domain, tuple(patches), global_map.jump)
+    pts, wq, g = composed.bulk_samples(region, 2)
+    assert rep["modular_min"] == pytest.approx(np.sum(wq * g ** affine_field(pts)), rel=1e-12)
+
+
+def test_project_w_builds_each_decomposition_once(global_map, cutting_regions, affine_field,
+                                                  monkeypatch):
+    builds = []
+    build = DiscreteSbvMap._build_samples
+
+    def counting(self, region, level):
+        builds.append(self)
+        return build(self, region, level)
+
+    monkeypatch.setattr(DiscreteSbvMap, "_build_samples", counting)
+    w = DiscreteSbvMap(global_map.domain, global_map.patches, global_map.jump, global_map.target)
+    for region in cutting_regions:
+        builds.clear()
+        wt, _ = project_w(w, affine_field, _stage_config(w), seed=2, region=region)
+        assert len(builds) == 2 and builds[0] is w and builds[1] is wt
+
+
 def test_config_validation():
     with pytest.raises(ToolkitError):
         RetractionConfig(k=1)

@@ -348,6 +348,18 @@ def test_bulk_samples_memo_is_per_map_and_read_only(unit_disk):
     assert np.sum(other[1]) < np.sum(first[1])
 
 
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_cell_samples_is_the_per_cell_view_of_bulk_samples(global_map, cutting_regions, which):
+    region = cutting_regions[which]
+    pts, w, g = global_map.bulk_samples(region, 2)
+    values, grads, cell, cpts, cw = global_map.cell_samples(region, 2)
+    assert len(values) == len(grads) == sum(len(q.tris) for q in global_map.patches)
+    assert np.array_equal(cpts, pts) and np.array_equal(cw, w)
+    assert np.array_equal(g, np.linalg.norm(grads[cell].reshape(len(cell), -1), axis=1))
+    # the later patch's cells are among the samples
+    assert np.any(cell >= len(global_map.patches[0].tris))
+
+
 def test_bulk_samples_weights_sum_to_exact_area(unit_disk):
     u = synthesize("affine", {"G": [[1.0, 2.0], [0.0, 1.0]], "u0": [0.0, 0.0]}, seed=0)
     rng = np.random.default_rng(5)
