@@ -299,8 +299,10 @@ def density_probe(
 ) -> dict:
     """Record F(u, B_rho(x))/rho at jump points and flag density violations.
 
-    Returns the per-point profiles, the flagged violations of the
-    theta_delta lower bound, and the empirical minimum theta_hat.
+    Only balls inside the probed subdomain B_{rho - delta} of the domain
+    B_rho are measured. Returns the per-point profiles, the flagged
+    violations of the theta_delta lower bound, and the empirical minimum
+    theta_hat.
     """
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     radii = probe.rho_prime * 2.0 ** (-np.arange(n_radii, dtype=float))
@@ -309,7 +311,7 @@ def density_probe(
     violations = []
     for x in sample_points:
         for r in radii:
-            if np.linalg.norm(x - np.asarray(u.domain.center)) + r > u.domain.radius:
+            if np.linalg.norm(x - np.asarray(u.domain.center)) + r > u.domain.radius - probe.delta:
                 continue
             val = functional(u, p, 1.0, Disk(tuple(x), r), level).total / r
             rows.append({"x": x.tolist(), "rho": float(r), "F_over_rho": val})

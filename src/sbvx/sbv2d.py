@@ -174,7 +174,7 @@ class CellPatch:
         self.barycenters = (v0 + v1 + v2) / 3.0
         self.tri_areas = _geom.triangle_areas(v0, v1, v2)
         self._tree = cKDTree(self.barycenters)
-        self._sample_cache = None  # (level, samples) of _patch_samples_with_ids
+        self._sample_cache = None  # (level, samples and bounds) of _patch_samples_with_ids
         self._arc_extra = np.zeros(nt)
         arc_edges = self._arc_edges()
         for t in np.nonzero(self.arc_cells)[0]:
@@ -468,13 +468,22 @@ class DiscreteSbvMap:
         subcells meeting a later patch circle carry their refined area (see
         _refined_weights). Arc bulges contribute an extra sample at the arc
         midpoint carrying the segment area.
+
+        Each patch is classified against a Disk or Annulus region first (see
+        _patch_relation): a patch that misses the region, or whose region a
+        later circle covers, adds no sample; a patch inside the region is
+        sampled as over the whole domain; a patch the region cuts scans only
+        the triangles that can meet it (see _samples_meeting).
         """
         offsets = np.cumsum([0] + [len(p.tris) for p in self.patches])
-        parts = [
-            _visible_in_patch(patch, level, self.patches[i + 1 :], region, offsets[i])
-            for i, patch in enumerate(self.patches)
-            if not isinstance(region, Disk) or _disks_meet(patch.circle, region)
-        ]
+        parts = []
+        for i, patch in enumerate(self.patches):
+            laters = [q.circle for q in self.patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
+            relation = _patch_relation(patch.circle, laters, region)
+            if relation in ("outside", "hidden"):
+                continue
+            clip = None if relation == "inside" else region
+            parts.append(_visible_in_patch(patch, level, laters, clip, offsets[i]))
         empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
         pts, w, cell = (np.concatenate(col) for col in zip(empty, *parts))
         out = (pts, w, cell, np.concatenate([p.gmag for p in self.patches])[cell])
@@ -561,11 +570,74 @@ def _region_key(region):
     return type(region), np.hstack(astuple(region)).astype(float).tobytes()
 
 
-def _visible_in_patch(patch: CellPatch, level: int, later_patches, region, offset):
+def _rings(region):
+    """(centre, r_inner, r_outer) of a Disk or Annulus; a disk's r_inner is
+    -inf, so that no point or circle lies inside it."""
+    if isinstance(region, Disk):
+        return np.asarray(region.center, dtype=float), -np.inf, region.radius
+    return np.asarray(region.center, dtype=float), region.r_inner, region.r_outer
+
+
+def _margin(*disks: Disk) -> float:
+    """Slack of the region tests: Disk.contains' 1e-12, plus 1e-12 of the
+    coordinate scale, far above the round-off of any distance between them."""
+    return 1e-12 * (1.0 + max(float(np.max(np.abs(d.center))) + d.radius for d in disks))
+
+
+def _patch_relation(circle: Disk, laters, region) -> str:
+    """How a Disk or Annulus region meets a patch circle under its later
+    circles; any other region is "cut".
+
+    "outside": a disk region misses the circle (_disks_meet). "hidden": a
+    later circle holds the region, either with the region's own centre and a
+    radius no smaller, or with _margin to spare; then every point that the
+    region's clip or its Disk.contains admits is also in that circle, so no
+    sample of the patch survives. "inside": the circle lies in the region,
+    so the exact clip of every subcell is its own area. "cut": the rest.
+    """
+    if not isinstance(region, (Disk, Annulus)):
+        return "cut"
+    c, r_in, r_out = _rings(region)
+    if isinstance(region, Disk) and not _disks_meet(circle, region):
+        return "outside"
+    outer = Disk(region.center, r_out)
+    for lc in laters:
+        dist = float(np.linalg.norm(np.asarray(lc.center) - c))
+        if lc.radius - r_out - dist >= (_margin(lc, outer) if dist > 0 else 0.0):
+            return "hidden"
+    d = float(np.linalg.norm(np.asarray(circle.center) - c))
+    if d + circle.radius <= r_out and d - circle.radius >= r_in:
+        return "inside"
+    return "cut"
+
+
+def _samples_meeting(patch: CellPatch, level: int, region):
+    """The samples (pts, w, cell_id, rad) of the patch's triangles whose
+    bounding circle meets a Disk or Annulus region; all samples otherwise.
+
+    A triangle is culled when its bounding circle misses the region by more
+    than _margin. Every sample and subcentroid of it then lies farther than
+    rad + Disk.contains' 1e-12 outside the region, so the full scan drops
+    each one (see _visible_in_patch). Culling keeps the order of the samples
+    and each kept triangle's block whole.
+    """
+    pts, w, cid, rad, reach = _patch_samples_with_ids(patch, level)
+    if not isinstance(region, (Disk, Annulus)):
+        return pts, w, cid, rad
+    c, r_in, r_out = _rings(region)
+    tol = _margin(patch.circle, Disk(region.center, r_out))
+    d = np.linalg.norm(patch.barycenters - c, axis=1)
+    meets = (d <= reach + r_out + tol) & (d + reach >= r_in - tol)
+    sel = np.flatnonzero(meets[cid])
+    return pts[sel], w[sel], cid[sel], rad[sel]
+
+
+def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
     """(pts, w, offset + cell_id) of the patch's samples visible in the
-    region below the later patches (see DiscreteSbvMap._build_samples)."""
-    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)
-    laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
+    region below the later circles laters, those of the later patches that
+    meet its circle (see DiscreteSbvMap._build_samples)."""
+    samples = _samples_meeting(patch, level, region)
+    pts, w, cid, rad_sub = samples
     keep = np.ones(len(pts), dtype=bool)
     near_later = np.zeros(len(pts), dtype=bool)
     for lc in laters:
@@ -574,10 +646,10 @@ def _visible_in_patch(patch: CellPatch, level: int, later_patches, region, offse
         keep &= dl > lc.radius
     keep |= near_later
     if isinstance(region, Disk):
-        keep, w = _clip_weights_disk(patch, level, keep, region.center, region.radius, near_later)
+        keep, w = _clip_weights_disk(patch, level, samples, keep, region.center, region.radius, near_later)
     elif isinstance(region, Annulus):
         (keep_out, w_out), (keep_inn, w_inn) = (
-            _clip_weights_disk(patch, level, keep, region.center, r, near_later)
+            _clip_weights_disk(patch, level, samples, keep, region.center, r, near_later)
             for r in (region.r_outer, region.r_inner)
         )
         w = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
@@ -596,14 +668,14 @@ def _visible_in_patch(patch: CellPatch, level: int, later_patches, region, offse
     return pts[sel], w[sel], cid[sel] + offset
 
 
-def _clip_weights_disk(patch: CellPatch, level: int, keep, center, radius, skip):
-    """(keep, w) for the patch's samples against a disk.
+def _clip_weights_disk(patch: CellPatch, level: int, samples, keep, center, radius, skip):
+    """(keep, w) for the patch's samples (pts, w, cell_id, rad) against a disk.
 
     keep drops the kept samples whose subcells miss the disk; w gives the
     straddlers their exact clipped area. Samples flagged in skip are kept
     and left to the caller.
     """
-    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)
+    pts, w, cid, rad_sub = samples
     c = np.asarray(center)
     d = np.linalg.norm(pts - c, axis=1)
     keep = keep & ((d <= radius + rad_sub) | skip)
@@ -644,11 +716,13 @@ def _disks_meet(d1: Disk, d2: Disk) -> bool:
 def _patch_samples_with_ids(patch: CellPatch, level: int):
     """Subcell samples of a patch, built for all triangles in one broadcast.
 
-    Returns (pts, w, cell_id, rad): subcell centroids, areas, owning cell
-    ids, and the largest centroid-to-corner distance. Each triangle's
-    subcells come in turn, followed, for an arc cell, by one sample at the
-    arc midpoint carrying the bulge area (its corners collapse onto that
-    point). Corners are not kept; _subcell_corners rebuilds them.
+    Returns (pts, w, cell_id, rad, reach): subcell centroids, areas, owning
+    cell ids, the largest centroid-to-corner distance, and per triangle the
+    radius about its barycentre of a circle holding all its subcells (the
+    largest |pt - barycentre| + rad). Each triangle's subcells come in turn,
+    followed, for an arc cell, by one sample at the arc midpoint carrying the
+    bulge area (its corners collapse onto that point). Corners are not kept;
+    _subcell_corners rebuilds them.
     """
     if patch._sample_cache is not None and patch._sample_cache[0] == level:
         return patch._sample_cache[1]
@@ -672,12 +746,12 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     pts = np.concatenate([cents, arc_mid[:, None, :]], axis=1)[slot]
     cell_id = np.repeat(np.arange(nt)[:, None], m + 1, axis=1)[slot]
     corners = _subcell_corners(patch, level, pts, cell_id, np.arange(len(pts)))
-    out = (
-        pts,
-        np.concatenate([areas, patch._arc_extra[:, None]], axis=1)[slot],
-        cell_id,
-        np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0),
+    rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0)
+    reach = np.maximum.reduceat(
+        np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,
+        np.searchsorted(cell_id, np.arange(nt)),
     )
+    out = (pts, np.concatenate([areas, patch._arc_extra[:, None]], axis=1)[slot], cell_id, rad, reach)
     patch._sample_cache = (level, out)
     return out
 

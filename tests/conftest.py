@@ -69,3 +69,79 @@ def cutting_regions(global_map):
         Disk((c[0] + r, c[1]), 0.8 * r),
         Annulus((0.0, 0.0), 0.2, float(np.linalg.norm(c))),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the full-scan visible-sample build: the oracle of the per-patch region
+# classification in DiscreteSbvMap._build_samples
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def full_scan():
+    return full_scan_parts
+
+
+def full_scan_parts(u, region, level):
+    """Per patch, the (pts, w, cell) the full scan keeps: every patch that a
+    disk region meets (any patch for other regions) scanned subcell by
+    subcell, with the region kept as it is. cell is flat in the stack."""
+    from sbvx.sbv2d import _disks_meet
+
+    offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
+    empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
+    return [
+        _full_scan_patch(patch, level, u.patches[i + 1 :], region, offsets[i])
+        if not isinstance(region, Disk) or _disks_meet(patch.circle, region)
+        else empty
+        for i, patch in enumerate(u.patches)
+    ]
+
+
+def _full_scan_patch(patch, level, later_patches, region, offset):
+    from sbvx.quadrature import Annulus
+    from sbvx.sbv2d import _disks_meet, _patch_samples_with_ids, _refined_weights, _subcell_corners
+
+    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)[:4]
+    laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
+    keep = np.ones(len(pts), dtype=bool)
+    near_later = np.zeros(len(pts), dtype=bool)
+    for lc in laters:
+        dl = np.linalg.norm(pts - np.asarray(lc.center), axis=1)
+        near_later |= np.abs(dl - lc.radius) <= rad_sub
+        keep &= dl > lc.radius
+    keep |= near_later
+    if isinstance(region, Disk):
+        keep, w = _full_scan_clip(patch, level, keep, region.center, region.radius, near_later)
+    elif isinstance(region, Annulus):
+        (keep_out, w_out), (keep_inn, w_inn) = (
+            _full_scan_clip(patch, level, keep, region.center, r, near_later)
+            for r in (region.r_outer, region.r_inner)
+        )
+        w = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
+        keep = keep_out & ((w > 0) | near_later)
+    elif region is not None:
+        keep &= near_later | region.contains(pts)
+    refine = near_later & keep
+    if np.any(refine):
+        w = w.copy()
+        w[refine] = _refined_weights(
+            _subcell_corners(patch, level, pts, cid, np.flatnonzero(refine)), region, laters
+        )
+    sel = keep & (w > 0)
+    return pts[sel], w[sel], cid[sel] + offset
+
+
+def _full_scan_clip(patch, level, keep, center, radius, skip):
+    from sbvx import _geom
+    from sbvx.sbv2d import _patch_samples_with_ids, _subcell_corners
+
+    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)[:4]
+    c = np.asarray(center)
+    d = np.linalg.norm(pts - c, axis=1)
+    keep = keep & ((d <= radius + rad_sub) | skip)
+    straddle = np.flatnonzero(keep & (d > radius - rad_sub) & ~skip)
+    w = w.copy()
+    corners = _subcell_corners(patch, level, pts, cid, straddle)
+    w[straddle] = _geom.polygons_disk_area(corners, c, radius)
+    return keep, w

@@ -302,6 +302,14 @@ def test_density_probe_off_jump_below_floor(unit_disk, constant_field):
     assert rep["violations"]
 
 
+def test_density_probe_keeps_the_delta_margin(unit_disk, constant_field):
+    u = sphere_two_constant(unit_disk, np.array([[0.85, -2.0], [0.85, 2.0]]))
+    probe = DensityProbeConfig(delta=0.1, theta_delta=0.5, rho_prime=0.08, kappa_prime=1.0)
+    rep = density_probe(u, constant_field, probe, np.array([[0.85, 0.0]]))
+    # B_0.08(x) leaves B_0.9; the smaller balls stay inside it
+    assert [row["rho"] for row in rep["rows"]] == [0.08 / 2**k for k in range(1, 6)]
+
+
 def test_density_theta_hat_stability(unit_disk, constant_field):
     thetas = []
     rng = np.random.default_rng(5)

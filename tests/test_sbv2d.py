@@ -375,6 +375,184 @@ def test_bulk_samples_weights_sum_to_exact_area(unit_disk):
     assert np.sum(w) == pytest.approx(np.pi, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def sample_maps(global_map, affine_field):
+    """Synthesized maps, a global_approx and a local_phi output, and a fan
+    stack in which the third patch lies inside the second."""
+    from sbvx import local_phi
+
+    affine = synthesize("affine", {"G": [[1.0, 2.0], [0.0, 1.0]], "u0": [0.0, 0.0]}, seed=0)
+    _, phi, _ = local_phi(affine, affine_field, 0.5, seed=3, center=(0.1, 0.05), r=0.3)
+    stack = affine.with_patch(_inner_patch(affine, (0.2, 0.1), 0.4))
+    stack = stack.with_patch(_inner_patch(stack, (0.3, 0.2), 0.15, n_rings=3))
+    stack = stack.with_patch(_inner_patch(stack, (-0.35, -0.3), 0.3, n_rings=5))
+    return [
+        affine,
+        synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5),
+        synthesize("sphere-vortex-with-slit", {"budget": 0.05, "k": 3}, seed=2),
+        global_map,
+        phi,
+        stack,
+    ]
+
+
+_REGION_KINDS = (
+    "circle", "larger", "smaller", "corner", "tangent", "bound", "disk", "annulus",
+    "ring", "inner_bound", "domain",
+)
+
+
+def _probe_region(u, kind, level, rng):
+    """A region of the given kind for the map u: a patch circle itself or
+    dilated by a relative 1e-15 to 1e-3 either way, a tiny disk at a cell
+    corner, a disk tangent to a later circle from either side, a disk
+    tangent from outside to a triangle's bounding circle in the direction of
+    its farthest sample, random disks and annuli, an annulus with a patch
+    circle for a ring, one whose inner circle a triangle's bounding circle
+    touches from inside, and the domain."""
+    scale = u.domain.radius
+    c0 = np.asarray(u.domain.center)
+    i = int(rng.integers(len(u.patches)))
+    circle = u.patches[i].circle
+    eps = 10.0 ** rng.integers(-15, -2)
+    if kind == "circle":
+        return circle
+    if kind in ("larger", "smaller"):
+        return Disk(circle.center, circle.radius * (1 + eps if kind == "larger" else 1 - eps))
+    if kind == "corner":
+        patch = u.patches[i]
+        return Disk(tuple(patch.verts[rng.integers(len(patch.verts))]), scale * 10.0 ** rng.uniform(-12, -2))
+    if kind == "tangent":
+        later = u.patches[-1].circle
+        r = later.radius * rng.uniform(0.05, 0.95)
+        off = later.radius + (r if rng.random() < 0.5 else -r)
+        t = rng.uniform(0, 2 * np.pi)
+        return Disk(tuple(np.asarray(later.center) + off * np.array([np.cos(t), np.sin(t)])), r)
+    if kind == "bound":
+        patch = u.patches[i]
+        return _touching_bound(patch, level, int(rng.integers(len(patch.tris))), scale * rng.uniform(0.01, 0.5))
+    if kind == "inner_bound":
+        patch = u.patches[i]
+        t = int(rng.integers(len(patch.tris)))
+        r = scale * rng.uniform(0.01, 0.5)
+        outside = _touching_bound(patch, level, t, r)
+        # the same touching point, with the disk on the triangle's side
+        center = 2 * patch.barycenters[t] - np.asarray(outside.center)
+        r_in = float(np.linalg.norm(np.asarray(outside.center) - center)) - r
+        return Annulus(tuple(center), r_in, r_in + scale * rng.uniform(0.01, 0.5))
+    if kind == "disk":
+        return Disk(tuple(c0 + scale * rng.uniform(-0.9, 0.9, 2)), scale * rng.uniform(0.005, 0.8))
+    if kind == "annulus":
+        r_in = scale * rng.uniform(0.0, 0.6)
+        return Annulus(tuple(c0 + scale * rng.uniform(-0.5, 0.5, 2)), r_in, r_in + scale * rng.uniform(0.01, 0.6))
+    if kind == "ring":
+        if rng.random() < 0.5:
+            return Annulus(circle.center, circle.radius * rng.uniform(0.0, 0.9), circle.radius)
+        return Annulus(circle.center, circle.radius, circle.radius * rng.uniform(1.01, 3.0))
+    return u.domain
+
+
+def _touching_bound(patch, level, t, r):
+    """The disk of radius r touching triangle t's bounding circle (see
+    _patch_samples_with_ids) from outside, where the sample that sets it
+    points from the barycentre."""
+    from sbvx.sbv2d import _patch_samples_with_ids
+
+    pts, _, cid, rad, reach = _patch_samples_with_ids(patch, level)
+    own = np.flatnonzero(cid == t)
+    far = own[np.argmax(np.linalg.norm(pts[own] - patch.barycenters[t], axis=1) + rad[own])]
+    direction = (pts[far] - patch.barycenters[t]) / np.linalg.norm(pts[far] - patch.barycenters[t])
+    return Disk(tuple(patch.barycenters[t] + (reach[t] + r) * direction), r)
+
+
+def _patch_inside(circle, region):
+    """Whether the patch circle lies in the Disk or Annulus region."""
+    if isinstance(region, Disk):
+        r_in, r_out = -np.inf, region.radius
+    else:
+        r_in, r_out = region.r_inner, region.r_outer
+    d = float(np.linalg.norm(np.asarray(circle.center) - np.asarray(region.center)))
+    return d + circle.radius <= r_out and d - circle.radius >= r_in
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from(_REGION_KINDS),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_classified_samples_equal_full_scan(
+    sample_maps, full_scan, which, log_factor, kind, level, seed
+):
+    """Per patch, the classified build keeps exactly the samples the full
+    scan keeps. A patch inside the region is sampled without the clip: its
+    Σw and Σw·g^q agree with the full scan's to 1e-12, the round-off of the
+    full scan's exact clip of the straddlers (up to 1.9e-13 relative at a
+    dilation by 1e-3), and with no later circle over it its Σw is its cell
+    areas' sum to 1e-14."""
+    rng = np.random.default_rng(seed)
+    u = dilate_map(sample_maps[which], 10.0**log_factor, new_center=(0.3, -0.2))
+    region = _probe_region(u, kind, level, rng)
+    pts, w, cell, g = u._build_samples(region, level)
+    gmag = np.concatenate([q.gmag for q in u.patches])
+    offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
+    for i, (rp, rw, rc) in enumerate(full_scan(u, region, level)):
+        sel = (cell >= offsets[i]) & (cell < offsets[i + 1])
+        if _patch_inside(u.patches[i].circle, region):
+            for q in (0.0, 1.0, 1.6):
+                got, ref = np.sum(w[sel] * g[sel] ** q), np.sum(rw * gmag[rc] ** q)
+                assert abs(got - ref) <= 1e-12 * ref
+            circle = u.patches[i].circle
+            if all(
+                np.linalg.norm(np.subtract(q.circle.center, circle.center)) > q.circle.radius + circle.radius
+                for q in u.patches[i + 1 :]
+            ):
+                area = u.patches[i].cell_areas.sum()
+                assert abs(np.sum(w[sel]) - area) <= 1e-14 * area
+        else:
+            for a, b in ((pts[sel], rp), (w[sel], rw), (cell[sel], rc), (g[sel], gmag[rc])):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("which, factor", [(0, 1.0), (1, 1e-3), (2, 1e3)])
+def test_disks_touching_bounding_circles_keep_the_full_scan(sample_maps, full_scan, which, factor):
+    """A disk touching a triangle's bounding circle keeps exactly the full
+    scan's samples, on every triangle of a one-patch map: the cull margin
+    covers the round-off of the touching. (At the touching point the full
+    scan keeps, now and then, a subcell whose exact clip rounds to about
+    1e-19 of the scale squared; a cull without margin drops it.)"""
+    u = dilate_map(sample_maps[which], factor, new_center=(0.3, -0.2))
+    rng = np.random.default_rng(which)
+    for t in range(len(u.base.tris)):
+        region = _touching_bound(u.base, 2, t, factor * rng.uniform(0.01, 0.5))
+        pts, w, cell, _ = u._build_samples(region, 2)
+        (rp, rw, rc), = full_scan(u, region, 2)
+        assert np.array_equal(pts, rp) and np.array_equal(w, rw) and np.array_equal(cell, rc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2 * np.pi),
+    st.sampled_from([0.0, 1e-12, 1e-6, 0.5]),
+)
+def test_disk_holding_every_patch_samples_as_none(sample_maps, which, log_factor, shift, angle, slack):
+    """A disk containing every patch circle gives the decomposition of the
+    whole map, bitwise: the domain disk and disks around it alike."""
+    scale = 10.0**log_factor
+    u = dilate_map(sample_maps[which], scale, new_center=(0.3, -0.2))
+    c = np.asarray(u.domain.center) + shift * scale * np.array([np.cos(angle), np.sin(angle)])
+    r = max(np.linalg.norm(np.asarray(q.circle.center) - c) + q.circle.radius for q in u.patches)
+    for disk in (u.domain, Disk(tuple(c), r * (1 + slack))):
+        got = u.bulk_samples(disk, 2)
+        whole = u.bulk_samples(None, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+
 # ---------------------------------------------------------------------------
 # point location against the 12-neighbour rule
 # ---------------------------------------------------------------------------
