@@ -502,7 +502,7 @@ def _edge_integrals(grid: DyadicGrid, verts, u: DiscreteSbvMap, delta_v, n_line:
     """Line integrals of |grad u| along edges and capsule averages.
 
     grad u is taken in one call for all line points and one for all capsule
-    samples; each point is located on its own, as with one call per edge.
+    samples.
     """
     a, b = verts[grid.edges[:, 0]], verts[grid.edges[:, 1]]
     t = (np.arange(n_line) + 0.5) / n_line

@@ -173,7 +173,6 @@ class CellPatch:
         v0, v1, v2 = (self.verts[self.tris[:, i]] for i in range(3))
         self.barycenters = (v0 + v1 + v2) / 3.0
         self.tri_areas = _geom.triangle_areas(v0, v1, v2)
-        self._tree = cKDTree(self.barycenters)
         self._sample_cache = None  # (level, samples and bounds) of _patch_samples_with_ids
         self._arc_extra = np.zeros(nt)
         arc_edges = self._arc_edges()
@@ -204,65 +203,114 @@ class CellPatch:
         d = np.linalg.norm(self.verts[self.tris] - c, axis=2)
         return np.argsort(np.abs(d - self.circle.radius), axis=1)[:, :2]
 
-    def locate(self, pts: np.ndarray, k_query: int = 12) -> np.ndarray:
+    def locate(self, pts: np.ndarray) -> np.ndarray:
         """Containing cell index per point (nearest-cell fallback).
 
-        The rule: the k_query cells with the nearest barycentres are tested
-        nearest first, and the first that contains the point (barycentric
-        coordinates within 1e-9 of the triangle) wins; a point none of them
-        contains (in an arc bulge, or marginally outside) takes the nearest.
-        Cells at exactly equal barycentre distance are tested in the order
-        the kd-tree lists them, so on a shared edge or vertex that order
-        decides.
+        The rule: of the cells that contain the point (barycentric
+        coordinates within 1e-9 of the triangle, see _contains), the one
+        with the nearest barycentre; a point no cell contains (in an arc
+        bulge, or outside the patch) takes the cell with the nearest
+        barycentre. Cells at exactly equal barycentre distance are taken in
+        the order the k-d tree lists them, so on a shared edge or vertex
+        that order decides.
 
-        A first pass asks for the 3 nearest cells and tests the first two.
-        When it finds the cell at a barycentre distance that no other cell
-        shares, the cells the rule tests before it are exactly the nearer
-        ones, none of which contains the point, so that cell is the rule's
-        answer. Every other point, an exact tie included, goes through the
-        full rule.
+        Every cell that contains a point is a candidate of the point's
+        bucket (see _buckets), so a point exactly one candidate contains
+        lies in that cell alone. The others, on a shared edge or vertex or
+        in no cell, go through the k-d tree (see _nearest_containing).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        nq = min(k_query, len(self.tris))
-        if nq <= 3:
-            return self._first_containing(pts, nq)
-        dist, cand = self._tree.query(pts, k=3)
-        inside = self._contains(np.repeat(pts, 2, axis=0), cand[:, :2].ravel()).reshape(-1, 2)
-        alone = dist[:, :2] != dist[:, 1:]
-        alone[:, 1] &= alone[:, 0]
-        rows = np.arange(len(pts))
-        first = np.argmax(inside, axis=1)
-        found = inside[rows, first] & alone[rows, first]
-        out = np.where(found, cand[rows, first], -1)
-        rest = np.flatnonzero(~found)
+        lo, size, n, start, ids = self._buckets
+        ij = np.clip((pts - lo) / size, 0, n - 1).astype(int)
+        b = ij[:, 1] * n + ij[:, 0]
+        cnt = start[b + 1] - start[b]
+        # pair i tests point row[i] against cand[i]; a point's cells are ids[start[b]:start[b + 1]]
+        row = np.repeat(np.arange(len(pts)), cnt)
+        cand = ids[np.arange(len(row)) + np.repeat(start[b] - np.cumsum(cnt) + cnt, cnt)]
+        inside = self._contains(np.take(pts.T, row, axis=1), cand)
+        held = row[inside]
+        out = np.empty(len(pts), dtype=int)
+        out[held] = cand[inside]
+        hits = np.bincount(held, minlength=len(pts))
+        rest = np.flatnonzero(hits != 1)
         if len(rest):
-            out[rest] = self._first_containing(pts[rest], nq)
+            out[rest] = self._nearest_containing(pts[rest], hits[rest] > 0)
         return out
 
-    def _first_containing(self, pts: np.ndarray, nq: int) -> np.ndarray:
-        """locate's rule over the nq nearest cells."""
-        _, cand = self._tree.query(pts, k=nq)
-        cand = cand.reshape(len(pts), nq)
-        inside = self._contains(np.repeat(pts, nq, axis=0), cand.ravel()).reshape(cand.shape)
-        # argmax is the first containing cell, or 0, the nearest, if none does
-        return cand[np.arange(len(pts)), np.argmax(inside, axis=1)]
+    def _nearest_containing(self, pts: np.ndarray, contained: np.ndarray) -> np.ndarray:
+        """locate's rule through the k-d tree: the first of the cells in
+        order of barycentre distance that contains each point, the nearest
+        if none does. The 12 nearest are tested first; a point flagged in
+        contained, which some cell holds, that none of them holds is tested
+        against every cell."""
+        nt = len(self.tris)
+        out = np.empty(len(pts), dtype=int)
+        todo = np.arange(len(pts))
+        for k in (min(12, nt), nt):
+            _, cand = self._tree.query(pts[todo], k=k)
+            cand = cand.reshape(len(todo), k)
+            xy = np.repeat(pts[todo], k, axis=0).T
+            inside = self._contains(xy, cand.ravel()).reshape(cand.shape)
+            # argmax is the first containing cell, or 0, the nearest, if none does
+            out[todo] = cand[np.arange(len(todo)), np.argmax(inside, axis=1)]
+            todo = todo[contained[todo] & ~inside.any(axis=1)]
+            if not len(todo):
+                break
+        return out
 
     @cached_property
-    def _frames(self):
-        """Per cell: first corner, the two edge vectors from it, determinant."""
+    def _tree(self):
+        """k-d tree of the barycentres, built for the first point that
+        locate's buckets leave open."""
+        return cKDTree(self.barycenters)
+
+    @cached_property
+    def _buckets(self):
+        """Bucket index of the cells: (lo, size, n, start, ids).
+
+        A uniform n x n grid of buckets, n about 2 sqrt(nt), of the given
+        size from corner lo over the cells' padded bounding boxes. Bucket
+        b = iy * n + ix lists in ids[start[b]:start[b + 1]] every cell whose
+        box meets it. Each box is padded by 1e-8 of its width plus height
+        and by the round-off of its corners, which holds every point
+        _contains admits; the index is thus the same at every scale.
+        """
+        nt = len(self.tris)
+        v = self.verts[self.tris]
+        vmin = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
+        vmax = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
+        pad = 1e-8 * (vmax - vmin).sum(axis=1) + 1e-15 * np.maximum(-vmin, vmax).max(axis=1)
+        vmin -= pad[:, None]
+        vmax += pad[:, None]
+        n = int(np.ceil(2 * np.sqrt(nt)))
+        lo = vmin.min(axis=0)
+        size = (vmax.max(axis=0) - lo) / n
+        i0, i1 = (np.clip((x - lo) / size, 0, n - 1).astype(int).T for x in (vmin, vmax))
+        sx, sy = i1 - i0 + 1
+        cnt = sx * sy  # buckets per cell
+        j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        sx = np.repeat(sx, cnt)
+        b = np.repeat(i0[1] * n + i0[0], cnt) + j // sx * n + j % sx
+        start = np.concatenate([[0], np.cumsum(np.bincount(b, minlength=n * n))])
+        return lo, size, n, start, np.repeat(np.arange(nt), cnt)[np.argsort(b)]
+
+    @cached_property
+    def _frames(self) -> np.ndarray:
+        """(7, nt): per cell the first corner's x and y, the x and y of the
+        two edge vectors from it, and the determinant."""
         v = self.verts[self.tris]
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        return v[:, 0], d1, d2, np.where(np.abs(det) < 1e-300, 1e-300, det)
+        return np.stack([*v[:, 0].T, *d1.T, *d2.T, np.where(np.abs(det) < 1e-300, 1e-300, det)])
 
-    def _contains(self, pts: np.ndarray, cells: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Whether cell cells[i] contains pts[i]: barycentric coordinates
-        within tol of the triangle."""
-        v0, d1, d2, det = (a[cells] for a in self._frames)
-        w = pts - v0
-        l1 = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * w[:, 1] - d1[:, 1] * w[:, 0]) / det
+    def _contains(self, xy: np.ndarray, cells: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether cell cells[i] contains the point xy[:, i]: barycentric
+        coordinates within tol of the triangle."""
+        x0, y0, ax, ay, bx, by, det = np.take(self._frames, cells, axis=1)
+        wx, wy = xy[0] - x0, xy[1] - y0
+        l1 = (wx * by - wy * bx) / det
+        l2 = (ax * wy - ay * wx) / det
         return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
 
     def eval(self, pts: np.ndarray, cells: np.ndarray | None = None):
@@ -721,8 +769,8 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     radius about its barycentre of a circle holding all its subcells (the
     largest |pt - barycentre| + rad). Each triangle's subcells come in turn,
     followed, for an arc cell, by one sample at the arc midpoint carrying the
-    bulge area (its corners collapse onto that point). Corners are not kept;
-    _subcell_corners rebuilds them.
+    bulge area (its corners collapse onto that point, so its rad is 0).
+    Corners are not kept; _subcell_corners rebuilds them.
     """
     if patch._sample_cache is not None and patch._sample_cache[0] == level:
         return patch._sample_cache[1]
@@ -745,8 +793,16 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     slot[:, m] = patch.arc_cells & (patch._arc_extra > 0)
     pts = np.concatenate([cents, arc_mid[:, None, :]], axis=1)[slot]
     cell_id = np.repeat(np.arange(nt)[:, None], m + 1, axis=1)[slot]
-    corners = _subcell_corners(patch, level, pts, cell_id, np.arange(len(pts)))
-    rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0)
+    # rad: the corners of all subcells over (nt, m), x and y apart, corner by
+    # corner by _subcell_corners' expression; sqrt is monotone, so the root of
+    # the largest squared distance is bitwise the largest norm
+    n = 1 << level
+    v0, e1, e2 = (a.T[:, :, None] for a in (v[:, 0], v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]))
+    rad2 = 0.0
+    for ij in subdivision_lattice(level)[1].transpose(1, 2, 0):
+        d = v0 + ij[0] * e1 / n + ij[1] * e2 / n - cents.transpose(2, 0, 1)
+        rad2 = np.maximum(rad2, d[0] ** 2 + d[1] ** 2)
+    rad = np.concatenate([np.sqrt(rad2), np.zeros((nt, 1))], axis=1)[slot]
     reach = np.maximum.reduceat(
         np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,
         np.searchsorted(cell_id, np.arange(nt)),
@@ -782,9 +838,11 @@ def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndar
 def value_gap(u: DiscreteSbvMap, w: DiscreteSbvMap, pts) -> np.ndarray:
     """|u(x) - w(x)| at each point.
 
-    When w's patch stack starts with u's patches, a point that no later patch
-    of w holds is evaluated on the same patch by both maps, so its gap is
-    0.0; only the other points are evaluated, on both maps.
+    Each map evaluates a point on the cell of its topmost patch that
+    contains it (see CellPatch.locate). When w's patch stack starts with u's
+    patches, a point that no later patch of w holds is evaluated on the same
+    patch by both maps, so its gap is 0.0; only the other points are
+    evaluated, on both maps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = len(u.patches)

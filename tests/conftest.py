@@ -145,3 +145,28 @@ def _full_scan_clip(patch, level, keep, center, radius, skip):
     corners = _subcell_corners(patch, level, pts, cid, straddle)
     w[straddle] = _geom.polygons_disk_area(corners, c, radius)
     return keep, w
+
+
+# ---------------------------------------------------------------------------
+# the per-sample corner rebuild: the oracle of the subcell bounds (rad, reach)
+# that _patch_samples_with_ids computes in one broadcast
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def rad_by_rebuild():
+    return rad_and_reach_by_rebuild
+
+
+def rad_and_reach_by_rebuild(patch, level, pts, cell_id):
+    """(rad, reach) of the patch samples (pts, cell_id), each sample's
+    corners rebuilt on their own by _subcell_corners."""
+    from sbvx.sbv2d import _subcell_corners
+
+    corners = _subcell_corners(patch, level, pts, cell_id, np.arange(len(pts)))
+    rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0)
+    reach = np.maximum.reduceat(
+        np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,
+        np.searchsorted(cell_id, np.arange(len(patch.tris))),
+    )
+    return rad, reach

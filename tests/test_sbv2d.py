@@ -10,6 +10,7 @@ from sbvx.sbv2d import (
     CellPatch,
     DiscreteSbvMap,
     JumpSet,
+    _patch_samples_with_ids,
     bv_poincare_check,
     delaunay_disk_mesh,
     dilate_map,
@@ -396,6 +397,17 @@ def sample_maps(global_map, affine_field):
     ]
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_subcell_bounds_equal_the_per_sample_corner_rebuild(sample_maps, rad_by_rebuild, level):
+    """rad and reach of every patch, graded top patches included, bitwise."""
+    for u in sample_maps:
+        for patch in u.patches:
+            pts, _, cell_id, rad, reach = _patch_samples_with_ids(patch, level)
+            want_rad, want_reach = rad_by_rebuild(patch, level, pts, cell_id)
+            assert np.array_equal(rad, want_rad)
+            assert np.array_equal(reach, want_reach)
+
+
 _REGION_KINDS = (
     "circle", "larger", "smaller", "corner", "tangent", "bound", "disk", "annulus",
     "ring", "inner_bound", "domain",
@@ -590,13 +602,30 @@ def _locate_scalar(patch, pts, k_query=12):
     return out
 
 
+def _points_in_any_tri(pts, patch):
+    """Whether some cell of the patch contains each point, cell by cell."""
+    v = patch.verts[patch.tris]
+    held = np.zeros(len(pts), dtype=bool)
+    for tri in v:
+        held |= _points_in_tris(pts, np.broadcast_to(tri, (len(pts), 3, 2)))
+    return held
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["fan", "delaunay", "adapted"]),
     st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-10, max_value=10),
 )
-def test_locate_equals_twelve_neighbour_rule(seed, mesh, n_rings):
+def test_locate_keeps_the_twelve_neighbour_rule_where_it_finds_a_containing_cell(
+    seed, mesh, n_rings, log2_factor
+):
+    """Where the 12-neighbour rule returns a cell that contains the point,
+    locate returns that cell; elsewhere locate's cell contains the point
+    whenever any cell does (on adapted meshes the 12 nearest barycentres can
+    all miss the coarse cell holding it). A dilation by 2**k moves no
+    located cell."""
     rng = np.random.default_rng(seed)
     disk = Disk(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(0.05, 3.0)))
     if mesh == "fan":
@@ -621,7 +650,33 @@ def test_locate_equals_twelve_neighbour_rule(seed, mesh, n_rings):
         patch.barycenters,
         c + disk.radius * rng.uniform(-1.1, 1.1, (300, 2)),  # arc bulges and outside too
     ])
-    assert np.array_equal(patch.locate(pts), _locate_scalar(patch, pts))
+    got = patch.locate(pts)
+    old = _locate_scalar(patch, pts)
+    v = patch.verts[patch.tris]
+    old_holds = _points_in_tris(pts, v[old])
+    assert np.array_equal(got[old_holds], old[old_holds])
+    rest = ~old_holds
+    assert np.array_equal(_points_in_tris(pts[rest], v[got[rest]]), _points_in_any_tri(pts[rest], patch))
+    f = 2.0**log2_factor
+    scaled = CellPatch(f * verts, tris, patch.values, patch.grads, Disk(tuple(f * c), f * disk.radius), arc)
+    assert np.array_equal(scaled.locate(f * pts), got)
+
+
+def test_disk_rule_points_are_located_in_containing_cells_of_a_graded_patch():
+    """_measure's disk rule on a build_grid(R, 5) patch: every point lands in
+    a cell that contains it. The 12 nearest barycentres miss the coarse cell
+    of about 5% of the points."""
+    from sbvx.dyadic_grid import build_grid
+    from sbvx.quadrature import disk_rule
+
+    for center, R, rotation in (((0.0, 0.0), 0.3, 0.0), ((0.1, 0.05), 0.5, 1.0), ((-0.2, 0.3), 0.05, 2.5)):
+        g = build_grid(R, 5, center=center, rotation=rotation)
+        nt = len(g.tris)
+        patch = CellPatch(g.verts, g.tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), Disk(center, R),
+                          g.on_boundary[g.tris].sum(axis=1) == 2)
+        pts, _ = disk_rule(Disk(center, R), n_r=10, n_t=20, order=4)
+        assert len(pts) == 3200
+        assert np.all(_points_in_tris(pts, patch.verts[patch.tris][patch.locate(pts)]))
 
 
 def _square_fan_patch(n=4):
