@@ -25,6 +25,7 @@ __all__ = ["DyadicGrid", "AdaptedTriangulation", "build_grid", "select_good_radi
 H_MAX_LIMIT = 14
 LEBESGUE_CLEARANCE = 1e-3  # times delta_h, distance kept from jump segments
 ANNULUS_MULTIPLIER = 10.0  # a good radius keeps each dyadic annulus below this * eta * delta_h
+SHADOW_MARGIN = 1e-9  # times L^2, the slack of each quantity in the shadow test (see _shadowed)
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,16 @@ class DyadicGrid:
     c1_hat: float
     c2_hat: float
     alpha: float
-    min_angle: float
-    max_angle: float
+
+    @cached_property
+    def min_angle(self) -> float:
+        """Smallest interior angle of the base triangles, measured on first use."""
+        return float(_triangle_angles(self.verts[self.tris]).min())
+
+    @cached_property
+    def max_angle(self) -> float:
+        """Largest interior angle of the base triangles, measured on first use."""
+        return float(_triangle_angles(self.verts[self.tris]).max())
 
     @property
     def delta(self) -> np.ndarray:
@@ -225,18 +234,6 @@ def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -
     c1_hat = float(ratios.min())
     c2_hat = float(ratios.max())
     alpha = c1_hat / (8.0 * c2_hat)
-
-    v = verts[tris]
-    angs = []
-    for i in range(3):
-        e1 = v[:, (i + 1) % 3] - v[:, i]
-        e2 = v[:, (i + 2) % 3] - v[:, i]
-        cosang = np.einsum("ij,ij->i", e1, e2) / (
-            np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        )
-        angs.append(np.arccos(np.clip(cosang, -1, 1)))
-    angs = np.stack(angs)
-
     return DyadicGrid(
         R=float(R),
         center=center,
@@ -250,9 +247,20 @@ def build_grid(R: float, h_max: int, center=(0.0, 0.0), rotation: float = 0.0) -
         c1_hat=c1_hat,
         c2_hat=c2_hat,
         alpha=alpha,
-        min_angle=float(angs.min()),
-        max_angle=float(angs.max()),
     )
+
+
+def _triangle_angles(v: np.ndarray) -> np.ndarray:
+    """(3, nt) interior angles of the triangles v (nt, 3, 2)."""
+    angs = []
+    for i in range(3):
+        e1 = v[:, (i + 1) % 3] - v[:, i]
+        e2 = v[:, (i + 2) % 3] - v[:, i]
+        cosang = np.einsum("ij,ij->i", e1, e2) / (
+            np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+        )
+        angs.append(np.arccos(np.clip(cosang, -1, 1)))
+    return np.stack(angs)
 
 
 def select_good_radius(
@@ -279,21 +287,20 @@ def select_good_radius(
         raise JumpBudgetError(
             f"H1(J ∩ B_2r) = {budget:.6g} exceeds the smallness bound {eta * 2 * r:.6g}"
         )
+    if len(J):
+        din = np.linalg.norm(J.a - center, axis=1)
+        dout = np.linalg.norm(J.b - center, axis=1)
+        close = _geom.point_segment_distance(center[None, :], J.a, J.b)[0]
     rng = np.random.default_rng(seed)
     worst_h = None
     for _ in range(trials):
         R = float(rng.uniform(r, 2 * r))
-        if len(J):
-            din = np.linalg.norm(J.a - center, axis=1)
-            dout = np.linalg.norm(J.b - center, axis=1)
-            # a segment crosses the circle iff its endpoint radii straddle R
-            # or its closest approach dips under R while an endpoint is outside
-            close = _geom.point_segment_distance(center[None, :], J.a, J.b)[0]
-            crosses = ((din - R) * (dout - R) < 0) | (
-                (close < R) & ((din > R) | (dout > R))
-            )
-            if np.any(crosses):
-                continue
+        # a segment crosses the circle iff its endpoint radii straddle R or
+        # its closest approach dips under R while an endpoint is outside
+        if len(J) and np.any(
+            ((din - R) * (dout - R) < 0) | ((close < R) & ((din > R) | (dout > R)))
+        ):
+            continue
         delta = np.ldexp(R, -np.arange(h_max + 1))  # exactly R * 2^-h
         seen = _geom.segment_disk_length(J.a, J.b, center, np.append(R, R - delta)).sum(axis=-1)
         bad = seen[0] - seen[1:] >= ANNULUS_MULTIPLIER * eta * delta
@@ -351,6 +358,49 @@ def _admissible(cands: np.ndarray, nbr_pts: np.ndarray, J: JumpSet, clearance: f
     return ok
 
 
+def _shadowed(v, rad: float, nbr_pts: np.ndarray, J: JumpSet, span: float) -> bool:
+    """Whether the closed disk B(v, rad) lies in the shadow of one point n of
+    nbr_pts (k, 2) behind one jump segment [a, b], so that
+    _geom.segments_intersect finds the edge from any point c of the disk to
+    n crossing [a, b]: _admissible rejects every candidate in the disk.
+
+    The shadow is the wedge at n through a and b, beyond line(a, b). For
+    the edge c -> n, segments_intersect forms t = t_num / denom and
+    u = u_num / denom, and t_num, denom - t_num, u_num and denom - u_num are
+    (up to one common sign) |b - a| dist(c, ab), |b - a| dist(n, ab),
+    |a - n| dist(c, na) and |b - n| dist(c, nb). The disk is in the shadow
+    when each stays positive over it. It must stay above SHADOW_MARGIN * L^2,
+    where L bounds every coordinate involved (span bounds those of the
+    candidates), so that neither this test's rounding nor that of
+    segments_intersect or of drawing a candidate can move t or u out of
+    [0, 1]. And denom, |b - a| (dist(c, ab) + dist(n, ab)), must clear
+    segments_intersect's absolute tolerance EPS: below it, segments_intersect
+    takes c -> n for parallel to [a, b] and decides by its collinear-overlap
+    branch, which this test does not model.
+    """
+    if not len(nbr_pts):  # the centre commits first, with no neighbour to cast a shadow
+        return False
+
+    def cross(p, q):
+        return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+
+    a, b = J.a, J.b  # (m, 2), against nbr_pts as (k, 1, 2)
+    n = nbr_pts[:, None]
+    s, an, bn = b - a, a - n, b - n
+    o = cross(s, n - a)
+    side, near = np.sign(o), np.abs(o)  # side: +-1 by the side of ab that n is on
+    far = -side * cross(s, v - a) - rad * np.hypot(s[:, 0], s[:, 1])
+    left = side * cross(an, v - n) - rad * np.hypot(an[..., 0], an[..., 1])
+    right = -side * cross(bn, v - n) - rad * np.hypot(bn[..., 0], bn[..., 1])
+    L = np.maximum(
+        np.maximum(span, np.hypot(n[..., 0], n[..., 1])),
+        np.maximum(np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])),
+    ) + rad
+    margin = SHADOW_MARGIN * L * L
+    slack = np.minimum(np.minimum(near, far), np.minimum(left, right))
+    return bool(np.any((slack >= margin) & (near + far >= margin + 2 * _geom.EPS)))
+
+
 def _raise_unplaced(grid: DyadicGrid, vi: int, samples_per_vertex: int):
     raise AdaptationError(
         f"vertex {vi} (ring {grid.ring_of[vi]}) could not be placed in "
@@ -391,23 +441,28 @@ def adapt_to_jump(
     for its vertices and one crossing call for its edges to vertices
     committed before them, each edge oriented from the later-committed end
     to the earlier one. The walk then goes to the first vertex of the ring
-    that fails. Its other samples_per_vertex - 1 candidates are drawn in
-    one call: uniform in the alpha * delta_h disk, or, on the boundary ring,
-    an angular jitter that keeps the vertex on the circle so the grid keeps
-    covering B_R. One broadcast rejects every candidate closer than the
-    clearance to the jump or joined to a committed neighbour by an edge that
-    meets it, and the first survivor is placed. The generator is rewound and
-    redraws only the trials up to that survivor. Only the edges from later
-    vertices of the ring into the moved vertex are tested again before the
-    walk goes on. The placements, the failing vertex and the random stream
-    (hence the kappa sample) are exactly those of testing the vertices, and
-    their candidates, one at a time.
+    that fails. If its whole alpha * delta_h disk lies in the shadow of one
+    committed neighbour behind one jump segment (_shadowed), every
+    candidate would be rejected, and the vertex fails at once. Otherwise
+    its other samples_per_vertex - 1 candidates are drawn in one call:
+    uniform in the disk, or, on the boundary ring, an angular jitter that
+    keeps the vertex on the circle (an arc inside the disk) so the grid
+    keeps covering B_R. One broadcast rejects every candidate closer than
+    the clearance to the jump or joined to a committed neighbour by an edge
+    that meets it, and the first survivor is placed. The generator is
+    rewound and redraws only the trials up to that survivor. Only the edges
+    from later vertices of the ring into the moved vertex are tested again
+    before the walk goes on. The placements, the failing vertex and the
+    random stream (hence the kappa sample) are exactly those of testing the
+    vertices, and their candidates, one at a time; the generator is local,
+    so a vertex that fails early leaves nothing behind that differs.
     """
     J = u.jump
     rng = np.random.default_rng(seed)
     verts = grid.verts.copy()
     delta_v = grid.vertex_delta()
     alpha = grid.alpha
+    span = float(np.hypot(*grid.center)) + grid.R  # bounds every candidate's coordinates
     rings = _commit_rings(grid.h_max)
     if samples_per_vertex < 1:
         _raise_unplaced(grid, rings[0][0][0], samples_per_vertex)
@@ -429,6 +484,8 @@ def adapt_to_jump(
             vi = ring[i]
             rad = alpha * delta_v[vi]
             nbr_pts = verts[earlier[pos == i]]
+            if _shadowed(verts[vi], rad, nbr_pts, J, span):
+                _raise_unplaced(grid, vi, samples_per_vertex)
             state = rng.bit_generator.state
             cands = _draw_candidates(grid, vi, rad, rng, samples_per_vertex - 1)
             good = np.flatnonzero(_admissible(cands, nbr_pts, J, clearance[i]))

@@ -412,6 +412,12 @@ def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples,
         half = rng.uniform(0.05, 0.8) * rad[vi] * across
         a.append((mid - half)[None])
         b.append((mid + half)[None])
+    # a short polyline through the centre, as in a covering ball: a ring-1
+    # vertex behind it, seen from the centre, often fails before any draw
+    for _ in range(int(rng.random() < 0.3)):
+        pts = _polyline_through_centre(g, rng)
+        a.append(pts[:-1])
+        b.append(pts[1:])
     # a random walk, long enough to defeat the sampler now and then
     for _ in range(int(rng.random() < 0.3)):
         k = int(rng.integers(2, 9))
@@ -425,6 +431,46 @@ def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples,
     a /= np.maximum(1.0, np.linalg.norm(a, axis=1) / 0.95)[:, None]
     b /= np.maximum(1.0, np.linalg.norm(b, axis=1) / 0.95)[:, None]
     _assert_adapt_matches_scalar(g, _flat_map_with_jump(a, b), samples, seed)
+
+
+def _polyline_through_centre(g, rng):
+    """Vertices of a polyline of 2-4 segments that crosses the grid's disk
+    close to its centre, with small kinks."""
+    k = int(rng.integers(2, 5))
+    along = _unit(rng.normal(size=2))
+    t = np.sort(np.concatenate([[-1.0, 1.0] * rng.uniform(0.3, 1.2, 2), rng.uniform(-1, 1, k - 1)]))
+    off = rng.normal(scale=0.05, size=k + 1)
+    return g.center + g.R * (t[:, None] * along + off[:, None] * np.array([-along[1], along[0]]))
+
+
+@pytest.mark.parametrize("samples", [40, 200])
+def test_shadowed_vertex_fails_early_as_the_scalar_loop_fails(samples):
+    g = build_grid(0.5, 4, rotation=0.3)
+    along = np.array([np.cos(1.1), np.sin(1.1)])
+    t = np.array([-0.45, -0.1, 0.12, 0.5])
+    off = np.array([0.02, -0.01, 0.015, -0.02])
+    pts = g.center + g.R * (t[:, None] * along + off[:, None] * np.array([-along[1], along[0]]))
+    u = _flat_map_with_jump(pts[:-1], pts[1:])
+    with pytest.raises(AdaptationError) as expected:
+        _adapt_scalar(g, u, samples, seed=5)
+    real, shadowed = dyadic_grid._shadowed, []
+
+    def spy(*args):
+        shadowed.append(real(*args))
+        return shadowed[-1]
+
+    with mock.patch.object(dyadic_grid, "_shadowed", spy), mock.patch.object(
+        dyadic_grid, "_draw_candidates", wraps=dyadic_grid._draw_candidates
+    ) as draws:
+        with pytest.raises(AdaptationError) as exc:
+            adapt_to_jump(g, u, samples_per_vertex=samples, seed=5, compute_stats=False)
+    assert exc.value.vertex == expected.value.vertex == 1
+    assert str(exc.value) == (
+        f"vertex 1 (ring 1) could not be placed in {samples} samples; jump budget too large here"
+    )
+    # vertex 1 is the first that the walk stops at, and fails without a draw
+    assert shadowed == [True]
+    assert draws.call_count == 0
 
 
 def _assert_adapt_matches_scalar(g, u, samples, seed):
@@ -485,6 +531,97 @@ def test_batched_adaptation_matches_scalar_loop_past_ring_two(jump_seed, seed, h
             a.append(p - half)
             b.append(p + half)
     _assert_adapt_matches_scalar(g, _flat_map_with_jump(np.array(a), np.array(b)), samples, seed)
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _shadow_case(rng):
+    """A jump segment [a, b], a neighbour n off its line, and a point v in
+    the shadow of n behind [a, b], with the distances from v to the lines
+    ab, na and nb and their segments' lengths."""
+    a = rng.uniform(-1, 1, 2)
+    b = a + rng.uniform(0.2, 2.0) * _unit(rng.normal(size=2))
+    s = b - a
+    n = a + rng.uniform(-0.5, 1.5) * s + rng.uniform(0.05, 1.0) * np.linalg.norm(s) * _unit(
+        np.array([-s[1], s[0]])
+    )
+    v = n + rng.uniform(1.1, 4.0) * (a + rng.uniform(0.1, 0.9) * s - n)
+    lines = [(a, b), (n, a), (n, b)]
+    dist = np.array([abs(_cross(q - p, v - p)) / np.linalg.norm(q - p) for p, q in lines])
+    length = np.array([np.linalg.norm(q - p) for p, q in lines])
+    return a, b, n, v, dist, length
+
+
+def _jump(a, b):
+    return JumpSet.from_segments(a, b, np.ones((len(a), 1)), np.zeros((len(a), 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from(["inside", "within_margin", "poking_out"]),
+)
+def test_shadow_rule_fires_only_where_every_candidate_is_rejected(seed, log_dilation, kind):
+    rng = np.random.default_rng(seed)
+    a, b, n, v, dist, length = _shadow_case(rng)
+    # a boundary-ring arc through v: the circle about o of radius R
+    R = 10 ** rng.uniform(0.3, 2.0) * dist.min()
+    o = v - R * _unit(rng.normal(size=2))
+    span = np.linalg.norm(o) + R
+    i = int(np.argmin(dist))
+    L = max(span, np.linalg.norm(n), np.linalg.norm(a), np.linalg.norm(b)) + dist[i]
+    margin = dyadic_grid.SHADOW_MARGIN * L**2 / length[i]  # as a distance from line i
+    A, B, N = a[None], b[None], n[None]
+    if kind == "inside":
+        rad = rng.uniform(0.05, 0.9) * dist[i]
+        # further neighbours and segments only add ways to reject
+        N = np.concatenate([N, rng.uniform(-2, 2, (int(rng.integers(0, 3)), 2))])
+        extra = rng.uniform(-2, 2, (int(rng.integers(0, 3)), 2))
+        A = np.concatenate([A, extra])
+        B = np.concatenate([B, extra + rng.uniform(0.1, 0.5) * _unit(rng.normal(size=2))])
+    elif kind == "within_margin":  # in the shadow, but closer to its edge than the margin
+        rad = dist[i] - 0.5 * margin
+    else:  # a sliver of the disk, just over the margin wide, is out of the shadow
+        rad = dist[i] + rng.uniform(1.01, 2.0) * margin
+    lam = 10.0**log_dilation
+    v, o, N, A, B = lam * v, lam * o, lam * N, lam * A, lam * B
+    rad, R, span = lam * rad, lam * R, lam * span
+    J = _jump(A, B)
+
+    fired = dyadic_grid._shadowed(v, rad, N, J, span)
+    assert fired == (kind == "inside")
+    if fired:
+        th = 2 * np.pi * np.arange(64) / 64
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+        interior = rad * np.sqrt(rng.random(64))[:, None] * ring[rng.permutation(64)]
+        dt = np.linspace(-rad, rad, 33) / R
+        rel = v - o
+        arc = o + np.stack(
+            [np.cos(dt) * rel[0] - np.sin(dt) * rel[1], np.sin(dt) * rel[0] + np.cos(dt) * rel[1]], axis=1
+        )
+        pts = np.concatenate([v[None], v + rad * ring, v + interior, arc])
+        assert not dyadic_grid._admissible(pts, N, J, 0.0).any()
+    elif kind == "poking_out":
+        # the point of the disk furthest out of the shadow is admissible
+        p, q = [(A[0], B[0]), (N[0], A[0]), (N[0], B[0])][i]
+        side = np.sign(_cross(q - p, v - p))
+        out = v - rad * side * np.array([-(q - p)[1], (q - p)[0]]) / np.linalg.norm(q - p)
+        assert dyadic_grid._admissible(out[None], N, J, 0.0).all()
+
+
+def test_shadow_rule_declines_where_segments_intersect_calls_the_edge_parallel():
+    # at 2^-22 of the unit case the edge's cross product with the segment
+    # falls under segments_intersect's absolute tolerance, and its
+    # collinear-overlap branch decides: the rule leaves that to the draws
+    a, b, n, v = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -2.0]])
+    for lam, fires in ((1.0, True), (2.0**-22, False)):
+        J = _jump(lam * a[None], lam * b[None])
+        assert bool(abs(_cross(lam * (n - v), lam * (b - a))) > _geom.EPS) is fires
+        assert dyadic_grid._shadowed(lam * v, lam * 0.5, lam * n[None], J, lam * 2.0) is fires
+        assert not dyadic_grid._admissible(lam * v[None], lam * n[None], J, 0.0).any()
 
 
 def _build_grid_reference(R, h_max, center=(0.0, 0.0), rotation=0.0):
