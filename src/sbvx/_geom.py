@@ -21,8 +21,8 @@ def segment_disk_interval(a, b, center, radius):
     closed disk.
 
     Solves |a + t(b-a) - c|^2 = r^2 and clamps the roots to [0, 1]; a segment
-    that misses the disk, touches it at one point, or is degenerate
-    (|b - a|^2 <= EPS) gets lo = hi = 0. One centre (2,) and one radius give
+    that misses the disk, touches it at one point, or is degenerate (b = a)
+    gets lo = hi = 0. One centre (2,) and one radius give
     shape (n,). Stacks of disks broadcast: centres (..., 2) with radii (...)
     give (..., n), each row equal to the call for its disk alone.
     """
@@ -41,7 +41,7 @@ def segment_disk_interval(a, b, center, radius):
     B = 2.0 * np.einsum("...ij,ij->...i", f, d)
     C = np.einsum("...ij,...ij->...i", f, f) - r2
     disc = B * B - 4.0 * A * C
-    ok = (disc > 0) & (A > EPS)
+    ok = (disc > 0) & (A > 0)
     sq = np.sqrt(np.where(ok, disc, 0.0))
     den = 2.0 * np.where(ok, A, 1.0)
     lo = np.where(ok, np.clip((-B - sq) / den, 0.0, 1.0), 0.0)
@@ -65,7 +65,7 @@ def split_segments_at_circle(a, b, center, radius):
     two per segment), in input order, with the index of the segment each
     piece comes from. A segment that the circle does not cut is outside
     whole, endpoints unchanged. Pieces no longer than EPS are dropped, and
-    degenerate segments (|b - a|^2 <= EPS) give none.
+    degenerate segments (b = a) give none.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -78,7 +78,7 @@ def split_segments_at_circle(a, b, center, radius):
     q = a + hi[:, None] * d
     inner = cut & ((hi - lo) * L > EPS)
     # slot 0: the whole segment or the piece before the disk; slot 1: the piece after it
-    keep = np.stack([(A > EPS) & (~cut | (lo * L > EPS)), cut & ((1.0 - hi) * L > EPS)], axis=1)
+    keep = np.stack([(A > 0) & (~cut | (lo * L > EPS)), cut & ((1.0 - hi) * L > EPS)], axis=1)
     starts = np.stack([a, q], axis=1)[keep]
     ends = np.stack([np.where(cut[:, None], p, b), b], axis=1)[keep]
     return (p[inner], q[inner], np.flatnonzero(inner)), (starts, ends, np.nonzero(keep)[0])
@@ -97,14 +97,14 @@ def point_segment_distance(x, a, b) -> np.ndarray:
     return np.linalg.norm(x[:, None, :] - proj, axis=-1)
 
 
-def segments_intersect(p0, p1, q0, q1, tol: float = EPS) -> np.ndarray:
+def segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     """Whether segment p0->p1 intersects each segment q0[i]->q1[i].
 
     Touching configurations (endpoint on the other segment) count as
     intersections; collinear overlap counts too. p0 and p1 are points (2,)
     giving a result of shape (n,), or broadcast to stacks (m, 2) giving one
     row per segment, (m, n); every row is computed exactly as the single
-    segment would be.
+    segment would be. Orientation and parameter tests allow EPS of slack.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -119,15 +119,15 @@ def segments_intersect(p0, p1, q0, q1, tol: float = EPS) -> np.ndarray:
     t_num = qp[..., 0] * s[:, 1] - qp[..., 1] * s[:, 0]
     u_num = qp[..., 0] * r[:, None, 1] - qp[..., 1] * r[:, None, 0]
     out = np.zeros(denom.shape, dtype=bool)
-    nonpar = np.abs(denom) > tol
+    nonpar = np.abs(denom) > EPS
     if np.any(nonpar):
         t = t_num[nonpar] / denom[nonpar]
         u = u_num[nonpar] / denom[nonpar]
-        out[nonpar] = (t >= -tol) & (t <= 1 + tol) & (u >= -tol) & (u <= 1 + tol)
+        out[nonpar] = (t >= -EPS) & (t <= 1 + EPS) & (u >= -EPS) & (u <= 1 + EPS)
     par = ~nonpar
     if np.any(par):
         # parallel: intersect iff collinear and 1D intervals overlap
-        coll = par & (np.abs(t_num) <= tol * (1 + np.abs(qp).max(axis=(1, 2)))[:, None])
+        coll = par & (np.abs(t_num) <= EPS * (1 + np.abs(qp).max(axis=(1, 2)))[:, None])
         for i in np.flatnonzero(coll.any(axis=1)):
             ci = coll[i]
             rr = max(float(r[i] @ r[i]), EPS)
@@ -135,7 +135,7 @@ def segments_intersect(p0, p1, q0, q1, tol: float = EPS) -> np.ndarray:
             t1v = t0 + (s[ci] @ r[i]) / rr
             lo = np.minimum(t0, t1v)
             hi = np.maximum(t0, t1v)
-            out[i, ci] = (hi >= -tol) & (lo <= 1 + tol)
+            out[i, ci] = (hi >= -EPS) & (lo <= 1 + EPS)
     return out[0] if single else out
 
 

@@ -109,8 +109,7 @@ def _map_from_scenario(sc: dict, seed: int) -> DiscreteSbvMap:
     kind = _require(spec, "kind", "scenario.map", str)
     params = dict(spec.get("params", {}))
     if "domain" in params:
-        d = params["domain"]
-        params["domain"] = Disk(tuple(d["center"]), d["radius"])
+        params["domain"] = Disk.from_json(params["domain"])
     if "G" in params:
         params["G"] = np.asarray(params["G"], dtype=float)
     for key in ("u0", "c_in", "c_out", "loop_center"):
@@ -166,6 +165,7 @@ def _pipe_norms(sc, seed, tol):
     }
 
     def figures(figdir):
+        # figure policy: the field is drawn on a disk, a rect domain's on the unit disk
         draw_field(p, dom if isinstance(dom, Disk) else Disk((0, 0), 1.0),
                    path=os.path.join(figdir, "exponent_field.svg"))
 

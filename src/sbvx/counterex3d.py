@@ -20,6 +20,8 @@ from .errors import ConstructionError, ToolkitError
 
 __all__ = ["ConeComplex", "build_complex", "annulus_measure", "verify_violation"]
 
+SOLID_TOL = 1e-12  # slack of contains_solid on the cosine of a point's angle to a cone axis
+
 
 @dataclass(frozen=True)
 class ConeComplex:
@@ -61,13 +63,13 @@ class ConeComplex:
         """Analytic lateral area between radii R - delta and R."""
         return float(np.sum(np.pi * np.sin(self.half_angles)) * (R**2 - (R - delta) ** 2))
 
-    def contains_solid(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains_solid(self, pts: np.ndarray) -> np.ndarray:
         """Membership of points in the union of solid cones (any radius)."""
         pts = np.atleast_2d(pts)
         n = np.linalg.norm(pts, axis=1, keepdims=True)
         n = np.maximum(n, 1e-300)
         dots = (pts / n) @ self.axes.T
-        return np.any(dots >= np.cos(self.half_angles)[None, :] - tol, axis=1)
+        return np.any(dots >= np.cos(self.half_angles)[None, :] - SOLID_TOL, axis=1)
 
     def scaled(self, factor: float) -> "ConeComplex":
         return ConeComplex(

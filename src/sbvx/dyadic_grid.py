@@ -505,9 +505,7 @@ def adapt_to_jump(
     stats = {}
     if compute_stats:
         envelopes = grid.envelopes
-        pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * _dirs(
-            kappa_samples, rng
-        )
+        pts = Disk(tuple(grid.center), grid.R).sample(kappa_samples, rng)
         stats = dict(
             kappa_hat=int(_geom.convex_polygon_counts(pts, envelopes).max()),
             lambda_stats=_lambda_ratios(grid, envelopes),
@@ -516,11 +514,6 @@ def adapt_to_jump(
     return AdaptedTriangulation(
         base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed, **stats
     )
-
-
-def _dirs(n, rng):
-    t = 2 * np.pi * rng.random(n)
-    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
 def _lambda_ratios(grid: DyadicGrid, envelopes) -> dict:

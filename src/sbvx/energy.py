@@ -83,12 +83,11 @@ def deviation(
     class-restricted value.
     """
     rng = np.random.default_rng(seed)
-    c_dom = np.asarray(u.domain.center)
     probe = []
     for _ in range(100 * n_check):
         if len(probe) >= n_check:
             break
-        x = c_dom + u.domain.radius * np.sqrt(rng.random()) * _dir(rng)
+        x = u.domain.sample(1, rng)[0]
         if np.linalg.norm(x - np.asarray(ball.center)) > ball.radius + 1e-9:
             probe.append(x)
     if not probe:
@@ -109,11 +108,6 @@ def deviation(
     if not np.isfinite(best):
         return 0.0
     return max(0.0, fu - best)
-
-
-def _dir(rng):
-    a = 2 * np.pi * rng.random()
-    return np.array([np.cos(a), np.sin(a)])
 
 
 def upper_bound_competitor(

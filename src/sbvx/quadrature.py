@@ -1,5 +1,13 @@
 """Integration regions and fixed composite quadrature rules.
 
+Disk, Annulus and Rect each answer, by method, every geometric question the
+toolkit asks, so that no caller branches on a region's type: contains, rule,
+sample, to_json (read back by region_from_json), covers (up to COVER_TOL, from
+the other region's bbox and farthest_from a point), boundary_distance,
+segment_lengths (inside the closed region) and rings, the (centre, r_inner,
+r_outer) of its circles (r_inner = -inf for a disk) or None. A question a
+region cannot answer raises ToolkitError.
+
 Closed-form integrands over disks/annuli/rectangles are integrated with
 composite Gauss-Legendre panels (polar panels for disks, so radial kinks at
 the centre and angular jumps aligned with panel boundaries are harmless).
@@ -13,11 +21,27 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _geom
+from .errors import ToolkitError
+
 TWO_PI = 2.0 * np.pi
+COVER_TOL = 1e-9  # how far a covered region may reach past the covering one
+
+
+class _Round:
+    """farthest_from and bbox of a region bounded by circles, from its rings."""
+
+    def farthest_from(self, x) -> float:
+        c, _, r_out = self.rings
+        return np.linalg.norm(c - x) + r_out
+
+    def bbox(self) -> tuple:
+        (cx, cy), _, r_out = self.rings
+        return cx - r_out, cx + r_out, cy - r_out, cy + r_out
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Round):
     center: tuple[float, float]
     radius: float
 
@@ -29,13 +53,42 @@ class Disk:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
+    @property
+    def rings(self):
+        return np.asarray(self.center, dtype=float), -np.inf, self.radius
+
     def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.linalg.norm(pts - np.asarray(self.center), axis=-1) <= self.radius + tol
 
+    def rule(self, resolution: int = 24, order: int = 8):
+        return _polar_rule(self.center, 0.0, self.radius, resolution, 2 * resolution, order)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        r = self.radius * np.sqrt(rng.random(n))
+        t = 2 * np.pi * rng.random(n)
+        return np.asarray(self.center) + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+    def to_json(self) -> dict:
+        return {"type": "disk", "center": list(self.center), "radius": self.radius}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Disk":
+        """The disk of obj's "center" and "radius"; other keys are ignored."""
+        return cls(tuple(obj["center"]), obj["radius"])
+
+    def covers(self, other: "Region") -> bool:
+        return bool(other.farthest_from(np.asarray(self.center)) <= self.radius + COVER_TOL)
+
+    def boundary_distance(self, x) -> float:
+        return self.radius - np.linalg.norm(x - np.asarray(self.center))
+
+    def segment_lengths(self, a, b) -> np.ndarray:
+        return _geom.segment_disk_length(a, b, self.center, self.radius)
+
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Round):
     center: tuple[float, float]
     r_inner: float
     r_outer: float
@@ -48,10 +101,30 @@ class Annulus:
     def diameter(self) -> float:
         return 2.0 * self.r_outer
 
+    @property
+    def rings(self):
+        return np.asarray(self.center, dtype=float), self.r_inner, self.r_outer
+
     def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(pts)
         d = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
         return (d >= self.r_inner - tol) & (d <= self.r_outer + tol)
+
+    def rule(self, resolution: int = 24, order: int = 8):
+        return _polar_rule(self.center, self.r_inner, self.r_outer, resolution, 2 * resolution, order)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise ToolkitError(f"cannot sample region {self!r}")
+
+    def to_json(self) -> dict:
+        raise ToolkitError(f"cannot serialise region {self!r}")
+
+    def covers(self, other: "Region") -> bool:
+        return False  # an annulus cannot be sampled, so no exponent field lives on one
+
+    def segment_lengths(self, a, b) -> np.ndarray:
+        outer = _geom.segment_disk_length(a, b, self.center, self.r_outer)
+        return outer - _geom.segment_disk_length(a, b, self.center, self.r_inner)
 
 
 @dataclass(frozen=True)
@@ -60,6 +133,8 @@ class Rect:
     x1: float
     y0: float
     y1: float
+
+    rings = None
 
     @property
     def area(self) -> float:
@@ -78,8 +153,48 @@ class Rect:
             & (pts[:, 1] <= self.y1 + tol)
         )
 
+    def rule(self, resolution: int = 24, order: int = 8):
+        x, wx = _panel_nodes(self.x0, self.x1, resolution, order)
+        y, wy = _panel_nodes(self.y0, self.y1, resolution, order)
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        return np.stack([X.ravel(), Y.ravel()], axis=1), (wx[:, None] * wy[None, :]).ravel()
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        x = rng.uniform(self.x0, self.x1, n)
+        y = rng.uniform(self.y0, self.y1, n)
+        return np.stack([x, y], axis=1)
+
+    def to_json(self) -> dict:
+        return {"type": "rect", "x0": self.x0, "x1": self.x1, "y0": self.y0, "y1": self.y1}
+
+    def farthest_from(self, x) -> float:
+        corners = np.array([[cx, cy] for cx in (self.x0, self.x1) for cy in (self.y0, self.y1)])
+        return np.max(np.linalg.norm(corners - x, axis=1))
+
+    def bbox(self) -> tuple:
+        return self.x0, self.x1, self.y0, self.y1
+
+    def covers(self, other: "Region") -> bool:
+        x0, x1, y0, y1 = other.bbox()
+        return bool(x0 >= self.x0 - COVER_TOL and x1 <= self.x1 + COVER_TOL
+                    and y0 >= self.y0 - COVER_TOL and y1 <= self.y1 + COVER_TOL)
+
+    def boundary_distance(self, x) -> float:
+        return min(x[0] - self.x0, self.x1 - x[0], x[1] - self.y0, self.y1 - x[1])
+
+    def segment_lengths(self, a, b) -> np.ndarray:
+        raise ToolkitError(f"unsupported region {self!r} for jump measurement")
+
 
 Region = Disk | Annulus | Rect
+
+
+def region_from_json(obj: dict) -> Region:
+    if obj["type"] == "rect":
+        return Rect(obj["x0"], obj["x1"], obj["y0"], obj["y1"])
+    if obj["type"] != "disk":
+        raise ToolkitError(f"unknown region type {obj['type']!r}")
+    return Disk.from_json(obj)
 
 
 @lru_cache(maxsize=None)
@@ -115,36 +230,6 @@ def _polar_rule(center, r_inner: float, r_outer: float, n_r: int, n_t: int, orde
     np.add(center[0], r[:, None] * np.cos(t), out=pts[..., 0])
     np.add(center[1], r[:, None] * np.sin(t), out=pts[..., 1])
     return pts.reshape(-1, 2), W.ravel()
-
-
-def disk_rule(disk: Disk, n_r: int = 24, n_t: int = 48, order: int = 8):
-    """Polar composite GL rule on a disk: points (N,2), weights (N,)."""
-    return _polar_rule(disk.center, 0.0, disk.radius, n_r, n_t, order)
-
-
-def annulus_rule(ann: Annulus, n_r: int = 16, n_t: int = 48, order: int = 8):
-    """Polar composite GL rule on an annulus: points (N,2), weights (N,)."""
-    return _polar_rule(ann.center, ann.r_inner, ann.r_outer, n_r, n_t, order)
-
-
-def rect_rule(rect: Rect, n_x: int = 24, n_y: int = 24, order: int = 8):
-    x, wx = _panel_nodes(rect.x0, rect.x1, n_x, order)
-    y, wy = _panel_nodes(rect.y0, rect.y1, n_y, order)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    W = wx[:, None] * wy[None, :]
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return pts, W.ravel()
-
-
-def region_rule(region: Region, resolution: int = 24, order: int = 8):
-    """Fixed quadrature rule for a region; resolution scales panel counts."""
-    if isinstance(region, Disk):
-        return disk_rule(region, n_r=resolution, n_t=2 * resolution, order=order)
-    if isinstance(region, Annulus):
-        return annulus_rule(region, n_r=resolution, n_t=2 * resolution, order=order)
-    if isinstance(region, Rect):
-        return rect_rule(region, n_x=resolution, n_y=resolution, order=order)
-    raise TypeError(f"unsupported region type {type(region)!r}")
 
 
 @lru_cache(maxsize=None)

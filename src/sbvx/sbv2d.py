@@ -17,7 +17,7 @@ from scipy.spatial import Delaunay, cKDTree
 
 from . import _geom
 from .errors import ConstructionError, DegenerateInputError, ToolkitError
-from .quadrature import Annulus, Disk, Rect, subdivision_lattice, tri_subcentroids
+from .quadrature import Disk, subdivision_lattice, tri_subcentroids
 from .vexp import luxembourg_from_samples
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "transform_map",
     "value_gap",
 ]
+
+CELL_TOL = 1e-9  # how far outside a triangle, in barycentric coordinates, its cell still holds a point
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +115,7 @@ class JumpSet:
         """Exact H^1 measure of the jump inside a Disk or Annulus region."""
         if len(self) == 0:
             return 0.0
-        return float(np.sum(self._lengths_in(region)))
-
-    def _lengths_in(self, region) -> np.ndarray:
-        """Per-segment H^1 measure inside a Disk or Annulus region."""
-        if isinstance(region, Disk):
-            return _geom.segment_disk_length(self.a, self.b, region.center, region.radius)
-        if isinstance(region, Annulus):
-            return _geom.segment_disk_length(
-                self.a, self.b, region.center, region.r_outer
-            ) - _geom.segment_disk_length(self.a, self.b, region.center, region.r_inner)
-        raise ToolkitError(f"unsupported region {region!r} for jump measurement")
+        return float(np.sum(region.segment_lengths(self.a, self.b)))
 
     def clip_outside_disk(self, disk: Disk) -> "JumpSet":
         """Keep only the parts of the jump outside the given disk."""
@@ -207,7 +199,7 @@ class CellPatch:
         """Containing cell index per point (nearest-cell fallback).
 
         The rule: of the cells that contain the point (barycentric
-        coordinates within 1e-9 of the triangle, see _contains), the one
+        coordinates within CELL_TOL of the triangle, see _contains), the one
         with the nearest barycentre; a point no cell contains (in an arc
         bulge, or outside the patch) takes the cell with the nearest
         barycentre. Cells at exactly equal barycentre distance are taken in
@@ -304,14 +296,14 @@ class CellPatch:
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         return np.stack([*v[:, 0].T, *d1.T, *d2.T, np.where(np.abs(det) < 1e-300, 1e-300, det)])
 
-    def _contains(self, xy: np.ndarray, cells: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def _contains(self, xy: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Whether cell cells[i] contains the point xy[:, i]: barycentric
-        coordinates within tol of the triangle."""
+        coordinates within CELL_TOL of the triangle."""
         x0, y0, ax, ay, bx, by, det = np.take(self._frames, cells, axis=1)
         wx, wy = xy[0] - x0, xy[1] - y0
         l1 = (wx * by - wy * bx) / det
         l2 = (ax * wy - ay * wx) / det
-        return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
+        return (l1 >= -CELL_TOL) & (l2 >= -CELL_TOL) & (l1 + l2 <= 1 + CELL_TOL)
 
     def eval(self, pts: np.ndarray, cells: np.ndarray | None = None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -428,11 +420,8 @@ class DiscreteSbvMap:
             norms = np.linalg.norm(self.patches[0].values, axis=1)
             if np.max(np.abs(norms - t)) > 1e-9:
                 raise ToolkitError("sphere-target map has off-sphere cell values")
-        if len(self.jump) > 0:
-            mid = 0.5 * (self.jump.a + self.jump.b)
-            dc = np.linalg.norm(mid - np.asarray(self.domain.center), axis=1)
-            if np.any(dc > self.domain.radius + 1e-9):
-                raise ToolkitError("jump segments must lie inside the closed domain")
+        if not np.all(self.domain.contains(0.5 * (self.jump.a + self.jump.b), 1e-9)):
+            raise ToolkitError("jump segments must lie inside the closed domain")
 
     @property
     def k(self) -> int:
@@ -517,17 +506,18 @@ class DiscreteSbvMap:
         _refined_weights). Arc bulges contribute an extra sample at the arc
         midpoint carrying the segment area.
 
-        Each patch is classified against a Disk or Annulus region first (see
+        Each patch is classified against the region's rings first (see
         _patch_relation): a patch that misses the region, or whose region a
         later circle covers, adds no sample; a patch inside the region is
         sampled as over the whole domain; a patch the region cuts scans only
         the triangles that can meet it (see _samples_meeting).
         """
         offsets = np.cumsum([0] + [len(p.tris) for p in self.patches])
+        rings = None if region is None else region.rings
         parts = []
         for i, patch in enumerate(self.patches):
             laters = [q.circle for q in self.patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
-            relation = _patch_relation(patch.circle, laters, region)
+            relation = _patch_relation(patch.circle, laters, rings)
             if relation in ("outside", "hidden"):
                 continue
             clip = None if relation == "inside" else region
@@ -588,7 +578,7 @@ class DiscreteSbvMap:
             CellPatch(
                 np.asarray(p["verts"]), np.asarray(p["tris"]), np.asarray(p["values"]),
                 np.asarray(p["grads"]),
-                Disk(tuple(p["circle"]["center"]), p["circle"]["radius"]),
+                Disk.from_json(p["circle"]),
                 np.asarray(p["arc_cells"], dtype=bool),
             )
             for p in obj["patches"]
@@ -604,7 +594,7 @@ class DiscreteSbvMap:
             else JumpSet.empty(k)
         )
         return DiscreteSbvMap(
-            Disk(tuple(obj["domain"]["center"]), obj["domain"]["radius"]),
+            Disk.from_json(obj["domain"]),
             patches,
             jump,
             obj.get("target", {"kind": "free"}),
@@ -618,37 +608,30 @@ def _region_key(region):
     return type(region), np.hstack(astuple(region)).astype(float).tobytes()
 
 
-def _rings(region):
-    """(centre, r_inner, r_outer) of a Disk or Annulus; a disk's r_inner is
-    -inf, so that no point or circle lies inside it."""
-    if isinstance(region, Disk):
-        return np.asarray(region.center, dtype=float), -np.inf, region.radius
-    return np.asarray(region.center, dtype=float), region.r_inner, region.r_outer
-
-
 def _margin(*disks: Disk) -> float:
     """Slack of the region tests: Disk.contains' 1e-12, plus 1e-12 of the
     coordinate scale, far above the round-off of any distance between them."""
     return 1e-12 * (1.0 + max(float(np.max(np.abs(d.center))) + d.radius for d in disks))
 
 
-def _patch_relation(circle: Disk, laters, region) -> str:
-    """How a Disk or Annulus region meets a patch circle under its later
-    circles; any other region is "cut".
+def _patch_relation(circle: Disk, laters, rings) -> str:
+    """How the region of rings (centre, r_inner, r_outer) meets a patch
+    circle under its later circles; a region without rings is "cut".
 
-    "outside": a disk region misses the circle (_disks_meet). "hidden": a
-    later circle holds the region, either with the region's own centre and a
-    radius no smaller, or with _margin to spare; then every point that the
-    region's clip or its Disk.contains admits is also in that circle, so no
-    sample of the patch survives. "inside": the circle lies in the region,
-    so the exact clip of every subcell is its own area. "cut": the rest.
+    "outside": a disk region (r_inner = -inf) misses the circle, as
+    _disks_meet decides. "hidden": a later circle holds the region, either
+    with the region's own centre and a radius no smaller, or with _margin to
+    spare; then every point that the region's clip or its Disk.contains
+    admits is also in that circle, so no sample of the patch survives.
+    "inside": the circle lies in the region, so the exact clip of every
+    subcell is its own area. "cut": the rest.
     """
-    if not isinstance(region, (Disk, Annulus)):
+    if rings is None:
         return "cut"
-    c, r_in, r_out = _rings(region)
-    if isinstance(region, Disk) and not _disks_meet(circle, region):
+    c, r_in, r_out = rings
+    outer = Disk(tuple(c), r_out)
+    if r_in == -np.inf and not _disks_meet(circle, outer):
         return "outside"
-    outer = Disk(region.center, r_out)
     for lc in laters:
         dist = float(np.linalg.norm(np.asarray(lc.center) - c))
         if lc.radius - r_out - dist >= (_margin(lc, outer) if dist > 0 else 0.0):
@@ -659,9 +642,10 @@ def _patch_relation(circle: Disk, laters, region) -> str:
     return "cut"
 
 
-def _samples_meeting(patch: CellPatch, level: int, region):
+def _samples_meeting(patch: CellPatch, level: int, rings):
     """The samples (pts, w, cell_id, rad) of the patch's triangles whose
-    bounding circle meets a Disk or Annulus region; all samples otherwise.
+    bounding circle meets the region of rings (centre, r_inner, r_outer);
+    all samples for a region without rings.
 
     A triangle is culled when its bounding circle misses the region by more
     than _margin. Every sample and subcentroid of it then lies farther than
@@ -670,10 +654,10 @@ def _samples_meeting(patch: CellPatch, level: int, region):
     and each kept triangle's block whole.
     """
     pts, w, cid, rad, reach = _patch_samples_with_ids(patch, level)
-    if not isinstance(region, (Disk, Annulus)):
+    if rings is None:
         return pts, w, cid, rad
-    c, r_in, r_out = _rings(region)
-    tol = _margin(patch.circle, Disk(region.center, r_out))
+    c, r_in, r_out = rings
+    tol = _margin(patch.circle, Disk(tuple(c), r_out))
     d = np.linalg.norm(patch.barycenters - c, axis=1)
     meets = (d <= reach + r_out + tol) & (d + reach >= r_in - tol)
     sel = np.flatnonzero(meets[cid])
@@ -684,7 +668,8 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
     """(pts, w, offset + cell_id) of the patch's samples visible in the
     region below the later circles laters, those of the later patches that
     meet its circle (see DiscreteSbvMap._build_samples)."""
-    samples = _samples_meeting(patch, level, region)
+    rings = None if region is None else region.rings
+    samples = _samples_meeting(patch, level, rings)
     pts, w, cid, rad_sub = samples
     keep = np.ones(len(pts), dtype=bool)
     near_later = np.zeros(len(pts), dtype=bool)
@@ -693,15 +678,8 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
         near_later |= np.abs(dl - lc.radius) <= rad_sub
         keep &= dl > lc.radius
     keep |= near_later
-    if isinstance(region, Disk):
-        keep, w = _clip_weights_disk(patch, level, samples, keep, region.center, region.radius, near_later)
-    elif isinstance(region, Annulus):
-        (keep_out, w_out), (keep_inn, w_inn) = (
-            _clip_weights_disk(patch, level, samples, keep, region.center, r, near_later)
-            for r in (region.r_outer, region.r_inner)
-        )
-        w = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
-        keep = keep_out & ((w > 0) | near_later)
+    if rings is not None:
+        keep, w = _clip_weights(patch, level, samples, keep, rings, near_later)
     elif region is not None:
         keep &= near_later | region.contains(pts)
     # subcells meeting a later-patch boundary: refined indicator,
@@ -716,22 +694,28 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
     return pts[sel], w[sel], cid[sel] + offset
 
 
-def _clip_weights_disk(patch: CellPatch, level: int, samples, keep, center, radius, skip):
-    """(keep, w) for the patch's samples (pts, w, cell_id, rad) against a disk.
-
-    keep drops the kept samples whose subcells miss the disk; w gives the
-    straddlers their exact clipped area. Samples flagged in skip are kept
-    and left to the caller.
+def _clip_weights(patch: CellPatch, level: int, samples, keep, rings, skip):
+    """(keep, w) for the patch's samples (pts, w, cell_id, rad) against the
+    region of rings (centre, r_inner, r_outer): the outer disk's clip minus
+    the inner one's. Each clip drops the kept samples whose subcells miss
+    its disk and gives the straddlers their exact clipped area. Samples
+    flagged in skip are kept and left to the caller.
     """
     pts, w, cid, rad_sub = samples
-    c = np.asarray(center)
+    c, r_in, r_out = rings
     d = np.linalg.norm(pts - c, axis=1)
-    keep = keep & ((d <= radius + rad_sub) | skip)
-    straddle = np.flatnonzero(keep & (d > radius - rad_sub) & ~skip)
-    w = w.copy()
-    corners = _subcell_corners(patch, level, pts, cid, straddle)
-    w[straddle] = _geom.polygons_disk_area(corners, c, radius)
-    return keep, w
+    clipped = []
+    for radius in (r_out, r_in):
+        keep_r = keep & ((d <= radius + rad_sub) | skip)
+        straddle = np.flatnonzero(keep_r & (d > radius - rad_sub) & ~skip)
+        w_r = np.where(keep_r, w, 0.0)
+        if len(straddle):  # never at a disk's inner circle (r_inner = -inf): skip the fixed cost
+            corners = _subcell_corners(patch, level, pts, cid, straddle)
+            w_r[straddle] = _geom.polygons_disk_area(corners, c, radius)
+        clipped.append((keep_r, w_r))
+    (keep_out, w_out), (_, w_in) = clipped
+    w = w_out - w_in
+    return keep_out & ((w > 0) | skip), w
 
 
 def _refined_weights(corners, region, laters, depth: int = 3) -> np.ndarray:
@@ -871,7 +855,7 @@ def total_variation_parts(u: DiscreteSbvMap, region, level: int = 2):
     jump = 0.0
     if len(u.jump) > 0:
         amp = np.linalg.norm(u.jump.trace_plus - u.jump.trace_minus, axis=1)
-        jump = float(np.sum(amp * u.jump._lengths_in(region)))
+        jump = float(np.sum(amp * region.segment_lengths(u.jump.a, u.jump.b)))
     return bulk, jump
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ToolkitError,
     WindowNotFoundError,
 )
-from .quadrature import Disk, disk_rule
+from .quadrature import Disk
 from .sbv2d import CellPatch, DiscreteSbvMap, total_variation_parts, value_gap
 
 __all__ = ["BallFamily", "ApproxReport", "local_phi", "cover_jump", "global_approx",
@@ -37,6 +37,7 @@ WINDOW_BLOCK = 16  # density-window centres measured per call: bounds its (block
 SPACING_CAP = 400  # cover_jump samples the jump at no finer than total length / SPACING_CAP
 MAX_ROUNDS = 6  # covering rounds global_approx runs before it gives up on the residual
 RESID_TOL_FACTOR = 1e-9  # residual jump in B_{s rho} below this * rho counts as empty
+NEW_JUMP_TOL_FACTOR = 1e-9  # a jump piece farther than this * rho from u's jump is new
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: in
     est["modular_in"] = u.modular_of_gradient(p, ball, quad_level)
     est["modular_out"] = w.modular_of_gradient(p, ball, quad_level)
     norm_in = est["grad_norm_in"] = u.gradient_luxembourg_norm(p, ball, quad_level)
-    pts, wq = disk_rule(ball, n_r=10, n_t=20, order=4)
+    pts, wq = ball.rule(10, order=4)
     gap = value_gap(u, w, pts)
     est["l1_distance"] = float(np.sum(wq * gap))
     est["linf_in"] = _sup_norm_visible(u)
@@ -280,13 +281,13 @@ def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: in
     return est, max(norm_in**p.p_minus, norm_in**p.p_plus), gap
 
 
-def _new_jump_length(w: DiscreteSbvMap, u: DiscreteSbvMap, tol_factor: float = 1e-9) -> float:
+def _new_jump_length(w: DiscreteSbvMap, u: DiscreteSbvMap) -> float:
     """Length of parts of w's jump not geometrically inside u's jump."""
     if len(w.jump) == 0:
         return 0.0
     if len(u.jump) == 0:
         return w.jump.total_length
-    tol = tol_factor * u.domain.radius
+    tol = NEW_JUMP_TOL_FACTOR * u.domain.radius
     mids = 0.5 * (w.jump.a + w.jump.b)
     probes = [0.25 * w.jump.a + 0.75 * w.jump.b, mids, 0.75 * w.jump.a + 0.25 * w.jump.b]
     far = np.zeros(len(w.jump), dtype=bool)

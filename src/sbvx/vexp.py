@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError, OrderingViolationError, ToolkitError
-from .quadrature import Disk, Rect, Region, region_rule
+from .quadrature import Annulus, Disk, Region, region_from_json
 
 __all__ = [
     "ExponentField",
@@ -64,22 +64,6 @@ def _eval_closed_form(form: str, params: dict, pts: np.ndarray) -> np.ndarray:
     raise ToolkitError(f"closed form {form!r} is not in the whitelist {CLOSED_FORMS}")
 
 
-def _region_to_json(region: Region) -> dict:
-    if isinstance(region, Disk):
-        return {"type": "disk", "center": list(region.center), "radius": region.radius}
-    if isinstance(region, Rect):
-        return {"type": "rect", "x0": region.x0, "x1": region.x1, "y0": region.y0, "y1": region.y1}
-    raise ToolkitError(f"cannot serialise region {region!r}")
-
-
-def _region_from_json(obj: dict) -> Region:
-    if obj["type"] == "disk":
-        return Disk(tuple(obj["center"]), obj["radius"])
-    if obj["type"] == "rect":
-        return Rect(obj["x0"], obj["x1"], obj["y0"], obj["y1"])
-    raise ToolkitError(f"unknown region type {obj['type']!r}")
-
-
 @dataclass(frozen=True)
 class ExponentField:
     """Variable exponent p(.) on a planar domain with certified bounds."""
@@ -106,8 +90,7 @@ class ExponentField:
             )
 
     def _validation_points(self, n: int = 4096) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        return sample_region(self.domain, n, rng)
+        return self.domain.sample(n, np.random.default_rng(0))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -129,35 +112,6 @@ class ExponentField:
         v10 = vals[iy + 1, ix]
         v11 = vals[iy + 1, ix + 1]
         return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
-
-    def covers(self, region: Region, tol: float = 1e-9) -> bool:
-        """Whether the field's domain contains the region."""
-        dom = self.domain
-        if isinstance(dom, Disk):
-            c = np.asarray(dom.center)
-            if isinstance(region, Disk):
-                return np.linalg.norm(np.asarray(region.center) - c) + region.radius <= dom.radius + tol
-            if isinstance(region, Rect):
-                corners = np.array(
-                    [[region.x0, region.y0], [region.x0, region.y1],
-                     [region.x1, region.y0], [region.x1, region.y1]]
-                )
-                return bool(np.all(np.linalg.norm(corners - c, axis=1) <= dom.radius + tol))
-            # annulus
-            return np.linalg.norm(np.asarray(region.center) - c) + region.r_outer <= dom.radius + tol
-        if isinstance(dom, Rect):
-            if isinstance(region, Rect):
-                return (
-                    region.x0 >= dom.x0 - tol and region.x1 <= dom.x1 + tol
-                    and region.y0 >= dom.y0 - tol and region.y1 <= dom.y1 + tol
-                )
-            c = np.asarray(region.center)
-            r = region.radius if isinstance(region, Disk) else region.r_outer
-            return (
-                c[0] - r >= dom.x0 - tol and c[0] + r <= dom.x1 + tol
-                and c[1] - r >= dom.y0 - tol and c[1] + r <= dom.y1 + tol
-            )
-        return False
 
     def rescaled(self, center, scale: float) -> "ExponentField":
         """Field y -> p(center + scale * y) on the unit-scaled domain."""
@@ -192,7 +146,7 @@ class ExponentField:
             params["x0"] = list(np.asarray(params["x0"], dtype=float))
         return {
             "kind": self.kind,
-            "domain": _region_to_json(self.domain),
+            "domain": self.domain.to_json(),
             "p_minus": self.p_minus,
             "p_plus": self.p_plus,
             "params": params,
@@ -202,7 +156,7 @@ class ExponentField:
     def from_json(obj: dict) -> "ExponentField":
         return ExponentField(
             kind=obj["kind"],
-            domain=_region_from_json(obj["domain"]),
+            domain=region_from_json(obj["domain"]),
             p_minus=obj["p_minus"],
             p_plus=obj["p_plus"],
             params=dict(obj["params"]),
@@ -211,19 +165,6 @@ class ExponentField:
     @staticmethod
     def constant(value: float, domain: Region) -> "ExponentField":
         return ExponentField("constant", domain, value, value, {"value": value})
-
-
-def sample_region(region: Region, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples in a region."""
-    if isinstance(region, Disk):
-        r = region.radius * np.sqrt(rng.random(n))
-        t = 2 * np.pi * rng.random(n)
-        return np.asarray(region.center) + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    if isinstance(region, Rect):
-        x = rng.uniform(region.x0, region.x1, n)
-        y = rng.uniform(region.y0, region.y1, n)
-        return np.stack([x, y], axis=1)
-    raise ToolkitError(f"cannot sample region {region!r}")
 
 
 @dataclass(frozen=True)
@@ -245,9 +186,9 @@ class LogHolderReport:
 
 def _sampled_rule(p: ExponentField, region: Region, resolution: int):
     """(points, p, weights) of the region's rule, once p is known to cover it."""
-    if not p.covers(region):
+    if not p.domain.covers(region):
         raise DomainMismatchError(f"region {region!r} escapes exponent domain {p.domain!r}")
-    pts, w = region_rule(region, resolution=resolution)
+    pts, w = region.rule(resolution)
     return pts, p(pts), w
 
 
@@ -364,19 +305,19 @@ def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):
     """Sample point pairs probing both generic and near-centre behaviour."""
     dom = p.domain
     n_uni = n // 2
-    x = sample_region(dom, n_uni, rng)
-    y = sample_region(dom, n_uni, rng)
+    x = dom.sample(n_uni, rng)
+    y = dom.sample(n_uni, rng)
     # near-pair cloud at log-spaced separations
     n_near = n - n_uni
-    base = sample_region(dom, n_near, rng)
+    base = dom.sample(n_near, rng)
     sep = np.exp(rng.uniform(np.log(1e-8), np.log(0.5), n_near))
     ang = 2 * np.pi * rng.random(n_near)
     mate = base + sep[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     inside = dom.contains(mate)
     xs = np.concatenate([x, base[inside]])
     ys = np.concatenate([y, mate[inside]])
-    if isinstance(dom, Disk):
-        # log-radial cluster towards the centre: probes radial-log singularities
+    if isinstance(dom, Disk):  # sampling policy: radial-log singularities sit at a disk's centre
+        # log-radial cluster towards the centre
         m = max(16, n // 8)
         r = np.exp(rng.uniform(np.log(1e-12), np.log(max(dom.radius / 2, 1e-10)), m))
         t = 2 * np.pi * rng.random(m)
@@ -424,15 +365,12 @@ def log_holder_diagnose(
     ell = 1.0
     dom = p.domain
     for _ in range(n_balls):
-        c = sample_region(dom, 1, rng)[0]
-        if isinstance(dom, Disk):
-            rmax = dom.radius - np.linalg.norm(c - np.asarray(dom.center))
-        else:
-            rmax = min(c[0] - dom.x0, dom.x1 - c[0], c[1] - dom.y0, dom.y1 - c[1])
+        c = dom.sample(1, rng)[0]
+        rmax = dom.boundary_distance(c)
         if rmax <= 1e-9:
             continue
         r = rmax * np.exp(rng.uniform(np.log(1e-4), 0.0))
-        pts = np.asarray(c) + r * np.sqrt(rng.random(64))[:, None] * _unit_dirs(64, rng)
+        pts = Disk(tuple(c), r).sample(64, rng)
         pv = p(pts)
         ell = max(ell, float((np.pi * r * r) ** (pv.min() - pv.max())))
 
@@ -440,13 +378,13 @@ def log_holder_diagnose(
     per_scale = max(512, sample_budget // (8 * len(scales)))
     profile = []
     for s in scales:
-        base = sample_region(dom, per_scale, rng)
+        base = dom.sample(per_scale, rng)
         mate = base + s * _unit_dirs(per_scale, rng)
         inside = dom.contains(mate)
         omega = 0.0
         if np.any(inside):
             omega = float(np.max(np.abs(p(base[inside]) - p(mate[inside]))))
-        if isinstance(dom, Disk):
+        if isinstance(dom, Disk):  # sampling policy: radial-log singularities sit at a disk's centre
             # radial pairs towards the centre at separation ~ s
             r0 = np.exp(rng.uniform(np.log(1e-12), np.log(min(s, dom.radius / 2)), 64))
             pts0 = np.asarray(dom.center) + r0[:, None] * _unit_dirs(64, rng)
@@ -488,7 +426,8 @@ def embedding_constant(
     with the extremes of the exponent difference estimated from samples.
     """
     rng = np.random.default_rng(seed)
-    pts = sample_region(region if not hasattr(region, "r_inner") else p.domain, samples, rng)
+    # sampling policy: an annulus cannot be sampled, so p and q are sampled on p's whole domain
+    pts = (p.domain if isinstance(region, Annulus) else region).sample(samples, rng)
     pv, qv = p(pts), q(pts)
     if np.any(qv > pv + 1e-9):
         raise OrderingViolationError("q(x) > p(x) at a sampled point")

@@ -372,9 +372,9 @@ def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
             break
         if not placed:
             raise AdaptationError(f"vertex {vi}", vertex=int(vi))
-    pts = grid.center + grid.R * np.sqrt(rng.random(kappa_samples))[:, None] * dyadic_grid._dirs(
-        kappa_samples, rng
-    )
+    r = grid.R * np.sqrt(rng.random(kappa_samples))
+    t = 2 * np.pi * rng.random(kappa_samples)
+    pts = grid.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
     counts = np.zeros(kappa_samples, dtype=int)
     for poly in grid.envelopes:
         counts += _geom.points_in_convex_polygon(pts, poly)

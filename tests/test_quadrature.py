@@ -11,9 +11,7 @@ from sbvx.quadrature import (
     Disk,
     _leggauss,
     _panel_nodes,
-    annulus_rule,
-    disk_rule,
-    region_rule,
+    _polar_rule,
 )
 
 
@@ -56,7 +54,7 @@ radii = st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0**e)
 @settings(max_examples=120, deadline=None)
 @given(coords, coords, radii, st.integers(1, 30), st.integers(1, 60), st.integers(1, 10))
 def test_disk_rule_bitwise_equals_meshgrid(cx, cy, radius, n_r, n_t, order):
-    got = disk_rule(Disk((cx, cy), radius), n_r=n_r, n_t=n_t, order=order)
+    got = _polar_rule((cx, cy), 0.0, radius, n_r, n_t, order)
     _assert_bitwise(got, _reference_polar((cx, cy), 0.0, radius, n_r, n_t, order))
 
 
@@ -65,7 +63,7 @@ def test_disk_rule_bitwise_equals_meshgrid(cx, cy, radius, n_r, n_t, order):
        st.integers(1, 10))
 def test_annulus_rule_bitwise_equals_meshgrid(cx, cy, r_outer, frac, n_r, n_t, order):
     ann = Annulus((cx, cy), frac * r_outer, r_outer)
-    got = annulus_rule(ann, n_r=n_r, n_t=n_t, order=order)
+    got = _polar_rule(ann.center, ann.r_inner, ann.r_outer, n_r, n_t, order)
     _assert_bitwise(got, _reference_polar((cx, cy), ann.r_inner, r_outer, n_r, n_t, order))
 
 
@@ -74,15 +72,15 @@ def test_region_rule_disk_and_annulus_bitwise(resolution):
     disk = Disk((0.1, -0.3), 0.7)
     ann = Annulus((0.1, -0.3), 0.2, 0.7)
     n_r, n_t = resolution, 2 * resolution
-    _assert_bitwise(region_rule(disk, resolution), _reference_polar(disk.center, 0.0, 0.7, n_r, n_t, 8))
-    _assert_bitwise(region_rule(ann, resolution), _reference_polar(ann.center, 0.2, 0.7, n_r, n_t, 8))
+    _assert_bitwise(disk.rule(resolution), _reference_polar(disk.center, 0.0, 0.7, n_r, n_t, 8))
+    _assert_bitwise(ann.rule(resolution), _reference_polar(ann.center, 0.2, 0.7, n_r, n_t, 8))
 
 
 def test_gauss_legendre_nodes_are_shared_read_only():
     nodes, weights = _panel_nodes(0.0, 1.0, 3, 5)
     ref = _reference_panel_nodes(0.0, 1.0, 3, 5)
     assert np.array_equal(nodes, ref[0]) and np.array_equal(weights, ref[1])
-    pts, w = disk_rule(Disk((0.0, 0.0), 1.0), n_r=2, n_t=2, order=3)
+    pts, w = Disk((0.0, 0.0), 1.0).rule(2, order=3)
     assert pts.flags.writeable and w.flags.writeable
     x, wx = _leggauss(5)
     assert _leggauss(5)[0] is x

@@ -667,14 +667,13 @@ def test_disk_rule_points_are_located_in_containing_cells_of_a_graded_patch():
     a cell that contains it. The 12 nearest barycentres miss the coarse cell
     of about 5% of the points."""
     from sbvx.dyadic_grid import build_grid
-    from sbvx.quadrature import disk_rule
 
     for center, R, rotation in (((0.0, 0.0), 0.3, 0.0), ((0.1, 0.05), 0.5, 1.0), ((-0.2, 0.3), 0.05, 2.5)):
         g = build_grid(R, 5, center=center, rotation=rotation)
         nt = len(g.tris)
         patch = CellPatch(g.verts, g.tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), Disk(center, R),
                           g.on_boundary[g.tris].sum(axis=1) == 2)
-        pts, _ = disk_rule(Disk(center, R), n_r=10, n_t=20, order=4)
+        pts, _ = Disk(center, R).rule(10, order=4)
         assert len(pts) == 3200
         assert np.all(_points_in_tris(pts, patch.verts[patch.tris][patch.locate(pts)]))
 

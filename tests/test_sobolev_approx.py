@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbvx import sobolev_approx
+from sbvx import _geom, sobolev_approx
 from sbvx.errors import AdaptationError, JumpBudgetError, ToolkitError
 from sbvx.quadrature import Disk
 from sbvx.sbv2d import JumpSet, jump_length, synthesize, value_gap
@@ -261,15 +261,21 @@ def test_global_scale_covariance(affine_field, unit_disk):
     )
     p_const = ExponentField.constant(1.5, unit_disk)
     rep1 = global_approx(u, p_const, s, eta, seed=17)
-    u2 = dilate_map(u, 2.0)
-    p2 = ExponentField.constant(1.5, Disk((0, 0), 2.0))
-    rep2 = global_approx(u2, p2, s, eta, seed=17)
-    for key in ("c_hat_q1", "xi_hat"):
-        v1, v2 = rep1.estimates[key], rep2.estimates[key]
-        assert v2 == pytest.approx(v1, rel=0.05)
     r1 = rep1.estimates["family_perimeter"] / rep1.estimates["jump_budget"]
-    r2 = rep2.estimates["family_perimeter"] / rep2.estimates["jump_budget"]
-    assert r2 == pytest.approx(r1, rel=0.05)
+    for factor in (1e-3, 2.0, 1e3):
+        u2 = dilate_map(u, factor)
+        p2 = ExponentField.constant(1.5, Disk((0, 0), factor))
+        rep2 = global_approx(u2, p2, s, eta, seed=17)
+        assert rep2.estimates["rounds"] == rep1.estimates["rounds"]
+        assert rep2.estimates["xi_hat"] == rep1.estimates["xi_hat"]
+        assert rep2.estimates["c_hat_q1"] == pytest.approx(rep1.estimates["c_hat_q1"], rel=0.05)
+        r2 = rep2.estimates["family_perimeter"] / rep2.estimates["jump_budget"]
+        assert r2 == pytest.approx(r1, rel=0.05)
+        # no jump segment meets the open disk B_{s rho}: a measured length of 0 is not enough
+        J = rep2.w.jump
+        if len(J):
+            dist = _geom.point_segment_distance(np.zeros((1, 2)), J.a, J.b)[0]
+            assert np.all(dist >= s * factor * (1 - 1e-9)), factor
 
 
 def _assert_maps_equal(w1, w2):

@@ -6,7 +6,7 @@ from scipy import integrate, optimize
 
 from sbvx import vexp
 from sbvx.errors import DomainMismatchError, OrderingViolationError, ToolkitError
-from sbvx.quadrature import Disk, Rect, region_rule
+from sbvx.quadrature import Disk, Rect
 from sbvx.sbv2d import synthesize
 from sbvx.vexp import (
     ExponentField,
@@ -262,7 +262,7 @@ def test_norm_solves_modular_to_round_off(unit_disk, affine_field):
 
 def test_norm_is_solver_on_region_rule(unit_disk, affine_field):
     f = lambda pts: 0.4 + np.abs(pts[:, 1])  # noqa: E731
-    pts, w = region_rule(unit_disk, resolution=12)
+    pts, w = unit_disk.rule(12)
     expect = luxembourg_from_samples(f(pts), affine_field(pts), w)
     assert luxembourg_norm(f, affine_field, unit_disk, resolution=12) == expect
 
