@@ -345,17 +345,19 @@ class AdaptedTriangulation:
         }
 
 
-def _admissible(cands: np.ndarray, nbr_pts: np.ndarray, J: JumpSet, clearance: float) -> np.ndarray:
+def _admissible(cands: np.ndarray, nbr_pts: np.ndarray, J: JumpSet, clearance: float) -> tuple:
     """Which candidate positions (m, 2) keep the clearance from J and join
-    every committed neighbour in nbr_pts (k, 2) by an edge that misses J."""
-    ok = ~(np.min(_geom.point_segment_distance(cands, J.a, J.b), axis=1) < clearance)
+    every committed neighbour in nbr_pts (k, 2) by an edge that misses J.
+    Returns that mask and each candidate's distance from J."""
+    dist = np.min(_geom.point_segment_distance(cands, J.a, J.b), axis=1)
+    ok = ~(dist < clearance)
     if len(nbr_pts) and np.any(ok):
         idx = np.flatnonzero(ok)
         hit = _geom.segments_intersect(
             np.repeat(cands[idx], len(nbr_pts), axis=0), np.tile(nbr_pts, (len(idx), 1)), J.a, J.b
         )
         ok[idx] = ~hit.reshape(len(idx), -1).any(axis=1)
-    return ok
+    return ok, dist
 
 
 def _shadowed(v, rad: float, nbr_pts: np.ndarray, J: JumpSet, span: float) -> bool:
@@ -410,9 +412,9 @@ def _raise_unplaced(grid: DyadicGrid, vi: int, samples_per_vertex: int):
 
 
 def _draw_candidates(grid: DyadicGrid, vi: int, rad, rng, m: int) -> np.ndarray:
-    """m perturbed positions of vertex vi, drawn as m scalar trials would
-    draw them: two doubles each (radius, angle) inside the alpha * delta_h
-    disk, or one (angular jitter along the circle) on the boundary ring."""
+    """m perturbed positions of vertex vi: two doubles each (radius, angle)
+    inside the alpha * delta_h disk, or one (angular jitter along the
+    circle) on the boundary ring."""
     base_pt = grid.verts[vi]
     if grid.on_boundary[vi]:
         dtheta = rng.uniform(-rad, rad, m) / grid.R
@@ -433,7 +435,7 @@ def adapt_to_jump(
     compute_stats: bool = True,
     kappa_samples: int = 2000,
 ) -> AdaptedTriangulation:
-    """Perturb grid vertices by rejection sampling so no edge meets u's jump.
+    """Perturb grid vertices so that no edge meets u's jump.
 
     Vertices commit ring by ring, and each first tries its zero
     perturbation, so a jump-free instance keeps the base grid verbatim. The
@@ -449,13 +451,13 @@ def adapt_to_jump(
     keeps the vertex on the circle (an arc inside the disk) so the grid
     keeps covering B_R. One broadcast rejects every candidate closer than
     the clearance to the jump or joined to a committed neighbour by an edge
-    that meets it, and the first survivor is placed. The generator is
-    rewound and redraws only the trials up to that survivor. Only the edges
-    from later vertices of the ring into the moved vertex are tested again
-    before the walk goes on. The placements, the failing vertex and the
-    random stream (hence the kappa sample) are exactly those of testing the
-    vertices, and their candidates, one at a time; the generator is local,
-    so a vertex that fails early leaves nothing behind that differs.
+    that meets it. Of the admissible candidates, the one farthest from the
+    jump is placed (the first of equals), which leaves the vertices that
+    commit after it the most room on their side of J. Only the edges from
+    later vertices of the ring into the moved vertex are tested again
+    before the walk goes on. The generator draws samples_per_vertex - 1
+    candidates for each moved vertex, in commit order, and then the kappa
+    sample.
     """
     J = u.jump
     rng = np.random.default_rng(seed)
@@ -486,14 +488,11 @@ def adapt_to_jump(
             nbr_pts = verts[earlier[pos == i]]
             if _shadowed(verts[vi], rad, nbr_pts, J, span):
                 _raise_unplaced(grid, vi, samples_per_vertex)
-            state = rng.bit_generator.state
             cands = _draw_candidates(grid, vi, rad, rng, samples_per_vertex - 1)
-            good = np.flatnonzero(_admissible(cands, nbr_pts, J, clearance[i]))
-            if not len(good):
+            good, dist = _admissible(cands, nbr_pts, J, clearance[i])
+            if not good.any():
                 _raise_unplaced(grid, vi, samples_per_vertex)
-            rng.bit_generator.state = state
-            _draw_candidates(grid, vi, rad, rng, good[0] + 1)
-            verts[vi] = cands[good[0]]
+            verts[vi] = cands[np.argmax(np.where(good, dist, -np.inf))]
             max_ratio = max(max_ratio, float(np.linalg.norm(verts[vi] - grid.verts[vi]) / rad))
             into = np.flatnonzero(earlier == vi)
             if len(into):

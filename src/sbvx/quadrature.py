@@ -183,7 +183,20 @@ class Rect:
         return min(x[0] - self.x0, self.x1 - x[0], x[1] - self.y0, self.y1 - x[1])
 
     def segment_lengths(self, a, b) -> np.ndarray:
-        raise ToolkitError(f"unsupported region {self!r} for jump measurement")
+        """Liang-Barsky: each segment a->b keeps the parameters t in [0, 1]
+        with a + t (b - a) between both pairs of edge lines."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
+        d = b - a
+        lo, hi = np.zeros(len(a)), np.ones(len(a))
+        for k, (e0, e1) in enumerate(((self.x0, self.x1), (self.y0, self.y1))):
+            flat = d[:, k] == 0  # parallel to this pair: all in or all out
+            inside = (a[:, k] >= e0) & (a[:, k] <= e1)
+            step = np.where(flat, 1.0, d[:, k])
+            t0, t1 = (e0 - a[:, k]) / step, (e1 - a[:, k]) / step
+            lo = np.maximum(lo, np.where(flat, np.where(inside, 0.0, np.inf), np.minimum(t0, t1)))
+            hi = np.minimum(hi, np.where(flat, np.where(inside, 1.0, -np.inf), np.maximum(t0, t1)))
+        return np.maximum(hi - lo, 0.0) * np.hypot(d[:, 0], d[:, 1])
 
 
 Region = Disk | Annulus | Rect

@@ -106,36 +106,54 @@ def test_criterion_2_piecewise_constant_collapse():
             f"slowest call {slowest:.2f}s (limit 2.0s)")
 
 
+def _criterion_3_violations(idx, eta, u, rep):
+    """(idx, inequality, value) for each of criterion 3's (a)-(e) that rep breaks."""
+    violations = []
+    e = rep.estimates
+    rho = u.domain.radius
+    if e["jump_new"] > 1e-9 * rho:
+        violations.append((idx, "a_new_jump", e["jump_new"]))
+    if e["jump_residual_srho"] > 1e-9 * rho:
+        violations.append((idx, "a_residual", e["jump_residual_srho"]))
+    if e["outside_identity_max_error"] != 0.0:
+        violations.append((idx, "b_outside", e["outside_identity_max_error"]))
+    if e["linf_out"] > e["linf_in"] + 1e-9:
+        violations.append((idx, "c_linf", e["linf_out"] - e["linf_in"]))
+    if len(rep.family):
+        if e["family_perimeter"] > 2 * np.pi * e["xi_hat"] / eta * e["jump_in"] + 1e-12:
+            violations.append((idx, "d_perimeter", e["family_perimeter"]))
+        bound = min(
+            2 * np.pi * e["xi_hat"] / eta * rho * e["jump_in"],
+            np.pi * (e["xi_hat"] / eta * e["jump_in"]) ** 2,
+        )
+        if e["family_area"] > bound + 1e-12:
+            violations.append((idx, "d_area", e["family_area"]))
+        if e["union_containment_margin"] < -1e-12:
+            violations.append((idx, "e_union", e["union_containment_margin"]))
+        if e["xi_hat"] > XI_CAP_CORPUS:
+            violations.append((idx, "xi_regression", e["xi_hat"]))
+    return violations
+
+
 def test_criterion_3_global_replacement_suite(corpus_runs_var):
     runs, elapsed = corpus_runs_var
     violations = []
     for idx, s, eta, u, rep in runs:
-        e = rep.estimates
-        rho = u.domain.radius
-        if e["jump_new"] > 1e-9 * rho:
-            violations.append((idx, "a_new_jump", e["jump_new"]))
-        if e["jump_residual_srho"] > 1e-9 * rho:
-            violations.append((idx, "a_residual", e["jump_residual_srho"]))
-        if e["outside_identity_max_error"] != 0.0:
-            violations.append((idx, "b_outside", e["outside_identity_max_error"]))
-        if e["linf_out"] > e["linf_in"] + 1e-9:
-            violations.append((idx, "c_linf", e["linf_out"] - e["linf_in"]))
-        if len(rep.family):
-            if e["family_perimeter"] > 2 * np.pi * e["xi_hat"] / eta * e["jump_in"] + 1e-12:
-                violations.append((idx, "d_perimeter", e["family_perimeter"]))
-            bound = min(
-                2 * np.pi * e["xi_hat"] / eta * rho * e["jump_in"],
-                np.pi * (e["xi_hat"] / eta * e["jump_in"]) ** 2,
-            )
-            if e["family_area"] > bound + 1e-12:
-                violations.append((idx, "d_area", e["family_area"]))
-            if e["union_containment_margin"] < -1e-12:
-                violations.append((idx, "e_union", e["union_containment_margin"]))
-            if e["xi_hat"] > XI_CAP_CORPUS:
-                violations.append((idx, "xi_regression", e["xi_hat"]))
+        violations += _criterion_3_violations(idx, eta, u, rep)
     ok = not violations and elapsed < 180.0
     _report(3, ok, f"50 instances, {len(violations)} violations, corpus {elapsed:.0f}s "
                    f"(limit 180s); first: {violations[:3]}")
+
+
+def test_criterion_3_holds_on_the_instance_whose_grids_used_to_fail():
+    # corpus instance 25 with its seed offset by 2000: placing each moved
+    # vertex at its first admissible candidate left no jump-avoiding grid in
+    # one covering ball, and global_approx raised AdaptationError
+    idx, s, eta, kind, params, seed = list(corpus_instances())[25]
+    assert seed + 2000 == 3425
+    u = synthesize(kind, params, seed=seed + 2000)
+    rep = global_approx(u, P_VAR, s, eta, seed=seed + 2001)
+    assert _criterion_3_violations(idx, eta, u, rep) == []
 
 
 def test_criterion_4_variable_exponent_modular_bound(corpus_runs_var):

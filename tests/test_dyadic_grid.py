@@ -320,13 +320,17 @@ def test_stats_build_envelopes_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# batched adaptation against the scalar rejection loop
+# adaptation against a scalar loop of the farthest-candidate rule
 # ---------------------------------------------------------------------------
 
 
-def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
-    """The one-candidate-at-a-time rejection loop that adapt_to_jump must
-    reproduce bitwise: returns (verts, perturbation_ratio_max, kappa_hat)."""
+def _adapt_farthest_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
+    """adapt_to_jump one vertex and one candidate at a time. A vertex keeps
+    its zero perturbation if that is admissible; otherwise it draws its other
+    samples_per_vertex - 1 candidates and goes to the admissible one farthest
+    from J, the first of equals. Returns (verts, perturbation_ratio_max,
+    kappa_hat), or raises AdaptationError naming the first vertex that no
+    candidate places."""
     J = u.jump
     rng = np.random.default_rng(seed)
     verts = grid.verts.copy()
@@ -340,12 +344,12 @@ def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
     order = np.lexsort((np.arange(n), grid.on_boundary.astype(int), grid.ring_of))
     committed = np.zeros(n, dtype=bool)
     max_ratio = 0.0
-    for vi in order:
+    for vi in order if len(J) else ():
         base_pt = grid.verts[vi]
         rad = alpha * delta_v[vi]
         clearance = LEBESGUE_CLEARANCE * delta_v[vi]
-        placed = False
         committed_nbr_pts = [verts[w] for w in nbrs[vi] if committed[w]]
+        best, best_dist = None, -np.inf
         for trial in range(samples_per_vertex):
             if trial == 0:
                 cand = base_pt.copy()
@@ -360,18 +364,21 @@ def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
                 rr = rad * np.sqrt(rng.random())
                 tt = 2 * np.pi * rng.random()
                 cand = base_pt + rr * np.array([np.cos(tt), np.sin(tt)])
-            if len(J):
-                if np.min(_geom.point_segment_distance(cand[None, :], J.a, J.b)) < clearance:
-                    continue
-                if any(np.any(segments_intersect(cand, q, J.a, J.b)) for q in committed_nbr_pts):
-                    continue
-            verts[vi] = cand
-            committed[vi] = True
-            max_ratio = max(max_ratio, float(np.linalg.norm(cand - base_pt) / rad))
-            placed = True
-            break
-        if not placed:
+            dist = np.min(_geom.point_segment_distance(cand[None, :], J.a, J.b))
+            if dist < clearance:
+                continue
+            if any(np.any(segments_intersect(cand, q, J.a, J.b)) for q in committed_nbr_pts):
+                continue
+            if trial == 0:
+                best = cand
+                break
+            if dist > best_dist:
+                best, best_dist = cand, dist
+        if best is None:
             raise AdaptationError(f"vertex {vi}", vertex=int(vi))
+        verts[vi] = best
+        committed[vi] = True
+        max_ratio = max(max_ratio, float(np.linalg.norm(best - base_pt) / rad))
     r = grid.R * np.sqrt(rng.random(kappa_samples))
     t = 2 * np.pi * rng.random(kappa_samples)
     pts = grid.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -379,6 +386,83 @@ def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
     for poly in grid.envelopes:
         counts += _geom.points_in_convex_polygon(pts, poly)
     return verts, max_ratio, int(counts.max())
+
+
+def _assert_adapted_grid_keeps_its_bounds(g, u, verts):
+    """Each vertex stays in its alpha * delta_h disk, boundary-ring vertices
+    stay on the circle, every vertex keeps its clearance from J, and no grid
+    edge meets J."""
+    delta_v = g.vertex_delta()
+    moved = np.linalg.norm(verts - g.verts, axis=1)
+    assert np.all(moved <= g.alpha * delta_v + 1e-12 * g.R)
+    on_circle = np.linalg.norm(verts[g.on_boundary] - g.center, axis=1)
+    assert np.all(np.abs(on_circle - g.R) <= 1e-12 * g.R)
+    J = u.jump
+    if len(J):
+        clearance = np.min(_geom.point_segment_distance(verts, J.a, J.b), axis=1)
+        assert np.all(clearance >= LEBESGUE_CLEARANCE * delta_v)
+        assert not segments_intersect(verts[g.edges[:, 0]], verts[g.edges[:, 1]], J.a, J.b).any()
+
+
+def _assert_adapt_matches_farthest_oracle(g, u, samples, seed):
+    """adapt_to_jump fails at the oracle's vertex, or places every vertex
+    where the oracle does, bounds kept; returns the oracle's failing vertex
+    or None."""
+    try:
+        expected = _adapt_farthest_scalar(g, u, samples, seed, kappa_samples=500)
+    except AdaptationError as err:
+        with pytest.raises(AdaptationError) as exc:
+            adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
+        assert exc.value.vertex == err.vertex
+        return err.vertex
+    # the lambda and edge statistics draw no random numbers; skip their cost
+    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}), mock.patch.object(
+        dyadic_grid, "_edge_integrals", lambda *a: {}
+    ):
+        ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, kappa_samples=500)
+    verts, ratio, kappa = expected
+    assert np.array_equal(ad.verts, verts)
+    assert ad.perturbation_ratio_max == ratio <= 1.0
+    assert ad.kappa_hat == kappa
+    _assert_adapted_grid_keeps_its_bounds(g, u, ad.verts)
+    return None
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _cut_to_earlier_neighbour(g, vi, rng):
+    """A short cut across the edge from vertex vi to a neighbour committed
+    before it, within vi's alpha * delta_h: the zero perturbation fails,
+    and a candidate may clear the cut."""
+    rad = g.alpha * g.vertex_delta()[vi]
+    n = len(g.verts)
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((np.arange(n), g.on_boundary, g.ring_of))] = np.arange(n)
+    e = g.edges[(g.edges == vi).any(axis=1)]
+    nbrs = e[e != vi]
+    q = g.verts[rng.choice(nbrs[rank[nbrs] < rank[vi]])]
+    along = _unit(q - g.verts[vi])
+    mid = g.verts[vi] + rng.uniform(0.05, 1.0) * rad * along
+    across = _unit(np.array([-along[1], along[0]]) + rng.normal(scale=0.3, size=2))
+    half = rng.uniform(0.05, 0.8) * rad * across
+    return mid - half, mid + half
+
+
+def _polyline_through_centre(g, rng):
+    """Vertices of a polyline of 2-4 segments that crosses the grid's disk
+    close to its centre, with small kinks."""
+    k = int(rng.integers(2, 5))
+    along = _unit(rng.normal(size=2))
+    t = np.sort(np.concatenate([[-1.0, 1.0] * rng.uniform(0.3, 1.2, 2), rng.uniform(-1, 1, k - 1)]))
+    off = rng.normal(scale=0.05, size=k + 1)
+    return g.center + g.R * (t[:, None] * along + off[:, None] * np.array([-along[1], along[0]]))
+
+
+def _in_unit_disk(p):
+    """p pulled radially into the disk of radius 0.95, the map's domain."""
+    return p / np.maximum(1.0, np.linalg.norm(p, axis=1) / 0.95)[:, None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -389,29 +473,16 @@ def _adapt_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
     st.sampled_from([1, 2, 40, 200]),
     st.floats(min_value=0.0, max_value=2 * np.pi),
 )
-def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples, rotation):
+def test_adaptation_places_the_farthest_admissible_candidate(jump_seed, seed, h_max, samples, rotation):
     rng = np.random.default_rng(jump_seed)
     R = float(rng.uniform(0.4, 1.0))
     center = rng.uniform(-0.1, 0.1, 2)
     g = build_grid(R, h_max, center=center, rotation=rotation)
-    a, b = [], []
-    # short cuts across an edge to an earlier-placed neighbour of a few
-    # vertices: the zero perturbation fails, a candidate may clear the cut
-    rad = g.alpha * g.vertex_delta()
-    n = len(g.verts)
-    rank = np.empty(n, dtype=int)
-    rank[np.lexsort((np.arange(n), g.on_boundary, g.ring_of))] = np.arange(n)
-    for vi in rng.choice(np.arange(1, n), size=int(rng.integers(0, 5)), replace=False):
-        e = g.edges[(g.edges == vi).any(axis=1)]
-        nbrs = e[e != vi]
-        q = g.verts[rng.choice(nbrs[rank[nbrs] < rank[vi]])]
-        along = (q - g.verts[vi]) / np.linalg.norm(q - g.verts[vi])
-        mid = g.verts[vi] + rng.uniform(0.0, 1.0) * rad[vi] * along
-        th = rng.normal(scale=0.3)
-        across = np.array([-along[1], along[0]]) * np.cos(th) + along * np.sin(th)
-        half = rng.uniform(0.05, 0.8) * rad[vi] * across
-        a.append((mid - half)[None])
-        b.append((mid + half)[None])
+    a, b = [np.zeros((0, 2))], [np.zeros((0, 2))]
+    for vi in rng.choice(np.arange(1, len(g.verts)), size=int(rng.integers(0, 5)), replace=False):
+        p, q = _cut_to_earlier_neighbour(g, vi, rng)
+        a.append(p[None])
+        b.append(q[None])
     # a short polyline through the centre, as in a covering ball: a ring-1
     # vertex behind it, seen from the centre, often fails before any draw
     for _ in range(int(rng.random() < 0.3)):
@@ -425,26 +496,86 @@ def test_batched_adaptation_matches_scalar_loop(jump_seed, seed, h_max, samples,
         pts = center + rng.uniform(-0.8, 0.8, 2) * R + np.cumsum(steps, axis=0)
         a.append(pts[:-1])
         b.append(pts[1:])
-    a = np.concatenate(a) if a else np.zeros((0, 2))
-    b = np.concatenate(b) if b else np.zeros((0, 2))
-    # pull the jump into the unit disk, the domain of the map
-    a /= np.maximum(1.0, np.linalg.norm(a, axis=1) / 0.95)[:, None]
-    b /= np.maximum(1.0, np.linalg.norm(b, axis=1) / 0.95)[:, None]
-    _assert_adapt_matches_scalar(g, _flat_map_with_jump(a, b), samples, seed)
+    u = _flat_map_with_jump(_in_unit_disk(np.concatenate(a)), _in_unit_disk(np.concatenate(b)))
+    _assert_adapt_matches_farthest_oracle(g, u, samples, seed)
 
 
-def _polyline_through_centre(g, rng):
-    """Vertices of a polyline of 2-4 segments that crosses the grid's disk
-    close to its centre, with small kinks."""
-    k = int(rng.integers(2, 5))
-    along = _unit(rng.normal(size=2))
-    t = np.sort(np.concatenate([[-1.0, 1.0] * rng.uniform(0.3, 1.2, 2), rng.uniform(-1, 1, k - 1)]))
-    off = rng.normal(scale=0.05, size=k + 1)
-    return g.center + g.R * (t[:, None] * along + off[:, None] * np.array([-along[1], along[0]]))
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([4, 5, 6]),
+    st.sampled_from([2, 40, 200]),
+)
+def test_adaptation_places_the_farthest_admissible_candidate_past_ring_two(jump_seed, seed, h_max, samples):
+    # cuts that move vertices of ring 3 and beyond (graft ring included),
+    # and short cuts in their balls, where a moved vertex may land: the edges
+    # from later vertices of the ring into it are tested again
+    rng = np.random.default_rng(jump_seed)
+    R = float(rng.uniform(0.3, 0.85))  # the cuts stay inside the unit disk
+    g = build_grid(R, h_max, center=rng.uniform(-0.1, 0.1, 2), rotation=float(rng.uniform(0, 2 * np.pi)))
+    rad = g.alpha * g.vertex_delta()
+    a, b = [], []
+    for vi in rng.choice(np.flatnonzero(g.ring_of >= 3), size=int(rng.integers(1, 9)), replace=False):
+        p, q = _cut_to_earlier_neighbour(g, vi, rng)
+        a.append(p)
+        b.append(q)
+        if rng.random() < 0.7:
+            p = g.verts[vi] + rad[vi] * np.sqrt(rng.random()) * _unit(rng.normal(size=2))
+            half = rng.uniform(0.05, 0.6) * rad[vi] * _unit(rng.normal(size=2))
+            a.append(p - half)
+            b.append(p + half)
+    _assert_adapt_matches_farthest_oracle(g, _flat_map_with_jump(np.array(a), np.array(b)), samples, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([3, 4, 5]),
+    st.sampled_from([40, 200]),
+)
+def test_shadow_rule_fails_exactly_the_vertices_the_oracle_fails(jump_seed, seed, h_max, samples):
+    # a short polyline near the centre, as a covering ball sees the jump: the
+    # vertex the shadow rule fails without a draw is the one the oracle
+    # fails after rejecting every candidate
+    rng = np.random.default_rng(jump_seed)
+    R = float(rng.uniform(0.2, 0.9))
+    g = build_grid(R, h_max, center=rng.uniform(-0.1, 0.1, 2), rotation=float(rng.uniform(0, 2 * np.pi)))
+    pts = g.center + rng.uniform(0.02, 0.2) * (_polyline_through_centre(g, rng) - g.center)
+    pts = _in_unit_disk(pts + rng.normal(scale=0.15, size=2) * R)
+    u = _flat_map_with_jump(pts[:-1], pts[1:])
+    real, fired = dyadic_grid._shadowed, []
+
+    def spy(v, *args):
+        fired.append((v.copy(), real(v, *args)))
+        return fired[-1][1]
+
+    with mock.patch.object(dyadic_grid, "_shadowed", spy):
+        failed = _assert_adapt_matches_farthest_oracle(g, u, samples, seed)
+    for k, (v, shadowed) in enumerate(fired):
+        if shadowed:  # it ends the walk, at the oracle's vertex
+            assert k == len(fired) - 1 and failed is not None
+            assert np.array_equal(v, g.verts[failed])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([2, 5, 8]),
+    st.sampled_from([1, 200]),
+    st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+def test_jump_free_map_keeps_the_base_grid(seed, h_max, samples, rotation):
+    g = build_grid(0.7, h_max, center=(0.1, -0.05), rotation=rotation)
+    u = _flat_map_with_jump(np.zeros((0, 2)), np.zeros((0, 2)))
+    ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
+    assert np.array_equal(ad.verts, g.verts)
+    assert ad.perturbation_ratio_max == 0.0
 
 
 @pytest.mark.parametrize("samples", [40, 200])
-def test_shadowed_vertex_fails_early_as_the_scalar_loop_fails(samples):
+def test_shadowed_vertex_fails_early_as_the_farthest_oracle_fails(samples):
     g = build_grid(0.5, 4, rotation=0.3)
     along = np.array([np.cos(1.1), np.sin(1.1)])
     t = np.array([-0.45, -0.1, 0.12, 0.5])
@@ -452,7 +583,7 @@ def test_shadowed_vertex_fails_early_as_the_scalar_loop_fails(samples):
     pts = g.center + g.R * (t[:, None] * along + off[:, None] * np.array([-along[1], along[0]]))
     u = _flat_map_with_jump(pts[:-1], pts[1:])
     with pytest.raises(AdaptationError) as expected:
-        _adapt_scalar(g, u, samples, seed=5)
+        _adapt_farthest_scalar(g, u, samples, seed=5)
     real, shadowed = dyadic_grid._shadowed, []
 
     def spy(*args):
@@ -471,66 +602,6 @@ def test_shadowed_vertex_fails_early_as_the_scalar_loop_fails(samples):
     # vertex 1 is the first that the walk stops at, and fails without a draw
     assert shadowed == [True]
     assert draws.call_count == 0
-
-
-def _assert_adapt_matches_scalar(g, u, samples, seed):
-    try:
-        expected = _adapt_scalar(g, u, samples, seed, kappa_samples=500)
-    except AdaptationError as err:
-        with pytest.raises(AdaptationError) as exc:
-            adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
-        assert exc.value.vertex == err.vertex
-        return
-    # the lambda and edge statistics draw no random numbers; skip their cost
-    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}), mock.patch.object(
-        dyadic_grid, "_edge_integrals", lambda *a: {}
-    ):
-        ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, kappa_samples=500)
-    verts, ratio, kappa = expected
-    assert np.array_equal(ad.verts, verts)
-    assert ad.perturbation_ratio_max == ratio
-    assert ad.kappa_hat == kappa
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from([4, 5, 6]),
-    st.sampled_from([2, 40, 200]),
-)
-def test_batched_adaptation_matches_scalar_loop_past_ring_two(jump_seed, seed, h_max, samples):
-    # cuts that move vertices of ring 3 and beyond (graft ring included),
-    # and short cuts in their balls, where a moved vertex may land: the edges
-    # from later vertices of the ring into it are tested again
-    rng = np.random.default_rng(jump_seed)
-    R = float(rng.uniform(0.3, 0.85))  # the cuts stay inside the unit disk
-    g = build_grid(R, h_max, center=rng.uniform(-0.1, 0.1, 2), rotation=float(rng.uniform(0, 2 * np.pi)))
-    rad = g.alpha * g.vertex_delta()
-    n = len(g.verts)
-    rank = np.empty(n, dtype=int)
-    rank[np.lexsort((np.arange(n), g.on_boundary, g.ring_of))] = np.arange(n)
-    a, b = [], []
-    for vi in rng.choice(np.flatnonzero(g.ring_of >= 3), size=int(rng.integers(1, 9)), replace=False):
-        e = g.edges[(g.edges == vi).any(axis=1)]
-        nbrs = e[e != vi]
-        q = g.verts[rng.choice(nbrs[rank[nbrs] < rank[vi]])]
-        along = _unit(q - g.verts[vi])
-        mid = g.verts[vi] + rng.uniform(0.05, 1.0) * rad[vi] * along
-        across = _unit(np.array([-along[1], along[0]]) + rng.normal(scale=0.3, size=2))
-        half = rng.uniform(0.05, 0.8) * rad[vi] * across
-        a.append(mid - half)
-        b.append(mid + half)
-        if rng.random() < 0.7:
-            p = g.verts[vi] + rad[vi] * np.sqrt(rng.random()) * _unit(rng.normal(size=2))
-            half = rng.uniform(0.05, 0.6) * rad[vi] * _unit(rng.normal(size=2))
-            a.append(p - half)
-            b.append(p + half)
-    _assert_adapt_matches_scalar(g, _flat_map_with_jump(np.array(a), np.array(b)), samples, seed)
 
 
 def _cross(p, q):
@@ -603,13 +674,13 @@ def test_shadow_rule_fires_only_where_every_candidate_is_rejected(seed, log_dila
             [np.cos(dt) * rel[0] - np.sin(dt) * rel[1], np.sin(dt) * rel[0] + np.cos(dt) * rel[1]], axis=1
         )
         pts = np.concatenate([v[None], v + rad * ring, v + interior, arc])
-        assert not dyadic_grid._admissible(pts, N, J, 0.0).any()
+        assert not dyadic_grid._admissible(pts, N, J, 0.0)[0].any()
     elif kind == "poking_out":
         # the point of the disk furthest out of the shadow is admissible
         p, q = [(A[0], B[0]), (N[0], A[0]), (N[0], B[0])][i]
         side = np.sign(_cross(q - p, v - p))
         out = v - rad * side * np.array([-(q - p)[1], (q - p)[0]]) / np.linalg.norm(q - p)
-        assert dyadic_grid._admissible(out[None], N, J, 0.0).all()
+        assert dyadic_grid._admissible(out[None], N, J, 0.0)[0].all()
 
 
 def test_shadow_rule_declines_where_segments_intersect_calls_the_edge_parallel():
@@ -621,7 +692,7 @@ def test_shadow_rule_declines_where_segments_intersect_calls_the_edge_parallel()
         J = _jump(lam * a[None], lam * b[None])
         assert bool(abs(_cross(lam * (n - v), lam * (b - a))) > _geom.EPS) is fires
         assert dyadic_grid._shadowed(lam * v, lam * 0.5, lam * n[None], J, lam * 2.0) is fires
-        assert not dyadic_grid._admissible(lam * v[None], lam * n[None], J, 0.0).any()
+        assert not dyadic_grid._admissible(lam * v[None], lam * n[None], J, 0.0)[0].any()
 
 
 def _build_grid_reference(R, h_max, center=(0.0, 0.0), rotation=0.0):

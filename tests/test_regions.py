@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sbvx.errors import ToolkitError
 from sbvx.quadrature import COVER_TOL, Annulus, Disk, Rect, region_from_json
-from sbvx.sbv2d import JumpSet
+from sbvx.sbv2d import JumpSet, bv_poincare_check, synthesize, total_variation_parts
 
 
 def _ladder_covers(dom, region, tol=1e-9):
@@ -123,6 +123,68 @@ def test_annulus_jump_length_is_outer_minus_inner(f, seed, frac, r_outer):
     assert J.length_in(ann) == pytest.approx(expect, rel=1e-12, abs=1e-15 * f)
     # a disk that holds every segment measures all of the jump
     assert J.length_in(Disk((0.0, 0.0), 4 * f)) == pytest.approx(J.total_length, rel=1e-12)
+
+
+def _half_plane_clip_length(rect, a, b):
+    """Length of segment a->b in the closed rect, cutting it at one edge line
+    after the other and keeping the piece on the inner side."""
+    for k, edge, inner in ((0, rect.x0, 1), (0, rect.x1, -1), (1, rect.y0, 1), (1, rect.y1, -1)):
+        fa, fb = inner * (a[k] - edge), inner * (b[k] - edge)
+        if fa < 0 and fb < 0:
+            return 0.0
+        if fa < 0 or fb < 0:
+            cut = a + fa / (fa - fb) * (b - a)
+            a, b = (cut, b) if fa < 0 else (a, cut)
+    return float(np.linalg.norm(b - a))
+
+
+def _rect_segments(rng, rect, n):
+    """n segments about rect: random ones, axis-parallel ones (inside, on an
+    edge line and outside), and degenerate ones."""
+    lo, hi = np.array([rect.x0, rect.y0]), np.array([rect.x1, rect.y1])
+    pad = 0.5 * (hi - lo)
+    a = rng.uniform(lo - pad, hi + pad, (n, 2))
+    b = rng.uniform(lo - pad, hi + pad, (n, 2))
+    i, k = np.arange(n // 4), rng.integers(0, 2, n // 4)
+    b[i, k] = a[i, k]  # axis-parallel
+    a[: n // 8, 0] = b[: n // 8, 0] = rect.x1  # on the right edge line
+    b[-2:] = a[-2:]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors, st.integers(0, 2**32 - 1))
+def test_rect_segment_lengths_equal_the_half_plane_clip(f, seed):
+    rng = np.random.default_rng(seed)
+    cx, cy = f * rng.uniform(-1, 1, 2)
+    w, h = f * rng.uniform(0.05, 1.5, 2)
+    rect = Rect(cx - w, cx + w, cy - h, cy + h)
+    a, b = _rect_segments(rng, rect, 32)
+    want = [_half_plane_clip_length(rect, p, q) for p, q in zip(a, b)]
+    assert rect.segment_lengths(a, b) == pytest.approx(want, rel=1e-12, abs=1e-14 * f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors, st.integers(0, 2**32 - 1))
+def test_rect_segment_lengths_scale_with_a_dilation(f, seed):
+    rng = np.random.default_rng(seed)
+    rect = Rect(-0.4, 0.7, -0.9, 0.2)
+    a, b = _rect_segments(rng, rect, 32)
+    big = Rect(f * rect.x0, f * rect.x1, f * rect.y0, f * rect.y1)
+    assert big.segment_lengths(f * a, f * b) == pytest.approx(
+        f * rect.segment_lengths(a, b), rel=1e-12, abs=1e-14 * f
+    )
+
+
+def test_bv_poincare_check_measures_the_jump_on_a_rect():
+    u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
+    rect = Rect(-0.3, 0.3, -0.3, 0.3)
+    lhs, ratio = bv_poincare_check(u, rect)
+    assert np.isfinite(lhs) and np.isfinite(ratio) and ratio > 0
+    bulk, jump = total_variation_parts(u, rect)
+    assert jump > 0
+    half = Rect(-0.3, 0.0, -0.3, 0.3), Rect(0.0, 0.3, -0.3, 0.3)
+    assert jump == pytest.approx(sum(total_variation_parts(u, r)[1] for r in half), rel=1e-12)
 
 
 # Type tests that decide a policy, not a region's geometry, as (module, function).
