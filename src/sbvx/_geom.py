@@ -104,7 +104,11 @@ def segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     intersections; collinear overlap counts too. p0 and p1 are points (2,)
     giving a result of shape (n,), or broadcast to stacks (m, 2) giving one
     row per segment, (m, n); every row is computed exactly as the single
-    segment would be. Orientation and parameter tests allow EPS of slack.
+    segment would be. Every test is relative, so the result does not depend
+    on the scale: the segments are parallel when their cross product is at
+    most EPS |r| |s| (r, s their direction vectors), collinear when q0 lies
+    within EPS (|r| + |s| + |q0 - p0|) of each one's line, and the parameter
+    tests allow EPS of slack. A segment of length 0 is a point.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -114,28 +118,37 @@ def segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     q1 = np.atleast_2d(np.asarray(q1, dtype=float))
     r = p1 - p0  # (m,2)
     s = q1 - q0  # (n,2)
+    rn = np.hypot(r[:, 0], r[:, 1])[:, None]  # (m,1)
+    sn = np.hypot(s[:, 0], s[:, 1])  # (n,)
     denom = r[:, None, 0] * s[:, 1] - r[:, None, 1] * s[:, 0]
     qp = q0 - p0[:, None, :]  # (m,n,2)
     t_num = qp[..., 0] * s[:, 1] - qp[..., 1] * s[:, 0]
     u_num = qp[..., 0] * r[:, None, 1] - qp[..., 1] * r[:, None, 0]
     out = np.zeros(denom.shape, dtype=bool)
-    nonpar = np.abs(denom) > EPS
+    nonpar = np.abs(denom) > EPS * rn * sn
     if np.any(nonpar):
         t = t_num[nonpar] / denom[nonpar]
         u = u_num[nonpar] / denom[nonpar]
         out[nonpar] = (t >= -EPS) & (t <= 1 + EPS) & (u >= -EPS) & (u <= 1 + EPS)
     par = ~nonpar
     if np.any(par):
-        # parallel: intersect iff collinear and 1D intervals overlap
-        coll = par & (np.abs(t_num) <= EPS * (1 + np.abs(qp).max(axis=(1, 2)))[:, None])
+        # parallel: intersect iff collinear and the 1D intervals overlap
+        qpn = np.hypot(qp[..., 0], qp[..., 1])
+        size = EPS * (rn + sn + qpn)
+        coll = par & (np.abs(t_num) <= size * sn) & (np.abs(u_num) <= size * rn)
         for i in np.flatnonzero(coll.any(axis=1)):
             ci = coll[i]
-            rr = max(float(r[i] @ r[i]), EPS)
-            t0 = (qp[i][ci] @ r[i]) / rr
-            t1v = t0 + (s[ci] @ r[i]) / rr
-            lo = np.minimum(t0, t1v)
-            hi = np.maximum(t0, t1v)
-            out[i, ci] = (hi >= -EPS) & (lo <= 1 + EPS)
+            rr = float(r[i] @ r[i])
+            if rr > 0:  # q's ends as parameters along p
+                t0 = (qp[i][ci] @ r[i]) / rr
+                t1v = t0 + (s[ci] @ r[i]) / rr
+                lo = np.minimum(t0, t1v)
+                hi = np.maximum(t0, t1v)
+                out[i, ci] = (hi >= -EPS) & (lo <= 1 + EPS)
+            else:  # p is a point: its parameter along q, or whether it is q's point
+                ss = np.einsum("ij,ij->i", s[ci], s[ci])
+                tau = -np.einsum("ij,ij->i", qp[i][ci], s[ci]) / np.where(ss > 0, ss, 1.0)
+                out[i, ci] = np.where(ss > 0, (tau >= -EPS) & (tau <= 1 + EPS), qpn[i, ci] == 0)
     return out[0] if single else out
 
 
@@ -214,14 +227,14 @@ def tri_disk_area(v0, v1, v2, center, radius: float) -> float:
     return polygon_disk_area(np.array([v0, v1, v2], dtype=float), center, radius)
 
 
-def circular_segment_area(radius: float, chord_p0, chord_p1, center) -> float:
-    """Area of the circular segment cut by chord p0-p1 (minor side)."""
+def circular_segment_area(radius: float, chord_p0, chord_p1, center) -> np.ndarray:
+    """Area of the circular segment cut by chord p0-p1 (minor side); chord
+    ends (..., 2) give areas (...)."""
     c = np.asarray(center, dtype=float)
-    a0 = np.arctan2(*(np.asarray(chord_p0) - c)[::-1])
-    a1 = np.arctan2(*(np.asarray(chord_p1) - c)[::-1])
-    da = abs(a1 - a0)
-    if da > np.pi:
-        da = 2 * np.pi - da
+    d0 = np.asarray(chord_p0, dtype=float) - c
+    d1 = np.asarray(chord_p1, dtype=float) - c
+    da = np.abs(np.arctan2(d1[..., 1], d1[..., 0]) - np.arctan2(d0[..., 1], d0[..., 0]))
+    da = np.where(da > np.pi, 2 * np.pi - da, da)
     return 0.5 * radius * radius * (da - np.sin(da))
 
 

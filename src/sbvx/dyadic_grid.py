@@ -376,9 +376,11 @@ def _shadowed(v, rad: float, nbr_pts: np.ndarray, J: JumpSet, span: float) -> bo
     candidates), so that neither this test's rounding nor that of
     segments_intersect or of drawing a candidate can move t or u out of
     [0, 1]. And denom, |b - a| (dist(c, ab) + dist(n, ab)), must clear
-    segments_intersect's absolute tolerance EPS: below it, segments_intersect
-    takes c -> n for parallel to [a, b] and decides by its collinear-overlap
-    branch, which this test does not model.
+    segments_intersect's parallel tolerance EPS |c - n| |b - a|, here with
+    |c - n| at most |v - n| + rad: below it, segments_intersect takes
+    c -> n for parallel to [a, b] and decides by its collinear-overlap
+    branch, which this test does not model. Every bound scales with the
+    coordinates, so the test decides alike at every scale.
     """
     if not len(nbr_pts):  # the centre commits first, with no neighbour to cast a shadow
         return False
@@ -388,19 +390,20 @@ def _shadowed(v, rad: float, nbr_pts: np.ndarray, J: JumpSet, span: float) -> bo
 
     a, b = J.a, J.b  # (m, 2), against nbr_pts as (k, 1, 2)
     n = nbr_pts[:, None]
-    s, an, bn = b - a, a - n, b - n
+    s, an, bn, vn = b - a, a - n, b - n, v - n
     o = cross(s, n - a)
     side, near = np.sign(o), np.abs(o)  # side: +-1 by the side of ab that n is on
     far = -side * cross(s, v - a) - rad * np.hypot(s[:, 0], s[:, 1])
-    left = side * cross(an, v - n) - rad * np.hypot(an[..., 0], an[..., 1])
-    right = -side * cross(bn, v - n) - rad * np.hypot(bn[..., 0], bn[..., 1])
+    left = side * cross(an, vn) - rad * np.hypot(an[..., 0], an[..., 1])
+    right = -side * cross(bn, vn) - rad * np.hypot(bn[..., 0], bn[..., 1])
     L = np.maximum(
         np.maximum(span, np.hypot(n[..., 0], n[..., 1])),
         np.maximum(np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1])),
     ) + rad
     margin = SHADOW_MARGIN * L * L
     slack = np.minimum(np.minimum(near, far), np.minimum(left, right))
-    return bool(np.any((slack >= margin) & (near + far >= margin + 2 * _geom.EPS)))
+    parallel = 2 * _geom.EPS * np.hypot(s[:, 0], s[:, 1]) * (np.hypot(vn[..., 0], vn[..., 1]) + rad)
+    return bool(np.any((slack >= margin) & (near + far >= margin + parallel)))
 
 
 def _raise_unplaced(grid: DyadicGrid, vi: int, samples_per_vertex: int):

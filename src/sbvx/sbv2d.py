@@ -13,7 +13,6 @@ from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 from . import _geom
 from .errors import ConstructionError, DegenerateInputError, ToolkitError
@@ -167,13 +166,11 @@ class CellPatch:
         self.tri_areas = _geom.triangle_areas(v0, v1, v2)
         self._sample_cache = None  # (level, samples and bounds) of _patch_samples_with_ids
         self._arc_extra = np.zeros(nt)
-        arc_edges = self._arc_edges()
-        for t in np.nonzero(self.arc_cells)[0]:
-            i, j = arc_edges[t]
-            self._arc_extra[t] = _geom.circular_segment_area(
-                self.circle.radius, self.verts[self.tris[t, i]], self.verts[self.tris[t, j]],
-                self.circle.center,
-            )
+        arc = np.flatnonzero(self.arc_cells)
+        ends = self.verts[np.take_along_axis(self.tris[arc], self._arc_edges[arc], axis=1)]
+        self._arc_extra[arc] = _geom.circular_segment_area(
+            self.circle.radius, ends[:, 0], ends[:, 1], self.circle.center
+        )
 
     @property
     def k(self) -> int:
@@ -188,6 +185,7 @@ class CellPatch:
         """Per-cell Frobenius norm of the gradient."""
         return np.linalg.norm(self.grads.reshape(len(self.tris), -1), axis=1)
 
+    @cached_property
     def _arc_edges(self) -> np.ndarray:
         """(nt, 2) indices (into each triangle) of the two vertices nearest
         the circle: the chord an arc cell's bulge sits on."""
@@ -254,6 +252,8 @@ class CellPatch:
     def _tree(self):
         """k-d tree of the barycentres, built for the first point that
         locate's buckets leave open."""
+        from scipy.spatial import cKDTree  # loaded on first use: most runs never need it
+
         return cKDTree(self.barycenters)
 
     @cached_property
@@ -381,6 +381,8 @@ def _stitch_rings(verts, inner_idx, outer_idx):
 
 def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_boundary: int = 48):
     """Delaunay mesh of seeded random interior points plus a boundary ring."""
+    from scipy.spatial import Delaunay  # loaded on first use: only random-cells maps need it
+
     c = np.asarray(disk.center, dtype=float)
     R = disk.radius
     r = R * np.sqrt(rng.random(n_interior)) * 0.97
@@ -750,10 +752,11 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
 
     Returns (pts, w, cell_id, rad, reach): subcell centroids, areas, owning
     cell ids, the largest centroid-to-corner distance, and per triangle the
-    radius about its barycentre of a circle holding all its subcells (the
-    largest |pt - barycentre| + rad). Each triangle's subcells come in turn,
-    followed, for an arc cell, by one sample at the arc midpoint carrying the
-    bulge area (its corners collapse onto that point, so its rad is 0).
+    radius about its barycentre of a circle holding all its subcells (at
+    least the largest |pt - barycentre| + rad). Each triangle's subcells
+    come in turn, followed, for an arc cell, by one sample at the arc
+    midpoint carrying the bulge area (its corners collapse onto that point,
+    so its rad is 0).
     Corners are not kept; _subcell_corners rebuilds them.
     """
     if patch._sample_cache is not None and patch._sample_cache[0] == level:
@@ -763,7 +766,7 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], level)
     m = cents.shape[1]
     # arc-midpoint sample in an extra slot per triangle, kept for arc cells
-    ends = np.take_along_axis(v, patch._arc_edges()[:, :, None], axis=1)
+    ends = np.take_along_axis(v, patch._arc_edges[:, :, None], axis=1)
     mid_chord = 0.5 * (ends[:, 0] + ends[:, 1])
     c = np.asarray(patch.circle.center)
     d = mid_chord - c
@@ -777,21 +780,14 @@ def _patch_samples_with_ids(patch: CellPatch, level: int):
     slot[:, m] = patch.arc_cells & (patch._arc_extra > 0)
     pts = np.concatenate([cents, arc_mid[:, None, :]], axis=1)[slot]
     cell_id = np.repeat(np.arange(nt)[:, None], m + 1, axis=1)[slot]
-    # rad: the corners of all subcells over (nt, m), x and y apart, corner by
-    # corner by _subcell_corners' expression; sqrt is monotone, so the root of
-    # the largest squared distance is bitwise the largest norm
-    n = 1 << level
-    v0, e1, e2 = (a.T[:, :, None] for a in (v[:, 0], v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]))
-    rad2 = 0.0
-    for ij in subdivision_lattice(level)[1].transpose(1, 2, 0):
-        d = v0 + ij[0] * e1 / n + ij[1] * e2 / n - cents.transpose(2, 0, 1)
-        rad2 = np.maximum(rad2, d[0] ** 2 + d[1] ** 2)
-    rad = np.concatenate([np.sqrt(rad2), np.zeros((nt, 1))], axis=1)[slot]
-    reach = np.maximum.reduceat(
-        np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,
-        np.searchsorted(cell_id, np.arange(nt)),
-    )
-    out = (pts, np.concatenate([areas, patch._arc_extra[:, None]], axis=1)[slot], cell_id, rad, reach)
+    # every subcell is its triangle scaled by 2^-level (an inverted one also
+    # turned by pi), so rad is the triangle's largest barycentre-to-corner
+    # distance over 2^level; the subcells at the corners reach that distance
+    # from the barycentre, and no subcell reaches farther
+    far = np.sqrt(np.max(np.sum((v - patch.barycenters[:, None]) ** 2, axis=2), axis=1))
+    rad = np.where(np.arange(m + 1) < m, far[:, None] / (1 << level), 0.0)
+    reach = np.where(slot[:, m], np.maximum(far, np.linalg.norm(arc_mid - patch.barycenters, axis=1)), far)
+    out = (pts, np.concatenate([areas, patch._arc_extra[:, None]], axis=1)[slot], cell_id, rad[slot], reach)
     patch._sample_cache = (level, out)
     return out
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import sbvx
 from sbvx.cli import build_corpus, main, run_scenario
 
 FIELD = {
@@ -102,6 +106,27 @@ def test_determinism_all_pipelines(tmp_path, pipeline, extra):
         b1 = (tmp_path / "o1" / f"d_{pipeline}" / "figures" / f).read_bytes()
         b2 = (tmp_path / "o2" / f"d_{pipeline}" / "figures" / f).read_bytes()
         assert b1 == b2
+
+
+def test_import_and_cover_run_load_no_scipy_spatial(tmp_path):
+    """import sbvx and sbvx.cli, and a cover run, leave scipy.spatial
+    unloaded. A fresh interpreter, since this test process has loaded it."""
+    p = write_scenario(
+        tmp_path / "c.json", name="cold", pipeline="cover",
+        map={"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}},
+        params={"s": 0.75, "eta": 0.05},
+    )
+    code = textwrap.dedent(f"""
+        import sys
+        import sbvx, sbvx.cli
+        assert "scipy.spatial" not in sys.modules, "loaded by import"
+        assert sbvx.cli.run_scenario({str(p)!r}, out_dir={str(tmp_path / "out")!r}) == 0
+        assert "scipy.spatial" not in sys.modules, "loaded by the cover run"
+    """)
+    src = os.path.dirname(os.path.dirname(sbvx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_seed_override_changes_report(tmp_path):

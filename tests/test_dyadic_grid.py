@@ -683,16 +683,17 @@ def test_shadow_rule_fires_only_where_every_candidate_is_rejected(seed, log_dila
         assert dyadic_grid._admissible(out[None], N, J, 0.0)[0].all()
 
 
-def test_shadow_rule_declines_where_segments_intersect_calls_the_edge_parallel():
-    # at 2^-22 of the unit case the edge's cross product with the segment
-    # falls under segments_intersect's absolute tolerance, and its
-    # collinear-overlap branch decides: the rule leaves that to the draws
+def test_shadow_rule_fires_at_every_scale():
+    # segments_intersect's parallel test is relative, so the edge from the
+    # disk to n is not parallel to [a, b] at any scale, and the rule fires
+    # where the draws would all be rejected; at 2^-22 of the unit case the
+    # cross product falls under the absolute EPS
     a, b, n, v = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -2.0]])
-    for lam, fires in ((1.0, True), (2.0**-22, False)):
+    for lam in (1e3, 1.0, 2.0**-22, 1e-7):
         J = _jump(lam * a[None], lam * b[None])
-        assert bool(abs(_cross(lam * (n - v), lam * (b - a))) > _geom.EPS) is fires
-        assert dyadic_grid._shadowed(lam * v, lam * 0.5, lam * n[None], J, lam * 2.0) is fires
+        assert dyadic_grid._shadowed(lam * v, lam * 0.5, lam * n[None], J, lam * 2.0)
         assert not dyadic_grid._admissible(lam * v[None], lam * n[None], J, 0.0)[0].any()
+    assert abs(_cross(2.0**-22 * (n - v), 2.0**-22 * (b - a))) < _geom.EPS
 
 
 def _build_grid_reference(R, h_max, center=(0.0, 0.0), rotation=0.0):

@@ -225,27 +225,64 @@ def test_segments_intersect_basic():
     assert coll[0]
 
 
+def test_segments_intersect_small_disjoint_segments_do_not_cross():
+    # their cross product is 0.5 lam^2: under the absolute EPS from about
+    # lam = 1.4e-6, but never under EPS |r| |s|
+    p0, p1, q0, q1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.5]])
+    for lam in (1e-7, 1e-5, 1.0, 1e3):
+        assert not _geom.segments_intersect(lam * p0, lam * p1, [lam * q0], [lam * q1])[0]
+        # the same pair made to cross, and touching at an end
+        assert _geom.segments_intersect(lam * p0, lam * q1, [lam * p1], [lam * q0])[0]
+        assert _geom.segments_intersect(lam * p0, lam * p1, [lam * p1], [lam * q1])[0]
+
+
+def test_segments_intersect_parallel_and_point_segments():
+    cases = [
+        (([0, 0], [2, 0]), ([1, 0], [3, 0]), True),  # collinear overlap
+        (([0, 0], [2, 0]), ([3, 0], [4, 0]), False),  # collinear, apart
+        (([0, 0], [2, 0]), ([0, 1], [2, 1]), False),  # parallel, apart
+        (([1, 0], [1, 0]), ([0, 0], [2, 0]), True),  # a point on the segment
+        (([3, 0], [3, 0]), ([0, 0], [2, 0]), False),  # a point on its line, beyond it
+        (([1, 1], [1, 1]), ([0, 0], [2, 0]), False),  # a point off it
+        (([1, 1], [1, 1]), ([1, 1], [1, 1]), True),  # the same point
+        (([0, 0], [2, 0]), ([1, 0], [1, 0]), True),  # the other one a point
+    ]
+    for lam in (1e-7, 1.0, 1e3):
+        for (p0, p1), (q0, q1), want in cases:
+            p0, p1, q0, q1 = (lam * np.asarray(x, dtype=float) for x in (p0, p1, q0, q1))
+            assert _geom.segments_intersect(p0, p1, [q0], [q1])[0] == want
+
+
 def _segments_intersect_single(p0, p1, q0, q1, tol=_geom.EPS):
     """One segment p0->p1 against many: the unbatched form of the predicate."""
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     q0, q1 = np.atleast_2d(q0).astype(float), np.atleast_2d(q1).astype(float)
     r = p1 - p0
     s = q1 - q0
+    rn, sn = np.hypot(r[0], r[1]), np.hypot(s[:, 0], s[:, 1])
     denom = r[0] * s[:, 1] - r[1] * s[:, 0]
     qp = q0 - p0
     t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
     u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
     out = np.zeros(len(q0), dtype=bool)
-    nonpar = np.abs(denom) > tol
+    nonpar = np.abs(denom) > tol * rn * sn
     t = t_num[nonpar] / denom[nonpar]
     u = u_num[nonpar] / denom[nonpar]
     out[nonpar] = (t >= -tol) & (t <= 1 + tol) & (u >= -tol) & (u <= 1 + tol)
-    coll = ~nonpar & (np.abs(t_num) <= tol * (1 + np.abs(qp).max(initial=0.0)))
-    if np.any(coll):
-        rr = max(float(r @ r), _geom.EPS)
-        t0 = (qp[coll] @ r) / rr
-        t1 = t0 + (s[coll] @ r) / rr
-        out[coll] = (np.maximum(t0, t1) >= -tol) & (np.minimum(t0, t1) <= 1 + tol)
+    qpn = np.hypot(qp[:, 0], qp[:, 1])
+    size = tol * (rn + sn + qpn)
+    coll = ~nonpar & (np.abs(t_num) <= size * sn) & (np.abs(u_num) <= size * rn)
+    for j in np.flatnonzero(coll):
+        rr = float(r @ r)
+        if rr > 0:
+            t0 = (qp[j] @ r) / rr
+            t1 = t0 + (s[j] @ r) / rr
+            out[j] = max(t0, t1) >= -tol and min(t0, t1) <= 1 + tol
+        elif s[j] @ s[j] > 0:
+            tau = -(qp[j] @ s[j]) / (s[j] @ s[j])
+            out[j] = -tol <= tau <= 1 + tol
+        else:
+            out[j] = qpn[j] == 0
     return out
 
 

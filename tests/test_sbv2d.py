@@ -398,14 +398,20 @@ def sample_maps(global_map, affine_field):
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_subcell_bounds_equal_the_per_sample_corner_rebuild(sample_maps, rad_by_rebuild, level):
-    """rad and reach of every patch, graded top patches included, bitwise."""
+def test_subcell_bounds_hold_the_per_sample_corner_rebuild(sample_maps, rad_by_rebuild, level):
+    """rad, in closed form, is the rebuilt corners' largest distance, and
+    reach is at least the largest |pt - barycentre| + rad of the rebuilt
+    subcells, for every patch, graded top patches included. The rebuilt
+    corners carry the round-off of the patch's coordinates, tol below,
+    which on a small triangle far from the origin exceeds 1e-13 of rad."""
     for u in sample_maps:
         for patch in u.patches:
             pts, _, cell_id, rad, reach = _patch_samples_with_ids(patch, level)
             want_rad, want_reach = rad_by_rebuild(patch, level, pts, cell_id)
-            assert np.array_equal(rad, want_rad)
-            assert np.array_equal(reach, want_reach)
+            tol = 8 * np.finfo(float).eps * np.max(np.abs(patch.verts))
+            assert np.all(np.abs(rad - want_rad) <= 1e-13 * want_rad + tol)
+            assert np.all((rad == 0) == (want_rad == 0))  # arc samples
+            assert np.all(reach >= want_reach - tol)
 
 
 _REGION_KINDS = (
