@@ -137,7 +137,17 @@ def _pipe_norms(sc, seed, tol):
         amp = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         freq = rng.uniform(0.5, 4.0, 2)
         phase = 2 * np.pi * rng.random()
-        return lambda pts: amp * (0.3 + np.abs(np.sin(pts @ freq + phase)))
+
+        def f(pts):  # amp * (0.3 + |sin(pts @ freq + phase)|), in place
+            x = pts @ freq
+            x += phase
+            np.sin(x, out=x)
+            np.abs(x, out=x)
+            x += 0.3
+            x *= amp
+            return x
+
+        return f
 
     fs = [draw() for _ in range(n_funcs)]
     for i, (m, nrm) in enumerate(modulars_and_norms(fs, p, dom)):

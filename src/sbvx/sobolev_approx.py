@@ -448,9 +448,15 @@ def _dirgrid(n):
 
 
 def _free_endpoints(J) -> np.ndarray:
-    """Endpoints that belong to exactly one segment (free chain ends)."""
+    """Endpoints that belong to exactly one segment (free chain ends).
+
+    Endpoints are matched on a lattice of 1e-9 of the larger side of J's
+    bounding box, laid from its lower corner, so the match does not depend on
+    where J lies or on its scale."""
     pts = np.concatenate([J.a, J.b])
-    keys = np.round(pts / 1e-9).astype(np.int64)
+    lo = pts.min(axis=0)
+    side = float((pts.max(axis=0) - lo).max())
+    keys = np.round((pts - lo) / (1e-9 * side if side > 0 else 1.0)).astype(np.int64)
     _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     return pts[counts[inv] == 1]
 

@@ -58,13 +58,18 @@ class SvgCanvas:
             f'stroke-width="{width}" opacity="{opacity}"/>'
         )
 
-    def rect(self, lo, hi, fill="#eeeeee", opacity=1.0):
-        x, y = self._px((lo[0], hi[1]))
-        x2, y2 = self._px((hi[0], lo[1]))
-        self.elems.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{x2 - x:.2f}" height="{y2 - y:.2f}" '
+    def rects(self, lo, hi, fills, opacity=1.0):
+        """One rectangle [lo_i, hi_i] of fill fills[i] per row of the (n, 2)
+        arrays lo and hi, converted to pixels as arrays and formatted in one pass."""
+        x, y = self._px((lo[:, 0], hi[:, 1]))
+        x2, y2 = self._px((hi[:, 0], lo[:, 1]))
+        self.elems += [
+            f'<rect x="{a:.2f}" y="{b:.2f}" width="{c:.2f}" height="{d:.2f}" '
             f'fill="{fill}" opacity="{opacity}"/>'
-        )
+            for a, b, c, d, fill in zip(
+                x.tolist(), y.tolist(), (x2 - x).tolist(), (y2 - y).tolist(), fills
+            )
+        ]
 
     def text(self, pos, s, size=12, fill="#000000"):
         x, y = self._px(pos)
@@ -149,13 +154,11 @@ def draw_field(p, domain, path=None, size: int = 320, n: int = 48):
     vmax = np.nanmax(vals)
     span = max(vmax - vmin, 1e-12)
     h = xs[1] - xs[0]
-    for i, pt in enumerate(pts):
-        if not inside[i]:
-            continue
-        t = (vals[i] - vmin) / span
-        r_ = int(40 + 215 * t)
-        b_ = int(255 - 215 * t)
-        cv.rect(pt - h / 2, pt + h / 2, fill=f"rgb({r_},80,{b_})")
+    t = (vals[inside] - vmin) / span
+    reds = (40 + 215 * t).astype(int).tolist()
+    blues = (255 - 215 * t).astype(int).tolist()
+    cells = pts[inside]
+    cv.rects(cells - h / 2, cells + h / 2, [f"rgb({r},80,{b})" for r, b in zip(reds, blues)])
     cv.circle(c, R, stroke="#000000", width=1.0)
     cv.text((c[0] - R, c[1] + R), f"p range [{vmin:.3f}, {vmax:.3f}]", size=11)
     if path:

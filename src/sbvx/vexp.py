@@ -3,9 +3,11 @@
 An exponent field assigns to each point of a planar domain an exponent in
 (1, p_plus]. The modular of a function f is the integral of |f|^{p(x)} and
 the Luxembourg norm is the scaling lambda that brings the modular of f/lambda
-down to one. Both norms of the package, of a sampled function here and of a
-map's gradient in ``sbv2d``, come from one solver, ``luxembourg_from_samples``:
-Newton's method in log lambda on the log of the sampled modular.
+down to one. One Newton core gives both: Newton's method in log lambda on
+the log-sum-exp of the sampled terms log(w f^p), whose first step, at
+lambda = 1, is the sampled modular itself. Every modular and norm of the
+package comes from it, the norm of a map's gradient in ``sbv2d`` through
+``luxembourg_from_samples``.
 
 Closed-form fields are restricted to a whitelist (see ``CLOSED_FORMS``):
     affine        p0 + a . x
@@ -200,12 +202,6 @@ def _magnitude_at(f, pts: np.ndarray) -> np.ndarray:
     return np.abs(fv) if fv.ndim == 1 else np.linalg.norm(fv, axis=-1)
 
 
-def _sampled_integrand(f, p: ExponentField, region: Region, resolution: int):
-    """(|f|, p, weights) on the region's rule, once p is known to cover it."""
-    pts, pv, w = _sampled_rule(p, region, resolution)
-    return _magnitude_at(f, pts), pv, w
-
-
 def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
     """Modular of f over region: integral of |f(x)|^{p(x)} dx.
 
@@ -213,13 +209,54 @@ def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
     Uses the fixed composite rule of the region; the rule resolution is an
     explicit argument so callers can report their integration tolerance.
     """
-    return _modular_sum(*_sampled_integrand(f, p, region, resolution))
+    return modular_and_norm(f, p, region, resolution)[0]
 
 
-def _modular_sum(fv, pv, w) -> float:
-    if not np.all(np.isfinite(fv)):
-        raise ToolkitError("integrand is not finite on the region")
-    return float(np.sum(w * fv**pv))
+def _log_terms(fv, pv, log_w) -> np.ndarray:
+    """log(w f^p) of the samples, -inf where w = 0 or f = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(fv)
+        a *= pv
+        a += log_w
+    return a
+
+
+def _newton(a, pv, n: int) -> tuple:
+    """(modular, norm) of the samples with log terms a = log(w f^p) and
+    exponents pv, n samples in all: sum_i e^{a_i} and the Luxembourg norm,
+    both 0.0 when every a_i is -inf (see ``luxembourg_from_samples``)."""
+    keep = a != -np.inf
+    if not keep.all():
+        a, pv = a[keep], pv[keep]
+    if not len(a):
+        return 0.0, 0.0
+    p_lo, p_hi = pv.min(), pv.max()
+    if not (np.all(np.isfinite(a)) and p_lo > 0):
+        raise ToolkitError(
+            f"Luxembourg norm of {n} samples: samples must be finite, "
+            f"with f >= 0, w >= 0 and p > 0"
+        )
+    k = (p_hi - p_lo) ** 2 * p_hi**2 / (8 * p_lo**3)
+    t, zmax = 0.0, a.max()
+    z = a - zmax  # the exponents a_i - p_i t - zmax, at t = 0
+    np.exp(z, out=z)
+    s = z.sum()
+    mod = float(np.exp(zmax) * s)  # at t = 0 the log-sum-exp of a is the modular
+    for _ in range(NEWTON_MAX_ITER):
+        step = (zmax + np.log(s)) * s / (z @ pv)  # -g(t) / g'(t)
+        t += step
+        if k * step * step <= NEWTON_TOL:
+            return mod, float(np.exp(t))
+        np.multiply(pv, -t, out=z)
+        z += a
+        zmax = z.max()
+        z -= zmax
+        np.exp(z, out=z)
+        s = z.sum()
+    raise ToolkitError(
+        f"Luxembourg norm of {len(a)} of {n} samples: Newton in log lambda "
+        f"did not converge in {NEWTON_MAX_ITER} steps (last step {step:.3g})"
+    )
 
 
 def luxembourg_from_samples(fv, pv, w) -> float:
@@ -244,45 +281,18 @@ def luxembourg_from_samples(fv, pv, w) -> float:
     """
     fv, pv, w = (np.asarray(x, dtype=float).ravel() for x in (fv, pv, w))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(w) + pv * np.log(fv)  # log(w f^p): -inf where w = 0 or f = 0
-    keep = a != -np.inf
-    a, pk = a[keep], pv[keep]
-    if not len(a):
-        return 0.0
-    p_lo, p_hi = pk.min(), pk.max()
-    if not (np.all(np.isfinite(a)) and p_lo > 0):
-        raise ToolkitError(
-            f"Luxembourg norm of {len(fv)} samples: samples must be finite, "
-            f"with f >= 0, w >= 0 and p > 0"
-        )
-    k = (p_hi - p_lo) ** 2 * p_hi**2 / (8 * p_lo**3)
-    t = 0.0
-    z = np.empty_like(a)
-    for _ in range(NEWTON_MAX_ITER):
-        np.multiply(pk, -t, out=z)
-        z += a
-        zmax = z.max()
-        z -= zmax
-        np.exp(z, out=z)
-        s = z.sum()
-        step = (zmax + np.log(s)) * s / (z @ pk)  # -g(t) / g'(t)
-        t += step
-        if k * step * step <= NEWTON_TOL:
-            return float(np.exp(t))
-    raise ToolkitError(
-        f"Luxembourg norm of {len(a)} of {len(fv)} samples: Newton in log lambda "
-        f"did not converge in {NEWTON_MAX_ITER} steps (last step {step:.3g})"
-    )
+        log_w = np.log(w)
+    return _newton(_log_terms(fv, pv, log_w), pv, len(fv))[1]
 
 
 def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
     """Luxembourg norm inf{lam > 0 : modular(f/lam) <= 1} on the region's rule.
 
-    The sampled modular is solved for one by ``luxembourg_from_samples``:
+    The sampled modular is solved for one as in ``luxembourg_from_samples``:
     Newton's method in log lam, stopped once its error bound on log lam is
     at most NEWTON_TOL, which leaves |modular(f/lam) - 1| at round-off.
     """
-    return luxembourg_from_samples(*_sampled_integrand(f, p, region, resolution))
+    return modular_and_norm(f, p, region, resolution)[1]
 
 
 def modular_and_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> tuple:
@@ -293,12 +303,17 @@ def modular_and_norm(f, p: ExponentField, region: Region, resolution: int = 24) 
 
 def modulars_and_norms(fs, p: ExponentField, region: Region, resolution: int = 24):
     """Yield modular_and_norm(f, p, region, resolution) for each f of fs in
-    turn. The rule and p are sampled once, when the first value is asked for;
-    each f is evaluated only when its turn comes."""
+    turn. The rule, p and log w are computed once, when the first value is
+    asked for; each f is evaluated only when its turn comes, and its modular
+    and norm come from one Newton solve."""
     pts, pv, w = _sampled_rule(p, region, resolution)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)  # -inf where w = 0
     for f in fs:
         fv = _magnitude_at(f, pts)
-        yield _modular_sum(fv, pv, w), luxembourg_from_samples(fv, pv, w)
+        if not np.all(np.isfinite(fv)):
+            raise ToolkitError("integrand is not finite on the region")
+        yield _newton(_log_terms(fv, pv, log_w), pv, len(fv))
 
 
 def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):

@@ -14,7 +14,9 @@ from sbvx.cli import run_scenario
 from sbvx.energy import blowup, jump_criterion_profile
 from sbvx.quadrature import Disk
 from sbvx.retract import RetractionConfig, project_w, _composed_gmags
-from sbvx.sbv2d import CellPatch, DiscreteSbvMap, jump_length, synthesize, two_constant_map
+from sbvx.sbv2d import (
+    CellPatch, DiscreteSbvMap, dilate_map, jump_length, synthesize, two_constant_map,
+)
 from sbvx.sobolev_approx import global_approx, local_phi
 from sbvx.counterex3d import annulus_measure, build_complex, verify_violation
 from sbvx.vexp import ExponentField, luxembourg_norm, modular
@@ -154,6 +156,22 @@ def test_criterion_3_holds_on_the_instance_whose_grids_used_to_fail():
     u = synthesize(kind, params, seed=seed + 2000)
     rep = global_approx(u, P_VAR, s, eta, seed=seed + 2001)
     assert _criterion_3_violations(idx, eta, u, rep) == []
+
+
+@pytest.mark.parametrize("idx", [30, 35])
+def test_criterion_3_holds_on_instances_dilated_by_1e_6(idx):
+    # with free jump endpoints matched on an absolute 1e-9 lattice, these two
+    # instances of the every-5th slice found no free endpoint once dilated by
+    # 1e-6, and global_approx raised AdaptationError
+    _, s, eta, kind, params, seed = list(corpus_instances())[idx]
+    u = synthesize(kind, params, seed=seed)
+    small = dilate_map(u, 1e-6)
+    p = ExponentField.constant(1.6, small.domain)
+    rep = global_approx(small, p, s, eta, seed=seed + 1)
+    ref = global_approx(u, P_CONST, s, eta, seed=seed + 1)
+    assert _criterion_3_violations(idx, eta, small, rep) == []
+    assert rep.estimates["rounds"] == ref.estimates["rounds"]
+    assert rep.estimates["xi_hat"] == ref.estimates["xi_hat"]
 
 
 def test_criterion_4_variable_exponent_modular_bound(corpus_runs_var):

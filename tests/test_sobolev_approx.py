@@ -205,6 +205,21 @@ def test_free_endpoints_detection():
     assert keys == {(0.0, 0.0), (2.0, 1.0)}
 
 
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (-0.7, 0.4)])
+def test_free_endpoints_do_not_depend_on_scale_or_position(factor, shift):
+    # a three-segment chain whose middle joint is off by round-off (1e-13 of
+    # J's size), and a fourth segment starting 1e-6 of that size past its end
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0 + 1e-13], [2.0, 1.0 + 2e-6]])
+    b = np.array([[1.0, 0.0], [2.0, 1.0], [2.0, 1.5], [2.0, 2.0]])
+    t = np.asarray(shift) + factor * 0.5
+    J = JumpSet.from_segments(t + factor * a, t + factor * b, [[1.0]] * 4, [[0.0]] * 4)
+    ends = (_free_endpoints(J) - t) / factor
+    ends = ends[np.lexsort(ends.T[::-1])]
+    assert np.allclose(ends, [[0.0, 0.0], [2.0, 1.0 + 2e-6], [2.0, 1.5], [2.0, 2.0]],
+                       rtol=0.0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # global iteration
 # ---------------------------------------------------------------------------

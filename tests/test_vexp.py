@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,52 @@ def test_solver_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(vexp, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ToolkitError, match="3 of 3 samples"):
         luxembourg_from_samples(fv, pv, w)
+
+
+def _core(fv, pv, w):
+    """(modular, norm) of the samples from the Newton core."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    return vexp._newton(vexp._log_terms(fv, pv, log_w), pv, len(fv))
+
+
+zeros_or = lambda lo, hi: st.one_of(st.just(0.0), st.floats(lo, hi))  # noqa: E731
+core_samples = st.integers(1, 80).flatmap(
+    lambda n: st.tuples(
+        st.lists(zeros_or(1e-3, 10.0), min_size=n, max_size=n),
+        st.lists(zeros_or(1e-3, 1.0), min_size=n, max_size=n),
+        st.one_of(
+            st.floats(1.05, 3.0).map(lambda q: [q] * n),
+            st.lists(st.floats(1.05, 3.0), min_size=n, max_size=n),
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_samples, st.floats(-6.0, 6.0))
+def test_newton_core_gives_the_modular_and_the_norm(wfp, log_amp):
+    w, f, p = (np.asarray(a) for a in wfp)
+    fv = 10.0**log_amp * f
+    m, nrm = _core(fv, p, w)
+    ref = math.fsum(w * fv**p)
+    # the modular sums e^{a_i}, a_i = log(w_i f_i^p_i) rounded to a few ulps of
+    # its terms: 1e-14 relative for terms of unit order, more for f near 1e-9
+    with np.errstate(divide="ignore"):
+        logs = np.abs(np.log(w)) + p * np.abs(np.log(fv))
+    tol = 4 * np.finfo(float).eps * (1 + logs[(w > 0) & (fv > 0)].max(initial=0.0))
+    assert abs(m - ref) <= tol * ref
+    assert nrm == luxembourg_from_samples(fv, p, w)
+    if ref == 0.0:
+        assert (m, nrm) == (0.0, 0.0)
+    else:
+        assert abs(_core(fv / nrm, p, w)[0] - 1.0) <= 1e-12
+    assert _core(np.zeros_like(fv), p, w) == (0.0, 0.0)
+    assert _core(fv, p, np.zeros_like(w)) == (0.0, 0.0)
+    f_inf = fv.copy()
+    f_inf[0] = np.inf
+    with pytest.raises(ToolkitError, match="finite"):
+        _core(f_inf, p, w)
 
 
 def test_norm_solves_modular_to_round_off(unit_disk, affine_field):
