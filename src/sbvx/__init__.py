@@ -13,6 +13,7 @@ from .energy import (
     density_probe,
     deviation,
     functional,
+    functionals,
     jump_criterion_profile,
     upper_bound_competitor,
 )
@@ -58,7 +59,7 @@ __all__ = [
     "project_to_sphere_stage",
     "RetractionConfig", "sphere_retraction_gradient", "choose_shift", "project_w",
     "EnergyBreakdown", "BlowupFrame", "DensityProbeConfig", "functional",
-    "deviation", "upper_bound_competitor", "blowup", "jump_criterion_profile",
+    "functionals", "deviation", "upper_bound_competitor", "blowup", "jump_criterion_profile",
     "density_probe",
     "ConeComplex", "build_complex", "annulus_measure", "verify_violation",
 ]

@@ -167,10 +167,13 @@ def polygon_area(pts: np.ndarray) -> float:
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def polygons_disk_area(polys: np.ndarray, center, radius: float) -> np.ndarray:
+def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     """Exact areas of (simple polygon) ∩ (disk) for a batch, via Green's theorem.
 
     polys is (n, m, 2): n polygons of m vertices each, in either orientation.
+    One centre (2,) and radius serve every polygon; centres (n, 2) and radii
+    (n,) give each polygon its own disk, with the operations, and so the
+    bits, of its own call.
     Each edge is cut at its circle crossings into at most three pieces; a
     piece inside the disk contributes the triangle it spans with the circle
     centre, a piece outside contributes the circular sector it subtends. An
@@ -178,8 +181,7 @@ def polygons_disk_area(polys: np.ndarray, center, radius: float) -> np.ndarray:
     Edges and pieces shorter than EPS contribute nothing, so polygons with
     coincident vertices (down to a single point) are handled.
     """
-    c = np.asarray(center, dtype=float)
-    p = np.asarray(polys, dtype=float) - c
+    p = np.asarray(polys, dtype=float) - np.reshape(np.asarray(center, dtype=float), (-1, 1, 2))
     x, y = p[..., 0], p[..., 1]
     signed = 0.5 * (
         np.sum(x * np.roll(y, -1, axis=1), axis=1) - np.sum(y * np.roll(x, -1, axis=1), axis=1)
@@ -190,7 +192,7 @@ def polygons_disk_area(polys: np.ndarray, center, radius: float) -> np.ndarray:
     dd = np.sum(d * d, axis=-1)
     live = dd > EPS * EPS
     dd_safe = np.where(live, dd, 1.0)
-    r2 = radius * radius
+    r2 = np.reshape(np.multiply(radius, radius, dtype=float), (-1, 1, 1))
     bq = 2.0 * np.sum(A * d, axis=-1)
     cq = np.sum(A * A, axis=-1) - r2
     disc = bq * bq - 4.0 * dd * cq

@@ -150,36 +150,21 @@ def build_complex(
     cands = _fibonacci_sphere(axis_count, rng)
     betas = epsilon * 2.0 ** (-np.arange(axis_count, dtype=float)) / (40 * np.pi)
 
-    sel_idx: list[int] = []
-    for j in range(axis_count):
-        ok = True
-        for l in sel_idx:
-            angle = float(np.arccos(np.clip(cands[j] @ cands[l], -1, 1)))
-            if angle <= betas[j] + betas[l]:
-                ok = False
-                break
-        if ok:
-            sel_idx.append(j)
-    if not sel_idx:
-        raise ConstructionError(
-            "Vitali selection came out empty; increase axis_count"
-        )
-    # 5x covering check for the rejected candidates
-    for j in range(axis_count):
-        if j in sel_idx:
-            continue
-        covered = False
-        for l in sel_idx:
-            if l > j:
-                continue
-            angle = float(np.arccos(np.clip(cands[j] @ cands[l], -1, 1)))
-            if angle + betas[j] <= 5 * betas[l]:
-                covered = True
-                break
-        if not covered:
-            raise ConstructionError("5x dilates fail to cover a rejected candidate")
+    # every pairwise angle from one Gram matrix; entry (j, l) is the angle
+    # between candidate j and an earlier kept cone l
+    angle = np.arccos(np.clip(cands @ cands.T, -1, 1))
+    free = np.ones(axis_count, dtype=bool)  # clear of every cone kept so far
+    for l in range(axis_count):
+        if free[l]:
+            free[l + 1 :] &= angle[l + 1 :, l] > betas[l + 1 :] + betas[l]
+    sel, rejected = np.flatnonzero(free), np.flatnonzero(~free)
+    # 5x covering check: each rejected ball lies in the 5-fold dilate of a
+    # kept ball of smaller index
+    reach = angle[np.ix_(rejected, sel)] + betas[rejected, None]
+    covered = (reach <= 5 * betas[sel]) & (sel < rejected[:, None])
+    if not np.all(np.any(covered, axis=1)):
+        raise ConstructionError("5x dilates fail to cover a rejected candidate")
 
-    sel = np.asarray(sel_idx)
     kappa = float(np.sum(2.0 ** (-sel.astype(float))))
     h0 = int(np.ceil(np.log2(1.0 + 40.0 * C_target / kappa)))
     return ConeComplex(

@@ -20,7 +20,6 @@ from .sbv2d import (
     DiscreteSbvMap,
     JumpSet,
     fan_mesh,
-    jump_length,
     transform_map,
 )
 
@@ -29,6 +28,7 @@ __all__ = [
     "BlowupFrame",
     "DensityProbeConfig",
     "functional",
+    "functionals",
     "deviation",
     "upper_bound_competitor",
     "blowup",
@@ -58,10 +58,22 @@ class EnergyBreakdown:
 
 
 def functional(u: DiscreteSbvMap, p, c: float, region, level: int = 2) -> EnergyBreakdown:
-    """F(u, c, region): p(x)-modular of the gradient plus c * jump length."""
-    bulk = u.modular_of_gradient(p, region, level)
-    jmp = c * jump_length(u, region)
-    return EnergyBreakdown(bulk=bulk, jump=jmp, region=region)
+    """F(u, c, region): p(x)-modular of the gradient plus c * jump length;
+    the stack of one region (see functionals)."""
+    return functionals(u, p, c, [region], level)[0]
+
+
+def functionals(u: DiscreteSbvMap, p, c: float, regions, level: int = 2) -> list:
+    """F(u, c, region) of each region of a stack of disks and annuli (or of
+    one region of any kind): the modulars from one sample decomposition
+    (DiscreteSbvMap.modulars_of_gradient) and the jump lengths from one clip
+    (JumpSet.lengths_in), so each F is bitwise that region's alone."""
+    return [
+        EnergyBreakdown(bulk=bulk, jump=c * length, region=region)
+        for bulk, length, region in zip(
+            u.modulars_of_gradient(p, regions, level), u.jump.lengths_in(regions), regions
+        )
+    ]
 
 
 def deviation(
@@ -252,10 +264,8 @@ def jump_criterion_profile(
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ToolkitError("radii must be strictly decreasing")
     x0 = np.asarray(x0, dtype=float)
-    prof = []
-    for r in radii:
-        fb = functional(u, p, 1.0, Disk(tuple(x0), r), level)
-        prof.append((r, fb.total / r))
+    disks = [Disk(tuple(x0), r) for r in radii]
+    prof = [(r, fb.total / r) for r, fb in zip(radii, functionals(u, p, 1.0, disks, level))]
     vals = np.array([v for _, v in prof])
     verdict = "inconclusive"
     slope = None
@@ -300,18 +310,22 @@ def density_probe(
     """
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     radii = probe.rho_prime * 2.0 ** (-np.arange(n_radii, dtype=float))
+    balls = [
+        (x, r)
+        for x in sample_points
+        for r in radii
+        if np.linalg.norm(x - np.asarray(u.domain.center)) + r <= u.domain.radius - probe.delta
+    ]
+    energies = functionals(u, p, 1.0, [Disk(tuple(x), r) for x, r in balls], level)
     rows = []
     theta_hat = np.inf
     violations = []
-    for x in sample_points:
-        for r in radii:
-            if np.linalg.norm(x - np.asarray(u.domain.center)) + r > u.domain.radius - probe.delta:
-                continue
-            val = functional(u, p, 1.0, Disk(tuple(x), r), level).total / r
-            rows.append({"x": x.tolist(), "rho": float(r), "F_over_rho": val})
-            theta_hat = min(theta_hat, val)
-            if val <= probe.theta_delta:
-                violations.append({"x": x.tolist(), "rho": float(r), "F_over_rho": val})
+    for (x, r), fb in zip(balls, energies):
+        val = fb.total / r
+        rows.append({"x": x.tolist(), "rho": float(r), "F_over_rho": val})
+        theta_hat = min(theta_hat, val)
+        if val <= probe.theta_delta:
+            violations.append({"x": x.tolist(), "rho": float(r), "F_over_rho": val})
     return {
         "rows": rows,
         "violations": violations,

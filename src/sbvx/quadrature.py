@@ -147,10 +147,10 @@ class Rect:
     def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return (
-            (pts[:, 0] >= self.x0 - tol)
-            & (pts[:, 0] <= self.x1 + tol)
-            & (pts[:, 1] >= self.y0 - tol)
-            & (pts[:, 1] <= self.y1 + tol)
+            (pts[..., 0] >= self.x0 - tol)
+            & (pts[..., 0] <= self.x1 + tol)
+            & (pts[..., 1] >= self.y0 - tol)
+            & (pts[..., 1] <= self.y1 + tol)
         )
 
     def rule(self, resolution: int = 24, order: int = 8):

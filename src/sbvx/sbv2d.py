@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +116,18 @@ class JumpSet:
         if len(self) == 0:
             return 0.0
         return float(np.sum(region.segment_lengths(self.a, self.b)))
+
+    def lengths_in(self, regions) -> list:
+        """length_in of each region of a stack of disks and annuli, bitwise,
+        from one stacked clip of every segment against every circle."""
+        if len(self) == 0 or any(r.rings is None for r in regions):
+            return [self.length_in(r) for r in regions]
+        c, r_in, r_out = _stack_rings(regions)[0]
+        lengths = _geom.segment_disk_length(self.a, self.b, c, r_out)
+        ann = np.flatnonzero(r_in > -np.inf)  # an annulus is its outer disk minus its inner one
+        if len(ann):
+            lengths[ann] -= _geom.segment_disk_length(self.a, self.b, c[ann], r_in[ann])
+        return [float(np.sum(row)) for row in lengths]
 
     def clip_outside_disk(self, disk: Disk) -> "JumpSet":
         """Keep only the parts of the jump outside the given disk."""
@@ -339,44 +352,42 @@ def fan_mesh(disk: Disk, n_rings: int = 10):
         ring_start.append(len(verts))
         verts.extend(c + (R * j / n_rings) * np.stack([np.cos(th), np.sin(th)], axis=1))
     verts = np.asarray(verts)
-    tris = []
-    for j in range(n_rings):
-        inner = np.arange(6 * j) + ring_start[j] if j > 0 else np.array([0])
-        outer = np.arange(6 * (j + 1)) + ring_start[j + 1]
-        tris.extend(_stitch_rings(verts, inner, outer))
-    tris = np.asarray(tris, dtype=int)
+    tris = np.concatenate([
+        _stitch_rings(verts, np.arange(6 * j) + ring_start[j] if j > 0 else np.array([0]),
+                      np.arange(6 * (j + 1)) + ring_start[j + 1])
+        for j in range(n_rings)
+    ])
     outer_start = ring_start[-1]
     on_outer = tris >= outer_start
     arc_cells = on_outer.sum(axis=1) == 2
     return verts, tris, arc_cells
 
 
-def _stitch_rings(verts, inner_idx, outer_idx):
-    """Triangulate the annulus between two concentric vertex rings."""
-    tris = []
+def _stitch_rings(verts, inner_idx, outer_idx) -> np.ndarray:
+    """Triangulate the annulus between two concentric vertex rings: (n, 3)
+    vertex indices.
+
+    Both rings are walked by angle. Step i of the inner ring sits at the
+    fraction (i + 1/2)/n_i of the turn, step j of the outer one at
+    (j + 1/2)/n_o; the steps go in order of fraction, the inner ring first on
+    a tie, which is one stable merge of the two lists. A step spans the
+    current vertices of both rings and the next vertex of its own ring; the
+    current vertices are counted by the steps of each ring before it.
+    """
     if len(inner_idx) == 1:
-        cidx = inner_idx[0]
-        n = len(outer_idx)
-        for i in range(n):
-            tris.append((cidx, outer_idx[i], outer_idx[(i + 1) % n]))
-        return tris
-    ang_i = np.arctan2(*(verts[inner_idx] - verts[inner_idx].mean(axis=0)).T[::-1])
-    ang_o = np.arctan2(*(verts[outer_idx] - verts[inner_idx].mean(axis=0)).T[::-1])
+        return np.stack([np.full(len(outer_idx), inner_idx[0]), outer_idx, np.roll(outer_idx, -1)], axis=1)
+    mid = verts[inner_idx].mean(axis=0)
+    ang_i = np.arctan2(*(verts[inner_idx] - mid).T[::-1])
+    ang_o = np.arctan2(*(verts[outer_idx] - mid).T[::-1])
     oi = inner_idx[np.argsort(ang_i)]
     oo = outer_idx[np.argsort(ang_o)]
     ni, no = len(oi), len(oo)
-    i = j = 0
-    # advancing-front walk around both rings
-    while i < ni or j < no:
-        fi = (i + 0.5) / ni
-        fj = (j + 0.5) / no
-        if j >= no or (i < ni and fi <= fj):
-            tris.append((oi[i % ni], oo[j % no], oi[(i + 1) % ni]))
-            i += 1
-        else:
-            tris.append((oi[i % ni], oo[j % no], oo[(j + 1) % no]))
-            j += 1
-    return tris
+    frac = np.concatenate([(np.arange(ni) + 0.5) / ni, (np.arange(no) + 0.5) / no])
+    inner = np.argsort(frac, kind="stable") < ni
+    i = np.cumsum(inner) - inner  # inner steps before each step
+    j = np.arange(ni + no) - i  # outer steps before it
+    nxt = np.where(inner, oi[(i + 1) % ni], oo[(j + 1) % no])
+    return np.stack([oi[i % ni], oo[j % no], nxt], axis=1)
 
 
 def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_boundary: int = 48):
@@ -466,7 +477,7 @@ class DiscreteSbvMap:
     # -- quadrature ---------------------------------------------------------
 
     def bulk_samples(self, region=None, level: int = 2):
-        """Bulk view of the visible-sample decomposition (see _build_samples):
+        """Bulk view of the visible-sample decomposition (see _build_stack):
         (pts, weights, gmag), gmag the gradient norm of each sample's cell.
 
         cell_samples is the per-cell view of the same decomposition. The map
@@ -497,44 +508,69 @@ class DiscreteSbvMap:
         return self._bulk_memo[1]
 
     def _build_samples(self, region, level: int):
-        """Midpoint sample decomposition of the bulk layers.
+        """(pts, w, cell, gmag) of one region: its stack of one (see _build_stack)."""
+        return self._build_stack([region], level)[:4]
 
-        Returns read-only (pts, w, cell, gmag): subcell centroids that survive
-        the patch layering, their areas, the flat id of their cell in the
-        concatenated patch stack, and that cell's gradient norm. For disk
+    def _build_stack(self, regions, level: int):
+        """Midpoint sample decomposition of the bulk layers over a stack of
+        regions: disks and annuli, or one region of any kind (None for the
+        whole domain, or a Rect).
+
+        Returns read-only (pts, w, cell, gmag, bounds): rows bounds[k] to
+        bounds[k + 1] are region k's subcell centroids that survive the patch
+        layering, their areas, the flat id of their cell in the concatenated
+        patch stack, and that cell's gradient norm, in patch order. For disk
         regions, subcells straddling the region boundary carry their exact
         clipped area, an annulus being its outer disk minus its inner one;
         subcells meeting a later patch circle carry their refined area (see
         _refined_weights). Arc bulges contribute an extra sample at the arc
         midpoint carrying the segment area.
 
-        Each patch is classified against the region's rings first (see
-        _patch_relation): a patch that misses the region, or whose region a
-        later circle covers, adds no sample; a patch inside the region is
-        sampled as over the whole domain; a patch the region cuts scans only
-        the triangles that can meet it (see _samples_meeting).
+        Each patch is classified against every region's rings first (see
+        _patch_relation): a region that misses the patch, or that a later
+        circle covers, takes no sample of it; a region holding the patch
+        samples it as the whole domain does; a region cutting it scans only
+        the triangles that can meet it (see _samples_meeting). All regions'
+        triangles of a patch are culled in one broadcast and their
+        straddling subcells clipped in one call. Every operation acts on one
+        sample at a time, so each region's rows are, bit for bit, those of
+        its stack of one.
         """
+        rings, flat = _stack_rings(regions)
         offsets = np.cumsum([0] + [len(p.tris) for p in self.patches])
-        rings = None if region is None else region.rings
         parts = []
         for i, patch in enumerate(self.patches):
             laters = [q.circle for q in self.patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
-            relation = _patch_relation(patch.circle, laters, rings)
-            if relation in ("outside", "hidden"):
-                continue
-            clip = None if relation == "inside" else region
-            parts.append(_visible_in_patch(patch, level, laters, clip, offsets[i]))
-        empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
-        pts, w, cell = (np.concatenate(col) for col in zip(empty, *parts))
+            live, inside = _patch_relation(patch.circle, laters, rings)
+            cut = np.flatnonzero(live & ~inside)
+            if len(cut):
+                src, reg = _samples_meeting(patch, level, rings.take(cut))
+                *kept, sel = _visible_in_patch(patch, level, laters, src, rings.take(cut).take(reg), flat, offsets[i])
+                parts.append((*kept, cut[reg[sel]]))
+            whole = np.flatnonzero(live & inside)
+            if len(whole):  # a region holding the patch clips nothing: all take its visible samples
+                pts, w, cell, _ = _visible_in_patch(patch, level, laters, slice(None), None, flat, offsets[i])
+                parts += [(pts, w, cell, np.full(len(w), k)) for k in whole]
+        empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        pts, w, cell, reg = (np.concatenate(col) for col in zip(empty, *parts))
+        if len(regions) > 1:  # region by region, each in patch order
+            order = np.argsort(reg, kind="stable")
+            pts, w, cell = pts[order], w[order], cell[order]
         out = (pts, w, cell, np.concatenate([p.gmag for p in self.patches])[cell])
         for arr in out:
             arr.setflags(write=False)
-        return out
+        return (*out, np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regions)))]))
 
     def modular_of_gradient(self, p, region=None, level: int = 2) -> float:
         """Integral of |grad u|^{p(x)} over the region."""
-        pts, w, g = self.bulk_samples(region, level)
-        return float(np.sum(w * g ** p(pts)))
+        return _modular(p, *self.bulk_samples(region, level))
+
+    def modulars_of_gradient(self, p, regions, level: int = 2) -> list:
+        """modular_of_gradient of each region of a stack of disks and annuli,
+        bitwise, from one decomposition (see _build_stack): each region's
+        sum runs over its own samples. The stack is not memoised."""
+        pts, w, _, g, bounds = self._build_stack(regions, level)
+        return [_modular(p, pts[i:j], w[i:j], g[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
 
     def gradient_q_integral(self, q: float, region=None, level: int = 2) -> float:
         pts, w, g = self.bulk_samples(region, level)
@@ -603,6 +639,11 @@ class DiscreteSbvMap:
         )
 
 
+def _modular(p, pts, w, g) -> float:
+    """Σ w g^p(pts) over bulk samples: the modular of the gradient."""
+    return float(np.sum(w * g ** p(pts)))
+
+
 def _region_key(region):
     """Exact, hashable identity of a region (None, Disk, Annulus or Rect)."""
     if region is None:
@@ -610,69 +651,114 @@ def _region_key(region):
     return type(region), np.hstack(astuple(region)).astype(float).tobytes()
 
 
-def _margin(*disks: Disk) -> float:
-    """Slack of the region tests: Disk.contains' 1e-12, plus 1e-12 of the
-    coordinate scale, far above the round-off of any distance between them."""
-    return 1e-12 * (1.0 + max(float(np.max(np.abs(d.center))) + d.radius for d in disks))
+class _RingRows(NamedTuple):
+    """Ring regions (centre, r_inner, r_outer) by row: c (n, 2), r_in (n,)
+    and r_out (n,). A disk has r_in = -inf; a region without rings spans the
+    plane, r_in = -inf and r_out = inf."""
+
+    c: np.ndarray
+    r_in: np.ndarray
+    r_out: np.ndarray
+
+    def take(self, idx) -> "_RingRows":
+        """Rows idx; a single row stands for every row, by broadcasting."""
+        if len(self.r_out) == 1:
+            return self
+        return _RingRows(self.c[idx], self.r_in[idx], self.r_out[idx])
+
+    def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Whether each point of row i of pts (n, ..., 2) lies in ring i, as
+        Disk.contains and Annulus.contains decide it."""
+        shape = (len(self.r_in),) + (1,) * (np.ndim(pts) - 2)
+        d = np.linalg.norm(pts - self.c.reshape(shape + (2,)), axis=-1)
+        return (d >= self.r_in.reshape(shape) - tol) & (d <= self.r_out.reshape(shape) + tol)
 
 
-def _patch_relation(circle: Disk, laters, rings) -> str:
-    """How the region of rings (centre, r_inner, r_outer) meets a patch
-    circle under its later circles; a region without rings is "cut".
+def _stack_rings(regions):
+    """(_RingRows of the regions, the region without rings or None).
 
-    "outside": a disk region (r_inner = -inf) misses the circle, as
-    _disks_meet decides. "hidden": a later circle holds the region, either
-    with the region's own centre and a radius no smaller, or with _margin to
-    spare; then every point that the region's clip or its Disk.contains
-    admits is also in that circle, so no sample of the patch survives.
-    "inside": the circle lies in the region, so the exact clip of every
-    subcell is its own area. "cut": the rest.
+    A region without rings, None or a Rect, spans the plane; a Rect then
+    also filters its samples by Rect.contains, and must stand alone.
     """
-    if rings is None:
-        return "cut"
+    plane = (np.zeros(2), -np.inf, np.inf)
+    rings = [plane if r is None or r.rings is None else r.rings for r in regions]
+    flat = [r for r in regions if r is not None and r.rings is None]
+    if flat and len(regions) > 1:
+        raise ToolkitError(f"only disks and annuli stack; {flat[0]!r} must stand alone")
+    c, r_in, r_out = (np.array([ring[j] for ring in rings], dtype=float) for j in range(3))
+    return _RingRows(c.reshape(-1, 2), r_in, r_out), (flat[0] if flat else None)
+
+
+def _margin(circle: Disk, scale) -> np.ndarray:
+    """Slack of the region tests of a circle against regions whose centre
+    and outer radius reach scale = max|centre| + r_outer: Disk.contains'
+    1e-12, plus 1e-12 of the coordinate scale, far above the round-off of any
+    distance between them."""
+    return 1e-12 * (1.0 + np.maximum(max(abs(x) for x in circle.center) + circle.radius, scale))
+
+
+def _distances(c: np.ndarray, x) -> np.ndarray:
+    """|x - c[k]| for each row of c, as np.linalg.norm gives it for the one
+    pair: its dot product rounds differently from a row-wise norm."""
+    x = np.asarray(x, dtype=float)
+    return np.array([np.linalg.norm(x - ck) for ck in c]).reshape(len(c))
+
+
+def _patch_relation(circle: Disk, laters, rings: _RingRows):
+    """(live, inside): how each region of rings meets a patch circle under
+    its later circles.
+
+    Not live: a disk region (r_inner = -inf) misses the circle, as
+    _disks_meet decides ("outside"); or a later circle holds the region,
+    either with the region's own centre and a radius no smaller, or with
+    _margin to spare ("hidden"). Then every point that the region's clip or
+    its Disk.contains admits is also in that circle, so no sample of the
+    patch survives. Inside: the circle lies in the region, so the exact clip
+    of every subcell is its own area.
+    """
     c, r_in, r_out = rings
-    outer = Disk(tuple(c), r_out)
-    if r_in == -np.inf and not _disks_meet(circle, outer):
-        return "outside"
+    d = _distances(c, circle.center)
+    live = (r_in != -np.inf) | (d <= circle.radius + r_out + 1e-12)
     for lc in laters:
-        dist = float(np.linalg.norm(np.asarray(lc.center) - c))
-        if lc.radius - r_out - dist >= (_margin(lc, outer) if dist > 0 else 0.0):
-            return "hidden"
-    d = float(np.linalg.norm(np.asarray(circle.center) - c))
-    if d + circle.radius <= r_out and d - circle.radius >= r_in:
-        return "inside"
-    return "cut"
+        dist = _distances(c, lc.center)
+        tol = np.where(dist > 0, _margin(lc, np.max(np.abs(c), axis=1) + r_out), 0.0)
+        live &= ~(lc.radius - r_out - dist >= tol)
+    inside = (d + circle.radius <= r_out) & (d - circle.radius >= r_in)
+    return live, inside
 
 
-def _samples_meeting(patch: CellPatch, level: int, rings):
-    """The samples (pts, w, cell_id, rad) of the patch's triangles whose
-    bounding circle meets the region of rings (centre, r_inner, r_outer);
-    all samples for a region without rings.
+def _samples_meeting(patch: CellPatch, level: int, rings: _RingRows):
+    """(src, reg): the patch samples, as rows src of
+    _patch_samples_with_ids, of the triangles whose bounding circle meets
+    region reg of rings; region by region, each in sample order.
 
     A triangle is culled when its bounding circle misses the region by more
     than _margin. Every sample and subcentroid of it then lies farther than
     rad + Disk.contains' 1e-12 outside the region, so the full scan drops
     each one (see _visible_in_patch). Culling keeps the order of the samples
-    and each kept triangle's block whole.
+    and each kept triangle's block whole. All regions and triangles are
+    tested in one broadcast.
     """
-    pts, w, cid, rad, reach = _patch_samples_with_ids(patch, level)
-    if rings is None:
-        return pts, w, cid, rad
-    c, r_in, r_out = rings
-    tol = _margin(patch.circle, Disk(tuple(c), r_out))
-    d = np.linalg.norm(patch.barycenters - c, axis=1)
-    meets = (d <= reach + r_out + tol) & (d + reach >= r_in - tol)
-    sel = np.flatnonzero(meets[cid])
-    return pts[sel], w[sel], cid[sel], rad[sel]
+    _, _, cid, _, reach = _patch_samples_with_ids(patch, level)
+    start = np.searchsorted(cid, np.arange(len(patch.tris) + 1))
+    tol = _margin(patch.circle, np.max(np.abs(rings.c), axis=1) + rings.r_out)[:, None]
+    d = np.linalg.norm(patch.barycenters - rings.c[:, None], axis=2)
+    meets = (d <= reach + rings.r_out[:, None] + tol) & (d + reach >= rings.r_in[:, None] - tol)
+    reg, t = np.nonzero(meets)
+    cnt = start[t + 1] - start[t]
+    return np.arange(cnt.sum()) + np.repeat(start[t] - np.cumsum(cnt) + cnt, cnt), np.repeat(reg, cnt)
 
 
-def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
-    """(pts, w, offset + cell_id) of the patch's samples visible in the
-    region below the later circles laters, those of the later patches that
-    meet its circle (see DiscreteSbvMap._build_samples)."""
-    rings = None if region is None else region.rings
-    samples = _samples_meeting(patch, level, rings)
-    pts, w, cid, rad_sub = samples
+def _visible_in_patch(patch: CellPatch, level: int, laters, src, rings, flat, offset):
+    """(pts, w, offset + cell_id, sel) of the patch samples src (rows of
+    _patch_samples_with_ids, or a slice of them) that are visible below the
+    later circles laters, those of the later patches that meet its circle
+    (see DiscreteSbvMap._build_stack). Each sample is clipped to its row of
+    the _RingRows rings, or not at all when rings is None; flat, a region
+    without rings, keeps only the samples it contains. sel marks the
+    samples of src returned."""
+    full = _patch_samples_with_ids(patch, level)
+    pts, w, cid, rad_sub = (x[src] for x in full[:4])
     keep = np.ones(len(pts), dtype=bool)
     near_later = np.zeros(len(pts), dtype=bool)
     for lc in laters:
@@ -681,39 +767,41 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, region, offset):
         keep &= dl > lc.radius
     keep |= near_later
     if rings is not None:
-        keep, w = _clip_weights(patch, level, samples, keep, rings, near_later)
-    elif region is not None:
-        keep &= near_later | region.contains(pts)
+        keep, w = _clip_weights(patch, level, (pts, w, src, rad_sub), keep, rings, near_later)
+    if flat is not None:
+        keep &= near_later | flat.contains(pts)
     # subcells meeting a later-patch boundary: refined indicator,
     # consistent between the region and the layering
-    refine = near_later & keep
-    if np.any(refine):
+    refine = np.flatnonzero(near_later & keep)
+    if len(refine):
         w = w.copy()
-        w[refine] = _refined_weights(
-            _subcell_corners(patch, level, pts, cid, np.flatnonzero(refine)), region, laters
-        )
+        corners = _subcell_corners(patch, level, full[0], full[2], np.arange(len(full[0]))[src][refine])
+        w[refine] = _refined_weights(corners, flat if rings is None else rings.take(refine), laters)
     sel = keep & (w > 0)
-    return pts[sel], w[sel], cid[sel] + offset
+    return pts[sel], w[sel], cid[sel] + offset, sel
 
 
-def _clip_weights(patch: CellPatch, level: int, samples, keep, rings, skip):
-    """(keep, w) for the patch's samples (pts, w, cell_id, rad) against the
-    region of rings (centre, r_inner, r_outer): the outer disk's clip minus
-    the inner one's. Each clip drops the kept samples whose subcells miss
-    its disk and gives the straddlers their exact clipped area. Samples
-    flagged in skip are kept and left to the caller.
+def _clip_weights(patch: CellPatch, level: int, samples, keep, rings: _RingRows, skip):
+    """(keep, w) for the patch's samples (pts, w, src, rad), src their rows
+    of _patch_samples_with_ids, each against its own row of rings: the outer
+    disk's clip minus the inner one's. Each clip drops the kept samples
+    whose subcells miss its disk and gives the straddlers their exact
+    clipped area, all in one call. Samples flagged in skip are kept and left
+    to the caller. w is a new array.
     """
-    pts, w, cid, rad_sub = samples
-    c, r_in, r_out = rings
-    d = np.linalg.norm(pts - c, axis=1)
+    pts, w, src, rad_sub = samples
+    full = _patch_samples_with_ids(patch, level)
+    d = np.linalg.norm(pts - rings.c, axis=1)
     clipped = []
-    for radius in (r_out, r_in):
+    for side in ("r_out", "r_in"):
+        radius = getattr(rings, side)
         keep_r = keep & ((d <= radius + rad_sub) | skip)
         straddle = np.flatnonzero(keep_r & (d > radius - rad_sub) & ~skip)
         w_r = np.where(keep_r, w, 0.0)
         if len(straddle):  # never at a disk's inner circle (r_inner = -inf): skip the fixed cost
-            corners = _subcell_corners(patch, level, pts, cid, straddle)
-            w_r[straddle] = _geom.polygons_disk_area(corners, c, radius)
+            corners = _subcell_corners(patch, level, full[0], full[2], src[straddle])
+            own = rings.take(straddle)
+            w_r[straddle] = _geom.polygons_disk_area(corners, own.c, getattr(own, side))
         clipped.append((keep_r, w_r))
     (keep_out, w_out), (_, w_in) = clipped
     w = w_out - w_in
@@ -725,17 +813,17 @@ def _refined_weights(corners, region, laters, depth: int = 3) -> np.ndarray:
 
     corners is (n, 3, 2). Each subtriangle is split 4**depth ways and keeps
     the pieces whose centroid lies in the region and outside every later
-    circle. Degenerate arc samples get 0: arc slivers at a later boundary
-    are negligible by area.
+    circle; region.contains answers for the (n, 4**depth, 2) centroids, so
+    _RingRows gives subtriangle i its own ring. Degenerate arc samples get 0:
+    arc slivers at a later boundary are negligible by area.
     """
     cents, areas = tri_subcentroids(corners[:, 0], corners[:, 1], corners[:, 2], depth)
-    flat = cents.reshape(-1, 2)
-    mask = np.ones(len(flat), dtype=bool)
+    mask = np.ones(areas.shape, dtype=bool)
     if region is not None:
-        mask &= region.contains(flat)
+        mask &= region.contains(cents)
     for lc in laters:
-        mask &= ~lc.contains(flat)
-    weights = mask.reshape(areas.shape).sum(axis=1) * areas[:, 0]
+        mask &= ~lc.contains(cents)
+    weights = mask.sum(axis=1) * areas[:, 0]
     degenerate = np.isclose(corners[:, 0], corners[:, 1]).all(axis=1)
     return np.where(degenerate, 0.0, weights)
 

@@ -65,17 +65,56 @@ def corpus_runs_var():
     return runs, time.perf_counter() - t0
 
 
-def test_criterion_1_affine_exactness():
+def criterion_1_maps():
+    """The 20 affine maps of criterion 1, as (i, u); local_phi runs at seed i."""
     rng = np.random.default_rng(42)
-    worst = 0.0
-    t0 = time.perf_counter()
-    slowest = 0.0
     for i in range(20):
         u0 = rng.standard_normal(2)
         u0 /= np.linalg.norm(u0)
         tangent = np.array([-u0[1], u0[0]])
         G = np.outer(tangent, rng.standard_normal(2))  # sphere-tangent at u0
-        u = synthesize("affine", {"G": G, "u0": u0}, seed=int(rng.integers(1 << 30)))
+        yield i, synthesize("affine", {"G": G, "u0": u0}, seed=int(rng.integers(1 << 30)))
+
+
+def criterion_2_maps():
+    """The 20 collapse instances of criterion 2, as (i, u); local_phi runs at seed i."""
+    rng = np.random.default_rng(77)
+    for i in range(20):
+        ang = 2 * np.pi * rng.random()
+        rad = 0.25 + 0.15 * rng.random()
+        yield i, synthesize(
+            "piecewise-constant-with-arc-jump",
+            {"budget": 0.04, "loop_center": (rad * np.cos(ang), rad * np.sin(ang)), "k": 2},
+            seed=100 + i,
+        )
+
+
+CRITERION_10_FIELD = {
+    "kind": "closed_form",
+    "domain": {"type": "disk", "center": [0, 0], "radius": 1.0},
+    "p_minus": 1.3, "p_plus": 1.7,
+    "params": {"form": "affine", "p0": 1.5, "a": [0.1, 0.05]},
+}
+CRITERION_10_SCENARIOS = [
+    {"name": "n", "pipeline": "norms", "params": {"n_functions": 6}},
+    {"name": "c", "pipeline": "cover", "params": {"s": 0.75, "eta": 0.05},
+     "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}}},
+    {"name": "a", "pipeline": "approximate", "params": {"s": 0.75, "eta": 0.05},
+     "map": {"kind": "piecewise-constant-with-arc-jump", "params": {"budget": 0.003, "k": 2}}},
+    {"name": "r", "pipeline": "retract", "params": {"value_scale": 0.9, "M_bound": 1.0},
+     "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.01}}},
+    {"name": "e", "pipeline": "energy-probe", "params": {"off_point": [-0.4, -0.4]},
+     "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.05}}},
+    {"name": "x", "pipeline": "counterexample",
+     "params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 100000}},
+]
+
+
+def test_criterion_1_affine_exactness():
+    worst = 0.0
+    t0 = time.perf_counter()
+    slowest = 0.0
+    for i, u in criterion_1_maps():
         t1 = time.perf_counter()
         _, _, rep = local_phi(u, P_VAR, eta=0.05, seed=i)
         slowest = max(slowest, time.perf_counter() - t1)
@@ -88,17 +127,9 @@ def test_criterion_1_affine_exactness():
 
 
 def test_criterion_2_piecewise_constant_collapse():
-    rng = np.random.default_rng(77)
     worst_grad = 0.0
     slowest = 0.0
-    for i in range(20):
-        ang = 2 * np.pi * rng.random()
-        rad = 0.25 + 0.15 * rng.random()
-        u = synthesize(
-            "piecewise-constant-with-arc-jump",
-            {"budget": 0.04, "loop_center": (rad * np.cos(ang), rad * np.sin(ang)), "k": 2},
-            seed=100 + i,
-        )
+    for i, u in criterion_2_maps():
         t1 = time.perf_counter()
         _, phi, rep = local_phi(u, P_VAR, eta=0.05, seed=i)
         slowest = max(slowest, time.perf_counter() - t1)
@@ -369,28 +400,9 @@ def test_criterion_9_jump_criterion_classification():
 
 
 def test_criterion_10_determinism(tmp_path):
-    field = {
-        "kind": "closed_form",
-        "domain": {"type": "disk", "center": [0, 0], "radius": 1.0},
-        "p_minus": 1.3, "p_plus": 1.7,
-        "params": {"form": "affine", "p0": 1.5, "a": [0.1, 0.05]},
-    }
-    scenarios = [
-        {"name": "n", "pipeline": "norms", "params": {"n_functions": 6}},
-        {"name": "c", "pipeline": "cover", "params": {"s": 0.75, "eta": 0.05},
-         "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}}},
-        {"name": "a", "pipeline": "approximate", "params": {"s": 0.75, "eta": 0.05},
-         "map": {"kind": "piecewise-constant-with-arc-jump", "params": {"budget": 0.003, "k": 2}}},
-        {"name": "r", "pipeline": "retract", "params": {"value_scale": 0.9, "M_bound": 1.0},
-         "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.01}}},
-        {"name": "e", "pipeline": "energy-probe", "params": {"off_point": [-0.4, -0.4]},
-         "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.05}}},
-        {"name": "x", "pipeline": "counterexample",
-         "params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 100000}},
-    ]
     all_ok = True
-    for sc in scenarios:
-        sc = {"seed": 11, "exponent_field": field, **sc}
+    for sc in CRITERION_10_SCENARIOS:
+        sc = {"seed": 11, "exponent_field": CRITERION_10_FIELD, **sc}
         path = tmp_path / f"{sc['name']}.json"
         path.write_text(json.dumps(sc))
         assert run_scenario(str(path), out_dir=str(tmp_path / "o1")) == 0

@@ -152,3 +152,91 @@ def test_json_roundtrip():
     d = cx.to_json()
     assert d["kappa"] == cx.kappa
     assert len(d["axes"]) == len(cx.axes)
+
+
+# ---------------------------------------------------------------------------
+# the Vitali selection from one Gram matrix against the pair-by-pair loop
+# ---------------------------------------------------------------------------
+
+
+def _selection_by_pairs(cands, betas, C_target):
+    """(indices, kappa, h0) of the greedy selection and its 5x covering
+    check, each angle taken pair by pair: build_complex's loop before the
+    Gram matrix."""
+    axis_count = len(cands)
+    sel_idx = []
+    for j in range(axis_count):
+        ok = True
+        for l in sel_idx:
+            angle = float(np.arccos(np.clip(cands[j] @ cands[l], -1, 1)))
+            if angle <= betas[j] + betas[l]:
+                ok = False
+                break
+        if ok:
+            sel_idx.append(j)
+    for j in range(axis_count):
+        if j in sel_idx:
+            continue
+        covered = False
+        for l in sel_idx:
+            if l > j:
+                continue
+            angle = float(np.arccos(np.clip(cands[j] @ cands[l], -1, 1)))
+            if angle + betas[j] <= 5 * betas[l]:
+                covered = True
+                break
+        if not covered:
+            raise ConstructionError("5x dilates fail to cover a rejected candidate")
+    sel = np.asarray(sel_idx)
+    kappa = float(np.sum(2.0 ** (-sel.astype(float))))
+    return sel, kappa, int(np.ceil(np.log2(1.0 + 40.0 * C_target / kappa)))
+
+
+def _assert_selection_as_pairs(epsilon, axis_count, seed, C_target=5.0):
+    from sbvx.counterex3d import _fibonacci_sphere
+
+    cands = _fibonacci_sphere(axis_count, np.random.default_rng(seed))
+    betas = epsilon * 2.0 ** (-np.arange(axis_count, dtype=float)) / (40 * np.pi)
+    indices, kappa, h0 = _selection_by_pairs(cands, betas, C_target)
+    cx = build_complex(epsilon, C_target, axis_count, seed=seed)
+    assert np.array_equal(cx.indices, indices) and cx.kappa == kappa and cx.h0 == h0
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.99])
+@pytest.mark.parametrize("axis_count, seeds", [(8, range(100)), (64, range(30)), (256, range(3))])
+def test_gram_selection_equals_the_pair_by_pair_loop(epsilon, axis_count, seeds):
+    """Equal indices, kappa and h0 for every epsilon, on seeds 0-99 at 8
+    axes, 0-29 at 64 and 0-2 at 256, where the pair loop takes 15 ms and
+    0.2 s a case."""
+    for seed in seeds:
+        _assert_selection_as_pairs(epsilon, axis_count, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gram_selection_equals_the_pair_by_pair_loop_on_crowded_axes(monkeypatch, seed):
+    """Candidates crowding the first three within a few 1e-3 rad, so that
+    balls overlap, cones are rejected and the covering check has work: the
+    same selection, or the same error."""
+    from sbvx import counterex3d
+
+    def crowded(n, rng):
+        pts = [np.array([0.0, 0.0, 1.0])]
+        for j in range(1, n):
+            v = pts[rng.integers(min(j, 3))] + 0.003 * rng.standard_normal(3)
+            pts.append(v / np.linalg.norm(v))
+        return np.asarray(pts)
+
+    monkeypatch.setattr(counterex3d, "_fibonacci_sphere", crowded)
+    rng = np.random.default_rng(seed)
+    eps, n = float(rng.uniform(0.5, 0.99)), int(rng.integers(8, 64))
+    cands = crowded(n, np.random.default_rng(seed))
+    betas = eps * 2.0 ** (-np.arange(n, dtype=float)) / (40 * np.pi)
+    try:
+        want = _selection_by_pairs(cands, betas, 5.0)
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            build_complex(eps, 5.0, n, seed=seed)
+        return
+    assert len(want[0]) < n  # some cone was rejected
+    cx = build_complex(eps, 5.0, n, seed=seed)
+    assert np.array_equal(cx.indices, want[0]) and cx.kappa == want[1] and cx.h0 == want[2]

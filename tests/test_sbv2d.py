@@ -273,6 +273,48 @@ def test_dilation_covariance(unit_disk):
     )
 
 
+def _stitch_by_walk(verts, inner_idx, outer_idx):
+    """The advancing-front walk _stitch_rings replaced by a stable merge."""
+    tris = []
+    if len(inner_idx) == 1:
+        cidx = inner_idx[0]
+        n = len(outer_idx)
+        for i in range(n):
+            tris.append((cidx, outer_idx[i], outer_idx[(i + 1) % n]))
+        return tris
+    ang_i = np.arctan2(*(verts[inner_idx] - verts[inner_idx].mean(axis=0)).T[::-1])
+    ang_o = np.arctan2(*(verts[outer_idx] - verts[inner_idx].mean(axis=0)).T[::-1])
+    oi = inner_idx[np.argsort(ang_i)]
+    oo = outer_idx[np.argsort(ang_o)]
+    ni, no = len(oi), len(oo)
+    i = j = 0
+    while i < ni or j < no:
+        fi = (i + 0.5) / ni
+        fj = (j + 0.5) / no
+        if j >= no or (i < ni and fi <= fj):
+            tris.append((oi[i % ni], oo[j % no], oi[(i + 1) % ni]))
+            i += 1
+        else:
+            tris.append((oi[i % ni], oo[j % no], oo[(j + 1) % no]))
+            j += 1
+    return tris
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (1e3, -1e3)])
+@pytest.mark.parametrize("radius", [1e-6, 1.0, 1e3])
+def test_fan_mesh_stitches_rings_as_the_walk_did(monkeypatch, center, radius):
+    from sbvx import sbv2d
+
+    disk = Disk(center, radius)
+    got = [fan_mesh(disk, n) for n in range(1, 21)]
+    monkeypatch.setattr(sbv2d, "_stitch_rings", _stitch_by_walk)
+    for n, (verts, tris, arc) in enumerate(got, start=1):
+        want_verts, want_tris, want_arc = fan_mesh(disk, n)
+        assert np.array_equal(verts, want_verts)
+        assert tris.dtype == want_tris.dtype and np.array_equal(tris, want_tris)
+        assert np.array_equal(arc, want_arc)
+
+
 def _reference_dilate(u, factor, new_center):
     """The former stand-alone dilate_map body."""
     oc = np.asarray(u.domain.center, dtype=float)
