@@ -14,7 +14,9 @@ import path and writes three sections:
   the constant exponent. A key reads criterion/instance/name.
 - files: the SHA-256 of each file that the six criterion-10 scenarios write
   at scenario seeds 11, 12 and 13: report.json, data.csv and the figures.
-  meta.json holds the run's time and is left out.
+  meta.json holds the run's time and is left out. The same is hashed for
+  norms and counterexample at the sizes the cli_pipelines benchmark runs
+  (50 functions, 10^6 Monte Carlo samples), under the keys perfbench_size/.
 - bounds: for each frozen bound of the suite (K_MODULAR, XI_CAP_CORPUS,
   RETRACT_RATIO_BOUND), the worst measured value and its margin to the bound.
 
@@ -43,6 +45,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 SEEDS = (11, 12, 13)
+# norms and counterexample at the benchmark's sizes, the schema defaults
+PERFBENCH_SIZE_SCENARIOS = [
+    {"name": "n50", "pipeline": "norms", "params": {"n_functions": 50}},
+    {"name": "x1e6", "pipeline": "counterexample",
+     "params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 10**6}},
+]
 
 
 def _flatten(prefix, obj, out):
@@ -117,17 +125,19 @@ def _file_hashes():
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for sc in CRITERION_10_SCENARIOS:
-            path = tmp / f"{sc['name']}.json"
-            path.write_text(json.dumps({"seed": SEEDS[0], "exponent_field": CRITERION_10_FIELD, **sc}))
-            for seed in SEEDS:
-                out = tmp / f"seed_{seed}"
-                if run_scenario(str(path), out_dir=str(out), seed_override=seed) != 0:
-                    raise SystemExit(f"scenario {sc['name']} at seed {seed} failed")
-                for f in sorted((out / sc["name"]).rglob("*")):
-                    if f.is_file() and f.name != "meta.json":
-                        key = f"criterion_10/seed_{seed}/{f.relative_to(out).as_posix()}"
-                        hashes[key] = hashlib.sha256(f.read_bytes()).hexdigest()
+        for prefix, scenarios in (("criterion_10", CRITERION_10_SCENARIOS),
+                                  ("perfbench_size", PERFBENCH_SIZE_SCENARIOS)):
+            for sc in scenarios:
+                path = tmp / f"{sc['name']}.json"
+                path.write_text(json.dumps({"seed": SEEDS[0], "exponent_field": CRITERION_10_FIELD, **sc}))
+                for seed in SEEDS:
+                    out = tmp / f"seed_{seed}"
+                    if run_scenario(str(path), out_dir=str(out), seed_override=seed) != 0:
+                        raise SystemExit(f"scenario {sc['name']} at seed {seed} failed")
+                    for f in sorted((out / sc["name"]).rglob("*")):
+                        if f.is_file() and f.name != "meta.json":
+                            key = f"{prefix}/seed_{seed}/{f.relative_to(out).as_posix()}"
+                            hashes[key] = hashlib.sha256(f.read_bytes()).hexdigest()
     return hashes
 
 

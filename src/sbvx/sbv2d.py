@@ -341,53 +341,52 @@ def fan_mesh(disk: Disk, n_rings: int = 10):
     """Structured spiderweb mesh of a disk: ring j has 6j vertices.
 
     Returns (verts, tris, arc_cells); outer-ring cells are arc-flagged.
+
+    The centre is fanned to ring 1. Each later annulus, between rings j and
+    j + 1, is triangulated by walking both rings by angle about ring j's
+    mean: step i of the inner ring sits at the fraction (i + 1/2)/n_i of
+    the turn, step k of the outer one at (k + 1/2)/n_o; the steps go in
+    order of fraction, the inner ring first on a tie. A step spans the
+    current vertices of both rings and the next vertex of its own ring; the
+    current vertices are counted by the steps of each ring before it. Each
+    ring is walked from its vertex of least ``arctan2`` angle. All rings are
+    placed, and all annuli stitched, in whole-mesh array passes.
     """
     c = np.asarray(disk.center, dtype=float)
-    R = disk.radius
-    verts = [c.copy()]
-    ring_start = [0]
-    for j in range(1, n_rings + 1):
-        n = 6 * j
-        th = 2 * np.pi * np.arange(n) / n
-        ring_start.append(len(verts))
-        verts.extend(c + (R * j / n_rings) * np.stack([np.cos(th), np.sin(th)], axis=1))
-    verts = np.asarray(verts)
-    tris = np.concatenate([
-        _stitch_rings(verts, np.arange(6 * j) + ring_start[j] if j > 0 else np.array([0]),
-                      np.arange(6 * (j + 1)) + ring_start[j + 1])
-        for j in range(n_rings)
-    ])
-    outer_start = ring_start[-1]
-    on_outer = tris >= outer_start
-    arc_cells = on_outer.sum(axis=1) == 2
+    js = np.arange(1, n_rings + 1)
+    ring = np.repeat(js, 6 * js)  # of each vertex but the centre
+    first = 1 + 3 * ring * (ring - 1)  # index of the ring's first vertex in verts
+    k = np.arange(1, len(ring) + 1) - first  # position on the ring
+    th = 2 * np.pi * k / (6 * ring)
+    on_rings = c + (disk.radius * ring / n_rings)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    verts = np.concatenate([c[None], on_rings])
+    # ring means as sequential sums of zero-padded columns, bitwise as .mean(axis=0)
+    inner, outer = ring < n_rings, ring > 1
+    cols = np.zeros((6 * n_rings, n_rings, 2))
+    cols[k[inner], ring[inner] - 1] = on_rings[inner]
+    mid = cols.sum(axis=0) / (6 * js)[:, None]
+    # steps of annulus a (between rings a and a + 1): the inner ring's, then the outer ring's
+    annulus = np.concatenate([ring[inner], ring[outer] - 1])
+    size = 6 * np.concatenate([ring[inner], ring[outer]])
+    step = np.concatenate([k[inner], k[outer]])
+    on_outer = np.repeat([False, True], [inner.sum(), outer.sum()])
+    d = np.concatenate([on_rings[inner], on_rings[outer]]) - mid[annulus - 1]
+    ang = np.full((6 * n_rings, 2 * n_rings), np.inf)
+    ang[step, 2 * annulus + on_outer - 2] = np.arctan2(d[:, 1], d[:, 0])
+    turn = ang.argmin(axis=0)  # the walk starts on each ring at its least angle
+    order = np.lexsort((on_outer, (step + 0.5) / size, annulus))
+    annulus, on_outer = annulus[order], on_outer[order]
+    pos = np.arange(len(order)) - 6 * (annulus - 1) * (annulus + 1)  # step number in the annulus
+    n_in = np.cumsum(~on_outer) - ~on_outer - 3 * annulus * (annulus - 1)  # inner steps before it
+    ni = 6 * annulus
+    i_at = lambda m: 1 + 3 * annulus * (annulus - 1) + (turn[2 * annulus - 2] + m) % ni  # noqa: E731
+    o_at = lambda m: 1 + 3 * annulus * (annulus + 1) + (turn[2 * annulus - 1] + m) % (ni + 6)  # noqa: E731
+    walk = np.stack([i_at(n_in), o_at(pos - n_in),
+                     np.where(on_outer, o_at(pos - n_in + 1), i_at(n_in + 1))], axis=1)
+    fan = np.stack([np.zeros(6, dtype=np.intp), np.arange(1, 7), np.roll(np.arange(1, 7), -1)], axis=1)
+    tris = np.concatenate([fan, walk])
+    arc_cells = (tris >= first[-1]).sum(axis=1) == 2
     return verts, tris, arc_cells
-
-
-def _stitch_rings(verts, inner_idx, outer_idx) -> np.ndarray:
-    """Triangulate the annulus between two concentric vertex rings: (n, 3)
-    vertex indices.
-
-    Both rings are walked by angle. Step i of the inner ring sits at the
-    fraction (i + 1/2)/n_i of the turn, step j of the outer one at
-    (j + 1/2)/n_o; the steps go in order of fraction, the inner ring first on
-    a tie, which is one stable merge of the two lists. A step spans the
-    current vertices of both rings and the next vertex of its own ring; the
-    current vertices are counted by the steps of each ring before it.
-    """
-    if len(inner_idx) == 1:
-        return np.stack([np.full(len(outer_idx), inner_idx[0]), outer_idx, np.roll(outer_idx, -1)], axis=1)
-    mid = verts[inner_idx].mean(axis=0)
-    ang_i = np.arctan2(*(verts[inner_idx] - mid).T[::-1])
-    ang_o = np.arctan2(*(verts[outer_idx] - mid).T[::-1])
-    oi = inner_idx[np.argsort(ang_i)]
-    oo = outer_idx[np.argsort(ang_o)]
-    ni, no = len(oi), len(oo)
-    frac = np.concatenate([(np.arange(ni) + 0.5) / ni, (np.arange(no) + 0.5) / no])
-    inner = np.argsort(frac, kind="stable") < ni
-    i = np.cumsum(inner) - inner  # inner steps before each step
-    j = np.arange(ni + no) - i  # outer steps before it
-    nxt = np.where(inner, oi[(i + 1) % ni], oo[(j + 1) % no])
-    return np.stack([oi[i % ni], oo[j % no], nxt], axis=1)
 
 
 def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_boundary: int = 48):

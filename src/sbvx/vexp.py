@@ -18,6 +18,9 @@ Closed-form fields are restricted to a whitelist (see ``CLOSED_FORMS``):
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,37 +216,44 @@ def modular(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
 
 
 def _log_terms(fv, pv, log_w) -> np.ndarray:
-    """log(w f^p) of the samples, -inf where w = 0 or f = 0."""
+    """log(w f^p) of the samples, written over the magnitudes fv: -inf where
+    w = 0 or f = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(fv)
+        a = np.log(fv, out=fv)
         a *= pv
         a += log_w
     return a
 
 
-def _newton(a, pv, n: int) -> tuple:
+def _newton(a, pv, p_range, n: int) -> tuple:
     """(modular, norm) of the samples with log terms a = log(w f^p) and
-    exponents pv, n samples in all: sum_i e^{a_i} and the Luxembourg norm,
-    both 0.0 when every a_i is -inf (see ``luxembourg_from_samples``)."""
-    keep = a != -np.inf
-    if not keep.all():
-        a, pv = a[keep], pv[keep]
+    exponents pv, whose (min, max) is p_range, n samples in all: sum_i e^{a_i}
+    and the Luxembourg norm, both 0.0 when every a_i is -inf (see
+    ``luxembourg_from_samples``)."""
     if not len(a):
         return 0.0, 0.0
-    p_lo, p_hi = pv.min(), pv.max()
-    if not (np.all(np.isfinite(a)) and p_lo > 0):
+    a_lo, zmax = a.min(), a.max()  # nan in a makes both nan
+    if zmax == -np.inf:
+        return 0.0, 0.0
+    if a_lo == -np.inf:
+        keep = a != -np.inf
+        a, pv = a[keep], pv[keep]
+        p_range = pv.min(), pv.max()
+    p_lo, p_hi = p_range
+    if not (np.isfinite(zmax) and p_lo > 0):
         raise ToolkitError(
             f"Luxembourg norm of {n} samples: samples must be finite, "
             f"with f >= 0, w >= 0 and p > 0"
         )
     k = (p_hi - p_lo) ** 2 * p_hi**2 / (8 * p_lo**3)
-    t, zmax = 0.0, a.max()
+    t = 0.0
     z = a - zmax  # the exponents a_i - p_i t - zmax, at t = 0
     np.exp(z, out=z)
     s = z.sum()
     mod = float(np.exp(zmax) * s)  # at t = 0 the log-sum-exp of a is the modular
     for _ in range(NEWTON_MAX_ITER):
-        step = (zmax + np.log(s)) * s / (z @ pv)  # -g(t) / g'(t)
+        # -g(t) / g'(t); einsum, not BLAS, so the sum does not depend on the BLAS thread count
+        step = (zmax + np.log(s)) * s / np.einsum("i,i->", z, pv)
         t += step
         if k * step * step <= NEWTON_TOL:
             return mod, float(np.exp(t))
@@ -279,10 +289,12 @@ def luxembourg_from_samples(fv, pv, w) -> float:
     exponent (K = 0) takes one step. A solve that has not converged in
     NEWTON_MAX_ITER steps raises ToolkitError.
     """
-    fv, pv, w = (np.asarray(x, dtype=float).ravel() for x in (fv, pv, w))
+    fv = np.array(fv, dtype=float).ravel()  # a copy: the log terms are written over it
+    pv, w = (np.asarray(x, dtype=float).ravel() for x in (pv, w))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(w)
-    return _newton(_log_terms(fv, pv, log_w), pv, len(fv))[1]
+    p_range = (pv.min(), pv.max()) if len(pv) else None
+    return _newton(_log_terms(fv, pv, log_w), pv, p_range, len(fv))[1]
 
 
 def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> float:
@@ -298,22 +310,74 @@ def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -
 def modular_and_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> tuple:
     """(modular, luxembourg_norm) of f on the region, equal to the two calls,
     from one evaluation of f and p on the rule."""
-    return next(modulars_and_norms([f], p, region, resolution))
+    return modulars_and_norms([f], p, region, resolution)[0]
 
 
-def modulars_and_norms(fs, p: ExponentField, region: Region, resolution: int = 24):
-    """Yield modular_and_norm(f, p, region, resolution) for each f of fs in
-    turn. The rule, p and log w are computed once, when the first value is
-    asked for; each f is evaluated only when its turn comes, and its modular
-    and norm come from one Newton solve."""
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def modulars_and_norms(fs, p: ExponentField, region: Region, resolution: int = 24) -> list:
+    """[modular_and_norm(f, p, region, resolution) for f in fs]: the results
+    in input order, each bitwise equal to the single call.
+
+    The rule, p and log w are computed once; each f is evaluated once, and
+    its modular and norm come from one Newton solve. The fs are called
+    concurrently, by the calling thread and helper threads, one thread per
+    CPU this process may use and at most one per function, so each f must
+    be safe to call from a worker thread. The helpers are joined before the
+    call returns. With one function or one CPU every solve runs in the
+    calling thread. A failure is raised after every f has been tried: the
+    first in input order, as the single calls would raise it.
+    """
+    fs = list(fs)
     pts, pv, w = _sampled_rule(p, region, resolution)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)  # -inf where w = 0
-    for f in fs:
+    p_range = pv.min(), pv.max()
+
+    def solve(f):
         fv = _magnitude_at(f, pts)
-        if not np.all(np.isfinite(fv)):
+        if not np.isfinite(fv.max()):  # nan propagates through max
             raise ToolkitError("integrand is not finite on the region")
-        yield _newton(_log_terms(fv, pv, log_w), pv, len(fv))
+        return _newton(_log_terms(fv, pv, log_w), pv, p_range, len(fv))
+
+    results = [None] * len(fs)
+    todo, lock = iter(range(len(fs))), threading.Lock()
+
+    def drain():
+        """Solve the functions no thread has drawn yet, storing each result
+        or exception in its input slot."""
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = solve(fs[i])
+            except Exception as e:  # raised below, in the calling thread
+                results[i] = e
+
+    # The calling thread is one of the solving threads: each helper keeps a
+    # malloc arena of freed arrays, about 2 MB of resident memory. Helpers run
+    # in a copy of the caller's context, so its np.errstate holds in them.
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+               for _ in range(min(len(fs), _available_cpus()) - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        drain()
+    finally:
+        for h in helpers:
+            h.join()
+    for r in results:  # the first failure in input order, as a serial loop raises it
+        if isinstance(r, Exception):
+            raise r
+    return results
 
 
 def _pair_cloud(p: ExponentField, n: int, rng: np.random.Generator):

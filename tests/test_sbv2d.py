@@ -274,7 +274,7 @@ def test_dilation_covariance(unit_disk):
 
 
 def _stitch_by_walk(verts, inner_idx, outer_idx):
-    """The advancing-front walk _stitch_rings replaced by a stable merge."""
+    """Triangles of the annulus between two rings by the advancing-front walk."""
     tris = []
     if len(inner_idx) == 1:
         cidx = inner_idx[0]
@@ -300,16 +300,28 @@ def _stitch_by_walk(verts, inner_idx, outer_idx):
     return tris
 
 
+def _fan_mesh_by_walk(disk, n_rings):
+    """fan_mesh as it was built ring by ring, each annulus by the walk."""
+    c = np.asarray(disk.center, dtype=float)
+    verts, ring_start = [c.copy()], [0]
+    for j in range(1, n_rings + 1):
+        th = 2 * np.pi * np.arange(6 * j) / (6 * j)
+        ring_start.append(len(verts))
+        verts.extend(c + (disk.radius * j / n_rings) * np.stack([np.cos(th), np.sin(th)], axis=1))
+    verts = np.asarray(verts)
+    tris = np.array([t for j in range(n_rings) for t in _stitch_by_walk(
+        verts, np.arange(6 * j) + ring_start[j] if j > 0 else np.array([0]),
+        np.arange(6 * (j + 1)) + ring_start[j + 1])])
+    return verts, tris, (tris >= ring_start[-1]).sum(axis=1) == 2
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0), (1e3, -1e3)])
 @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e3])
-def test_fan_mesh_stitches_rings_as_the_walk_did(monkeypatch, center, radius):
-    from sbvx import sbv2d
-
+def test_fan_mesh_stitches_rings_as_the_walk_did(center, radius):
     disk = Disk(center, radius)
-    got = [fan_mesh(disk, n) for n in range(1, 21)]
-    monkeypatch.setattr(sbv2d, "_stitch_rings", _stitch_by_walk)
-    for n, (verts, tris, arc) in enumerate(got, start=1):
-        want_verts, want_tris, want_arc = fan_mesh(disk, n)
+    for n in range(1, 21):
+        verts, tris, arc = fan_mesh(disk, n)
+        want_verts, want_tris, want_arc = _fan_mesh_by_walk(disk, n)
         assert np.array_equal(verts, want_verts)
         assert tris.dtype == want_tris.dtype and np.array_equal(tris, want_tris)
         assert np.array_equal(arc, want_arc)

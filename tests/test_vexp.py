@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sbvx.vexp import (
     luxembourg_norm,
     modular,
     modular_and_norm,
+    modulars_and_norms,
 )
 
 
@@ -71,6 +74,113 @@ def test_modular_and_norm_equal_the_two_calls_from_one_sampling(unit_disk, affin
         modular_and_norm(1.0, affine_field, Disk((5.0, 0.0), 1.0))
     with pytest.raises(ToolkitError, match="not finite"):
         modular_and_norm(lambda pts: np.full(len(pts), np.inf), affine_field, unit_disk)
+
+
+def _integrands(n, seed=5):
+    """n integrands in turn: sine waves, exact zero, zero on a half-disk,
+    vector-valued and constant, each scaled by 10^[-6, 6]; none calls BLAS."""
+    rng = np.random.default_rng(seed)
+    fs = []
+    for i in range(n):
+        s, fr = float(10.0 ** rng.uniform(-6, 6)), rng.uniform(0.5, 4.0, 2)
+        fs.append([
+            lambda pts, s=s, fr=fr: s * (0.3 + np.abs(np.sin(pts[:, 0] * fr[0] + pts[:, 1] * fr[1]))),
+            lambda pts: np.zeros(len(pts)),
+            lambda pts, s=s: s * np.maximum(pts[:, 0], 0.0),
+            lambda pts, s=s, fr=fr: s * np.stack([np.cos(pts[:, 0] * fr[0]), pts[:, 1]], axis=1),
+            s,
+        ][i % 5])
+    return fs
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three solving threads (the caller and two helpers), more than the
+    host's cores, with frequent thread switches."""
+    monkeypatch.setattr(vexp.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_modulars_and_norms_are_the_single_calls_in_order(three_cpus, unit_disk, affine_field,
+                                                          constant_field, n):
+    fs = _integrands(n)
+    for p in (constant_field, affine_field):
+        want = [modular_and_norm(f, p, unit_disk) for f in fs]
+        assert modulars_and_norms(fs, p, unit_disk) == want
+        assert modulars_and_norms(iter(fs), p, unit_disk) == want
+    assert n < 2 or want[1] == (0.0, 0.0)  # the exact-zero integrand
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_modulars_and_norms_raise_the_first_serial_error(three_cpus, unit_disk, affine_field, k):
+    def raises(pts):
+        raise ValueError("after the non-finite integrand")
+
+    for bad in (np.inf, np.nan):
+        f_bad = lambda pts, bad=bad: np.full(len(pts), bad)  # noqa: E731
+        with pytest.raises(ToolkitError) as serial:
+            modular_and_norm(f_bad, affine_field, unit_disk)
+        fs = _integrands(8)
+        fs[k], fs[k + 1] = f_bad, raises
+        before = threading.active_count()
+        with pytest.raises(ToolkitError) as pooled:
+            modulars_and_norms(fs, affine_field, unit_disk)
+        assert str(pooled.value) == str(serial.value)
+        assert threading.active_count() == before
+
+
+def test_modulars_and_norms_leave_no_thread_behind(three_cpus, unit_disk, affine_field):
+    before = threading.active_count()
+    seen = []
+
+    def f(pts):
+        seen.append(threading.active_count())
+        return 1.0 + pts[:, 0] ** 2
+
+    modulars_and_norms([f] * 6, affine_field, unit_disk)
+    assert threading.active_count() == before < max(seen)
+    next(iter(modulars_and_norms([f] * 6, affine_field, unit_disk)))
+    assert threading.active_count() == before
+
+
+def test_modulars_and_norms_solve_under_the_callers_errstate(three_cpus, unit_disk, affine_field):
+    seen = []
+
+    def f(pts):
+        seen.append(np.geterr()["over"])
+        return 1.0 + pts[:, 0] ** 2
+
+    with np.errstate(over="warn"):
+        modulars_and_norms([f] * 6, affine_field, unit_disk)
+    assert seen == ["warn"] * 6
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_modulars_and_norms_on_one_cpu_run_in_the_calling_thread(monkeypatch, unit_disk, affine_field,
+                                                                 affinity):
+    if affinity:
+        monkeypatch.setattr(vexp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:  # platforms without an affinity call fall back to the CPU count
+        monkeypatch.delattr(vexp.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(vexp.os, "cpu_count", lambda: 1)
+    fs = _integrands(5)
+    callers = set()
+    want = [modular_and_norm(f, affine_field, unit_disk) for f in fs]
+
+    def traced(f):
+        def g(pts):
+            callers.add(threading.current_thread())
+            return f(pts)
+        return g
+
+    assert modulars_and_norms([traced(f) if callable(f) else f for f in fs], affine_field, unit_disk) == want
+    assert callers == {threading.current_thread()}
 
 
 def test_modular_additive_over_disjoint_regions(unit_disk, affine_field):
@@ -251,7 +361,7 @@ def _core(fv, pv, w):
     """(modular, norm) of the samples from the Newton core."""
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
-    return vexp._newton(vexp._log_terms(fv, pv, log_w), pv, len(fv))
+    return vexp._newton(vexp._log_terms(fv.copy(), pv, log_w), pv, (pv.min(), pv.max()), len(fv))
 
 
 zeros_or = lambda lo, hi: st.one_of(st.just(0.0), st.floats(lo, hi))  # noqa: E731
