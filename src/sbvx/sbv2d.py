@@ -199,6 +199,14 @@ class CellPatch:
         return np.linalg.norm(self.grads.reshape(len(self.tris), -1), axis=1)
 
     @cached_property
+    def corner_norms(self) -> np.ndarray:
+        """(nt, 3): |value + grad·(corner - barycentre)| at each cell's three
+        corners, the cell's affine data evaluated there."""
+        d = self.verts[self.tris] - self.barycenters[:, None, :]
+        vals = self.values[:, None, :] + np.einsum("nkj,nmj->nmk", self.grads, d)
+        return np.linalg.norm(vals, axis=-1)
+
+    @cached_property
     def _arc_edges(self) -> np.ndarray:
         """(nt, 2) indices (into each triangle) of the two vertices nearest
         the circle: the chord an arc cell's bulge sits on."""

@@ -33,7 +33,8 @@ __all__ = ["BallFamily", "ApproxReport", "local_phi", "cover_jump", "global_appr
            "project_to_sphere_stage"]
 
 XI_CAP = 16
-WINDOW_BLOCK = 16  # density-window centres measured per call: bounds its (block, k_max, n) arrays
+WINDOW_BLOCK = 64  # density-window centres measured per call: bounds its (block, 8, n) arrays
+RADIUS_BLOCK = 8  # dyadic radii per centre measured per call; the first dense k is 2-4 in the corpus
 SPACING_CAP = 400  # cover_jump samples the jump at no finer than total length / SPACING_CAP
 MAX_ROUNDS = 6  # covering rounds global_approx runs before it gives up on the residual
 RESID_TOL_FACTOR = 1e-9  # residual jump in B_{s rho} below this * rho counts as empty
@@ -122,21 +123,20 @@ def _interpolant_patch(u: DiscreteSbvMap, adapted, center, R: float) -> CellPatc
 def _sup_norm_visible(u: DiscreteSbvMap) -> float:
     """Sup of |u| over corner evaluations of cells not fully overridden.
 
-    A cell is hidden when one later patch circle (Disk.contains, tol 1e-12)
-    holds all three of its corners.
+    A cell is hidden when one later patch circle, widened by 1e-12 of the
+    domain radius, holds all three of its corners. The corner values are
+    each patch's cached CellPatch.corner_norms, so a patch shared by several
+    maps of a stack is evaluated once; a call computes only the visibility.
     """
     circles = [q.circle for q in u.patches]
     centers = np.array([c.center for c in circles], dtype=float)[:, None, None, :]
-    reach = np.array([c.radius for c in circles], dtype=float)[:, None, None] + 1e-12
+    reach = np.array([c.radius for c in circles], dtype=float)[:, None, None] + 1e-12 * u.domain.radius
     best = 0.0
     for i, patch in enumerate(u.patches):
-        vv = patch.verts[patch.tris]
-        inside = np.linalg.norm(vv - centers[i + 1 :], axis=-1) <= reach[i + 1 :]
+        inside = np.linalg.norm(patch.verts[patch.tris] - centers[i + 1 :], axis=-1) <= reach[i + 1 :]
         visible = ~inside.all(axis=-1).any(axis=0)
         if visible.any():
-            d = vv - patch.barycenters[:, None, :]
-            vals = patch.values[:, None, :] + np.einsum("nkj,nmj->nmk", patch.grads, d)
-            best = max(best, float(np.max(np.linalg.norm(vals[visible], axis=-1))))
+            best = max(best, float(np.max(patch.corner_norms[visible])))
     return best
 
 
@@ -306,21 +306,33 @@ def _new_jump_length(w: DiscreteSbvMap, u: DiscreteSbvMap) -> float:
 def _window_radii(J, xs, lams, eta: float, k_max: int = 60):
     """For each centre xs[i], the largest dyadic radius lams[i] / 2^k whose
     ball sees jump density >= eta, and that k; (None, None) where no k in
-    1..k_max does. One segment-disk call measures all k_max balls of up to
-    WINDOW_BLOCK centres.
+    1..k_max does.
+
+    The radii are measured in blocks of RADIUS_BLOCK consecutive k, from
+    k = 1: one segment-disk call measures the next block of every centre of
+    a WINDOW_BLOCK that has no dense radius yet, so the search stops at the
+    first dense k of each centre. Each row of the stacked call is bitwise
+    its own disk's call, so the blocks give the same answer as one call over
+    all k_max radii.
     """
     xs = np.reshape(xs, (-1, 1, 2))
-    # lam * 2^-k by exponent shift: exactly lam / 2.0**k
-    rk = np.ldexp(np.asarray(lams, dtype=float)[:, None], -np.arange(1, k_max + 1))
-    out = []
+    lams = np.asarray(lams, dtype=float)[:, None]
+    out = [(None, None)] * len(xs)
     for i in range(0, len(xs), WINDOW_BLOCK):
-        r = rk[i : i + WINDOW_BLOCK]
-        seen = _geom.segment_disk_length(J.a, J.b, xs[i : i + WINDOW_BLOCK], r).sum(axis=-1)
-        dense = seen >= eta * r
-        first = np.argmax(dense, axis=1)
-        out += [
-            (float(q[k]), int(k) + 1) if ok[k] else (None, None) for q, ok, k in zip(r, dense, first)
-        ]
+        todo = np.arange(i, min(i + WINDOW_BLOCK, len(xs)))
+        for k0 in range(1, k_max + 1, RADIUS_BLOCK):
+            ks = np.arange(k0, min(k0 + RADIUS_BLOCK, k_max + 1))
+            # lam * 2^-k by exponent shift: exactly lam / 2.0**k
+            r = np.ldexp(lams[todo], -ks)
+            seen = _geom.segment_disk_length(J.a, J.b, xs[todo], r).sum(axis=-1)
+            dense = seen >= eta * r
+            hit = dense.any(axis=1)
+            first = np.argmax(dense, axis=1)
+            for j in np.flatnonzero(hit):
+                out[todo[j]] = (float(r[j, first[j]]), int(ks[first[j]]))
+            todo = todo[~hit]
+            if not len(todo):
+                break
     return out
 
 
@@ -565,20 +577,30 @@ def _sample_outside(domain: Disk, family: BallFamily, rng, n: int) -> np.ndarray
     """Up to n uniform points of the domain outside every ball of the family.
 
     Trials draw a radius and then an angle, and stop at the n-th point kept
-    or after 20 n trials. All 20 n are drawn in one block; the generator is
-    then rewound and redraws only the trials up to the stop, so it ends
-    where one trial at a time would leave it.
+    or after 20 n trials. A point is kept when it lies farther than
+    1e-9 of the domain radius outside every ball. Trials are drawn in chunks
+    of 2 n until n points are kept or 20 n are tried, and the generator draws
+    the same stream in chunks as in one call; it is then rewound and redraws
+    only the trials up to the stop, so it ends where one trial at a time
+    would leave it.
     """
     state = rng.bit_generator.state
-    draws = rng.random(2 * 20 * n).reshape(-1, 2)
-    r = domain.radius * np.sqrt(draws[:, 0])
-    t = 2 * np.pi * draws[:, 1]
-    x = np.asarray(domain.center) + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
-    dist = np.linalg.norm(family.centers[None, :, :] - x[:, None, :], axis=-1)
-    kept = np.flatnonzero(np.all(dist > family.radii + 1e-9, axis=1))[:n]
+    c = np.asarray(domain.center)
+    reach = family.radii + 1e-9 * domain.radius
+    pts, tried, n_kept = [], 0, 0
+    while n_kept < n and tried < 20 * n:
+        draws = rng.random(2 * 2 * n).reshape(-1, 2)
+        r = domain.radius * np.sqrt(draws[:, 0])
+        t = 2 * np.pi * draws[:, 1]
+        x = c + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+        dist = np.linalg.norm(family.centers[None, :, :] - x[:, None, :], axis=-1)
+        kept = np.flatnonzero(np.all(dist > reach, axis=1))[: n - n_kept]
+        pts.append(x[kept])
+        n_kept += len(kept)
+        tried += len(x) if n_kept < n else int(kept[-1]) + 1
     rng.bit_generator.state = state
-    rng.random(2 * (kept[-1] + 1 if 0 < n == len(kept) else 20 * n))
-    return x[kept]
+    rng.random(2 * tried)
+    return np.concatenate(pts) if pts else np.zeros((0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,8 @@ def test_window_radii_equal_per_radius_loop(seed, n, m, eta, k_max):
 
 
 def _sample_outside_scalar(domain, family, rng, n):
-    """The one-trial-at-a-time loop _sample_outside must reproduce."""
+    """The one-trial-at-a-time loop _sample_outside must reproduce; a point
+    counts as outside at 1e-9 of the domain radius beyond every ball."""
     c = np.asarray(domain.center)
     out = []
     for _ in range(20 * n):
@@ -505,7 +506,7 @@ def _sample_outside_scalar(domain, family, rng, n):
         r = domain.radius * np.sqrt(rng.random())
         t = 2 * np.pi * rng.random()
         x = c + r * np.array([np.cos(t), np.sin(t)])
-        if np.all(np.linalg.norm(family.centers - x, axis=1) > family.radii + 1e-9):
+        if np.all(np.linalg.norm(family.centers - x, axis=1) > family.radii + 1e-9 * domain.radius):
             out.append(x)
     return np.asarray(out) if out else np.zeros((0, 2))
 
@@ -532,3 +533,107 @@ def test_sample_outside_equals_scalar_loop(geo_seed, seed, n, n_balls, size):
     assert np.array_equal(got, want)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("layout", ["mixed", "empty"])
+@pytest.mark.parametrize("k_max", [1, 7, 8, 9, 13, 16, 17, 60])
+def test_window_radii_equal_per_radius_loop_across_radius_blocks(k_max, layout):
+    """The radii are measured 8 at a time, and only centres without a dense
+    radius go on to the next block: first dense k at 1, 8, 9, 16, 17 and 60,
+    k_max on and off a block edge, and centres that no radius makes dense,
+    some or all of a block, over two blocks of WINDOW_BLOCK centres; each
+    against the per-radius loop."""
+    eta, lam = 0.05, 0.5
+    targets = (1, 8, 9, 16, 17, 60)
+    # the centre (10 i, 0) halves a vertical segment of half-length ell, which
+    # is dense at radius r exactly when r <= 2 ell / eta: set that to 1.5 lam 2^-K
+    ell = np.array([0.75 * eta * lam / 2.0**k for k in targets])
+    xc = 10.0 * np.arange(len(targets))
+    a = np.stack([xc, -ell], axis=1)
+    b = np.stack([xc, ell], axis=1)
+    J = JumpSet.from_segments(a, b, np.ones((len(a), 1)), np.zeros((len(a), 1)))
+    far = np.stack([10.0 * np.arange(3), np.full(3, 5.0)], axis=1)  # 5 from every segment
+    row = np.concatenate([np.stack([xc, np.zeros_like(xc)], axis=1), far]) if layout == "mixed" else far
+    xs = np.tile(row, (sobolev_approx.WINDOW_BLOCK // len(row) + 1, 1))
+    lams = np.full(len(xs), lam)
+    got = _window_radii(J, xs, lams, eta, k_max=k_max)
+    want = [_window_radius_scalar(J, x, lam, eta, k_max=k_max) for x in xs]
+    assert got == want
+    assert all(type(g) is type(w) for gw, ww in zip(got, want) for g, w in zip(gw, ww))
+    if layout == "mixed":
+        assert [k for _, k in want[: len(targets)]] == [k if k <= k_max else None for k in targets]
+    assert want[-1] == (None, None)
+
+
+def test_sample_outside_is_scale_free():
+    """Under a power-of-two dilation of the domain and the family about the
+    origin, the kept points scale exactly and the generator ends in the same
+    state: the outside tolerance is relative to the domain radius."""
+
+    def run(f):
+        domain = Disk((0.0, 0.0), f)
+        family = BallFamily(np.array([[0.3, -0.2]]) * f, np.array([0.25]) * f, np.ones(1, dtype=int), 1)
+        rng = np.random.default_rng(5)
+        return _sample_outside(domain, family, rng, 512), rng.bit_generator.state
+
+    x0, state0 = run(1.0)
+    assert len(x0) == 512
+    for k in range(-40, 41):
+        x, state = run(2.0**k)
+        assert np.array_equal(x, np.ldexp(x0, k)), k
+        assert state == state0, k
+
+
+def test_local_phi_sup_norms_are_scale_free():
+    """linf_in and linf_out of local_phi are bitwise equal on every
+    power-of-two dilation of a map centred at the origin: a later patch
+    circle hides a cell within 1e-12 of the domain radius."""
+    from sbvx.sbv2d import dilate_map
+    from sbvx.vexp import ExponentField
+
+    u = synthesize("sphere-vortex-with-slit", {"budget": 0.003}, seed=3)
+    _, _, rep = local_phi(u, ExponentField.constant(1.6, u.domain), 0.05, seed=1)
+    want = (rep["linf_in"], rep["linf_out"])
+    for k in range(-40, 41):
+        v = dilate_map(u, 2.0**k)
+        _, _, rep = local_phi(v, ExponentField.constant(1.6, v.domain), 0.05, seed=1)
+        assert (rep["linf_in"], rep["linf_out"]) == want, k
+
+
+def _sup_norm_visible_per_call(u):
+    """_sup_norm_visible with every corner of every patch evaluated on each
+    call: the reference of the cached CellPatch.corner_norms."""
+    circles = [q.circle for q in u.patches]
+    centers = np.array([c.center for c in circles], dtype=float)[:, None, None, :]
+    reach = np.array([c.radius for c in circles], dtype=float)[:, None, None] + 1e-12 * u.domain.radius
+    best = 0.0
+    for i, patch in enumerate(u.patches):
+        vv = patch.verts[patch.tris]
+        inside = np.linalg.norm(vv - centers[i + 1 :], axis=-1) <= reach[i + 1 :]
+        visible = ~inside.all(axis=-1).any(axis=0)
+        if visible.any():
+            d = vv - patch.barycenters[:, None, :]
+            vals = patch.values[:, None, :] + np.einsum("nkj,nmj->nmk", patch.grads, d)
+            best = max(best, float(np.max(np.linalg.norm(vals[visible], axis=-1))))
+    return best
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["piecewise-constant-with-arc-jump", "sphere-vortex-with-slit", "random-cells-with-random-polyline"],
+)
+def test_sup_norm_visible_equals_per_call_evaluation(kind, affine_field):
+    """The sup norm from cached corner norms equals the per-call corner
+    evaluation on u and on the stacks of local_phi and global_approx: from
+    the caches those calls filled, and from fresh patches (a dilation by 1
+    copies every patch and leaves each array bitwise as it was)."""
+    from sbvx.sbv2d import dilate_map
+
+    s, eta = 0.75, 0.05
+    u = synthesize(kind, {"budget": 0.55 * eta * (1 - s) / 2, "k": 2}, seed=21)
+    stacks = [u, local_phi(u, affine_field, eta, seed=22)[1], global_approx(u, affine_field, s, eta, seed=23).w]
+    assert min(len(v.patches) for v in stacks[1:]) >= 2
+    for v in stacks:
+        want = _sup_norm_visible_per_call(v)
+        assert sobolev_approx._sup_norm_visible(v) == want
+        assert sobolev_approx._sup_norm_visible(dilate_map(v, 1.0)) == want
