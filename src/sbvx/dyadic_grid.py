@@ -315,8 +315,8 @@ def select_good_radius(
 
 @dataclass(frozen=True)
 class AdaptedTriangulation:
-    """Perturbed-vertex triangulation avoiding a jump set, with envelope and
-    edge diagnostics."""
+    """Perturbed-vertex triangulation avoiding a jump set, with envelope
+    diagnostics (kappa and lambda)."""
 
     base: DyadicGrid
     verts: np.ndarray  # perturbed positions, same indexing as base.verts
@@ -324,7 +324,6 @@ class AdaptedTriangulation:
     perturbation_ratio_max: float
     kappa_hat: int = 0
     lambda_stats: dict = field(default_factory=dict)
-    edge_stats: dict = field(default_factory=dict)
     seed: int = 0
 
     @property
@@ -511,7 +510,6 @@ def adapt_to_jump(
         stats = dict(
             kappa_hat=int(_geom.convex_polygon_counts(pts, envelopes).max()),
             lambda_stats=_lambda_ratios(grid, envelopes),
-            edge_stats=_edge_integrals(grid, verts, u, delta_v),
         )
     return AdaptedTriangulation(
         base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed, **stats
@@ -547,40 +545,4 @@ def _lambda_ratios(grid: DyadicGrid, envelopes) -> dict:
         "lambda2_hat": float(ratios.max()),
         "per_triangle_min": ratios.min(axis=1).tolist(),
         "per_triangle_max": ratios.max(axis=1).tolist(),
-    }
-
-
-def _edge_integrals(grid: DyadicGrid, verts, u: DiscreteSbvMap, delta_v, n_line: int = 16) -> dict:
-    """Line integrals of |grad u| along edges and capsule averages.
-
-    grad u is taken in one call for all line points and one for all capsule
-    samples.
-    """
-    a, b = verts[grid.edges[:, 0]], verts[grid.edges[:, 1]]
-    t = (np.arange(n_line) + 0.5) / n_line
-    line_pts = (a[:, None] + t[:, None] * (b - a)[:, None]).reshape(-1, 2)
-    g = np.split(np.linalg.norm(u.grad_at(line_pts).reshape(-1, 2 * u.k), axis=1), len(a))
-    line_int = [float(np.mean(gi) * float(np.linalg.norm(bi - ai))) for gi, ai, bi in zip(g, a, b)]
-    # capsules of the base balls around the edges
-    areas, samples = [], []
-    for e in grid.edges:
-        x, y = grid.verts[e[0]], grid.verts[e[1]]
-        r1, r2 = grid.alpha * delta_v[e[0]], grid.alpha * delta_v[e[1]]
-        hull = _geom.hull_of_disks(np.stack([x, y]), np.array([r1, r2]), narc=16)
-        areas.append(_geom.polygon_area(hull))
-        lo = hull.min(axis=0)
-        hi = hull.max(axis=0)
-        rng_local = np.random.default_rng(int(e[0]) * 100003 + int(e[1]))
-        samp = lo + (hi - lo) * rng_local.random((64, 2))
-        samples.append(samp[_geom.points_in_convex_polygon(samp, hull)])
-    gg = np.linalg.norm(u.grad_at(np.concatenate(samples)).reshape(-1, 2 * u.k), axis=1)
-    gg = np.split(gg, np.cumsum([len(sp) for sp in samples])[:-1])
-    h_e = np.maximum(grid.ring_of[grid.edges[:, 0]], grid.ring_of[grid.edges[:, 1]])
-    cap_avg = [
-        (float(np.mean(gi) * area) if len(gi) else 0.0) / (grid.R * 2.0 ** (-float(h)))
-        for gi, area, h in zip(gg, areas, h_e)
-    ]
-    return {
-        "edge_line_integrals": line_int,
-        "envelope_averages": cap_avg,
     }

@@ -35,7 +35,9 @@ __all__ = [
     "value_gap",
 ]
 
-CELL_TOL = 1e-9  # how far outside a triangle, in barycentric coordinates, its cell still holds a point
+# how far outside a triangle (in barycentric coordinates) or, for an arc bulge,
+# the patch circle (relative to its radius) a cell still holds a point
+CELL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +217,16 @@ class CellPatch:
         return np.argsort(np.abs(d - self.circle.radius), axis=1)[:, :2]
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
-        """Containing cell index per point (nearest-cell fallback).
+        """Index of the cell holding each point.
 
-        The rule: of the cells that contain the point (barycentric
-        coordinates within CELL_TOL of the triangle, see _contains), the one
-        with the nearest barycentre; a point no cell contains (in an arc
-        bulge, or outside the patch) takes the cell with the nearest
-        barycentre. Cells at exactly equal barycentre distance are taken in
-        the order the k-d tree lists them, so on a shared edge or vertex
-        that order decides.
+        A cell holds a point within CELL_TOL of its triangle or, for an arc
+        cell, of its bulge (see _contains). A point that several cells hold,
+        on a shared edge or vertex, takes the one with the nearest
+        barycentre, the lowest index on a tie. A point that no cell holds,
+        outside the patch disk, takes the nearest barycentre of all cells.
 
-        Every cell that contains a point is a candidate of the point's
-        bucket (see _buckets), so a point exactly one candidate contains
-        lies in that cell alone. The others, on a shared edge or vertex or
-        in no cell, go through the k-d tree (see _nearest_containing).
+        Every cell that holds a point is a candidate of the point's bucket
+        (see _buckets), so the buckets alone decide every point.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         lo, size, n, start, ids = self._buckets
@@ -239,43 +237,23 @@ class CellPatch:
         row = np.repeat(np.arange(len(pts)), cnt)
         cand = ids[np.arange(len(row)) + np.repeat(start[b] - np.cumsum(cnt) + cnt, cnt)]
         inside = self._contains(np.take(pts.T, row, axis=1), cand)
-        held = row[inside]
-        out = np.empty(len(pts), dtype=int)
-        out[held] = cand[inside]
+        held, cell = row[inside], cand[inside]
         hits = np.bincount(held, minlength=len(pts))
-        rest = np.flatnonzero(hits != 1)
-        if len(rest):
-            out[rest] = self._nearest_containing(pts[rest], hits[rest] > 0)
-        return out
-
-    def _nearest_containing(self, pts: np.ndarray, contained: np.ndarray) -> np.ndarray:
-        """locate's rule through the k-d tree: the first of the cells in
-        order of barycentre distance that contains each point, the nearest
-        if none does. The 12 nearest are tested first; a point flagged in
-        contained, which some cell holds, that none of them holds is tested
-        against every cell."""
-        nt = len(self.tris)
         out = np.empty(len(pts), dtype=int)
-        todo = np.arange(len(pts))
-        for k in (min(12, nt), nt):
-            _, cand = self._tree.query(pts[todo], k=k)
-            cand = cand.reshape(len(todo), k)
-            xy = np.repeat(pts[todo], k, axis=0).T
-            inside = self._contains(xy, cand.ravel()).reshape(cand.shape)
-            # argmax is the first containing cell, or 0, the nearest, if none does
-            out[todo] = cand[np.arange(len(todo)), np.argmax(inside, axis=1)]
-            todo = todo[contained[todo] & ~inside.any(axis=1)]
-            if not len(todo):
-                break
+        out[held] = cell
+        shared = np.flatnonzero(hits[held] > 1)
+        if len(shared):
+            held, cell = held[shared], cell[shared]
+            # by point, then barycentre distance, then cell index: each point's first pair decides
+            order = np.lexsort((cell, np.sum((pts[held] - self.barycenters[cell]) ** 2, axis=1), held))
+            held, cell = held[order], cell[order]
+            first = np.flatnonzero(np.diff(held, prepend=-1))
+            out[held[first]] = cell[first]
+        lost = np.flatnonzero(hits == 0)
+        if len(lost):
+            for blk in np.array_split(lost, len(lost) // 1024 + 1):  # bounds the (points, cells) block
+                out[blk] = np.argmin(np.sum((pts[blk, None] - self.barycenters) ** 2, axis=2), axis=1)
         return out
-
-    @cached_property
-    def _tree(self):
-        """k-d tree of the barycentres, built for the first point that
-        locate's buckets leave open."""
-        from scipy.spatial import cKDTree  # loaded on first use: most runs never need it
-
-        return cKDTree(self.barycenters)
 
     @cached_property
     def _buckets(self):
@@ -285,14 +263,21 @@ class CellPatch:
         size from corner lo over the cells' padded bounding boxes. Bucket
         b = iy * n + ix lists in ids[start[b]:start[b + 1]] every cell whose
         box meets it. Each box is padded by 1e-8 of its width plus height
-        and by the round-off of its corners, which holds every point
-        _contains admits; the index is thus the same at every scale.
+        and by the round-off of its corners, an arc cell's box also by the
+        depth of its bulge, which holds every point _contains admits; the
+        index is thus the same at every scale.
         """
         nt = len(self.tris)
         v = self.verts[self.tris]
         vmin = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
         vmax = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
         pad = 1e-8 * (vmax - vmin).sum(axis=1) + 1e-15 * np.maximum(-vmin, vmax).max(axis=1)
+        arc = np.flatnonzero(self.arc_cells)
+        # a bulge reaches past its chord by at most the widened radius less
+        # the centre's distance from the chord
+        ends = self.verts[np.take_along_axis(self.tris[arc], self._arc_edges[arc], axis=1)]
+        off = _geom.point_segment_distance(self.circle.center, ends[:, 0], ends[:, 1])[0]
+        pad[arc] += self.circle.radius * (1 + CELL_TOL) - off
         vmin -= pad[:, None]
         vmax += pad[:, None]
         n = int(np.ceil(2 * np.sqrt(nt)))
@@ -310,21 +295,32 @@ class CellPatch:
     @cached_property
     def _frames(self) -> np.ndarray:
         """(7, nt): per cell the first corner's x and y, the x and y of the
-        two edge vectors from it, and the determinant."""
-        v = self.verts[self.tris]
+        two edge vectors from it, and the determinant. An arc cell's first
+        corner is its vertex off the chord, so its chord is the edge
+        l1 + l2 = 1 of _contains."""
+        first = np.where(self.arc_cells, 3 - self._arc_edges.sum(axis=1), 0)
+        v = self.verts[np.take_along_axis(self.tris, (first[:, None] + np.arange(3)) % 3, axis=1)]
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         return np.stack([*v[:, 0].T, *d1.T, *d2.T, np.where(np.abs(det) < 1e-300, 1e-300, det)])
 
     def _contains(self, xy: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Whether cell cells[i] contains the point xy[:, i]: barycentric
-        coordinates within CELL_TOL of the triangle."""
+        """Whether cell cells[i] holds the point xy[:, i]: barycentric
+        coordinates within CELL_TOL of the triangle or, for an arc cell,
+        of its bulge. The bulge is the part of the patch disk beyond the
+        chord and between the lines from the vertex off the chord through
+        the chord's ends; the disk is widened by CELL_TOL of its radius."""
         x0, y0, ax, ay, bx, by, det = np.take(self._frames, cells, axis=1)
         wx, wy = xy[0] - x0, xy[1] - y0
         l1 = (wx * by - wy * bx) / det
         l2 = (ax * wy - ay * wx) / det
-        return (l1 >= -CELL_TOL) & (l2 >= -CELL_TOL) & (l1 + l2 <= 1 + CELL_TOL)
+        ends = (l1 >= -CELL_TOL) & (l2 >= -CELL_TOL)
+        out = ends & (l1 + l2 <= 1 + CELL_TOL)
+        beyond = np.flatnonzero(ends & ~out & self.arc_cells[cells])
+        (cx, cy), R = self.circle.center, self.circle.radius
+        out[beyond] = np.hypot(xy[0, beyond] - cx, xy[1, beyond] - cy) <= R * (1 + CELL_TOL)
+        return out
 
     def eval(self, pts: np.ndarray, cells: np.ndarray | None = None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -913,8 +909,8 @@ def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndar
 def value_gap(u: DiscreteSbvMap, w: DiscreteSbvMap, pts) -> np.ndarray:
     """|u(x) - w(x)| at each point.
 
-    Each map evaluates a point on the cell of its topmost patch that
-    contains it (see CellPatch.locate). When w's patch stack starts with u's
+    Each map evaluates a point on the cell of its topmost patch that holds
+    it, an arc cell's bulge included (see CellPatch.locate). When w's patch stack starts with u's
     patches, a point that no later patch of w holds is evaluated on the same
     patch by both maps, so its gap is 0.0; only the other points are
     evaluated, on both maps.

@@ -109,19 +109,34 @@ def test_determinism_all_pipelines(tmp_path, pipeline, extra):
 
 
 def test_import_and_cover_run_load_no_scipy_spatial(tmp_path):
-    """import sbvx and sbvx.cli, and a cover run, leave scipy.spatial
-    unloaded. A fresh interpreter, since this test process has loaded it."""
+    """import sbvx and sbvx.cli, a cover run, a criterion-1 local_phi call
+    on an affine map and an approximate run leave scipy.spatial unloaded. A
+    fresh interpreter, since this test process has loaded it."""
     p = write_scenario(
         tmp_path / "c.json", name="cold", pipeline="cover",
         map={"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}},
         params={"s": 0.75, "eta": 0.05},
     )
+    a = write_scenario(
+        tmp_path / "a.json", name="cold_a", pipeline="approximate",
+        map={"kind": "piecewise-constant-with-arc-jump", "params": {"budget": 0.003, "k": 2}},
+        params={"s": 0.75, "eta": 0.05},
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
     code = textwrap.dedent(f"""
         import sys
         import sbvx, sbvx.cli
         assert "scipy.spatial" not in sys.modules, "loaded by import"
         assert sbvx.cli.run_scenario({str(p)!r}, out_dir={str(tmp_path / "out")!r}) == 0
         assert "scipy.spatial" not in sys.modules, "loaded by the cover run"
+        sys.path.insert(0, {tests!r})
+        from test_acceptance import P_VAR, criterion_1_maps
+        from sbvx.sobolev_approx import local_phi
+        i, u = next(criterion_1_maps())
+        local_phi(u, P_VAR, eta=0.05, seed=i)
+        assert "scipy.spatial" not in sys.modules, "loaded by local_phi"
+        assert sbvx.cli.run_scenario({str(a)!r}, out_dir={str(tmp_path / "out")!r}) == 0
+        assert "scipy.spatial" not in sys.modules, "loaded by the approximate run"
     """)
     src = os.path.dirname(os.path.dirname(sbvx.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

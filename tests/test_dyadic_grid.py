@@ -255,7 +255,6 @@ def test_envelopes_and_kappa(unit_disk):
     assert ad.kappa_hat >= 1
     assert np.isfinite(ad.lambda_stats["lambda1_hat"])
     assert ad.lambda_stats["lambda2_hat"] < 1e4
-    assert len(ad.edge_stats["edge_line_integrals"]) == len(g.edges)
 
 
 KAPPA_CORPUS_MAX = 8  # frozen regression constant, measured over the corpus below
@@ -415,10 +414,8 @@ def _assert_adapt_matches_farthest_oracle(g, u, samples, seed):
             adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
         assert exc.value.vertex == err.vertex
         return err.vertex
-    # the lambda and edge statistics draw no random numbers; skip their cost
-    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}), mock.patch.object(
-        dyadic_grid, "_edge_integrals", lambda *a: {}
-    ):
+    # the lambda statistics draw no random numbers; skip their cost
+    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}):
         ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, kappa_samples=500)
     verts, ratio, kappa = expected
     assert np.array_equal(ad.verts, verts)
@@ -768,40 +765,3 @@ def test_cached_topology_grid_equals_full_construction(R, h_max, center, rotatio
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     assert g.verts.flags.writeable and g.verts is not g2.verts
-
-
-def _edge_integrals_per_edge(grid, verts, u, delta_v, n_line=16):
-    """The per-edge loop, two grad_at calls per edge, that _edge_integrals
-    must reproduce bitwise."""
-    line_int, cap_avg = [], []
-    for e in grid.edges:
-        a, b = verts[e[0]], verts[e[1]]
-        t = (np.arange(n_line) + 0.5) / n_line
-        g = np.linalg.norm(u.grad_at(a + t[:, None] * (b - a)).reshape(n_line, -1), axis=1)
-        line_int.append(float(np.mean(g) * float(np.linalg.norm(b - a))))
-        x, y = grid.verts[e[0]], grid.verts[e[1]]
-        r = grid.alpha * delta_v[e]
-        hull = _geom.hull_of_disks(np.stack([x, y]), r, narc=16)
-        lo, hi = hull.min(axis=0), hull.max(axis=0)
-        samp = lo + (hi - lo) * np.random.default_rng(int(e[0]) * 100003 + int(e[1])).random((64, 2))
-        inside = _geom.points_in_convex_polygon(samp, hull)
-        integral = 0.0
-        if np.any(inside):
-            gg = np.linalg.norm(u.grad_at(samp[inside]).reshape(int(inside.sum()), -1), axis=1)
-            integral = float(np.mean(gg) * _geom.polygon_area(hull))
-        h_e = max(grid.ring_of[e[0]], grid.ring_of[e[1]])
-        cap_avg.append(integral / (grid.R * 2.0 ** (-float(h_e))))
-    return {"edge_line_integrals": line_int, "envelope_averages": cap_avg}
-
-
-@pytest.mark.parametrize("which", ["random", "global"])
-def test_edge_integrals_equal_per_edge_loop(which, global_map):
-    u = global_map if which == "global" else synthesize(
-        "random-cells-with-random-polyline", {"budget": 0.0}, seed=7
-    )
-    g = build_grid(1.0, 4, rotation=0.3)
-    ad = adapt_to_jump(g, u, seed=1, compute_stats=False)
-    dv = g.vertex_delta()
-    assert dyadic_grid._edge_integrals(g, ad.verts, u, dv) == _edge_integrals_per_edge(
-        g, ad.verts, u, dv
-    )

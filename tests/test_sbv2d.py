@@ -626,7 +626,7 @@ def test_disk_holding_every_patch_samples_as_none(sample_maps, which, log_factor
 
 
 # ---------------------------------------------------------------------------
-# point location against the 12-neighbour rule
+# point location: triangles and arc bulges
 # ---------------------------------------------------------------------------
 
 
@@ -643,62 +643,89 @@ def _points_in_tris(pts, tri_verts, tol=1e-9):
     return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1 + tol)
 
 
-def _locate_scalar(patch, pts, k_query=12):
-    """The column-by-column 12-neighbour rule CellPatch.locate must equal."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    _, cand = patch._tree.query(pts, k=min(k_query, len(patch.tris)))
-    cand = np.atleast_2d(cand)
-    out = np.full(len(pts), -1, dtype=int)
-    v = patch.verts[patch.tris]
-    for col in range(cand.shape[1]):
-        miss = out < 0
-        if not np.any(miss):
-            break
-        t = cand[miss, col]
-        inside = _points_in_tris(pts[miss], v[t])
-        out[np.nonzero(miss)[0][inside]] = t[inside]
-    miss = out < 0
-    out[miss] = cand[miss, 0]
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _in_bulges(patch, pts, cells):
+    """(m, len(cells)): whether arc cell cells[j]'s bulge holds pts[i], as
+    the disk part beyond the chord (its two vertices nearest the circle) and
+    within the chord's angular span seen from the centre."""
+    c, R = np.asarray(patch.circle.center), patch.circle.radius
+    v = patch.verts[patch.tris[cells]]
+    near = np.argsort(np.abs(np.linalg.norm(v - c, axis=2) - R), axis=1)
+    a, b, o = (np.take_along_axis(v, near[:, i, None, None], axis=1)[:, 0] for i in range(3))
+    x = pts[:, None, :]
+    beyond = _cross(b - a, x - a) * _cross(b - a, o - a) <= 0
+    span = np.sign(_cross(a - c, b - c))
+    between = (_cross(a - c, x - c) * span >= 0) & (_cross(x - c, b - c) * span >= 0)
+    in_disk = np.linalg.norm(x - c, axis=2) <= R * (1 + 1e-9)
+    return patch.arc_cells[cells] & beyond & between & in_disk
+
+
+def _locate_oracle(patch, pts, block=128):
+    """locate's rule, checked against every cell: of the cells whose
+    triangle or arc bulge holds a point, the nearest barycentre, the lowest
+    cell id on a tie; the nearest barycentre of all when no cell holds it."""
+    nt = len(patch.tris)
+    best = np.full(len(pts), np.inf)
+    out = np.full(len(pts), -1)
+    for lo in range(0, nt, block):
+        cells = np.arange(lo, min(lo + block, nt))
+        tri = patch.verts[patch.tris[cells]]
+        holds = _points_in_tris(
+            np.repeat(pts, len(cells), axis=0), np.tile(tri, (len(pts), 1, 1))
+        ).reshape(len(pts), len(cells))
+        holds |= _in_bulges(patch, pts, cells)
+        d = np.sum((pts[:, None] - patch.barycenters[cells]) ** 2, axis=2)
+        d = np.where(holds, d, np.inf)
+        j = np.argmin(d, axis=1)  # the first of equal distances: the lowest id
+        dj = d[np.arange(len(pts)), j]
+        better = dj < best  # a later block wins only by a strictly nearer barycentre
+        best[better], out[better] = dj[better], cells[j[better]]
+    lost = out < 0
+    out[lost] = np.argmin(np.sum((pts[lost, None] - patch.barycenters) ** 2, axis=2), axis=1)
     return out
 
 
-def _points_in_any_tri(pts, patch):
-    """Whether some cell of the patch contains each point, cell by cell."""
-    v = patch.verts[patch.tris]
-    held = np.zeros(len(pts), dtype=bool)
-    for tri in v:
-        held |= _points_in_tris(pts, np.broadcast_to(tri, (len(pts), 3, 2)))
-    return held
+def _test_mesh(mesh, disk, n_rings, rng):
+    """(verts, tris, arc_cells) of a fan, Delaunay or dyadic mesh of disk."""
+    if mesh == "fan":
+        return fan_mesh(disk, n_rings)
+    if mesh == "delaunay":
+        return delaunay_disk_mesh(disk, 5 * n_rings + 3, rng)
+    from sbvx.dyadic_grid import build_grid
+
+    g = build_grid(disk.radius, min(max(n_rings, 2), 6), center=disk.center,
+                   rotation=float(rng.uniform(0, 2 * np.pi)))
+    return g.verts, g.tris, g.on_boundary[g.tris].sum(axis=1) == 2
 
 
-@settings(max_examples=120, deadline=None)
+def _zero_patch(verts, tris, disk, arc):
+    nt = len(tris)
+    return CellPatch(verts, tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), disk, arc)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["fan", "delaunay", "adapted"]),
+    st.sampled_from(["fan", "delaunay", "dyadic"]),
     st.integers(min_value=1, max_value=12),
-    st.integers(min_value=-10, max_value=10),
+    st.one_of(st.integers(-10, 10).map(lambda k: 2.0**k), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
 )
-def test_locate_keeps_the_twelve_neighbour_rule_where_it_finds_a_containing_cell(
-    seed, mesh, n_rings, log2_factor
-):
-    """Where the 12-neighbour rule returns a cell that contains the point,
-    locate returns that cell; elsewhere locate's cell contains the point
-    whenever any cell does (on adapted meshes the 12 nearest barycentres can
-    all miss the coarse cell holding it). A dilation by 2**k moves no
-    located cell."""
+def test_locate_follows_the_nearest_holding_cell_rule(seed, mesh, n_rings, factor, shift):
+    """locate equals the rule checked against every cell, triangle or arc
+    bulge: the nearest barycentre among the cells holding a point, the
+    lowest id on a tie, the nearest of all for a point no cell holds. It
+    does so on vertices, edge midpoints (tied barycentres), points on shared
+    edges, barycentres and points in and around the disk, after a dilation
+    by 2**k or 10**[-6, 6] and a translation by a multiple of it. A
+    dilation by 2**k alone moves no located cell."""
     rng = np.random.default_rng(seed)
     disk = Disk(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(0.05, 3.0)))
-    if mesh == "fan":
-        verts, tris, arc = fan_mesh(disk, n_rings)
-    elif mesh == "delaunay":
-        verts, tris, arc = delaunay_disk_mesh(disk, 5 * n_rings + 3, rng)
-    else:
-        from sbvx.dyadic_grid import build_grid
-
-        g = build_grid(disk.radius, min(max(n_rings, 2), 6), center=disk.center,
-                       rotation=float(rng.uniform(0, 2 * np.pi)))
-        verts, tris, arc = g.verts, g.tris, g.on_boundary[g.tris].sum(axis=1) == 2
-    patch = CellPatch(verts, tris, np.zeros((len(tris), 1)), np.zeros((len(tris), 1, 2)), disk, arc)
+    verts, tris, arc = _test_mesh(mesh, disk, n_rings, rng)
+    patch = _zero_patch(verts, tris, disk, arc)
     c = np.asarray(disk.center)
     e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     s = rng.random((len(e), 1))
@@ -711,28 +738,47 @@ def test_locate_keeps_the_twelve_neighbour_rule_where_it_finds_a_containing_cell
         c + disk.radius * rng.uniform(-1.1, 1.1, (300, 2)),  # arc bulges and outside too
     ])
     got = patch.locate(pts)
-    old = _locate_scalar(patch, pts)
-    v = patch.verts[patch.tris]
-    old_holds = _points_in_tris(pts, v[old])
-    assert np.array_equal(got[old_holds], old[old_holds])
-    rest = ~old_holds
-    assert np.array_equal(_points_in_tris(pts[rest], v[got[rest]]), _points_in_any_tri(pts[rest], patch))
-    f = 2.0**log2_factor
-    scaled = CellPatch(f * verts, tris, patch.values, patch.grads, Disk(tuple(f * c), f * disk.radius), arc)
-    assert np.array_equal(scaled.locate(f * pts), got)
+    assert np.array_equal(got, _locate_oracle(patch, pts))
+    t = factor * np.asarray(shift)
+    moved = _zero_patch(factor * verts + t, tris, Disk(tuple(factor * c + t), factor * disk.radius), arc)
+    assert np.array_equal(moved.locate(factor * pts + t), _locate_oracle(moved, factor * pts + t))
+    if np.log2(factor).is_integer():
+        scaled = _zero_patch(factor * verts, tris, Disk(tuple(factor * c), factor * disk.radius), arc)
+        assert np.array_equal(scaled.locate(factor * pts), got)
+
+
+def test_trace_band_points_land_in_their_arc_cell():
+    """local_phi's 64 trace_band points, just inside the circle, each land
+    in the arc cell whose bulge holds it, on dyadic, fan and Delaunay
+    patches; and every quadrature sample locates to its own cell, so point
+    evaluation and quadrature agree."""
+    from sbvx.dyadic_grid import build_grid
+
+    R = 0.3
+    disk = Disk((0.0, 0.0), R)
+    th = 2 * np.pi * (np.arange(64) + 0.5) / 64
+    band = R * np.stack([np.cos(th), np.sin(th)], axis=1) * (1 - 1e-12)
+    meshes = [build_grid(R, 5, rotation=rot) for rot in (0.0, 0.4, 1.3)]
+    meshes = [(g.verts, g.tris, g.on_boundary[g.tris].sum(axis=1) == 2) for g in meshes]
+    meshes += [fan_mesh(disk, 10), delaunay_disk_mesh(disk, 60, np.random.default_rng(4))]
+    for verts, tris, arc in meshes:
+        patch = _zero_patch(verts, tris, disk, arc)
+        holds = _in_bulges(patch, band, np.flatnonzero(arc))
+        assert np.all(holds.sum(axis=1) == 1)
+        assert np.array_equal(patch.locate(band), np.flatnonzero(arc)[np.argmax(holds, axis=1)])
+        for level in (2, 3):
+            pts, _, cell_id = _patch_samples_with_ids(patch, level)[:3]
+            assert np.array_equal(patch.locate(pts), cell_id)
 
 
 def test_disk_rule_points_are_located_in_containing_cells_of_a_graded_patch():
     """_measure's disk rule on a build_grid(R, 5) patch: every point lands in
-    a cell that contains it. The 12 nearest barycentres miss the coarse cell
-    of about 5% of the points."""
+    a cell that contains it, the coarse cells of the graded mesh included."""
     from sbvx.dyadic_grid import build_grid
 
     for center, R, rotation in (((0.0, 0.0), 0.3, 0.0), ((0.1, 0.05), 0.5, 1.0), ((-0.2, 0.3), 0.05, 2.5)):
         g = build_grid(R, 5, center=center, rotation=rotation)
-        nt = len(g.tris)
-        patch = CellPatch(g.verts, g.tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), Disk(center, R),
-                          g.on_boundary[g.tris].sum(axis=1) == 2)
+        patch = _zero_patch(g.verts, g.tris, Disk(center, R), g.on_boundary[g.tris].sum(axis=1) == 2)
         pts, _ = Disk(center, R).rule(10, order=4)
         assert len(pts) == 3200
         assert np.all(_points_in_tris(pts, patch.verts[patch.tris][patch.locate(pts)]))
@@ -757,16 +803,22 @@ def _square_fan_patch(n=4):
     return CellPatch(verts, tris, np.zeros((nt, 1)), np.zeros((nt, 1, 2)), Disk((0.5, 0.5), 0.75))
 
 
-def test_locate_exact_ties_follow_the_twelve_neighbour_rule():
+def test_locate_exact_ties_go_to_the_lowest_cell_id():
+    """On shared edges and vertices at exactly equal barycentre distances,
+    locate takes the lowest id among the nearest holding cells."""
     patch = _square_fan_patch()
     v, t = patch.verts, patch.tris
     s = np.array([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])[:, None, None]
     e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     pts = np.concatenate([v, (v[e[:, 0]] + s * (v[e[:, 1]] - v[e[:, 0]])).reshape(-1, 2)])
-    dist, _ = patch._tree.query(pts, k=4)
-    tied = (dist[:, 0] == dist[:, 1]) | (dist[:, 1] == dist[:, 2]) | (dist[:, 2] == dist[:, 3])
-    assert tied.mean() > 0.5
-    assert np.array_equal(patch.locate(pts), _locate_scalar(patch, pts))
+    holds = _points_in_tris(np.repeat(pts, len(t), axis=0), np.tile(v[t], (len(pts), 1, 1)))
+    d = np.sum((pts[:, None] - patch.barycenters) ** 2, axis=2)
+    d = np.where(holds.reshape(len(pts), len(t)), d, np.inf)
+    tied = np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1
+    assert tied.mean() > 1 / 3
+    got = patch.locate(pts)
+    assert np.array_equal(got, np.argmin(d, axis=1))
+    assert np.array_equal(got, _locate_oracle(patch, pts))
 
 
 # ---------------------------------------------------------------------------
