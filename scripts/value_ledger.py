@@ -21,9 +21,11 @@ import path and writes three sections:
   RETRACT_RATIO_BOUND), the worst measured value and its margin to the bound.
 
 --diff prints, for each key family (a key without its instance), the largest
-relative change |b - a| / |a| and the key it occurs at; then the keys only
-one ledger has, the files that differ and both ledgers' bounds. It exits 1
-when a value or a file differs, 0 otherwise.
+relative change |b - a| / |a| and the key it occurs at: first the families
+that moved, largest change first, then apart the families whose every key
+moved at round-off only, |b - a| <= 1e-14 max(1, |a|), then the unchanged
+ones; then the keys only one ledger has, the files that differ and both
+ledgers' bounds. It exits 1 when a value or a file differs, 0 otherwise.
 
 To compare a change with its parent, write a ledger with each tree's src/
 first on PYTHONPATH and diff them:
@@ -45,6 +47,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 SEEDS = (11, 12, 13)
+ROUND_OFF = 1e-14  # a change |b - a| <= ROUND_OFF max(1, |a|) is at round-off
 # norms and counterexample at the benchmark's sizes, the schema defaults
 PERFBENCH_SIZE_SCENARIOS = [
     {"name": "n50", "pipeline": "norms", "params": {"n_functions": 50}},
@@ -168,23 +171,39 @@ def relative_change(a, b) -> float:
     return abs(b - a) / abs(a)
 
 
+def at_round_off(a, b) -> bool:
+    """Whether two numeric ledger values differ by at most ROUND_OFF max(1, |a|)."""
+    a, b = _number(a), _number(b)
+    if isinstance(a, (bool, str)) or isinstance(b, (bool, str)) or not math.isfinite(a - b):
+        return False
+    return abs(b - a) <= ROUND_OFF * max(1.0, abs(a))
+
+
 def diff_ledgers(a: dict, b: dict):
     """(lines, differs): the --diff report of ledgers a and b."""
     lines, differs = [], False
     va, vb = a["values"], b["values"]
-    families = {}
+    families, moved = {}, set()
     for key in sorted(va.keys() & vb.keys()):
         criterion, _, *name = key.split("/")
         family = "/".join([criterion, *name])
         change = relative_change(va[key], vb[key])
+        if change > 0 and not at_round_off(va[key], vb[key]):
+            moved.add(family)
         if family not in families or change > families[family][0]:
             families[family] = (change, key)
     changed = sum(change > 0 for change, _ in families.values())
     differs |= changed > 0
     lines.append(f"values: {len(va.keys() & vb.keys())} keys in both, {changed} of {len(families)} "
-                 "families changed; largest relative change per family:")
-    lines += [f"  {family}: {change:.3g}" + (f" at {key}" if change else "")
-              for family, (change, key) in sorted(families.items())]
+                 f"families changed ({changed - len(moved)} at round-off only); "
+                 "largest relative change per family:")
+    by_change = sorted(families.items(), key=lambda item: (-item[1][0], item[0]))
+    round_off = [(f, c) for f, c in by_change if c[0] > 0 and f not in moved]
+    lines += [f"  {family}: {change:.3g} at {key}" for family, (change, key) in by_change if family in moved]
+    if round_off:
+        lines.append(f"  at round-off, |b - a| <= {ROUND_OFF:g} max(1, |a|) at every key:")
+        lines += [f"  {family}: {change:.3g} at {key}" for family, (change, key) in round_off]
+    lines += [f"  {family}: 0" for family, (change, _) in sorted(families.items()) if change == 0]
     for name, only in (("a", va.keys() - vb.keys()), ("b", vb.keys() - va.keys())):
         differs |= bool(only)
         lines += [f"  only in {name}: {key}" for key in sorted(only)]

@@ -179,7 +179,10 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     centre, a piece outside contributes the circular sector it subtends. An
     edge without crossings (tangent ones included) is outside.
     Edges and pieces shorter than EPS contribute nothing, so polygons with
-    coincident vertices (down to a single point) are handled.
+    coincident vertices (down to a single point) are handled. A polygon none
+    of whose pieces lies inside either holds the disk, its sectors summing
+    to the disk's area, or misses it: its area is then exactly 0, not the
+    round-off of its cancelling sectors.
     """
     p = np.asarray(polys, dtype=float) - np.reshape(np.asarray(center, dtype=float), (-1, 1, 2))
     x, y = p[..., 0], p[..., 1]
@@ -211,12 +214,14 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     da = np.arctan2(Q[..., 1], Q[..., 0]) - np.arctan2(P[..., 1], P[..., 0])
     da = np.where(da > np.pi, da - 2 * np.pi, np.where(da < -np.pi, da + 2 * np.pi, da))
     piece = np.where(inside, tri, 0.5 * r2 * da)
-    piece = np.where(live & ((t1 - t0)[..., 0] > EPS), piece, 0.0).reshape(len(p), 3 * p.shape[1])
+    kept = live & ((t1 - t0)[..., 0] > EPS)
+    piece = np.where(kept, piece, 0.0).reshape(len(p), 3 * p.shape[1])
     # summed in edge order; a pairwise np.sum would round the cancelling pieces differently
     total = np.zeros(len(p))
     for j in range(piece.shape[1]):
         total += piece[:, j]
-    return np.abs(total)
+    enters = (inside & kept).any(axis=(1, 2))
+    return np.where(enters | (np.abs(total) > 0.5 * np.pi * r2.ravel()), np.abs(total), 0.0)
 
 
 def polygon_disk_area(pts: np.ndarray, center, radius: float) -> float:

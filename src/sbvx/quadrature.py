@@ -4,9 +4,10 @@ Disk, Annulus and Rect each answer, by method, every geometric question the
 toolkit asks, so that no caller branches on a region's type: contains, rule,
 sample, to_json (read back by region_from_json), covers (up to COVER_TOL, from
 the other region's bbox and farthest_from a point), boundary_distance,
-segment_lengths (inside the closed region) and rings, the (centre, r_inner,
-r_outer) of its circles (r_inner = -inf for a disk) or None. A question a
-region cannot answer raises ToolkitError.
+segment_lengths (inside the closed region), pulled_back (the region of the y
+with origin + scale y in it) and rings, the (centre, r_inner, r_outer) of its
+circles (r_inner = -inf for a disk) or None. A question a region cannot
+answer raises ToolkitError.
 
 Closed-form integrands over disks/annuli/rectangles are integrated with
 composite Gauss-Legendre panels (polar panels for disks, so radial kinks at
@@ -86,6 +87,10 @@ class Disk(_Round):
     def segment_lengths(self, a, b) -> np.ndarray:
         return _geom.segment_disk_length(a, b, self.center, self.radius)
 
+    def pulled_back(self, origin, scale: float) -> "Disk":
+        c = (np.asarray(self.center, dtype=float) - origin) / scale
+        return Disk((float(c[0]), float(c[1])), self.radius / scale)
+
 
 @dataclass(frozen=True)
 class Annulus(_Round):
@@ -125,6 +130,10 @@ class Annulus(_Round):
     def segment_lengths(self, a, b) -> np.ndarray:
         outer = _geom.segment_disk_length(a, b, self.center, self.r_outer)
         return outer - _geom.segment_disk_length(a, b, self.center, self.r_inner)
+
+    def pulled_back(self, origin, scale: float) -> "Annulus":
+        c = (np.asarray(self.center, dtype=float) - origin) / scale
+        return Annulus((float(c[0]), float(c[1])), self.r_inner / scale, self.r_outer / scale)
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,10 @@ class Rect:
 
     def boundary_distance(self, x) -> float:
         return min(x[0] - self.x0, self.x1 - x[0], x[1] - self.y0, self.y1 - x[1])
+
+    def pulled_back(self, origin, scale: float) -> "Rect":
+        (ox, oy) = origin
+        return Rect((self.x0 - ox) / scale, (self.x1 - ox) / scale, (self.y0 - oy) / scale, (self.y1 - oy) / scale)
 
     def segment_lengths(self, a, b) -> np.ndarray:
         """Liang-Barsky: each segment a->b keeps the parameters t in [0, 1]

@@ -9,7 +9,7 @@ so that cell areas partition the patch disk exactly.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import _geom
 from .errors import ConstructionError, DegenerateInputError, ToolkitError
 from .quadrature import Disk, subdivision_lattice, tri_subcentroids
-from .vexp import luxembourg_from_samples
+from .vexp import CellTerms, affine_coefficients, luxembourg_from_samples
 
 __all__ = [
     "JumpSet",
@@ -179,7 +179,6 @@ class CellPatch:
         v0, v1, v2 = (self.verts[self.tris[:, i]] for i in range(3))
         self.barycenters = (v0 + v1 + v2) / 3.0
         self.tri_areas = _geom.triangle_areas(v0, v1, v2)
-        self._sample_cache = None  # (level, samples and bounds) of _patch_samples_with_ids
         self._arc_extra = np.zeros(nt)
         arc = np.flatnonzero(self.arc_cells)
         ends = self.verts[np.take_along_axis(self.tris[arc], self._arc_edges[arc], axis=1)]
@@ -204,16 +203,60 @@ class CellPatch:
     def corner_norms(self) -> np.ndarray:
         """(nt, 3): |value + grad·(corner - barycentre)| at each cell's three
         corners, the cell's affine data evaluated there."""
-        d = self.verts[self.tris] - self.barycenters[:, None, :]
+        d = self.corners - self.barycenters[:, None, :]
         vals = self.values[:, None, :] + np.einsum("nkj,nmj->nmk", self.grads, d)
         return np.linalg.norm(vals, axis=-1)
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """(nt, 3, 2): each cell's triangle corners."""
+        return self.verts[self.tris]
+
+    @cached_property
+    def _far(self) -> np.ndarray:
+        """(nt,): each triangle's largest barycentre-to-corner distance."""
+        d = self.corners - self.barycenters[:, None]
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2
+        return np.sqrt(np.maximum(np.maximum(d2[:, 0], d2[:, 1]), d2[:, 2]))
+
+    @cached_property
+    def _bulged(self) -> np.ndarray:
+        """(nt,): the arc cells with a bulge of positive area."""
+        return self.arc_cells & (self._arc_extra > 0)
+
+    @cached_property
+    def _arc_mid(self) -> np.ndarray:
+        """(nt, 2): the arc midpoint of each bulged arc cell, the point of
+        its bulge sample: on the ray from the centre through the chord's
+        midpoint, inside the circle by 1e-12 of the radius, or by the
+        round-off of the coordinates where that is larger."""
+        arc = np.flatnonzero(self._bulged)  # the other cells keep their barycentre
+        ends = np.take_along_axis(self.corners[arc], self._arc_edges[arc][:, :, None], axis=1)
+        mid_chord = 0.5 * (ends[:, 0] + ends[:, 1])
+        c = np.asarray(self.circle.center, dtype=float)
+        R = self.circle.radius
+        slack = 4 * np.finfo(float).eps * (np.max(np.abs(c)) + R)
+        inset = (1 - 1e-12) if slack <= 1e-12 * R else (1 - slack / R)
+        d = mid_chord - c
+        nd = np.linalg.norm(d, axis=1)
+        out = self.barycenters.copy()
+        on_ray = c + d / np.where(nd > 0, nd, 1.0)[:, None] * R * inset
+        out[arc] = np.where((nd > 0)[:, None], on_ray, mid_chord)
+        return out
+
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """(nt,): the radius about each barycentre of a circle holding the
+        triangle and, for a bulged arc cell, its arc-midpoint sample."""
+        mid = np.linalg.norm(self._arc_mid - self.barycenters, axis=1)
+        return np.where(self._bulged, np.maximum(self._far, mid), self._far)
 
     @cached_property
     def _arc_edges(self) -> np.ndarray:
         """(nt, 2) indices (into each triangle) of the two vertices nearest
         the circle: the chord an arc cell's bulge sits on."""
         c = np.asarray(self.circle.center)
-        d = np.linalg.norm(self.verts[self.tris] - c, axis=2)
+        d = np.linalg.norm(self.corners - c, axis=2)
         return np.argsort(np.abs(d - self.circle.radius), axis=1)[:, :2]
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
@@ -268,7 +311,7 @@ class CellPatch:
         index is thus the same at every scale.
         """
         nt = len(self.tris)
-        v = self.verts[self.tris]
+        v = self.corners
         vmin = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
         vmax = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
         pad = 1e-8 * (vmax - vmin).sum(axis=1) + 1e-15 * np.maximum(-vmin, vmax).max(axis=1)
@@ -424,9 +467,10 @@ class DiscreteSbvMap:
     patches: tuple  # CellPatch stack; later entries override within their circle
     jump: JumpSet
     target: dict = field(default_factory=lambda: {"kind": "free"})
-    # the latest visible-sample decomposition as [key, arrays]; replace()
-    # starts it empty
+    # the latest visible-sample decomposition as [key, arrays], and the
+    # latest cell split as [key, arrays, p, CellTerms]; replace() starts both empty
     _bulk_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _split_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.patches) == 0:
@@ -446,6 +490,13 @@ class DiscreteSbvMap:
     @property
     def base(self) -> CellPatch:
         return self.patches[0]
+
+    @cached_property
+    def _cells(self) -> tuple:
+        """(gmag, tri_areas, corners) of the cells of the patch stack,
+        concatenated in patch order: indexed by the flat cell ids."""
+        return tuple(np.concatenate([getattr(q, name) for q in self.patches])
+                     for name in ("gmag", "tri_areas", "corners"))
 
     def _layer_of(self, pts: np.ndarray) -> np.ndarray:
         """Index of the topmost patch containing each point."""
@@ -485,7 +536,9 @@ class DiscreteSbvMap:
 
         cell_samples is the per-cell view of the same decomposition. The map
         keeps the decomposition of its latest (region, level) and hands the
-        same read-only arrays to every integral over that region.
+        same read-only arrays to every sampled integral over that region.
+        The gradient integrals under a constant or affine exponent take the
+        cell split instead (see _gradient_integrals).
         """
         pts, w, _, g = self._visible_samples(region, level)
         return pts, w, g
@@ -516,78 +569,189 @@ class DiscreteSbvMap:
 
     def _build_stack(self, regions, level: int):
         """Midpoint sample decomposition of the bulk layers over a stack of
-        regions: disks and annuli, or one region of any kind (None for the
-        whole domain, or a Rect).
+        regions: the cell split with no cell whole (see _cell_split).
 
         Returns read-only (pts, w, cell, gmag, bounds): rows bounds[k] to
         bounds[k + 1] are region k's subcell centroids that survive the patch
         layering, their areas, the flat id of their cell in the concatenated
-        patch stack, and that cell's gradient norm, in patch order. For disk
-        regions, subcells straddling the region boundary carry their exact
-        clipped area, an annulus being its outer disk minus its inner one;
-        subcells meeting a later patch circle carry their refined area (see
-        _refined_weights). Arc bulges contribute an extra sample at the arc
-        midpoint carrying the segment area.
+        patch stack, and that cell's gradient norm, in patch order.
+        """
+        _, pts, w, cell, _, bounds = self._cell_split(regions, level, exact=False)
+        g = self._cells[0][cell]
+        g.setflags(write=False)
+        return pts, w, cell, g, bounds
+
+    def _cell_split(self, regions, level: int, exact: bool = True):
+        """Split of the visible cells over a stack of regions: disks and
+        annuli, or one region of any kind (None for the whole domain, or a
+        Rect). Returns the whole cells, and the samples of the others.
 
         Each patch is classified against every region's rings first (see
         _patch_relation): a region that misses the patch, or that a later
-        circle covers, takes no sample of it; a region holding the patch
-        samples it as the whole domain does; a region cutting it scans only
-        the triangles that can meet it (see _samples_meeting). All regions'
-        triangles of a patch are culled in one broadcast and their
-        straddling subcells clipped in one call. Every operation acts on one
-        sample at a time, so each region's rows are, bit for bit, those of
-        its stack of one.
+        circle covers, takes nothing of it. Each triangle is then classified
+        by its bounding circle (barycentre, _reach), with _margin to spare,
+        against the region (_region_relation) and the later circles
+        (_later_relation); all regions and triangles of a patch in one
+        broadcast. When exact, a cell is whole in a region when its circle
+        lies in the region and clear of every later circle, or lies clear of
+        them in a region that holds the patch: every subcell sample of it
+        would keep its full area. A region without rings holds no cell
+        whole. A cell whose circle lies in a later circle is hidden, and adds
+        nothing. Every other cell whose circle meets the region is cut.
+
+        A cut cell's samples are built from its triangle alone (see
+        _tri_samples), then kept or dropped below the later circles and
+        clipped to the region (see _visible_in_patch): in a disk region a
+        subcell straddling its boundary carries its exact clipped area, an
+        annulus being its outer disk minus its inner one; a region holding
+        the patch clips nothing; a subcell meeting a later patch circle
+        carries its refined area (see _refined_weights). An arc bulge
+        contributes a sample at the arc midpoint carrying the segment area.
+        Every operation acts on one sample at a time, so a cell's rows are
+        those of its triangle alone, and each region's arrays, bit for bit,
+        those of its stack of one.
+
+        Returns read-only (cells, pts, w, cell, cell_bounds, bounds):
+        cells[cell_bounds[k]:cell_bounds[k + 1]] are the flat ids of region
+        k's whole cells, and rows bounds[k] to bounds[k + 1] of (pts, w,
+        cell) its samples: the arc-midpoint sample of each whole bulged arc
+        cell, then the cut cells' visible samples, patch by patch, each cell
+        in turn.
         """
         rings, flat = _stack_rings(regions)
         offsets = np.cumsum([0] + [len(p.tris) for p in self.patches])
-        parts = []
+        wholes, parts = [], []
         for i, patch in enumerate(self.patches):
             laters = [q.circle for q in self.patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
             live, inside = _patch_relation(patch.circle, laters, rings)
+            if not live.any():
+                continue
+            clear, hidden = _later_relation(patch, laters)
+            held = np.full((len(live), len(patch.tris)), exact and flat is None)
+            meets = np.ones_like(held)
             cut = np.flatnonzero(live & ~inside)
             if len(cut):
-                src, reg = _samples_meeting(patch, level, rings.take(cut))
-                *kept, sel = _visible_in_patch(patch, level, laters, src, rings.take(cut).take(reg), flat, offsets[i])
-                parts.append((*kept, cut[reg[sel]]))
-            whole = np.flatnonzero(live & inside)
-            if len(whole):  # a region holding the patch clips nothing: all take its visible samples
-                pts, w, cell, _ = _visible_in_patch(patch, level, laters, slice(None), None, flat, offsets[i])
-                parts += [(pts, w, cell, np.full(len(w), k)) for k in whole]
+                held[cut], meets[cut] = _region_relation(patch, rings.take(cut))
+                held &= exact
+            whole = live[:, None] & held & clear
+            reg, t = np.nonzero(whole)
+            wholes.append((offsets[i] + t, reg))
+            arc = patch._bulged[t]
+            parts.append((patch._arc_mid[t[arc]], patch._arc_extra[t[arc]], offsets[i] + t[arc], reg[arc]))
+            reg, t = np.nonzero(live[:, None] & meets & ~whole & ~hidden)
+            if not len(t):
+                continue
+            ids, block = np.unique(t, return_inverse=True)
+            table = _tri_samples(patch, level, ids)
+            start = np.searchsorted(table[2], np.append(ids, len(patch.tris)))
+            cnt = start[block + 1] - start[block]  # the rows of each (region, triangle) pair
+            src = np.arange(cnt.sum()) + np.repeat(start[block] - np.cumsum(cnt) + cnt, cnt)
+            reg = np.repeat(reg, cnt)
+            clipped = ~inside[reg]  # a region holding the patch is not clipped
+            for sel_rows, own in ((clipped, rings.take(reg[clipped])), (~clipped, None)):
+                if sel_rows.any():
+                    *kept, sel = _visible_in_patch(patch, level, laters, table, src[sel_rows], own, flat,
+                                                   offsets[i])
+                    parts.append((*kept, reg[sel_rows][sel]))
+        empty = (np.zeros(0, dtype=int),) * 2
+        cells, reg = (np.concatenate(col) for col in zip(empty, *wholes))
+        if len(regions) > 1:  # region by region, each in patch order
+            cells, reg = cells[np.argsort(reg, kind="stable")], np.sort(reg)
+        cell_bounds = np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regions)))])
         empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         pts, w, cell, reg = (np.concatenate(col) for col in zip(empty, *parts))
-        if len(regions) > 1:  # region by region, each in patch order
+        if len(regions) > 1:
             order = np.argsort(reg, kind="stable")
             pts, w, cell = pts[order], w[order], cell[order]
-        out = (pts, w, cell, np.concatenate([p.gmag for p in self.patches])[cell])
-        for arr in out:
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regions)))])
+        for arr in (cells, pts, w, cell):
             arr.setflags(write=False)
-        return (*out, np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regions)))]))
+        return cells, pts, w, cell, cell_bounds, bounds
+
+    def _split(self, region, level: int):
+        """The memoised _cell_split of one region."""
+        key = (_region_key(region), level)
+        if not (self._split_memo and self._split_memo[0] == key):
+            self._split_memo[:] = [key, self._cell_split([region], level), None, None]
+        return self._split_memo[1]
+
+    def _cell_terms(self, p0, a, split) -> CellTerms:
+        """CellTerms of the whole cells of split under p0 + a . x, memoised
+        with the memoised split."""
+        memo = self._split_memo
+        if memo and memo[1] is split and memo[2] == (p0, a):
+            return memo[3]
+        cells = split[0]
+        gmag, area, corners = (x[cells] for x in self._cells)
+        terms = CellTerms(gmag, area, p0 + corners[..., 0] * a[0] + corners[..., 1] * a[1])
+        if memo and memo[1] is split:
+            memo[2:] = [(p0, a), terms]
+        return terms
+
+    def _gradient_integrals(self, p, regions, level: int) -> list:
+        """The integral of |grad u|^{p(x)} over each region, p a number or
+        an exponent field.
+
+        When p is constant or affine (vexp.affine_coefficients), each whole
+        cell of the region (see _cell_split) adds its exact integral: |G|^q
+        times its triangle's area under a constant q, its CellTerms term
+        under an affine p; the cut cells and the arc bulges add their
+        samples. Any other field sums over the bulk samples. One region's
+        split or samples are memoised, a stack's are not; each region's sum
+        is that of its stack of one.
+        """
+        coef = affine_coefficients(p)
+        if coef is None:
+            if len(regions) == 1:
+                return [_modular(p, *self.bulk_samples(regions[0], level))]
+            pts, w, _, g, bounds = self._build_stack(regions, level)
+            return [_modular(p, pts[i:j], w[i:j], g[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+        split = self._split(regions[0], level) if len(regions) == 1 else self._cell_split(regions, level)
+        cells, pts, w, cell, cell_bounds, bounds = split
+        gmag, area, _ = self._cells
+        p0, a = coef
+        const = a == (0.0, 0.0)
+        if const:
+            exact = area[cells] * gmag[cells] ** p0
+        else:
+            exact = np.zeros(len(cells))
+            exact[gmag[cells] > 0] = np.exp(self._cell_terms(p0, a, split).at(0.0)[0])
+        out = []
+        for i, j, k, m in zip(cell_bounds[:-1], cell_bounds[1:], bounds[:-1], bounds[1:]):
+            pv = p0 if const else p(pts[k:m])  # on the region's own samples, as its stack of one
+            out.append(float(np.sum(exact[i:j])) + float(np.sum(w[k:m] * gmag[cell[k:m]] ** pv)))
+        return out
 
     def modular_of_gradient(self, p, region=None, level: int = 2) -> float:
-        """Integral of |grad u|^{p(x)} over the region."""
-        return _modular(p, *self.bulk_samples(region, level))
+        """Integral of |grad u|^{p(x)} over the region (see _gradient_integrals)."""
+        return self._gradient_integrals(p, [region], level)[0]
 
     def modulars_of_gradient(self, p, regions, level: int = 2) -> list:
         """modular_of_gradient of each region of a stack of disks and annuli,
-        bitwise, from one decomposition (see _build_stack): each region's
-        sum runs over its own samples. The stack is not memoised."""
-        pts, w, _, g, bounds = self._build_stack(regions, level)
-        return [_modular(p, pts[i:j], w[i:j], g[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+        bitwise, from one split or decomposition (see _gradient_integrals)."""
+        return self._gradient_integrals(p, regions, level)
 
     def gradient_q_integral(self, q: float, region=None, level: int = 2) -> float:
-        pts, w, g = self.bulk_samples(region, level)
-        return float(np.sum(w * g**q))
+        """Integral of |grad u|^q over the region (see _gradient_integrals)."""
+        return self._gradient_integrals(float(q), [region], level)[0]
 
     def gradient_luxembourg_norm(self, p, region=None, level: int = 2) -> float:
-        """Luxembourg norm of |grad u| over the region on the bulk samples.
+        """Luxembourg norm of |grad u| over the region.
 
         Solved by ``vexp.luxembourg_from_samples``: Newton's method in
         log lambda, stopped once its error bound on log lambda is at most
-        ``vexp.NEWTON_TOL``.
+        ``vexp.NEWTON_TOL``. Under a constant or affine p its terms are the
+        whole cells' exact integrals (CellTerms) and the other samples of
+        the region's split (see _gradient_integrals); under any other field,
+        the bulk samples.
         """
-        pts, w, g = self.bulk_samples(region, level)
-        return luxembourg_from_samples(g, p(pts), w)
+        coef = affine_coefficients(p)
+        if coef is None:
+            pts, w, g = self.bulk_samples(region, level)
+            return luxembourg_from_samples(g, p(pts), w)
+        split = self._split(region, level)
+        _, pts, w, cell, _, _ = split
+        return luxembourg_from_samples(self._cells[0][cell], p(pts), w, self._cell_terms(*coef, split))
 
     def to_json(self) -> dict:
         return {
@@ -651,7 +815,7 @@ def _region_key(region):
     """Exact, hashable identity of a region (None, Disk, Annulus or Rect)."""
     if region is None:
         return None
-    return type(region), np.hstack(astuple(region)).astype(float).tobytes()
+    return type(region), np.hstack([getattr(region, f.name) for f in fields(region)]).astype(float).tobytes()
 
 
 class _RingRows(NamedTuple):
@@ -730,38 +894,51 @@ def _patch_relation(circle: Disk, laters, rings: _RingRows):
     return live, inside
 
 
-def _samples_meeting(patch: CellPatch, level: int, rings: _RingRows):
-    """(src, reg): the patch samples, as rows src of
-    _patch_samples_with_ids, of the triangles whose bounding circle meets
-    region reg of rings; region by region, each in sample order.
+def _region_relation(patch: CellPatch, rings: _RingRows):
+    """(held, meets), each (regions, triangles): whether the bounding
+    circle (barycentre, _reach) of each triangle lies in region k of rings,
+    or meets it, each with _margin to spare.
 
-    A triangle is culled when its bounding circle misses the region by more
-    than _margin. Every sample and subcentroid of it then lies farther than
-    rad + Disk.contains' 1e-12 outside the region, so the full scan drops
-    each one (see _visible_in_patch). Culling keeps the order of the samples
-    and each kept triangle's block whole. All regions and triangles are
-    tested in one broadcast.
+    Every sample of a held triangle keeps its full area under the exact
+    clip. Every sample and subcentroid of a triangle that does not meet the
+    region lies farther than rad + Disk.contains' 1e-12 outside it, so the
+    full scan drops each one (see _visible_in_patch). All regions and
+    triangles are tested in one broadcast.
     """
-    _, _, cid, _, reach = _patch_samples_with_ids(patch, level)
-    start = np.searchsorted(cid, np.arange(len(patch.tris) + 1))
     tol = _margin(patch.circle, np.max(np.abs(rings.c), axis=1) + rings.r_out)[:, None]
-    d = np.linalg.norm(patch.barycenters - rings.c[:, None], axis=2)
-    meets = (d <= reach + rings.r_out[:, None] + tol) & (d + reach >= rings.r_in[:, None] - tol)
-    reg, t = np.nonzero(meets)
-    cnt = start[t + 1] - start[t]
-    return np.arange(cnt.sum()) + np.repeat(start[t] - np.cumsum(cnt) + cnt, cnt), np.repeat(reg, cnt)
+    (bx, by), (cx, cy) = patch.barycenters.T, rings.c.T
+    d = np.hypot(bx - cx[:, None], by - cy[:, None])
+    reach, r_in, r_out = patch._reach, rings.r_in[:, None], rings.r_out[:, None]
+    held = (d + reach <= r_out - tol) & (d - reach >= r_in + tol)
+    return held, (d <= reach + r_out + tol) & (d + reach >= r_in - tol)
 
 
-def _visible_in_patch(patch: CellPatch, level: int, laters, src, rings, flat, offset):
-    """(pts, w, offset + cell_id, sel) of the patch samples src (rows of
-    _patch_samples_with_ids, or a slice of them) that are visible below the
-    later circles laters, those of the later patches that meet its circle
-    (see DiscreteSbvMap._build_stack). Each sample is clipped to its row of
-    the _RingRows rings, or not at all when rings is None; flat, a region
-    without rings, keeps only the samples it contains. sel marks the
-    samples of src returned."""
-    full = _patch_samples_with_ids(patch, level)
-    pts, w, cid, rad_sub = (x[src] for x in full[:4])
+def _later_relation(patch: CellPatch, laters):
+    """(clear, hidden), per triangle: whether its bounding circle
+    (barycentre, _reach) lies clear of every later circle, or inside one,
+    with _margin to spare. The layering keeps every sample of a clear
+    triangle whole, and no sample of a hidden one (see _visible_in_patch)."""
+    nt = len(patch.tris)
+    clear, hidden = np.ones(nt, dtype=bool), np.zeros(nt, dtype=bool)
+    reach, (bx, by) = patch._reach, patch.barycenters.T
+    scale = np.maximum(np.abs(bx), np.abs(by)) + reach
+    for lc in laters:
+        d = np.hypot(bx - lc.center[0], by - lc.center[1])
+        tol = _margin(lc, scale)
+        clear &= d - reach > lc.radius + tol
+        hidden |= d + reach < lc.radius - tol
+    return clear, hidden
+
+
+def _visible_in_patch(patch: CellPatch, level: int, laters, table, src, rings, flat, offset):
+    """(pts, w, offset + cell_id, sel) of the samples src (rows, or a
+    slice) of table, a sample table of the patch (see _tri_samples), that
+    are visible below the later circles laters, those of the later patches
+    that meet its circle (see DiscreteSbvMap._build_stack). Each sample is
+    clipped to its row of the _RingRows rings, or not at all when rings is
+    None; flat, a region without rings, keeps only the samples it contains.
+    sel marks the samples of src returned."""
+    pts, w, cid, rad_sub = (x[src] for x in table[:4])
     keep = np.ones(len(pts), dtype=bool)
     near_later = np.zeros(len(pts), dtype=bool)
     for lc in laters:
@@ -770,7 +947,7 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, src, rings, flat, of
         keep &= dl > lc.radius
     keep |= near_later
     if rings is not None:
-        keep, w = _clip_weights(patch, level, (pts, w, src, rad_sub), keep, rings, near_later)
+        keep, w = _clip_weights(patch, level, table, (pts, w, src, rad_sub), keep, rings, near_later)
     if flat is not None:
         keep &= near_later | flat.contains(pts)
     # subcells meeting a later-patch boundary: refined indicator,
@@ -778,22 +955,21 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, src, rings, flat, of
     refine = np.flatnonzero(near_later & keep)
     if len(refine):
         w = w.copy()
-        corners = _subcell_corners(patch, level, full[0], full[2], np.arange(len(full[0]))[src][refine])
+        corners = _subcell_corners(patch, level, table[0], table[2], np.arange(len(table[0]))[src][refine])
         w[refine] = _refined_weights(corners, flat if rings is None else rings.take(refine), laters)
     sel = keep & (w > 0)
     return pts[sel], w[sel], cid[sel] + offset, sel
 
 
-def _clip_weights(patch: CellPatch, level: int, samples, keep, rings: _RingRows, skip):
-    """(keep, w) for the patch's samples (pts, w, src, rad), src their rows
-    of _patch_samples_with_ids, each against its own row of rings: the outer
+def _clip_weights(patch: CellPatch, level: int, table, samples, keep, rings: _RingRows, skip):
+    """(keep, w) for the samples (pts, w, src, rad) of the patch, src their
+    rows of the sample table, each against its own row of rings: the outer
     disk's clip minus the inner one's. Each clip drops the kept samples
     whose subcells miss its disk and gives the straddlers their exact
     clipped area, all in one call. Samples flagged in skip are kept and left
     to the caller. w is a new array.
     """
     pts, w, src, rad_sub = samples
-    full = _patch_samples_with_ids(patch, level)
     d = np.linalg.norm(pts - rings.c, axis=1)
     clipped = []
     for side in ("r_out", "r_in"):
@@ -802,7 +978,7 @@ def _clip_weights(patch: CellPatch, level: int, samples, keep, rings: _RingRows,
         straddle = np.flatnonzero(keep_r & (d > radius - rad_sub) & ~skip)
         w_r = np.where(keep_r, w, 0.0)
         if len(straddle):  # never at a disk's inner circle (r_inner = -inf): skip the fixed cost
-            corners = _subcell_corners(patch, level, full[0], full[2], src[straddle])
+            corners = _subcell_corners(patch, level, table[0], table[2], src[straddle])
             own = rings.take(straddle)
             w_r[straddle] = _geom.polygons_disk_area(corners, own.c, getattr(own, side))
         clipped.append((keep_r, w_r))
@@ -838,49 +1014,36 @@ def _disks_meet(d1: Disk, d2: Disk) -> bool:
     )
 
 
-def _patch_samples_with_ids(patch: CellPatch, level: int):
-    """Subcell samples of a patch, built for all triangles in one broadcast.
+def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
+    """Subcell samples of the patch's triangles t (increasing), built in one
+    broadcast: a sample table (pts, w, cell_id, rad) of subcell centroids,
+    areas, owning cell ids and the largest centroid-to-corner distance.
 
-    Returns (pts, w, cell_id, rad, reach): subcell centroids, areas, owning
-    cell ids, the largest centroid-to-corner distance, and per triangle the
-    radius about its barycentre of a circle holding all its subcells (at
-    least the largest |pt - barycentre| + rad). Each triangle's subcells
-    come in turn, followed, for an arc cell, by one sample at the arc
-    midpoint carrying the bulge area (its corners collapse onto that point,
-    so its rad is 0).
+    Each triangle's subcells come in turn, followed, for a bulged arc cell,
+    by one sample at the arc midpoint carrying the bulge area (its corners
+    collapse onto that point, so its rad is 0). Every operation acts on one
+    triangle at a time, so a triangle's rows do not depend on t's others.
     Corners are not kept; _subcell_corners rebuilds them.
     """
-    if patch._sample_cache is not None and patch._sample_cache[0] == level:
-        return patch._sample_cache[1]
-    nt = len(patch.tris)
-    v = patch.verts[patch.tris]
+    v = patch.corners[t]
     cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], level)
     m = cents.shape[1]
-    # arc-midpoint sample in an extra slot per triangle, kept for arc cells
-    ends = np.take_along_axis(v, patch._arc_edges[:, :, None], axis=1)
-    mid_chord = 0.5 * (ends[:, 0] + ends[:, 1])
-    c = np.asarray(patch.circle.center)
-    d = mid_chord - c
-    nd = np.linalg.norm(d, axis=1)
-    arc_mid = np.where(
-        (nd > 0)[:, None],
-        c + d / np.where(nd > 0, nd, 1.0)[:, None] * patch.circle.radius * (1 - 1e-12),
-        mid_chord,
-    )
-    slot = np.ones((nt, m + 1), dtype=bool)
-    slot[:, m] = patch.arc_cells & (patch._arc_extra > 0)
-    pts = np.concatenate([cents, arc_mid[:, None, :]], axis=1)[slot]
-    cell_id = np.repeat(np.arange(nt)[:, None], m + 1, axis=1)[slot]
+    slot = np.ones((len(t), m + 1), dtype=bool)
+    slot[:, m] = patch._bulged[t]
+    pts = np.concatenate([cents, patch._arc_mid[t][:, None, :]], axis=1)[slot]
+    cell_id = np.repeat(np.asarray(t)[:, None], m + 1, axis=1)[slot]
     # every subcell is its triangle scaled by 2^-level (an inverted one also
     # turned by pi), so rad is the triangle's largest barycentre-to-corner
     # distance over 2^level; the subcells at the corners reach that distance
     # from the barycentre, and no subcell reaches farther
-    far = np.sqrt(np.max(np.sum((v - patch.barycenters[:, None]) ** 2, axis=2), axis=1))
-    rad = np.where(np.arange(m + 1) < m, far[:, None] / (1 << level), 0.0)
-    reach = np.where(slot[:, m], np.maximum(far, np.linalg.norm(arc_mid - patch.barycenters, axis=1)), far)
-    out = (pts, np.concatenate([areas, patch._arc_extra[:, None]], axis=1)[slot], cell_id, rad[slot], reach)
-    patch._sample_cache = (level, out)
-    return out
+    rad = np.where(np.arange(m + 1) < m, patch._far[t][:, None] / (1 << level), 0.0)
+    return pts, np.concatenate([areas, patch._arc_extra[t][:, None]], axis=1)[slot], cell_id, rad[slot]
+
+
+def _patch_samples_with_ids(patch: CellPatch, level: int):
+    """The sample table of every triangle of the patch (see _tri_samples),
+    and per triangle its _reach: (pts, w, cell_id, rad, reach)."""
+    return (*_tri_samples(patch, level, np.arange(len(patch.tris))), patch._reach)
 
 
 def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndarray:
@@ -934,11 +1097,11 @@ def jump_length(u: DiscreteSbvMap, region) -> float:
 def total_variation_parts(u: DiscreteSbvMap, region, level: int = 2):
     """(bulk, jump) parts of |Du|(region).
 
-    bulk integrates |grad u| by cell quadrature; jump sums |u+ - u-| times
-    exact clipped segment lengths.
+    bulk integrates |grad u| (DiscreteSbvMap.gradient_q_integral with
+    q = 1: exact on the whole cells, sampled on the cut ones); jump sums
+    |u+ - u-| times exact clipped segment lengths.
     """
-    pts, w, g = u.bulk_samples(region, level)
-    bulk = float(np.sum(w * g))
+    bulk = u.gradient_q_integral(1.0, region, level)
     jump = 0.0
     if len(u.jump) > 0:
         amp = np.linalg.norm(u.jump.trace_plus - u.jump.trace_minus, axis=1)

@@ -7,7 +7,9 @@ down to one. One Newton core gives both: Newton's method in log lambda on
 the log-sum-exp of the sampled terms log(w f^p), whose first step, at
 lambda = 1, is the sampled modular itself. Every modular and norm of the
 package comes from it, the norm of a map's gradient in ``sbv2d`` through
-``luxembourg_from_samples``.
+``luxembourg_from_samples``. Beside samples, the solver takes exact cell
+terms (``CellTerms``): the integrals of g^{p(x)} over triangles on which g
+is constant and p affine, in closed form.
 
 Closed-form fields are restricted to a whitelist (see ``CLOSED_FORMS``):
     affine        p0 + a . x
@@ -19,6 +21,7 @@ Closed-form fields are restricted to a whitelist (see ``CLOSED_FORMS``):
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -30,6 +33,8 @@ from .quadrature import Annulus, Disk, Region, region_from_json
 
 __all__ = [
     "ExponentField",
+    "CellTerms",
+    "affine_coefficients",
     "LogHolderReport",
     "modular",
     "luxembourg_norm",
@@ -119,8 +124,18 @@ class ExponentField:
         return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
 
     def rescaled(self, center, scale: float) -> "ExponentField":
-        """Field y -> p(center + scale * y) on the unit-scaled domain."""
+        """Field y -> p(center + scale * y) on the pulled-back domain, the y
+        with center + scale * y in p's domain. A constant or affine field
+        gives a plain field of its kind; the other forms an in-memory one."""
         c = np.asarray(center, dtype=float)
+        domain = self.domain.pulled_back(c, scale)
+        if self.kind == "constant" and type(self) is ExponentField:
+            return ExponentField("constant", domain, self.p_minus, self.p_plus, dict(self.params))
+        if self.params.get("form") == "affine" and type(self) is ExponentField:
+            a = np.asarray(self.params["a"], dtype=float)
+            params = {**self.params, "p0": float(self.params["p0"] + a[0] * c[0] + a[1] * c[1]),
+                      "a": [float(scale * a[0]), float(scale * a[1])]}
+            return ExponentField("closed_form", domain, self.p_minus, self.p_plus, params)
 
         base = self
 
@@ -131,7 +146,7 @@ class ExponentField:
 
         obj = _Rescaled.__new__(_Rescaled)
         object.__setattr__(obj, "kind", "closed_form")
-        object.__setattr__(obj, "domain", Disk((0.0, 0.0), 1.0))
+        object.__setattr__(obj, "domain", domain)
         object.__setattr__(obj, "p_minus", self.p_minus)
         object.__setattr__(obj, "p_plus", self.p_plus)
         object.__setattr__(obj, "params", {"form": "rescaled"})
@@ -170,6 +185,129 @@ class ExponentField:
     @staticmethod
     def constant(value: float, domain: Region) -> "ExponentField":
         return ExponentField("constant", domain, value, value, {"value": value})
+
+
+def affine_coefficients(p):
+    """(p0, (a0, a1)) with p(x) = p0 + a . x when p is a number, a constant
+    field or an affine one, the exponents whose integrals over a triangle
+    have closed forms (see CellTerms); None for any other field, a subclass
+    of ExponentField included."""
+    if isinstance(p, (int, float)):
+        return float(p), (0.0, 0.0)
+    if type(p) is not ExponentField:
+        return None
+    if p.kind == "constant":
+        return float(p.params["value"]), (0.0, 0.0)
+    if p.params.get("form") == "affine":
+        a = np.asarray(p.params["a"], dtype=float)
+        return float(p.params["p0"]), (float(a[0]), float(a[1]))
+    return None
+
+
+# first omitted term bound x^K / K! of the series of CellTerms: K terms serve x <= _SERIES_REACH[K - 1]
+_SERIES_REACH = np.array([(1e-17 * math.factorial(k)) ** (1.0 / k) for k in range(1, 21)])
+
+
+class CellTerms:
+    """Exact terms of triangles T with a constant magnitude g > 0 and an
+    affine exponent p, p_i at T's corners: at t = log lam,
+
+        integral over T of (g / lam)^{p(x)} dx = 2 |T| e[y_0, y_1, y_2],
+
+    y_i = p_i L with L = log g - t, and e[.] the second divided difference
+    of exp (Hermite-Genocchi). Cells with g = 0 add nothing and are dropped.
+
+    at(t) returns each term's log and its exponent, the mean of p under the
+    term's density (g / lam)^p, so that a cell enters the Newton solve of
+    luxembourg_from_samples as a sample does. With p_bar the corners' mean
+    and d_i = p_i - p_bar, the term is |T| e^{p_bar L} Q(L), Q(L) =
+    2 sum_m h_m(d) L^m / (m + 2)!, h_m the complete homogeneous polynomial.
+    Where x = |L| (p_max - p_min) <= 1 the series is summed up to the first
+    term whose bound x^K / K! is below 1e-17, each cell to its own K, so a
+    cell's term does not depend on the others. Where x > 1 the nodes are
+    sorted, y_0 >= y_1 >= y_2, and the divided differences formed with
+    expm1 (for accurate divided differences of exp see McCurdy, Ng and
+    Parlett, Math. Comp. 43, 1984): e[y_0, y_1, y_2] = (e[y_0, y_1] -
+    e[y_1, y_2]) / (y_0 - y_2) cancels at most a factor e there, and the
+    mean of p is p(y_2) + (e[y_0, y_1] / e[y_0, y_1, y_2] - 2) / L, by
+    Leibniz's rule for (x e^x)[y_0, y_1, y_2].
+    """
+
+    def __init__(self, g, area, pc):
+        g = np.asarray(g, dtype=float).ravel()
+        keep = g > 0
+        self.ell = np.log(g[keep])
+        self.log_area = np.log(np.asarray(area, dtype=float).ravel()[keep])
+        self.pc = np.asarray(pc, dtype=float).reshape(-1, 3)[keep]
+        p0, p1, p2 = self.pc.T
+        self.p_bar = p0 + ((p1 - p0) + (p2 - p0)) / 3  # exactly p0 when the three are equal
+        self.spread = np.maximum(np.maximum(p0, p1), p2) - np.minimum(np.minimum(p0, p1), p2)
+        d0, d1, d2 = p0 - self.p_bar, p1 - self.p_bar, p2 - self.p_bar
+        # e1(d) = 0, so h_m = e3 h_{m-3} - e2 h_{m-2}
+        self._e2 = d0 * (d1 + d2) + d1 * d2
+        self._e3 = d0 * d1 * d2
+        self._coef = np.zeros((0, 2, len(self.ell)))  # see _coefficients
+        self._last = None  # (t, at(t))
+
+    def __len__(self) -> int:
+        return len(self.ell)
+
+    @property
+    def p_range(self) -> tuple:
+        return self.pc.min(), self.pc.max()
+
+    def _coefficients(self, k: int) -> np.ndarray:
+        """(k, 2, n): for m < k, the coefficients c_m = 2 h_m(d) / (m + 2)!
+        of Q and (m + 1) c_{m+1} of Q' (0 at m = k - 1 of the longest)."""
+        if len(self._coef) < k:
+            h = np.zeros((k + 1, len(self.ell)))
+            h[0] = 1.0
+            for m in range(2, k + 1):
+                np.multiply(self._e2, h[m - 2], out=h[m])
+                np.negative(h[m], out=h[m])
+                if m > 2:
+                    h[m] += self._e3 * h[m - 3]
+            c = h * (2.0 / np.array([float(math.factorial(m + 2)) for m in range(k + 1)]))[:, None]
+            self._coef = np.stack([c[:-1], c[1:] * np.arange(1, k + 1)[:, None]], axis=1)
+        return self._coef[:k]
+
+    def at(self, t: float) -> tuple:
+        """(log term, exponent) of each cell at log lam = t."""
+        if self._last is not None and self._last[0] == t:
+            return self._last[1]
+        L = self.ell - t
+        x = np.abs(L) * self.spread
+        far = x > 1.0
+        terms = np.searchsorted(_SERIES_REACH, np.where(far, 0.0, x)) + 1
+        k = int(terms.max(initial=1))
+        # the coefficients of Q and of Q', each cell's own terms only (the
+        # others zeroed), so a cell's sum is its alone
+        coef = self._coefficients(k) * (np.arange(k)[:, None, None] + [[0], [1]] < terms)
+        qs = coef[k - 1]
+        for m in range(k - 2, -1, -1):  # Horner for Q(L) and Q'(L) side by side
+            qs *= L
+            qs += coef[m]
+        log_term = self.log_area + self.p_bar * L + np.log(qs[0])
+        p_eff = self.p_bar + qs[1] / qs[0]
+        i = np.flatnonzero(far)
+        if len(i):
+            ps = -np.sort(-self.pc[i], axis=1)
+            Li = L[i]
+            y = np.where((Li >= 0)[:, None], ps, ps[:, ::-1]) * Li[:, None]  # descending
+            d1, d2 = y[:, 1] - y[:, 0], y[:, 2] - y[:, 0]
+            e01 = _exp_difference(-d1)  # e[y_0, y_1] / e^{y_0}
+            e12 = np.exp(d1) * _exp_difference(d1 - d2)  # e[y_1, y_2] / e^{y_0}
+            e012 = (e01 - e12) / -d2
+            log_term[i] = self.log_area[i] + math.log(2.0) + y[:, 0] + np.log(e012)
+            p_eff[i] = np.where(Li >= 0, ps[:, 2], ps[:, 0]) + (e01 / e012 - 2.0) / Li
+        self._last = (t, (log_term, p_eff))
+        return log_term, p_eff
+
+
+def _exp_difference(z: np.ndarray) -> np.ndarray:
+    """e[0, -z] = (1 - e^{-z}) / z for z >= 0, 1 at z = 0."""
+    pos = z > 0
+    return np.where(pos, -np.expm1(-z) / np.where(pos, z, 1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -225,62 +363,79 @@ def _log_terms(fv, pv, log_w) -> np.ndarray:
     return a
 
 
-def _newton(a, pv, p_range, n: int) -> tuple:
-    """(modular, norm) of the samples with log terms a = log(w f^p) and
-    exponents pv, whose (min, max) is p_range, n samples in all: sum_i e^{a_i}
-    and the Luxembourg norm, both 0.0 when every a_i is -inf (see
+def _newton(a, pv, p_range, n: int, cells: CellTerms | None = None) -> tuple:
+    """(modular, norm) of the terms: the samples with log terms a = log(w f^p)
+    and exponents pv, whose (min, max) is p_range (None without samples), n
+    samples in all, and the cells: the sum of the terms at lambda = 1 and
+    the Luxembourg norm, both 0.0 when there is no term but -inf ones (see
     ``luxembourg_from_samples``)."""
-    if not len(a):
-        return 0.0, 0.0
-    a_lo, zmax = a.min(), a.max()  # nan in a makes both nan
-    if zmax == -np.inf:
-        return 0.0, 0.0
-    if a_lo == -np.inf:
+    if len(a) and a.min() == -np.inf:  # nan in a keeps it, and fails the check below
         keep = a != -np.inf
         a, pv = a[keep], pv[keep]
-        p_range = pv.min(), pv.max()
+        p_range = (pv.min(), pv.max()) if len(a) else None
+    if cells is not None and len(cells):
+        c_lo, c_hi = cells.p_range
+        p_range = (c_lo, c_hi) if p_range is None else (min(p_range[0], c_lo), max(p_range[1], c_hi))
+    else:
+        cells = None
+    if p_range is None:
+        return 0.0, 0.0
     p_lo, p_hi = p_range
-    if not (np.isfinite(zmax) and p_lo > 0):
+    z = np.empty_like(a)
+
+    def sums(t):
+        """(zmax, s, sp): the largest log term at t, and the sums of the
+        terms and of the terms times their exponents, over e^zmax."""
+        np.multiply(pv, -t, out=z)
+        np.add(z, a, out=z)
+        zmax = z.max() if len(z) else -np.inf
+        if cells is not None:
+            zc, pc = cells.at(t)
+            zmax = max(zmax, zc.max())
+        np.subtract(z, zmax, out=z)
+        np.exp(z, out=z)
+        # einsum, not BLAS, so the sums do not depend on the BLAS thread count
+        s, sp = z.sum(), np.einsum("i,i->", z, pv)
+        if cells is not None:
+            zc = np.exp(zc - zmax)
+            s, sp = s + zc.sum(), sp + np.einsum("i,i->", zc, pc)
+        return zmax, s, sp
+
+    if not ((not len(a) or np.isfinite(a.max())) and p_lo > 0):
         raise ToolkitError(
             f"Luxembourg norm of {n} samples: samples must be finite, "
             f"with f >= 0, w >= 0 and p > 0"
         )
+    zmax, s, sp = sums(0.0)
     k = (p_hi - p_lo) ** 2 * p_hi**2 / (8 * p_lo**3)
     t = 0.0
-    z = a - zmax  # the exponents a_i - p_i t - zmax, at t = 0
-    np.exp(z, out=z)
-    s = z.sum()
-    mod = float(np.exp(zmax) * s)  # at t = 0 the log-sum-exp of a is the modular
+    mod = float(np.exp(zmax) * s)  # at t = 0 the log-sum-exp of the terms is the modular
     for _ in range(NEWTON_MAX_ITER):
-        # -g(t) / g'(t); einsum, not BLAS, so the sum does not depend on the BLAS thread count
-        step = (zmax + np.log(s)) * s / np.einsum("i,i->", z, pv)
+        step = (zmax + np.log(s)) * s / sp  # -g(t) / g'(t)
         t += step
         if k * step * step <= NEWTON_TOL:
             return mod, float(np.exp(t))
-        np.multiply(pv, -t, out=z)
-        z += a
-        zmax = z.max()
-        z -= zmax
-        np.exp(z, out=z)
-        s = z.sum()
+        zmax, s, sp = sums(t)
     raise ToolkitError(
         f"Luxembourg norm of {len(a)} of {n} samples: Newton in log lambda "
         f"did not converge in {NEWTON_MAX_ITER} steps (last step {step:.3g})"
     )
 
 
-def luxembourg_from_samples(fv, pv, w) -> float:
+def luxembourg_from_samples(fv, pv, w, cells: CellTerms | None = None) -> float:
     """Luxembourg norm of sampled magnitudes: the lam > 0 with
     sum_i w_i (f_i / lam)^{p_i} = 1, or 0.0 when every w_i f_i is zero.
 
     fv are magnitudes |f| >= 0, pv exponents > 0 and w weights >= 0 at the
     same samples; samples with w = 0 or f = 0 add nothing (0^p = 0) and are
-    dropped. With t = log lam, the solver runs Newton's method on
+    dropped. The exact terms of cells (see CellTerms), when given, join the
+    sum. With t = log lam, the solver runs Newton's method on
 
         g(t) = log sum_i w_i f_i^{p_i} e^{-p_i t},
 
-    a log-sum-exp of affine functions of t: convex and decreasing, with slope
-    in [-p+, -p-] (p-, p+ the extreme kept exponents) and curvature at most
+    a log-sum-exp of affine functions of t (a cell's term is an integral of
+    them): convex and decreasing, with slope in [-p+, -p-] (p-, p+ the
+    extreme kept exponents, a cell's corners included) and curvature at most
     (p+ - p-)^2 / 4. From t = 0 the first step lands at or left of the root,
     and every later step climbs to it monotonically. A step s leaves the root
     within (p+/p-)|s| of the previous iterate, so the new iterate is within
@@ -294,7 +449,7 @@ def luxembourg_from_samples(fv, pv, w) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(w)
     p_range = (pv.min(), pv.max()) if len(pv) else None
-    return _newton(_log_terms(fv, pv, log_w), pv, p_range, len(fv))[1]
+    return _newton(_log_terms(fv, pv, log_w), pv, p_range, len(fv), cells)[1]
 
 
 def luxembourg_norm(f, p: ExponentField, region: Region, resolution: int = 24) -> float:

@@ -399,3 +399,32 @@ def test_segment_disk_length_rows_square_radii_as_scalar_calls_do():
     rows = _geom.segment_disk_length(a, b, (0.0, 0.0), np.array(radii))
     for r, row in zip(radii, rows):
         assert np.array_equal(row, _geom.segment_disk_length(a, b, (0.0, 0.0), r))
+
+
+@pytest.mark.parametrize("factor", [0.46, 16.8, 383.0])
+def test_polygons_disk_area_is_exactly_zero_wholly_outside_the_disk(factor):
+    """Subcells of a triangle, against a disk touching the triangle's bounding
+    circle from outside, lie wholly outside the disk: each area is exactly 0,
+    not the round-off of its cancelling sectors (about 1e-19 of the scale
+    squared). A disk a subcell holds still gets its full area."""
+    from sbvx.quadrature import tri_subcentroids, subdivision_lattice
+
+    rng = np.random.default_rng(int(factor * 10))
+    _, lattice = subdivision_lattice(2)
+    for _ in range(200):
+        v = factor * (np.array([0.3, -0.2]) + rng.uniform(-1, 1, (3, 2)))
+        corners = v[0] + (lattice[..., :1] * (v[1] - v[0]) + lattice[..., 1:] * (v[2] - v[0])) / 4
+        bary = v.mean(axis=0)
+        reach = np.max(np.linalg.norm(corners - bary, axis=2))
+        t = rng.uniform(0, 2 * np.pi)
+        r = factor * rng.uniform(0.01, 0.5)
+        centre = bary + (reach + r) * np.array([np.cos(t), np.sin(t)])
+        assert np.all(_geom.polygons_disk_area(corners, centre, r) == 0.0)
+        assert np.all(_geom.polygons_disk_area(corners, np.repeat(centre[None], len(corners), 0),
+                                               np.full(len(corners), r)) == 0.0)
+        cents, _ = tri_subcentroids(v[0], v[1], v[2], 2)
+        sub = corners[0]
+        perimeter = np.sum(np.linalg.norm(sub - np.roll(sub, 1, axis=0), axis=1))
+        inner = 0.5 * _geom.triangle_areas(*sub)[0] / perimeter  # a quarter of the inradius
+        got = _geom.polygons_disk_area(corners[:1], cents[0], inner)
+        assert got[0] == pytest.approx(np.pi * inner**2, rel=1e-12)

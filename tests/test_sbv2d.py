@@ -864,3 +864,20 @@ def test_value_gap_equals_both_evaluations(unit_disk):
     assert np.array_equal(
         value_gap(w, other, pts), np.linalg.norm(w.value_at(pts) - other.value_at(pts), axis=1)
     )
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (1.5, -1.5), (1e3, 2e3)])
+def test_bulge_samples_lie_inside_their_circle(factor, center):
+    """Each bulge sample sits inside its patch circle, by 1e-12 of the radius
+    or by the round-off of the coordinates where that is larger, so a clip
+    at the circle itself keeps every bulge sample, far from the origin too."""
+    u = dilate_map(synthesize("sphere-vortex-with-slit", {"budget": 0.05}, seed=2), factor, new_center=center)
+    q = u.base
+    pts, _, _, rad, _ = _patch_samples_with_ids(q, 2)
+    bulge = rad == 0
+    assert bulge.sum() == q._bulged.sum() > 0
+    assert np.all(q.circle.contains(pts[bulge], tol=0.0))
+    ring = Annulus(q.circle.center, 0.5 * q.circle.radius, q.circle.radius)  # clips at the circle
+    _, _, cell, _ = u._build_samples(ring, 2)
+    assert np.all(np.isin(np.flatnonzero(q._bulged), cell))

@@ -425,14 +425,15 @@ def test_norm_is_solver_on_region_rule(unit_disk, affine_field):
     assert luxembourg_norm(f, affine_field, unit_disk, resolution=12) == expect
 
 
-def test_gradient_norm_is_solver_on_bulk_samples(affine_field):
+def test_gradient_norm_is_solver_on_bulk_samples(halfdisk_field):
+    """A field without closed-form cell integrals is solved on the bulk samples."""
     u = synthesize("random-cells-with-random-polyline", {"budget": 0.3, "k": 2}, seed=5)
     region = Disk((0.1, -0.2), 0.6)
     for level in (1, 2):
         pts, w, g = u.bulk_samples(region, level)
-        expect = luxembourg_from_samples(g, affine_field(pts), w)
+        expect = luxembourg_from_samples(g, halfdisk_field(pts), w)
         assert expect > 0
-        assert u.gradient_luxembourg_norm(affine_field, region, level) == expect
+        assert u.gradient_luxembourg_norm(halfdisk_field, region, level) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +555,31 @@ def test_field_bounds_validated(unit_disk):
         ExponentField("closed_form", unit_disk, 1.3, 1.35, {"form": "affine", "p0": 1.5, "a": [0.1, 0.0]})
     with pytest.raises(ToolkitError):
         ExponentField.constant(1.0, unit_disk)  # p_minus must exceed 1
+
+
+@pytest.mark.parametrize("center, scale", [((0.1, 0.2), 0.3), ((-0.4, 0.0), 1e-3), ((0.0, 0.0), 1.0)])
+def test_rescaled_constant_and_affine_fields_are_plain_fields(unit_disk, affine_field, constant_field,
+                                                             center, scale):
+    """p.rescaled(c, s) of a constant or an affine field is a plain field of
+    its kind on the pulled-back domain: its values agree with p(c + s y) to
+    round-off, and to_json / from_json gives it back."""
+    c = np.asarray(center)
+    pts = np.random.default_rng(4).uniform(-1, 1, (64, 2))
+    for p in (affine_field, constant_field):
+        q = p.rescaled(center, scale)
+        assert type(q) is ExponentField and q.kind == p.kind
+        assert q.domain == Disk(tuple((np.asarray(unit_disk.center) - c) / scale), 1.0 / scale)
+        assert np.allclose(q(pts), p(c + scale * pts), rtol=0, atol=4e-16 * 2)
+        back = ExponentField.from_json(q.to_json())
+        assert back == q and np.array_equal(back(pts), q(pts))
+
+
+def test_rescaled_other_fields_stay_in_memory(unit_disk):
+    ridge = ExponentField("closed_form", unit_disk, 1.3, 1.7,
+                          {"form": "ridge_power", "p0": 1.3, "c": 0.4, "u": [0.6, 0.8], "beta": 1.0})
+    q = ridge.rescaled((0.2, 0.1), 0.5)
+    pts = np.random.default_rng(5).uniform(-1, 1, (16, 2))
+    assert np.array_equal(q(pts), ridge(np.array([0.2, 0.1]) + 0.5 * pts))
+    assert vexp.affine_coefficients(q) is None
+    with pytest.raises(ToolkitError):
+        q.to_json()
