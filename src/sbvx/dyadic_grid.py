@@ -10,7 +10,7 @@ clearance from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -79,6 +79,42 @@ class DyadicGrid:
         built on first use."""
         radii = self.alpha * self.vertex_delta()
         return [_geom.hull_of_disks(self.verts[t], radii[t], narc=24) for t in self.tris]
+
+    @cached_property
+    def kappa_hat(self) -> int:
+        """Most envelopes holding one point, over 2000 uniform points of the
+        disk drawn from their own generator (seed 0); measured on first use."""
+        pts = Disk(tuple(self.center), self.R).sample(2000, np.random.default_rng(0))
+        return int(_geom.convex_polygon_counts(pts, self.envelopes).max())
+
+    @cached_property
+    def lambda_stats(self) -> dict:
+        """Per-triangle area ratios of envelope vs strip vs ball vs triangle,
+        measured on first use."""
+        ratios = []
+        delta_v = self.vertex_delta()
+        for ti, t in enumerate(self.tris):
+            x, y = self.verts[t[0]], self.verts[t[1]]
+            exy = float(np.linalg.norm(x - y))
+            w = exy / (8.0 * self.c2_hat)
+            tri_poly = self.verts[t]
+            area_T = float(_geom.triangle_areas(tri_poly[0][None], tri_poly[1][None], tri_poly[2][None])[0])
+            area_CT = _geom.polygon_area(self.envelopes[ti])
+            strip = _geom.stadium_polygon(x, y, w)
+            area_Q = _geom.polygon_area(strip)
+            inter = _geom.clip_convex_polygons(strip, _geom.convex_hull(tri_poly))
+            area_QT = _geom.polygon_area(inter) if len(inter) >= 3 else 0.0
+            ball = np.pi * (self.alpha * delta_v[t[0]]) ** 2
+            cap_area = _geom.polygon_area(_geom.hull_of_disks(np.stack([x, y]), self.alpha * delta_v[t[:2]], narc=24))
+            vals = [area_CT / area_Q, area_T / max(area_QT, 1e-12 * area_T), ball / area_T, cap_area / area_CT]
+            ratios.append(vals)
+        ratios = np.asarray(ratios)
+        return {
+            "lambda1_hat": float(ratios.min()),
+            "lambda2_hat": float(ratios.max()),
+            "per_triangle_min": ratios.min(axis=1).tolist(),
+            "per_triangle_max": ratios.max(axis=1).tolist(),
+        }
 
     def to_json(self) -> dict:
         return {
@@ -315,21 +351,19 @@ def select_good_radius(
 
 @dataclass(frozen=True)
 class AdaptedTriangulation:
-    """Perturbed-vertex triangulation avoiding a jump set, with envelope
-    diagnostics (kappa and lambda)."""
+    """Perturbed-vertex triangulation avoiding a jump set, with the envelope
+    diagnostics (kappa and lambda) of its base grid."""
 
     base: DyadicGrid
     verts: np.ndarray  # perturbed positions, same indexing as base.verts
     tris: np.ndarray
     perturbation_ratio_max: float
-    kappa_hat: int = 0
-    lambda_stats: dict = field(default_factory=dict)
     seed: int = 0
 
-    @property
-    def envelopes(self) -> list:
-        """Per-triangle hull polygons of the base balls (cached on the base)."""
-        return self.base.envelopes
+    # the envelope diagnostics of the base grid, cached there
+    envelopes = property(lambda self: self.base.envelopes)
+    kappa_hat = property(lambda self: self.base.kappa_hat)
+    lambda_stats = property(lambda self: self.base.lambda_stats)
 
     def to_json(self) -> dict:
         return {
@@ -434,8 +468,6 @@ def adapt_to_jump(
     u: DiscreteSbvMap,
     samples_per_vertex: int = 200,
     seed: int = 0,
-    compute_stats: bool = True,
-    kappa_samples: int = 2000,
 ) -> AdaptedTriangulation:
     """Perturb grid vertices so that no edge meets u's jump.
 
@@ -458,8 +490,7 @@ def adapt_to_jump(
     commit after it the most room on their side of J. Only the edges from
     later vertices of the ring into the moved vertex are tested again
     before the walk goes on. The generator draws samples_per_vertex - 1
-    candidates for each moved vertex, in commit order, and then the kappa
-    sample.
+    candidates for each moved vertex, in commit order.
     """
     J = u.jump
     rng = np.random.default_rng(seed)
@@ -502,47 +533,4 @@ def adapt_to_jump(
                     verts[later[into]], verts[vi], J.a, J.b
                 ).any(axis=1)
             i += 1
-
-    stats = {}
-    if compute_stats:
-        envelopes = grid.envelopes
-        pts = Disk(tuple(grid.center), grid.R).sample(kappa_samples, rng)
-        stats = dict(
-            kappa_hat=int(_geom.convex_polygon_counts(pts, envelopes).max()),
-            lambda_stats=_lambda_ratios(grid, envelopes),
-        )
-    return AdaptedTriangulation(
-        base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed, **stats
-    )
-
-
-def _lambda_ratios(grid: DyadicGrid, envelopes) -> dict:
-    """Per-triangle area ratios of envelope vs strip vs ball vs triangle."""
-    ratios = []
-    delta_v = grid.vertex_delta()
-    for ti, t in enumerate(grid.tris):
-        x, y = grid.verts[t[0]], grid.verts[t[1]]
-        exy = float(np.linalg.norm(x - y))
-        w = exy / (8.0 * grid.c2_hat)
-        tri_poly = grid.verts[t]
-        area_T = float(_geom.triangle_areas(tri_poly[0][None], tri_poly[1][None], tri_poly[2][None])[0])
-        area_CT = _geom.polygon_area(envelopes[ti])
-        strip = _geom.stadium_polygon(x, y, w)
-        area_Q = _geom.polygon_area(strip)
-        inter = _geom.clip_convex_polygons(strip, _geom.convex_hull(tri_poly))
-        area_QT = _geom.polygon_area(inter) if len(inter) >= 3 else 0.0
-        ball = np.pi * (grid.alpha * delta_v[t[0]]) ** 2
-        cap_area = _geom.polygon_area(
-            _geom.hull_of_disks(
-                np.stack([x, y]), grid.alpha * delta_v[t[:2]], narc=24
-            )
-        )
-        vals = [area_CT / area_Q, area_T / max(area_QT, 1e-12 * area_T), ball / area_T, cap_area / area_CT]
-        ratios.append(vals)
-    ratios = np.asarray(ratios)
-    return {
-        "lambda1_hat": float(ratios.min()),
-        "lambda2_hat": float(ratios.max()),
-        "per_triangle_min": ratios.min(axis=1).tolist(),
-        "per_triangle_max": ratios.max(axis=1).tolist(),
-    }
+    return AdaptedTriangulation(base=grid, verts=verts, tris=grid.tris, perturbation_ratio_max=max_ratio, seed=seed)

@@ -135,9 +135,10 @@ def choose_shift(
 ):
     """Pick the shift a in B_sigma minimising the p(x)-modular of grad(P_a o w).
 
-    The modular is taken on w.cell_samples, the sample decomposition of
-    w.bulk_samples; project_w reports its modulars with the whole cells
-    exact (see DiscreteSbvMap._gradient_integrals). Uniform shift samples;
+    The modular is taken on w.cell_samples, the sampled view of w's
+    memoised cell split of the region; project_w reports its modulars from
+    the same split, with the whole cells exact (see
+    DiscreteSbvMap._gradient_integrals). Uniform shift samples;
     the minimiser is below the sample mean, which is the testable surrogate
     of the averaging (Chebyshev) selection. Samples hitting the singular set
     of some cell are discarded; five full redraws before giving up. The

@@ -467,10 +467,9 @@ class DiscreteSbvMap:
     patches: tuple  # CellPatch stack; later entries override within their circle
     jump: JumpSet
     target: dict = field(default_factory=lambda: {"kind": "free"})
-    # the latest visible-sample decomposition as [key, arrays], and the
-    # latest cell split as [key, arrays, p, CellTerms]; replace() starts both empty
-    _bulk_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _split_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # the cell split of the latest (region, level) as [key, split, sampled view,
+    # (p0, a), CellTerms], the last three built on first use; replace() starts it empty
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.patches) == 0:
@@ -531,57 +530,32 @@ class DiscreteSbvMap:
     # -- quadrature ---------------------------------------------------------
 
     def bulk_samples(self, region=None, level: int = 2):
-        """Bulk view of the visible-sample decomposition (see _build_stack):
-        (pts, weights, gmag), gmag the gradient norm of each sample's cell.
+        """Bulk view of the sampled cell split (see _samples): (pts,
+        weights, gmag), gmag the gradient norm of each sample's cell.
 
-        cell_samples is the per-cell view of the same decomposition. The map
-        keeps the decomposition of its latest (region, level) and hands the
-        same read-only arrays to every sampled integral over that region.
-        The gradient integrals under a constant or affine exponent take the
-        cell split instead (see _gradient_integrals).
+        cell_samples is the per-cell view of the same samples. The map keeps
+        the split of its latest (region, level), and hands the same read-only
+        arrays to every sampled integral over that region. The gradient
+        integrals under a constant or affine exponent read the split itself
+        (see _gradient_integrals).
         """
-        pts, w, _, g = self._visible_samples(region, level)
+        pts, w, _, g, _ = self._samples(self._split([region], level), level)
         return pts, w, g
 
     def cell_samples(self, region=None, level: int = 2):
-        """Per-cell view of the visible-sample decomposition.
+        """Per-cell view of the sampled cell split.
 
         Returns (cell_values (nc,k), cell_grads (nc,k,2), sub_cell_id (m,),
         sub_pts (m,2), sub_w (m,)): the per-cell data of every cell in the
         patch stack, and bulk_samples' points and weights with the flat id of
         the cell each belongs to.
         """
-        pts, w, cell, _ = self._visible_samples(region, level)
+        pts, w, cell, _, _ = self._samples(self._split([region], level), level)
         values = np.concatenate([p.values for p in self.patches])
         grads = np.concatenate([p.grads for p in self.patches])
         return values, grads, cell, pts, w
 
-    def _visible_samples(self, region, level: int):
-        """The memoised (pts, w, cell, gmag) decomposition of (region, level)."""
-        key = (_region_key(region), level)
-        if not (self._bulk_memo and self._bulk_memo[0] == key):
-            self._bulk_memo[:] = [key, self._build_samples(region, level)]
-        return self._bulk_memo[1]
-
-    def _build_samples(self, region, level: int):
-        """(pts, w, cell, gmag) of one region: its stack of one (see _build_stack)."""
-        return self._build_stack([region], level)[:4]
-
-    def _build_stack(self, regions, level: int):
-        """Midpoint sample decomposition of the bulk layers over a stack of
-        regions: the cell split with no cell whole (see _cell_split).
-
-        Returns read-only (pts, w, cell, gmag, bounds): rows bounds[k] to
-        bounds[k + 1] are region k's subcell centroids that survive the patch
-        layering, their areas, the flat id of their cell in the concatenated
-        patch stack, and that cell's gradient norm, in patch order.
-        """
-        _, pts, w, cell, _, bounds = self._cell_split(regions, level, exact=False)
-        g = self._cells[0][cell]
-        g.setflags(write=False)
-        return pts, w, cell, g, bounds
-
-    def _cell_split(self, regions, level: int, exact: bool = True):
+    def _cell_split(self, regions, level: int):
         """Split of the visible cells over a stack of regions: disks and
         annuli, or one region of any kind (None for the whole domain, or a
         Rect). Returns the whole cells, and the samples of the others.
@@ -592,10 +566,10 @@ class DiscreteSbvMap:
         by its bounding circle (barycentre, _reach), with _margin to spare,
         against the region (_region_relation) and the later circles
         (_later_relation); all regions and triangles of a patch in one
-        broadcast. When exact, a cell is whole in a region when its circle
-        lies in the region and clear of every later circle, or lies clear of
-        them in a region that holds the patch: every subcell sample of it
-        would keep its full area. A region without rings holds no cell
+        broadcast. A cell is whole in a region when its circle lies in the
+        region and clear of every later circle, or lies clear of them in a
+        region that holds the patch: every subcell sample of it keeps its
+        full area (see _samples). A region without rings holds no cell
         whole. A cell whose circle lies in a later circle is hidden, and adds
         nothing. Every other cell whose circle meets the region is cut.
 
@@ -627,12 +601,11 @@ class DiscreteSbvMap:
             if not live.any():
                 continue
             clear, hidden = _later_relation(patch, laters)
-            held = np.full((len(live), len(patch.tris)), exact and flat is None)
+            held = np.full((len(live), len(patch.tris)), flat is None)
             meets = np.ones_like(held)
             cut = np.flatnonzero(live & ~inside)
             if len(cut):
                 held[cut], meets[cut] = _region_relation(patch, rings.take(cut))
-                held &= exact
             whole = live[:, None] & held & clear
             reg, t = np.nonzero(whole)
             wholes.append((offsets[i] + t, reg))
@@ -668,45 +641,83 @@ class DiscreteSbvMap:
             arr.setflags(write=False)
         return cells, pts, w, cell, cell_bounds, bounds
 
-    def _split(self, region, level: int):
-        """The memoised _cell_split of one region."""
-        key = (_region_key(region), level)
-        if not (self._split_memo and self._split_memo[0] == key):
-            self._split_memo[:] = [key, self._cell_split([region], level), None, None]
-        return self._split_memo[1]
+    def _split(self, regions, level: int):
+        """The _cell_split of a stack of regions, memoised for one region."""
+        if len(regions) != 1:
+            return self._cell_split(regions, level)
+        key = (_region_key(regions[0]), level)
+        if not (self._memo and self._memo[0] == key):
+            self._memo[:] = [key, self._cell_split(regions, level), None, None, None]
+        return self._memo[1]
+
+    def _samples(self, split, level: int):
+        """The sampled view of a cell split: the split with each whole cell
+        expanded into its rows of the sample table (see _tri_samples), its
+        subcells and its bulge at full area, in place of the split's one row
+        of it, its bulge. Each region's rows come in flat-cell order: the
+        visible samples of the region, cell by cell.
+
+        Returns read-only (pts, w, cell, gmag, bounds): rows bounds[k] to
+        bounds[k + 1] are region k's samples, the flat ids of their cells,
+        and those cells' gradient norms. Memoised with the memoised split.
+        """
+        memo = self._memo
+        if memo and memo[1] is split and memo[2] is not None:
+            return memo[2]
+        cells, pts, w, cell, cell_bounds, bounds = split
+        regs, nc = np.arange(len(bounds) - 1), len(self._cells[0])
+        whole_reg, reg = np.repeat(regs, np.diff(cell_bounds)), np.repeat(regs, np.diff(bounds))
+        cut = ~np.isin(reg * nc + cell, whole_reg * nc + cells)
+        parts = [(pts[cut], w[cut], cell[cut], reg[cut])]
+        offsets = np.cumsum([0] + [len(q.tris) for q in self.patches])
+        for i, patch in enumerate(self.patches):
+            sel = (cells >= offsets[i]) & (cells < offsets[i + 1])
+            if sel.any():
+                t = cells[sel] - offsets[i]
+                tpts, tw, tcell, _ = _tri_samples(patch, level, t)
+                rows = (1 << 2 * level) + patch._bulged[t]  # 4^level subcells and the bulge
+                parts.append((tpts, tw, tcell + offsets[i], np.repeat(whole_reg[sel], rows)))
+        pts, w, cell, reg = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(reg * nc + cell, kind="stable")
+        pts, w, cell = pts[order], w[order], cell[order]
+        g = self._cells[0][cell]
+        for arr in (pts, w, cell, g):
+            arr.setflags(write=False)
+        out = pts, w, cell, g, np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regs)))])
+        if memo and memo[1] is split:
+            memo[2] = out
+        return out
 
     def _cell_terms(self, p0, a, split) -> CellTerms:
         """CellTerms of the whole cells of split under p0 + a . x, memoised
         with the memoised split."""
-        memo = self._split_memo
-        if memo and memo[1] is split and memo[2] == (p0, a):
-            return memo[3]
+        memo = self._memo
+        if memo and memo[1] is split and memo[3] == (p0, a):
+            return memo[4]
         cells = split[0]
         gmag, area, corners = (x[cells] for x in self._cells)
         terms = CellTerms(gmag, area, p0 + corners[..., 0] * a[0] + corners[..., 1] * a[1])
         if memo and memo[1] is split:
-            memo[2:] = [(p0, a), terms]
+            memo[3:] = [(p0, a), terms]
         return terms
 
     def _gradient_integrals(self, p, regions, level: int) -> list:
         """The integral of |grad u|^{p(x)} over each region, p a number or
-        an exponent field.
+        an exponent field, from the regions' cell split (see _cell_split).
 
         When p is constant or affine (vexp.affine_coefficients), each whole
-        cell of the region (see _cell_split) adds its exact integral: |G|^q
-        times its triangle's area under a constant q, its CellTerms term
-        under an affine p; the cut cells and the arc bulges add their
-        samples. Any other field sums over the bulk samples. One region's
-        split or samples are memoised, a stack's are not; each region's sum
-        is that of its stack of one.
+        cell of the region adds its exact integral: |G|^q times its
+        triangle's area under a constant q, its CellTerms term under an
+        affine p; the cut cells and the arc bulges add their samples. Any
+        other field sums over the sampled split (see _samples). One region's
+        split is memoised, a stack's is not; each region's sum is that of
+        its stack of one.
         """
+        split = self._split(regions, level)
         coef = affine_coefficients(p)
         if coef is None:
-            if len(regions) == 1:
-                return [_modular(p, *self.bulk_samples(regions[0], level))]
-            pts, w, _, g, bounds = self._build_stack(regions, level)
-            return [_modular(p, pts[i:j], w[i:j], g[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
-        split = self._split(regions[0], level) if len(regions) == 1 else self._cell_split(regions, level)
+            pts, w, _, g, bounds = self._samples(split, level)
+            return [float(np.sum(w[k:m] * g[k:m] ** p(pts[k:m]))) for k, m in zip(bounds[:-1], bounds[1:])]
         cells, pts, w, cell, cell_bounds, bounds = split
         gmag, area, _ = self._cells
         p0, a = coef
@@ -728,7 +739,7 @@ class DiscreteSbvMap:
 
     def modulars_of_gradient(self, p, regions, level: int = 2) -> list:
         """modular_of_gradient of each region of a stack of disks and annuli,
-        bitwise, from one split or decomposition (see _gradient_integrals)."""
+        bitwise, from one split (see _gradient_integrals)."""
         return self._gradient_integrals(p, regions, level)
 
     def gradient_q_integral(self, q: float, region=None, level: int = 2) -> float:
@@ -736,22 +747,24 @@ class DiscreteSbvMap:
         return self._gradient_integrals(float(q), [region], level)[0]
 
     def gradient_luxembourg_norm(self, p, region=None, level: int = 2) -> float:
-        """Luxembourg norm of |grad u| over the region.
+        """Luxembourg norm of |grad u| over the region, p a number or an
+        exponent field.
 
         Solved by ``vexp.luxembourg_from_samples``: Newton's method in
         log lambda, stopped once its error bound on log lambda is at most
         ``vexp.NEWTON_TOL``. Under a constant or affine p its terms are the
         whole cells' exact integrals (CellTerms) and the other samples of
         the region's split (see _gradient_integrals); under any other field,
-        the bulk samples.
+        the sampled split.
         """
+        split = self._split([region], level)
         coef = affine_coefficients(p)
         if coef is None:
-            pts, w, g = self.bulk_samples(region, level)
+            pts, w, _, g, _ = self._samples(split, level)
             return luxembourg_from_samples(g, p(pts), w)
-        split = self._split(region, level)
         _, pts, w, cell, _, _ = split
-        return luxembourg_from_samples(self._cells[0][cell], p(pts), w, self._cell_terms(*coef, split))
+        pv = p(pts) if callable(p) else np.full(len(pts), coef[0])
+        return luxembourg_from_samples(self._cells[0][cell], pv, w, self._cell_terms(*coef, split))
 
     def to_json(self) -> dict:
         return {
@@ -804,11 +817,6 @@ class DiscreteSbvMap:
             jump,
             obj.get("target", {"kind": "free"}),
         )
-
-
-def _modular(p, pts, w, g) -> float:
-    """Σ w g^p(pts) over bulk samples: the modular of the gradient."""
-    return float(np.sum(w * g ** p(pts)))
 
 
 def _region_key(region):
@@ -934,7 +942,8 @@ def _visible_in_patch(patch: CellPatch, level: int, laters, table, src, rings, f
     """(pts, w, offset + cell_id, sel) of the samples src (rows, or a
     slice) of table, a sample table of the patch (see _tri_samples), that
     are visible below the later circles laters, those of the later patches
-    that meet its circle (see DiscreteSbvMap._build_stack). Each sample is
+    that meet its circle: the samples of the cut cells of a cell split (see
+    DiscreteSbvMap._cell_split). Each sample is
     clipped to its row of the _RingRows rings, or not at all when rings is
     None; flat, a region without rings, keeps only the samples it contains.
     sel marks the samples of src returned."""
@@ -1015,15 +1024,16 @@ def _disks_meet(d1: Disk, d2: Disk) -> bool:
 
 
 def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
-    """Subcell samples of the patch's triangles t (increasing), built in one
-    broadcast: a sample table (pts, w, cell_id, rad) of subcell centroids,
-    areas, owning cell ids and the largest centroid-to-corner distance.
+    """Subcell samples of the patch's triangles t, built in one broadcast: a
+    sample table (pts, w, cell_id, rad) of subcell centroids, areas, owning
+    cell ids and the largest centroid-to-corner distance.
 
     Each triangle's subcells come in turn, followed, for a bulged arc cell,
     by one sample at the arc midpoint carrying the bulge area (its corners
     collapse onto that point, so its rad is 0). Every operation acts on one
     triangle at a time, so a triangle's rows do not depend on t's others.
-    Corners are not kept; _subcell_corners rebuilds them.
+    Corners are not kept; _subcell_corners rebuilds them from a table whose
+    t increases.
     """
     v = patch.corners[t]
     cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], level)
@@ -1040,14 +1050,9 @@ def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
     return pts, np.concatenate([areas, patch._arc_extra[t][:, None]], axis=1)[slot], cell_id, rad[slot]
 
 
-def _patch_samples_with_ids(patch: CellPatch, level: int):
-    """The sample table of every triangle of the patch (see _tri_samples),
-    and per triangle its _reach: (pts, w, cell_id, rad, reach)."""
-    return (*_tri_samples(patch, level, np.arange(len(patch.tris))), patch._reach)
-
-
 def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndarray:
-    """Corners (k, 3, 2) of the patch samples idx (see _patch_samples_with_ids)."""
+    """Corners (k, 3, 2) of the samples idx of a sample table (pts, cell_id)
+    of the patch (see _tri_samples)."""
     t = cell_id[idx]
     j = idx - np.searchsorted(cell_id, t)  # position within the triangle's block
     _, lattice = subdivision_lattice(level)

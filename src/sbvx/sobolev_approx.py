@@ -230,9 +230,7 @@ def _replace_in_ball(
             # steering the coarse edges: rigid rotations of the vertex pattern
             grid = build_grid(R, h_max, center=center, rotation=base_rot + irot * np.pi / n_rot)
             try:
-                adapted = adapt_to_jump(
-                    grid, u, samples_per_vertex=samples_per_vertex, seed=sub, compute_stats=False
-                )
+                adapted = adapt_to_jump(grid, u, samples_per_vertex=samples_per_vertex, seed=sub)
                 break
             except AdaptationError as err:
                 vertex_err = err.with_traceback(None)

@@ -73,7 +73,8 @@ def cutting_regions(global_map):
 
 # ---------------------------------------------------------------------------
 # the full-scan visible-sample build: the oracle of the per-patch region
-# classification in DiscreteSbvMap._build_samples
+# classification in DiscreteSbvMap._cell_split, read through its sampled view
+# (DiscreteSbvMap._samples)
 # ---------------------------------------------------------------------------
 
 
@@ -100,9 +101,9 @@ def full_scan_parts(u, region, level):
 
 def _full_scan_patch(patch, level, later_patches, region, offset):
     from sbvx.quadrature import Annulus
-    from sbvx.sbv2d import _disks_meet, _patch_samples_with_ids, _refined_weights, _subcell_corners
+    from sbvx.sbv2d import _disks_meet, _refined_weights, _subcell_corners, _tri_samples
 
-    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)[:4]
+    pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
     laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
     keep = np.ones(len(pts), dtype=bool)
     near_later = np.zeros(len(pts), dtype=bool)
@@ -134,9 +135,9 @@ def _full_scan_patch(patch, level, later_patches, region, offset):
 
 def _full_scan_clip(patch, level, keep, center, radius, skip):
     from sbvx import _geom
-    from sbvx.sbv2d import _patch_samples_with_ids, _subcell_corners
+    from sbvx.sbv2d import _subcell_corners, _tri_samples
 
-    pts, w, cid, rad_sub = _patch_samples_with_ids(patch, level)[:4]
+    pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
     c = np.asarray(center)
     d = np.linalg.norm(pts - c, axis=1)
     keep = keep & ((d <= radius + rad_sub) | skip)
@@ -149,7 +150,7 @@ def _full_scan_clip(patch, level, keep, center, radius, skip):
 
 # ---------------------------------------------------------------------------
 # the per-sample corner rebuild: the oracle of the subcell bounds (rad, reach)
-# that _patch_samples_with_ids computes in one broadcast
+# that _tri_samples and CellPatch._reach compute in one broadcast
 # ---------------------------------------------------------------------------
 
 

@@ -292,19 +292,39 @@ def test_envelope_counts_equal_unfiltered_loop(h_max):
 
 
 def test_lambda_stats_independent_of_adapt_seed(unit_disk):
-    # envelope ratios are a property of the base grid: identical across seeds
+    # kappa and the envelope ratios are properties of the base grid: the
+    # same objects across adaptation seeds, and adaptation draws no kappa sample
     g = build_grid(1.0, 5)
     u = synthesize("piecewise-constant-with-arc-jump", {"budget": 0.05, "k": 2}, seed=3)
     a1 = adapt_to_jump(g, u, seed=1)
     a2 = adapt_to_jump(g, u, seed=99)
-    assert a1.lambda_stats["lambda1_hat"] == a2.lambda_stats["lambda1_hat"]
-    assert a1.lambda_stats["lambda2_hat"] == a2.lambda_stats["lambda2_hat"]
+    assert a1.lambda_stats is a2.lambda_stats is g.lambda_stats
+    assert a1.kappa_hat == a2.kappa_hat == g.kappa_hat
+    assert set(a1.to_json()) >= {"kappa_hat", "lambda_stats"}
+    with mock.patch.object(_geom, "convex_polygon_counts", side_effect=AssertionError("kappa sample")):
+        assert np.array_equal(adapt_to_jump(build_grid(1.0, 5), u, seed=1).verts, a1.verts)
+
+
+@pytest.mark.parametrize("h_max, rotation", [(4, 0.0), (5, 0.6), (6, 1.2)])
+def test_kappa_hat_counts_envelopes_point_by_point(h_max, rotation):
+    """kappa_hat is the most envelopes that hold one of 2000 uniform points
+    of the disk drawn from default_rng(0), counted polygon by polygon."""
+    g = build_grid(0.7, h_max, center=(0.1, -0.05), rotation=rotation)
+    rng = np.random.default_rng(0)
+    r = g.R * np.sqrt(rng.random(2000))
+    t = 2 * np.pi * rng.random(2000)
+    pts = g.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+    counts = np.zeros(2000, dtype=int)
+    for poly in g.envelopes:
+        counts += _geom.points_in_convex_polygon(pts, poly)
+    assert g.kappa_hat == int(counts.max())
 
 
 def test_stats_build_envelopes_once(monkeypatch):
+    """The envelopes, kappa and lambda are built on first use, once: one
+    hull per triangle for its envelope, and one for its lambda cap."""
     g = build_grid(1.0, 5)
     u = synthesize("piecewise-constant-with-arc-jump", {"budget": 0.05, "k": 2}, seed=3)
-    ad = adapt_to_jump(g, u, seed=1)
     calls = []
     hull = _geom.hull_of_disks
 
@@ -313,9 +333,12 @@ def test_stats_build_envelopes_once(monkeypatch):
         return hull(centers, radii, narc=narc)
 
     monkeypatch.setattr(_geom, "hull_of_disks", counted)
-    assert len(ad.envelopes) == len(g.tris)
-    assert len(ad.to_json()["envelopes"]) == len(g.tris)
-    assert calls.count(24) == 0
+    ad = adapt_to_jump(g, u, seed=1)
+    assert calls == []
+    first = ad.to_json()
+    assert len(first["envelopes"]) == len(g.tris)
+    assert calls == [24] * (2 * len(g.tris))
+    assert ad.to_json() == first and len(calls) == 2 * len(g.tris)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +346,13 @@ def test_stats_build_envelopes_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _adapt_farthest_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000):
+def _adapt_farthest_scalar(grid, u, samples_per_vertex, seed):
     """adapt_to_jump one vertex and one candidate at a time. A vertex keeps
     its zero perturbation if that is admissible; otherwise it draws its other
     samples_per_vertex - 1 candidates and goes to the admissible one farthest
-    from J, the first of equals. Returns (verts, perturbation_ratio_max,
-    kappa_hat), or raises AdaptationError naming the first vertex that no
-    candidate places."""
+    from J, the first of equals. Returns (verts, perturbation_ratio_max), or
+    raises AdaptationError naming the first vertex that no candidate
+    places."""
     J = u.jump
     rng = np.random.default_rng(seed)
     verts = grid.verts.copy()
@@ -378,13 +401,7 @@ def _adapt_farthest_scalar(grid, u, samples_per_vertex, seed, kappa_samples=2000
         verts[vi] = best
         committed[vi] = True
         max_ratio = max(max_ratio, float(np.linalg.norm(best - base_pt) / rad))
-    r = grid.R * np.sqrt(rng.random(kappa_samples))
-    t = 2 * np.pi * rng.random(kappa_samples)
-    pts = grid.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
-    counts = np.zeros(kappa_samples, dtype=int)
-    for poly in grid.envelopes:
-        counts += _geom.points_in_convex_polygon(pts, poly)
-    return verts, max_ratio, int(counts.max())
+    return verts, max_ratio
 
 
 def _assert_adapted_grid_keeps_its_bounds(g, u, verts):
@@ -408,19 +425,16 @@ def _assert_adapt_matches_farthest_oracle(g, u, samples, seed):
     where the oracle does, bounds kept; returns the oracle's failing vertex
     or None."""
     try:
-        expected = _adapt_farthest_scalar(g, u, samples, seed, kappa_samples=500)
+        expected = _adapt_farthest_scalar(g, u, samples, seed)
     except AdaptationError as err:
         with pytest.raises(AdaptationError) as exc:
-            adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
+            adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed)
         assert exc.value.vertex == err.vertex
         return err.vertex
-    # the lambda statistics draw no random numbers; skip their cost
-    with mock.patch.object(dyadic_grid, "_lambda_ratios", lambda *a: {}):
-        ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, kappa_samples=500)
-    verts, ratio, kappa = expected
+    ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed)
+    verts, ratio = expected
     assert np.array_equal(ad.verts, verts)
     assert ad.perturbation_ratio_max == ratio <= 1.0
-    assert ad.kappa_hat == kappa
     _assert_adapted_grid_keeps_its_bounds(g, u, ad.verts)
     return None
 
@@ -566,7 +580,7 @@ def test_shadow_rule_fails_exactly_the_vertices_the_oracle_fails(jump_seed, seed
 def test_jump_free_map_keeps_the_base_grid(seed, h_max, samples, rotation):
     g = build_grid(0.7, h_max, center=(0.1, -0.05), rotation=rotation)
     u = _flat_map_with_jump(np.zeros((0, 2)), np.zeros((0, 2)))
-    ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed, compute_stats=False)
+    ad = adapt_to_jump(g, u, samples_per_vertex=samples, seed=seed)
     assert np.array_equal(ad.verts, g.verts)
     assert ad.perturbation_ratio_max == 0.0
 
@@ -591,7 +605,7 @@ def test_shadowed_vertex_fails_early_as_the_farthest_oracle_fails(samples):
         dyadic_grid, "_draw_candidates", wraps=dyadic_grid._draw_candidates
     ) as draws:
         with pytest.raises(AdaptationError) as exc:
-            adapt_to_jump(g, u, samples_per_vertex=samples, seed=5, compute_stats=False)
+            adapt_to_jump(g, u, samples_per_vertex=samples, seed=5)
     assert exc.value.vertex == expected.value.vertex == 1
     assert str(exc.value) == (
         f"vertex 1 (ring 1) could not be placed in {samples} samples; jump budget too large here"

@@ -197,9 +197,11 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
                                                            level, seed):
     """On random patch stacks, disks, annuli and dilations by 1e-3..1e3:
 
-    - the split's samples are, bitwise, the decomposition's rows of the cells
-      that are not whole, plus the arc-midpoint row of each whole bulged cell;
-    - the decomposition keeps every subcell of a whole cell at its full area;
+    - bulk_samples keeps, bitwise and in order, the split's rows of the cells
+      that are not whole; each whole cell's rows are instead its whole block
+      of the sample table (_tri_samples), its subcells and its bulge, which
+      is the split's one row of that cell;
+    - those blocks keep every subcell of a whole cell at its full area;
     - every cell whole by its bounding circle with room to spare is whole;
     - each whole cell's exact term matches level-6 midpoint sampling within
       the midpoint rule's error bound, (1/2) max e^f |grad f|^2 |T| rad^2.
@@ -211,18 +213,25 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
     p = affine_field.rescaled(-new_center / factor, 1 / factor)
     region = _region(u, kind, rng)
     cells, pts, w, cell, _, _ = u._cell_split([region], level)
-    spts, sw, scell, _, _ = u._build_stack([region], level)
-    whole = np.isin(scell, cells)
-    # the decomposition's rows of the other cells, and the bulge rows of the whole ones
-    gmag, area, corners = u._cells
-    bulged = np.concatenate([q._bulged for q in u.patches])
-    bulge_row = whole & bulged[scell] & np.r_[np.diff(scell) != 0, True]  # it closes its cell's block
-    order = np.argsort(cell, kind="stable")
+    spts, sw, _ = u.bulk_samples(region, level)
+    scell = u.cell_samples(region, level)[2]
+    whole, of_whole = np.isin(scell, cells), np.isin(cell, cells)
     for got, want in ((cell, scell), (pts, spts), (w, sw)):
-        assert np.array_equal(got[order], want[~whole | bulge_row])
+        assert np.array_equal(got[~of_whole], want[~whole])
+    gmag, area, corners = u._cells
+    offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
+    blocks = [sbv2d._tri_samples(q, level, cells[(cells >= o) & (cells < o + len(q.tris))] - o)
+              for q, o in zip(u.patches, offsets)]
+    table_pts, table_w = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
+    table_cell = np.concatenate([b[2] + o for b, o in zip(blocks, offsets)])
+    for got, want in ((scell[whole], table_cell), (spts[whole], table_pts), (sw[whole], table_w)):
+        assert np.array_equal(got, want)
+    bulge = np.concatenate([b[3] for b in blocks]) == 0  # rad 0: the arc-midpoint row
+    order = np.argsort(cell[of_whole], kind="stable")
+    assert np.array_equal(pts[of_whole][order], table_pts[bulge])
+    assert np.array_equal(w[of_whole][order], table_w[bulge])
     # a whole cell's subcells keep their full areas
-    sub = whole & ~bulge_row
-    sums = np.bincount(scell[sub], weights=sw[sub], minlength=len(area))[cells]
+    sums = np.bincount(table_cell[~bulge], weights=table_w[~bulge], minlength=len(area))[cells]
     assert np.all(np.abs(sums - area[cells]) <= 1e-13 * area[cells])
     assert np.all(np.isin(_whole_by_bounding_circle(u, region), cells))
     # exact terms against level-6 sampling, on up to 12 whole cells
@@ -242,19 +251,21 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
     assert np.all(np.abs(exact - sampled) <= bound + 1e-12 * exact)
 
 
-def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_field):
+def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_field, halfdisk_field):
+    """Each region's rows of a stack's split, and its modular under an
+    affine and a sampled field, equal its own call's bitwise."""
     rng = np.random.default_rng(11)
     for u in split_maps:
         regions = [_region(u, kind, rng) for kind in ("disk", "annulus", "circle", "ring", "domain", "disk")]
         stacked = u._cell_split(regions, 2)
         cells, pts, w, cell, cb, b = stacked
-        mods = u.modulars_of_gradient(affine_field, regions, 2)
+        mods = [u.modulars_of_gradient(p, regions, 2) for p in (affine_field, halfdisk_field)]
         for k, region in enumerate(regions):
             one = u._cell_split([region], 2)
             assert np.array_equal(cells[cb[k] : cb[k + 1]], one[0])
             for got, want in zip((pts, w, cell), one[1:4]):
                 assert np.array_equal(got[b[k] : b[k + 1]], want)
-            assert mods[k] == u.modular_of_gradient(affine_field, region, 2)
+            assert [m[k] for m in mods] == [u.modular_of_gradient(p, region, 2) for p in (affine_field, halfdisk_field)]
 
 
 @pytest.mark.parametrize("factor, center", [(1.0, (0.0, 0.0)), (1e-3, (5.0, -2.0)), (1e3, (-1e3, 2e3))])
@@ -281,6 +292,18 @@ def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, cons
                     CellPatch(q.verts, q.tris, q.values, q.grads / lam, q.circle, q.arc_cells) for q in u.patches
                 ), u.jump, {"kind": "free"})
                 assert abs(scaled.modular_of_gradient(p, region, 2) - 1.0) <= 1e-13
+
+
+def test_luxembourg_norm_takes_a_number_as_its_constant_field(split_maps):
+    """A number p gives the norm of the constant field p, bitwise, as it
+    does for the modular and the q-integral."""
+    rng = np.random.default_rng(5)
+    for u in split_maps:
+        for kind in ("disk", "annulus", "domain"):
+            region = _region(u, kind, rng)
+            field = ExponentField.constant(1.5, u.domain)
+            assert u.gradient_luxembourg_norm(1.5, region, 2) == u.gradient_luxembourg_norm(field, region, 2)
+            assert u.modular_of_gradient(1.5, region, 2) == u.modular_of_gradient(field, region, 2)
 
 
 def test_global_approx_samples_no_whole_cell(affine_field, monkeypatch):

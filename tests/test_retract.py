@@ -305,23 +305,21 @@ def test_choose_shift_minimises_the_bulk_samples_modular(global_map, cutting_reg
 
 def test_project_w_builds_each_decomposition_once(global_map, cutting_regions, affine_field,
                                                   monkeypatch):
-    """The shift choice builds w's sample decomposition (a split with no
-    cell whole) once; the two modulars of the report build one exact split
-    each, w's and w_tilde's."""
+    """One cell split per map: the shift choice samples w's split, and the
+    report's two modulars read w's split and w_tilde's."""
     builds = []
     build = DiscreteSbvMap._cell_split
 
-    def counting(self, regions, level, exact=True):
-        builds.append((self, exact))
-        return build(self, regions, level, exact)
+    def counting(self, regions, level):
+        builds.append(self)
+        return build(self, regions, level)
 
     monkeypatch.setattr(DiscreteSbvMap, "_cell_split", counting)
     w = DiscreteSbvMap(global_map.domain, global_map.patches, global_map.jump, global_map.target)
     for region in cutting_regions:
         builds.clear()
         wt, _ = project_w(w, affine_field, _stage_config(w), seed=2, region=region)
-        assert len(builds) == 3 and all(a is b for (a, _), b in zip(builds, (w, w, wt)))
-        assert [exact for _, exact in builds] == [False, True, True]
+        assert len(builds) == 2 and builds[0] is w and builds[1] is wt
 
 
 def test_config_validation():

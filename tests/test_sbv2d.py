@@ -10,7 +10,7 @@ from sbvx.sbv2d import (
     CellPatch,
     DiscreteSbvMap,
     JumpSet,
-    _patch_samples_with_ids,
+    _tri_samples,
     bv_poincare_check,
     delaunay_disk_mesh,
     dilate_map,
@@ -22,6 +22,17 @@ from sbvx.sbv2d import (
     two_constant_map,
     value_gap,
 )
+
+
+def _table(patch, level):
+    """The sample table of every triangle of the patch (see _tri_samples)."""
+    return _tri_samples(patch, level, np.arange(len(patch.tris)))
+
+
+def _sampled(u, region, level):
+    """(pts, w, cell, gmag): the sampled view of u's memoised split of the
+    region (see DiscreteSbvMap._samples)."""
+    return u._samples(u._split([region], level), level)[:4]
 
 
 def step_map(disk, n_rings=12):
@@ -460,7 +471,8 @@ def test_subcell_bounds_hold_the_per_sample_corner_rebuild(sample_maps, rad_by_r
     which on a small triangle far from the origin exceeds 1e-13 of rad."""
     for u in sample_maps:
         for patch in u.patches:
-            pts, _, cell_id, rad, reach = _patch_samples_with_ids(patch, level)
+            pts, _, cell_id, rad = _table(patch, level)
+            reach = patch._reach
             want_rad, want_reach = rad_by_rebuild(patch, level, pts, cell_id)
             tol = 8 * np.finfo(float).eps * np.max(np.abs(patch.verts))
             assert np.all(np.abs(rad - want_rad) <= 1e-13 * want_rad + tol)
@@ -525,12 +537,11 @@ def _probe_region(u, kind, level, rng):
 
 
 def _touching_bound(patch, level, t, r):
-    """The disk of radius r touching triangle t's bounding circle (see
-    _patch_samples_with_ids) from outside, where the sample that sets it
-    points from the barycentre."""
-    from sbvx.sbv2d import _patch_samples_with_ids
-
-    pts, _, cid, rad, reach = _patch_samples_with_ids(patch, level)
+    """The disk of radius r touching triangle t's bounding circle
+    (barycentre, CellPatch._reach) from outside, where the sample that sets
+    it points from the barycentre."""
+    pts, _, cid, rad = _table(patch, level)
+    reach = patch._reach
     own = np.flatnonzero(cid == t)
     far = own[np.argmax(np.linalg.norm(pts[own] - patch.barycenters[t], axis=1) + rad[own])]
     direction = (pts[far] - patch.barycenters[t]) / np.linalg.norm(pts[far] - patch.barycenters[t])
@@ -567,7 +578,7 @@ def test_classified_samples_equal_full_scan(
     rng = np.random.default_rng(seed)
     u = dilate_map(sample_maps[which], 10.0**log_factor, new_center=(0.3, -0.2))
     region = _probe_region(u, kind, level, rng)
-    pts, w, cell, g = u._build_samples(region, level)
+    pts, w, cell, g = _sampled(u, region, level)
     gmag = np.concatenate([q.gmag for q in u.patches])
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
     for i, (rp, rw, rc) in enumerate(full_scan(u, region, level)):
@@ -599,7 +610,7 @@ def test_disks_touching_bounding_circles_keep_the_full_scan(sample_maps, full_sc
     rng = np.random.default_rng(which)
     for t in range(len(u.base.tris)):
         region = _touching_bound(u.base, 2, t, factor * rng.uniform(0.01, 0.5))
-        pts, w, cell, _ = u._build_samples(region, 2)
+        pts, w, cell, _ = _sampled(u, region, 2)
         (rp, rw, rc), = full_scan(u, region, 2)
         assert np.array_equal(pts, rp) and np.array_equal(w, rw) and np.array_equal(cell, rc)
 
@@ -767,7 +778,7 @@ def test_trace_band_points_land_in_their_arc_cell():
         assert np.all(holds.sum(axis=1) == 1)
         assert np.array_equal(patch.locate(band), np.flatnonzero(arc)[np.argmax(holds, axis=1)])
         for level in (2, 3):
-            pts, _, cell_id = _patch_samples_with_ids(patch, level)[:3]
+            pts, _, cell_id, _ = _table(patch, level)
             assert np.array_equal(patch.locate(pts), cell_id)
 
 
@@ -874,10 +885,10 @@ def test_bulge_samples_lie_inside_their_circle(factor, center):
     at the circle itself keeps every bulge sample, far from the origin too."""
     u = dilate_map(synthesize("sphere-vortex-with-slit", {"budget": 0.05}, seed=2), factor, new_center=center)
     q = u.base
-    pts, _, _, rad, _ = _patch_samples_with_ids(q, 2)
+    pts, _, _, rad = _table(q, 2)
     bulge = rad == 0
     assert bulge.sum() == q._bulged.sum() > 0
     assert np.all(q.circle.contains(pts[bulge], tol=0.0))
     ring = Annulus(q.circle.center, 0.5 * q.circle.radius, q.circle.radius)  # clips at the circle
-    _, _, cell, _ = u._build_samples(ring, 2)
+    _, _, cell, _ = _sampled(u, ring, 2)
     assert np.all(np.isin(np.flatnonzero(q._bulged), cell))

@@ -1,5 +1,5 @@
-"""A stack of disks and annuli sampled in one decomposition gives each region
-the samples, modular and jump length of its own call, bit for bit."""
+"""A stack of disks and annuli split and sampled in one pass gives each
+region the samples, modular and jump length of its own call, bit for bit."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,22 +68,24 @@ _KINDS = ("disk", "annulus", "hidden", "outside", "circle", "corner")
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, which, log_factor, k, level, seed):
-    """Each region's (pts, w, cell), modular and jump length equal its own
-    call's (the memoised bulk_samples, modular_of_gradient, length_in)
-    bitwise, and a few regions' (pts, cell) the full scan's."""
+    """Each region's rows of the stack's sampled split (pts, w, cell,
+    gmag), modular and jump length equal its own call's (the memoised
+    bulk_samples and cell_samples, modular_of_gradient, length_in) bitwise,
+    and a few regions' (pts, cell) the full scan's."""
     rng = np.random.default_rng(seed)
     factor, new_center = 10.0**log_factor, rng.uniform(-2, 2, 2)
     u = dilate_map(stack_maps[which], factor, new_center=tuple(new_center))
     p = affine_field.rescaled(-new_center / factor, 1 / factor)  # the field dilated with the map
     regions = [_region(u, _KINDS[int(rng.integers(len(_KINDS)))], rng) for _ in range(k)]
-    pts, w, cell, g, bounds = u._build_stack(regions, level)
+    pts, w, cell, g, bounds = u._samples(u._cell_split(regions, level), level)
     assert bounds[0] == 0 and bounds[-1] == len(pts) and np.all(np.diff(bounds) >= 0)
     c = float(rng.uniform(0.1, 2.0))
     energies = functionals(u, p, c, regions, level)
     lengths = u.jump.lengths_in(regions)
     for i, region in enumerate(regions):
         rows = slice(bounds[i], bounds[i + 1])
-        one = u._build_samples(region, level)
+        one_pts, one_w, one_g = u.bulk_samples(region, level)
+        one = (one_pts, one_w, u.cell_samples(region, level)[2], one_g)
         for a, b in zip((pts[rows], w[rows], cell[rows], g[rows]), one):
             assert np.array_equal(a, b)
         assert energies[i].bulk == u.modular_of_gradient(p, region, level)
@@ -99,16 +101,16 @@ def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, whi
 
 def test_stack_of_none_or_a_rect_is_its_region_alone(global_map, affine_field):
     for region in (None, Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain):
-        pts, w, cell, g, bounds = global_map._build_stack([region], 2)
+        pts, w, cell, g, bounds = global_map._samples(global_map._cell_split([region], 2), 2)
         assert list(bounds) == [0, len(pts)]
         modular = global_map.modular_of_gradient(affine_field, region, 2)
         assert global_map.modulars_of_gradient(affine_field, [region], 2) == [modular]
     with pytest.raises(ToolkitError):
-        global_map._build_stack([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain], 2)
+        global_map._cell_split([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain], 2)
 
 
 def test_empty_stack(global_map, affine_field):
-    pts, w, cell, g, bounds = global_map._build_stack([], 2)
+    pts, w, cell, g, bounds = global_map._samples(global_map._cell_split([], 2), 2)
     assert len(pts) == 0 and list(bounds) == [0]
     assert functionals(global_map, affine_field, 1.0, []) == []
 
