@@ -25,7 +25,6 @@ from .sbv2d import (
     bv_poincare_check,
     dilate_map,
     jump_length,
-    synthesize,
     total_variation_parts,
 )
 from .sobolev_approx import (
@@ -36,6 +35,7 @@ from .sobolev_approx import (
     local_phi,
     project_to_sphere_stage,
 )
+from .synth import synthesize
 from .vexp import (
     ExponentField,
     LogHolderReport,

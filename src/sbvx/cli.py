@@ -6,7 +6,8 @@ Subcommands:
             asserted inequality holds, 1 on an assertion failure (named),
             2 on a schema violation.
     corpus  expand a generator spec into a directory of scenario files.
-    render  regenerate the figures of a scenario without assertions.
+    render  run a scenario as run does, exit codes included, but write
+            only its figures: no report.json, data.csv or meta.json.
 
 Timestamps and host info live in meta.json so report.json stays
 byte-identical across reruns of the same scenario.
@@ -29,9 +30,10 @@ from .energy import DensityProbeConfig, density_probe, functional, jump_criterio
 from .errors import ToolkitError
 from .quadrature import Disk
 from .retract import RetractionConfig, project_w
-from .sbv2d import DiscreteSbvMap, jump_length, synthesize
+from .sbv2d import DiscreteSbvMap, jump_length
 from .sobolev_approx import cover_jump, global_approx
 from .svgplot import draw_field, draw_map, draw_profile
+from .synth import synthesize
 from .vexp import ExponentField, modulars_and_norms
 
 PIPELINES = ("norms", "approximate", "cover", "retract", "energy-probe", "counterexample")
@@ -104,8 +106,11 @@ def _field_from_scenario(sc: dict) -> ExponentField:
 def _map_from_scenario(sc: dict, seed: int) -> DiscreteSbvMap:
     spec = _require(sc, "map", "scenario", dict)
     if "file" in spec:
-        with open(spec["file"]) as f:
-            return DiscreteSbvMap.from_json(json.load(f))
+        try:
+            with open(spec["file"]) as f:
+                return DiscreteSbvMap.from_json(json.load(f))
+        except (OSError, ValueError, KeyError, TypeError) as e:  # unreadable, not JSON, or not a map
+            raise SchemaError("scenario.map.file", f"no map in {spec['file']}: {type(e).__name__}: {e}")
     kind = _require(spec, "kind", "scenario.map", str)
     params = dict(spec.get("params", {}))
     if "domain" in params:

@@ -15,13 +15,8 @@ import numpy as np
 
 from .errors import CompetitorError, ToolkitError
 from .quadrature import Disk
-from .sbv2d import (
-    CellPatch,
-    DiscreteSbvMap,
-    JumpSet,
-    fan_mesh,
-    transform_map,
-)
+from .sbv2d import CellPatch, DiscreteSbvMap, JumpSet, transform_map
+from .synth import fan_mesh
 
 __all__ = [
     "EnergyBreakdown",

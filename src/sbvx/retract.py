@@ -137,12 +137,12 @@ def choose_shift(
 
     The modular is taken on w.cell_samples, the sampled view of w's
     memoised cell split of the region; project_w reports its modulars from
-    the same split, with the whole cells exact (see
-    DiscreteSbvMap._gradient_integrals). Uniform shift samples;
-    the minimiser is below the sample mean, which is the testable surrogate
-    of the averaging (Chebyshev) selection. Samples hitting the singular set
-    of some cell are discarded; five full redraws before giving up. The
-    chain rule is broadcast over SHIFT_BLOCK shifts at a time.
+    the same split, with the whole cells exact (see CellSplit.integrals).
+    Uniform shift samples; the minimiser is below the sample mean, which is
+    the testable surrogate of the averaging (Chebyshev) selection. Samples
+    hitting the singular set of some cell are discarded; five full redraws
+    before giving up. The chain rule is broadcast over SHIFT_BLOCK shifts at
+    a time.
     """
     values, grads, cell_id, pts, wq = w.cell_samples(region, level)
     pv = p(pts)

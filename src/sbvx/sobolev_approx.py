@@ -54,6 +54,17 @@ class BallFamily:
     def __len__(self) -> int:
         return len(self.radii)
 
+    def bounds(self, eta: float, rho: float, h1: float, center) -> tuple:
+        """The covering bounds of the family over a jump of length h1:
+        (2 pi xi/eta h1, min(2 pi xi/eta rho h1, pi (xi/eta h1)^2),
+        max |c - center| + r), xi the number of families."""
+        xi = self.xi_hat
+        return (
+            2 * np.pi * xi / eta * h1,
+            float(min(2 * np.pi * xi / eta * rho * h1, np.pi * (xi / eta * h1) ** 2)),
+            float(np.max(np.linalg.norm(self.centers - center, axis=1) + self.radii)),
+        )
+
     def balls_of(self, j: int):
         sel = self.family_index == j
         return self.centers[sel], self.radii[sel]
@@ -420,28 +431,23 @@ def cover_jump(
     probe = centers[:, None, :] + radii[:, None, None] * 0.5 * _dirgrid(8)[None, :, :]
     probe = probe.reshape(-1, 2)
     counts = np.sum(np.linalg.norm(probe[:, None, :] - centers, axis=-1) <= radii, axis=1)
-    perim = float(np.sum(2 * np.pi * radii))
-    area = float(np.sum(np.pi * radii**2))
-    h1 = budget
-    stats = {
+    family = BallFamily(centers, radii, fam, xi_hat)
+    perimeter_bound, area_bound, reach = family.bounds(eta, rho, budget, center)
+    family.stats.update({
         "n_balls": len(radii),
         "xi_hat": xi_hat,
         "eta": eta,
         "s": s,
         "rho": rho,
-        "total_perimeter": perim,
-        "total_area": area,
+        "total_perimeter": float(np.sum(2 * np.pi * radii)),
+        "total_area": float(np.sum(np.pi * radii**2)),
         "max_overlap": int(counts.max()),
-        "h1_jump": h1,
-        "perimeter_bound": 2 * np.pi * xi_hat / eta * h1,
-        "area_bound_min_form": float(
-            min(2 * np.pi * xi_hat / eta * rho * h1, np.pi * (xi_hat / eta * h1) ** 2)
-        ),
-        "max_center_norm_plus_radius": float(
-            np.max(np.linalg.norm(centers - center, axis=1) + radii)
-        ),
-    }
-    return BallFamily(centers, radii, fam, xi_hat, stats)
+        "h1_jump": budget,
+        "perimeter_bound": perimeter_bound,
+        "area_bound_min_form": area_bound,
+        "max_center_norm_plus_radius": reach,
+    })
+    return family
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
@@ -551,20 +557,12 @@ def global_approx(
     est["modular_bound_const_stripped"] = est["modular_out"] / max_pow if max_pow > 0 else 0.0
 
     if len(family) > 0:
-        h1 = budget
+        perimeter_bound, area_bound, reach = family.bounds(eta, rho, budget, center)
         est["family_perimeter"] = float(np.sum(2 * np.pi * family.radii))
-        est["family_perimeter_bound"] = 2 * np.pi * family.xi_hat / eta * h1
+        est["family_perimeter_bound"] = perimeter_bound
         est["family_area"] = float(np.sum(np.pi * family.radii**2))
-        est["family_area_bound_min_form"] = float(
-            min(
-                2 * np.pi * family.xi_hat / eta * rho * h1,
-                np.pi * (family.xi_hat / eta * h1) ** 2,
-            )
-        )
-        est["union_containment_margin"] = float(
-            (1 + s) * rho / 2
-            - np.max(np.linalg.norm(family.centers - center, axis=1) + family.radii)
-        )
+        est["family_area_bound_min_form"] = area_bound
+        est["union_containment_margin"] = (1 + s) * rho / 2 - reach
         est["xi_hat"] = family.xi_hat
     else:
         est["xi_hat"] = 0

@@ -73,8 +73,8 @@ def cutting_regions(global_map):
 
 # ---------------------------------------------------------------------------
 # the full-scan visible-sample build: the oracle of the per-patch region
-# classification in DiscreteSbvMap._cell_split, read through its sampled view
-# (DiscreteSbvMap._samples)
+# classification in CellSplit, read through its sampled view
+# (CellSplit.samples)
 # ---------------------------------------------------------------------------
 
 
@@ -87,7 +87,7 @@ def full_scan_parts(u, region, level):
     """Per patch, the (pts, w, cell) the full scan keeps: every patch that a
     disk region meets (any patch for other regions) scanned subcell by
     subcell, with the region kept as it is. cell is flat in the stack."""
-    from sbvx.sbv2d import _disks_meet
+    from sbvx.cellsplit import _disks_meet
 
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
     empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
@@ -101,7 +101,7 @@ def full_scan_parts(u, region, level):
 
 def _full_scan_patch(patch, level, later_patches, region, offset):
     from sbvx.quadrature import Annulus
-    from sbvx.sbv2d import _disks_meet, _refined_weights, _subcell_corners, _tri_samples
+    from sbvx.cellsplit import _disks_meet, _refined_weights, _subcell_corners, _tri_samples
 
     pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
     laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
@@ -135,7 +135,7 @@ def _full_scan_patch(patch, level, later_patches, region, offset):
 
 def _full_scan_clip(patch, level, keep, center, radius, skip):
     from sbvx import _geom
-    from sbvx.sbv2d import _subcell_corners, _tri_samples
+    from sbvx.cellsplit import _subcell_corners, _tri_samples
 
     pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
     c = np.asarray(center)
@@ -162,7 +162,7 @@ def rad_by_rebuild():
 def rad_and_reach_by_rebuild(patch, level, pts, cell_id):
     """(rad, reach) of the patch samples (pts, cell_id), each sample's
     corners rebuilt on their own by _subcell_corners."""
-    from sbvx.sbv2d import _subcell_corners
+    from sbvx.cellsplit import _subcell_corners
 
     corners = _subcell_corners(patch, level, pts, cell_id, np.arange(len(pts)))
     rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0)

@@ -75,6 +75,20 @@ def test_run_missing_file_exit_two(tmp_path):
     assert run_scenario(str(tmp_path / "absent.json"), out_dir=str(tmp_path / "out")) == 2
 
 
+@pytest.mark.parametrize("content", [None, "{not json", '{"patches": []}', "[1, 2]"],
+                         ids=["missing", "invalid_json", "missing_key", "not_an_object"])
+def test_run_bad_map_file_exit_two(tmp_path, capsys, content):
+    """A map.file that cannot be read, is not JSON, is not a JSON object or
+    lacks a field of the map is a schema violation of scenario.map.file."""
+    map_file = tmp_path / "map.json"
+    if content is not None:
+        map_file.write_text(content)
+    p = write_scenario(tmp_path / "c.json", name="bad_map", pipeline="cover",
+                       map={"file": str(map_file)}, params={"s": 0.75, "eta": 0.05})
+    assert run_scenario(str(p), out_dir=str(tmp_path / "out")) == 2
+    assert "schema error: scenario.map.file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "pipeline,extra",
     [

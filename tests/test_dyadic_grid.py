@@ -257,7 +257,7 @@ def test_envelopes_and_kappa(unit_disk):
     assert ad.lambda_stats["lambda2_hat"] < 1e4
 
 
-KAPPA_CORPUS_MAX = 8  # frozen regression constant, measured over the corpus below
+KAPPA_CORPUS_MAX = 5  # frozen regression constant, the worst measured over the corpus below
 
 
 def test_kappa_regression_bound(unit_disk):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbvx import sbv2d
+from sbvx import cellsplit, sbv2d
 from sbvx.quadrature import Annulus, Disk, tri_subcentroids
 from sbvx.sbv2d import CellPatch, DiscreteSbvMap, dilate_map, fan_mesh, synthesize
 from sbvx.vexp import CellTerms, ExponentField, affine_coefficients, luxembourg_from_samples
@@ -212,7 +212,8 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
     u = dilate_map(split_maps[which], factor, new_center=tuple(new_center))
     p = affine_field.rescaled(-new_center / factor, 1 / factor)
     region = _region(u, kind, rng)
-    cells, pts, w, cell, _, _ = u._cell_split([region], level)
+    split = u._split([region], level)
+    cells, pts, w, cell = split.whole, split.pts, split.w, split.cell
     spts, sw, _ = u.bulk_samples(region, level)
     scell = u.cell_samples(region, level)[2]
     whole, of_whole = np.isin(scell, cells), np.isin(cell, cells)
@@ -220,7 +221,7 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
         assert np.array_equal(got[~of_whole], want[~whole])
     gmag, area, corners = u._cells
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
-    blocks = [sbv2d._tri_samples(q, level, cells[(cells >= o) & (cells < o + len(q.tris))] - o)
+    blocks = [cellsplit._tri_samples(q, level, cells[(cells >= o) & (cells < o + len(q.tris))] - o)
               for q, o in zip(u.patches, offsets)]
     table_pts, table_w = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
     table_cell = np.concatenate([b[2] + o for b, o in zip(blocks, offsets)])
@@ -257,13 +258,13 @@ def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_
     rng = np.random.default_rng(11)
     for u in split_maps:
         regions = [_region(u, kind, rng) for kind in ("disk", "annulus", "circle", "ring", "domain", "disk")]
-        stacked = u._cell_split(regions, 2)
-        cells, pts, w, cell, cb, b = stacked
+        s = u._split(regions, 2)
+        cells, pts, w, cell, cb, b = s.whole, s.pts, s.w, s.cell, s.whole_bounds, s.bounds
         mods = [u.modulars_of_gradient(p, regions, 2) for p in (affine_field, halfdisk_field)]
         for k, region in enumerate(regions):
-            one = u._cell_split([region], 2)
-            assert np.array_equal(cells[cb[k] : cb[k + 1]], one[0])
-            for got, want in zip((pts, w, cell), one[1:4]):
+            one = u._split([region], 2)
+            assert np.array_equal(cells[cb[k] : cb[k + 1]], one.whole)
+            for got, want in zip((pts, w, cell), (one.pts, one.w, one.cell)):
                 assert np.array_equal(got[b[k] : b[k + 1]], want)
             assert [m[k] for m in mods] == [u.modular_of_gradient(p, region, 2) for p in (affine_field, halfdisk_field)]
 
@@ -316,7 +317,7 @@ def test_global_approx_samples_no_whole_cell(affine_field, monkeypatch):
         raise AssertionError("bulk_samples called")
 
     sampled, splits = [], []
-    tri_samples, cell_split = sbv2d._tri_samples, DiscreteSbvMap._cell_split
+    tri_samples, cell_split = cellsplit._tri_samples, DiscreteSbvMap._split
 
     def spy_samples(patch, level, t):
         sampled.append((patch, np.array(t)))
@@ -327,8 +328,8 @@ def test_global_approx_samples_no_whole_cell(affine_field, monkeypatch):
         return cell_split(self, regions, level)
 
     monkeypatch.setattr(DiscreteSbvMap, "bulk_samples", no_decomposition)
-    monkeypatch.setattr(sbv2d, "_tri_samples", spy_samples)
-    monkeypatch.setattr(DiscreteSbvMap, "_cell_split", spy_split)
+    monkeypatch.setattr(cellsplit, "_tri_samples", spy_samples)
+    monkeypatch.setattr(DiscreteSbvMap, "_split", spy_split)
     for kind, seed in (("sphere-vortex-with-slit", 9), ("random-cells-with-random-polyline", 4)):
         u = synthesize(kind, {"budget": 0.5 * 0.05 * 0.25 / 2, "k": 2}, seed=seed)
         n_before = len(splits)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from sbvx.cellsplit import CellSplit
 from sbvx.errors import DegenerateInputError, ToolkitError
 from sbvx.quadrature import Disk
 from sbvx.retract import (
@@ -308,18 +309,18 @@ def test_project_w_builds_each_decomposition_once(global_map, cutting_regions, a
     """One cell split per map: the shift choice samples w's split, and the
     report's two modulars read w's split and w_tilde's."""
     builds = []
-    build = DiscreteSbvMap._cell_split
+    build = CellSplit.__init__
 
-    def counting(self, regions, level):
-        builds.append(self)
-        return build(self, regions, level)
+    def counting(self, patches, *args):
+        builds.append(patches)
+        build(self, patches, *args)
 
-    monkeypatch.setattr(DiscreteSbvMap, "_cell_split", counting)
+    monkeypatch.setattr(CellSplit, "__init__", counting)
     w = DiscreteSbvMap(global_map.domain, global_map.patches, global_map.jump, global_map.target)
     for region in cutting_regions:
         builds.clear()
         wt, _ = project_w(w, affine_field, _stage_config(w), seed=2, region=region)
-        assert len(builds) == 2 and builds[0] is w and builds[1] is wt
+        assert len(builds) == 2 and builds[0] is w.patches and builds[1] is wt.patches
 
 
 def test_config_validation():

@@ -1,16 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from sbvx.cellsplit import _tri_samples
 from sbvx.errors import ConstructionError, DegenerateInputError, ToolkitError
 from sbvx.quadrature import Annulus, Disk, Rect
 from sbvx.sbv2d import (
     CellPatch,
     DiscreteSbvMap,
     JumpSet,
-    _tri_samples,
     bv_poincare_check,
     delaunay_disk_mesh,
     dilate_map,
@@ -31,8 +33,8 @@ def _table(patch, level):
 
 def _sampled(u, region, level):
     """(pts, w, cell, gmag): the sampled view of u's memoised split of the
-    region (see DiscreteSbvMap._samples)."""
-    return u._samples(u._split([region], level), level)[:4]
+    region (see CellSplit.samples)."""
+    return u._split([region], level).samples[:4]
 
 
 def step_map(disk, n_rings=12):
@@ -370,6 +372,18 @@ def test_map_json_roundtrip(unit_disk):
     pts = np.random.default_rng(0).random((40, 2)) * 0.8 - 0.4
     assert np.allclose(back.value_at(pts), u.value_at(pts))
     assert back.jump.total_length == pytest.approx(u.jump.total_length, rel=1e-12)
+
+
+def test_empty_jump_keeps_the_trace_width_through_json():
+    """A jump set of zero segments takes k from its traces' last axis, as
+    the JSON round trip does from the map's values."""
+    u = synthesize("sphere-vortex-with-slit", {"twist": 0.0, "budget": 0.05}, seed=1)
+    back = DiscreteSbvMap.from_json(json.loads(json.dumps(u.to_json())))
+    assert len(u.jump) == 0 and u.k == 2
+    for jump in (u.jump, back.jump):
+        assert jump.trace_plus.shape == jump.trace_minus.shape == (0, 2)
+    empty = JumpSet.from_segments(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert empty.trace_plus.shape == (0, 3)
 
 
 def test_sphere_target_validation(unit_disk):

@@ -77,7 +77,7 @@ def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, whi
     u = dilate_map(stack_maps[which], factor, new_center=tuple(new_center))
     p = affine_field.rescaled(-new_center / factor, 1 / factor)  # the field dilated with the map
     regions = [_region(u, _KINDS[int(rng.integers(len(_KINDS)))], rng) for _ in range(k)]
-    pts, w, cell, g, bounds = u._samples(u._cell_split(regions, level), level)
+    pts, w, cell, g, bounds = u._split(regions, level).samples
     assert bounds[0] == 0 and bounds[-1] == len(pts) and np.all(np.diff(bounds) >= 0)
     c = float(rng.uniform(0.1, 2.0))
     energies = functionals(u, p, c, regions, level)
@@ -101,16 +101,16 @@ def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, whi
 
 def test_stack_of_none_or_a_rect_is_its_region_alone(global_map, affine_field):
     for region in (None, Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain):
-        pts, w, cell, g, bounds = global_map._samples(global_map._cell_split([region], 2), 2)
+        pts, w, cell, g, bounds = global_map._split([region], 2).samples
         assert list(bounds) == [0, len(pts)]
         modular = global_map.modular_of_gradient(affine_field, region, 2)
         assert global_map.modulars_of_gradient(affine_field, [region], 2) == [modular]
     with pytest.raises(ToolkitError):
-        global_map._cell_split([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain], 2)
+        global_map._split([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain], 2)
 
 
 def test_empty_stack(global_map, affine_field):
-    pts, w, cell, g, bounds = global_map._samples(global_map._cell_split([], 2), 2)
+    pts, w, cell, g, bounds = global_map._split([], 2).samples
     assert len(pts) == 0 and list(bounds) == [0]
     assert functionals(global_map, affine_field, 1.0, []) == []
 
