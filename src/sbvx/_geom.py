@@ -315,32 +315,89 @@ def hull_of_disks(centers: np.ndarray, radii: np.ndarray, narc: int = 48) -> np.
     return convex_hull(pts)
 
 
-def clip_convex_polygons(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman intersection of a polygon with a ccw convex clip."""
-    out = [np.asarray(v, dtype=float) for v in subject]
-    clip = np.asarray(clip, dtype=float)
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            return np.zeros((0, 2))
-        e0, e1 = clip[i], clip[(i + 1) % n]
-        d = e1 - e0
-        prev = out[-1]
-        prev_in = d[0] * (prev[1] - e0[1]) - d[1] * (prev[0] - e0[0]) >= -EPS
-        nxt = []
-        for cur in out:
-            cur_in = d[0] * (cur[1] - e0[1]) - d[1] * (cur[0] - e0[0]) >= -EPS
-            if cur_in != prev_in:
-                w = cur - prev
-                denom = d[0] * w[1] - d[1] * w[0]
-                if abs(denom) > EPS:
-                    t = (d[0] * (e0[1] - prev[1]) - d[1] * (e0[0] - prev[0])) / denom
-                    nxt.append(prev + np.clip(t, 0.0, 1.0) * w)
-            if cur_in:
-                nxt.append(cur)
-            prev, prev_in = cur, cur_in
-        out = nxt
-    return np.asarray(out) if out else np.zeros((0, 2))
+def clip_halfplanes(polys: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Convex polygons clipped by half-planes, one vectorised
+    Sutherland-Hodgman pass per half-plane.
+
+    polys (n, m, 2): convex polygons, each padded to m vertices by repeating
+    one. planes (n, k, 3), or (k, 3) for every polygon: rows (ax, ay, b),
+    each keeping {x : ax x + ay y >= b}. Returns (n, m', 2), padded by
+    repeating each last vertex; a polygon clipped away is m' copies of one
+    point, and one that a half-plane holds keeps its vertices as they were.
+    """
+    out = np.asarray(polys, dtype=float)
+    n = len(out)
+    planes = np.broadcast_to(np.asarray(planes, dtype=float), (n,) + np.shape(planes)[-2:])
+    for k in range(planes.shape[1]):
+        s = out[..., 0] * planes[:, k, None, 0] + out[..., 1] * planes[:, k, None, 1] - planes[:, k, None, 2]
+        inside = s >= 0
+        cross = inside != np.roll(inside, -1, axis=1)
+        t = np.where(cross, s / np.where(cross, s - np.roll(s, -1, axis=1), 1.0), 0.0)
+        hit = out + t[..., None] * (np.roll(out, -1, axis=1) - out)
+        # each edge gives its start when inside, then its crossing: the cyclic order
+        cand = np.stack([out, hit], axis=2).reshape(n, 2 * out.shape[1], 2)
+        valid = np.stack([inside, cross], axis=2).reshape(n, 2 * out.shape[1])
+        count = valid.sum(axis=1)
+        order = np.argsort(~valid, axis=1, kind="stable")[:, : max(int(count.max(initial=0)), 1)]
+        last = np.take_along_axis(order, np.maximum(count - 1, 0)[:, None], axis=1)
+        order = np.where(np.arange(order.shape[1]) < count[:, None], order, last)
+        out = np.take_along_axis(cand, order[..., None], axis=1)
+    return out
+
+
+def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarray, planes=None) -> np.ndarray:
+    """Exact area of each convex polygon cut by its half-planes and its
+    in-disks, less the union of its out-disks.
+
+    polys and planes (or None) are as clip_halfplanes takes them; area (n,)
+    is each polygon's area, used where it has no in-disk and no half-plane.
+    ins (n, ki, 3) and outs (n, ko, 3) are disks (cx, cy, r), NaN radius for
+    an empty slot. The out-disks enter by inclusion-exclusion; the polygon
+    cut by several disks splits into their farthest power cells V_i = {x :
+    |x - c_i|^2 - r_i^2 >= |x - c_j|^2 - r_j^2 for all j}, a tie going to
+    the lower slot (Aurenhammer, SIAM J. Comput. 16, 1987), each meeting
+    one disk (polygons_disk_area). Each row adds its own terms in a fixed
+    order, so it has the bits of its own call, and of polygons_disk_area
+    against one disk; it is exactly 0 when an out-disk holds an in-disk.
+    """
+    polys = np.asarray(polys, dtype=float)
+    n = len(polys)
+    origin = np.zeros((n, 1, 2))
+    if planes is not None:  # clipped about each polygon's first vertex, where a nearby edge's offset is exact
+        origin = polys[:, :1]
+        planes = np.broadcast_to(np.asarray(planes, dtype=float), (n,) + np.shape(planes)[-2:])
+        b = planes[..., 2] - planes[..., 0] * origin[..., 0] - planes[..., 1] * origin[..., 1]
+        polys = clip_halfplanes(polys - origin, np.concatenate([planes[..., :2], b[..., None]], axis=-1))
+        x, y = polys[..., 0], polys[..., 1]
+        area = 0.5 * np.abs(np.sum(x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1), axis=1))
+    repeats = np.all(polys == np.roll(polys, 1, axis=1), axis=(0, 2))  # a vertex that every row repeats
+    polys = polys[:, ~repeats | (np.arange(polys.shape[1]) == 0)]
+    ins, outs = (d[:, np.isfinite(d[..., 2]).any(axis=0)] for d in (np.asarray(ins, float), np.asarray(outs, float)))
+    bare = ~np.isfinite(ins[..., 2]).any(axis=1)
+    rows, terms = [np.flatnonzero(bare)], [np.asarray(area, dtype=float)[bare]]
+    for subset in range(1 << outs.shape[1]):
+        member = [k for k in range(outs.shape[1]) if subset >> k & 1]
+        disks = np.concatenate([ins, outs[:, member]], axis=1)
+        present = np.isfinite(disks[..., 2]) & np.isfinite(outs[:, member, 2]).all(axis=1)[:, None]
+        for i in range(disks.shape[1]):
+            r = np.flatnonzero(present[:, i])
+            if not len(r):
+                continue
+            d, c = disks[r], disks[r, i, None, :2]
+            delta = d[..., :2] - c
+            b = np.sum(delta * delta, axis=-1) + d[:, i, None, 2] ** 2 - d[..., 2] ** 2
+            b[(delta == 0).all(axis=-1) & (b == 0) & (np.arange(d.shape[1]) < i)] = 1.0  # an identical disk before i
+            cuts = np.concatenate([2 * delta, b[..., None]], axis=-1)
+            cuts[~present[r]] = (0.0, 0.0, -1.0)  # an empty slot keeps the whole plane
+            piece = clip_halfplanes(polys[r] + (origin[r] - c), np.delete(cuts, i, axis=1))
+            rows.append(r)
+            terms.append((-1.0) ** len(member) * polygons_disk_area(piece, np.zeros(2), d[:, i, 2]))
+    total = np.bincount(np.concatenate(rows), weights=np.concatenate(terms), minlength=n)  # in order, from 0.0
+    for i in range(ins.shape[1]):  # not the round-off of cancelling terms
+        for o in range(outs.shape[1]):
+            gap = outs[:, o, :2] - ins[:, i, :2]
+            total[np.hypot(gap[:, 0], gap[:, 1]) + ins[:, i, 2] <= outs[:, o, 2]] = 0.0
+    return total
 
 
 def stadium_polygon(a, b, width: float, narc: int = 16) -> np.ndarray:

@@ -3,7 +3,9 @@ decomposition that every bulk integral of a DiscreteSbvMap reads.
 
 A cell whose bounding circle lies in a region and clear of every later
 patch circle is whole there and enters the integrals exactly; the cells that
-a region or a later circle cuts enter by their visible subcell samples.
+a region or a later circle cuts enter by their subcell samples, each
+weighted by the exact area of its part in the region and outside the later
+circles.
 """
 from __future__ import annotations
 
@@ -27,11 +29,10 @@ class CellSplit:
     disks and annuli, or one region of any kind (None for the whole domain,
     or a Rect). It holds the whole cells, and the samples of the others.
 
-    Each patch is classified against every region's rings first (see
-    _patch_relation): a region that misses the patch, or that a later
-    circle covers, takes nothing of it. Each triangle is then classified
-    by its bounding circle (barycentre, CellPatch._reach), with _margin to
-    spare, against the region (_region_relation) and the later circles
+    A disk region that misses a patch, or that a later circle holds, takes
+    nothing of it (see _patch_relation). Each triangle is classified by its
+    bounding circle (barycentre, CellPatch._reach), with _margin to spare,
+    against the region (_region_relation) and the later circles
     (_later_relation); all regions and triangles of a patch in one
     broadcast. A cell is whole in a region when its circle lies in the
     region and clear of every later circle, or lies clear of them in a
@@ -40,16 +41,14 @@ class CellSplit:
     whose circle lies in a later circle is hidden, and adds nothing. Every
     other cell whose circle meets the region is cut.
 
-    A cut cell's samples are built from its triangle alone (see
-    _tri_samples), then kept or dropped below the later circles and clipped
-    to the region (see _visible_in_patch): in a disk region a subcell
-    straddling its boundary carries its exact clipped area, an annulus
-    being its outer disk minus its inner one; a region holding the patch
-    clips nothing; a subcell meeting a later patch circle carries its
-    refined area (see _refined_weights). An arc bulge contributes a sample
-    at the arc midpoint carrying the segment area. Every operation acts on
-    one sample at a time, so a cell's rows are those of its triangle alone,
-    and each region's arrays, bit for bit, those of its stack of one.
+    A cut cell's samples are its subcells and, for an arc bulge, one sample
+    at the arc midpoint carrying the segment area (see _tri_samples). Each
+    keeps its area, is dropped, or, where a boundary crosses its bounding
+    circle, carries the exact area of its subcell or bulge in the region
+    and outside the later circles (see _cut_rows), all from one
+    _geom.polygons_disks_area call. Every operation acts on one sample at a
+    time, so a cell's rows are those of its triangle alone, and each
+    region's arrays, bit for bit, those of its stack of one.
 
     Fields, read-only: whole[whole_bounds[k]:whole_bounds[k + 1]] are the
     flat ids of region k's whole cells, and rows bounds[k] to bounds[k + 1]
@@ -66,7 +65,7 @@ class CellSplit:
         self._terms = (None, None)  # ((p0, a), CellTerms) of the latest affine exponent
         rings, flat = stack_rings(regions)
         offsets = np.cumsum([0] + [len(p.tris) for p in patches])
-        wholes, parts = [], []
+        wholes, parts, straddlers = [], [], []
         for i, patch in enumerate(patches):
             laters = [q.circle for q in patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
             live, inside = _patch_relation(patch.circle, laters, rings)
@@ -92,12 +91,12 @@ class CellSplit:
             cnt = start[block + 1] - start[block]  # the rows of each (region, triangle) pair
             src = np.arange(cnt.sum()) + np.repeat(start[block] - np.cumsum(cnt) + cnt, cnt)
             reg = np.repeat(reg, cnt)
-            clipped = ~inside[reg]  # a region holding the patch is not clipped
-            for sel_rows, own in ((clipped, rings.take(reg[clipped])), (~clipped, None)):
-                if sel_rows.any():
-                    *kept, sel = _visible_in_patch(patch, level, laters, table, src[sel_rows], own, flat,
-                                                   offsets[i])
-                    parts.append((*kept, reg[sel_rows][sel]))
+            own, free = rings.take(reg), inside[reg]  # a region holding the patch clips nothing
+            own = _RingRows(np.broadcast_to(own.c, (len(reg), 2)), np.where(free, -np.inf, own.r_in),
+                            np.where(free, np.inf, own.r_out))
+            pts, w, cid, straddle = _cut_rows(patch, level, laters, len(patches), table, src, own, flat)
+            parts.append((pts, w, offsets[i] + cid, reg))
+            straddlers.append(straddle)
         empty = (np.zeros(0, dtype=int),) * 2
         cells, reg = (np.concatenate(col) for col in zip(empty, *wholes))
         if len(regions) > 1:  # region by region, each in patch order
@@ -105,6 +104,15 @@ class CellSplit:
         self.whole_bounds = np.concatenate([[0], np.cumsum(np.bincount(reg, minlength=len(regions)))])
         empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         pts, w, cell, reg = (np.concatenate(col) for col in zip(empty, *parts))
+        if straddlers:  # every row that meets a boundary, its w NaN until now, in one call
+            polys, area, ins, outs = (np.concatenate(col) for col in zip(*straddlers))
+            planes = None
+            if flat is not None:  # a Rect: x >= x0, x <= x1, y >= y0, y <= y1
+                x0, x1, y0, y1 = flat.bbox()
+                planes = [(1.0, 0.0, x0), (-1.0, 0.0, -x1), (0.0, 1.0, y0), (0.0, -1.0, -y1)]
+            w[np.isnan(w)] = _geom.polygons_disks_area(polys, area, ins, outs, planes)
+        sel = w > 0
+        pts, w, cell, reg = pts[sel], w[sel], cell[sel], reg[sel]
         if len(regions) > 1:
             order = np.argsort(reg, kind="stable")
             pts, w, cell = pts[order], w[order], cell[order]
@@ -219,19 +227,12 @@ class _RingRows(NamedTuple):
             return self
         return _RingRows(self.c[idx], self.r_in[idx], self.r_out[idx])
 
-    def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Whether each point of row i of pts (n, ..., 2) lies in ring i, as
-        Disk.contains and Annulus.contains decide it."""
-        shape = (len(self.r_in),) + (1,) * (np.ndim(pts) - 2)
-        d = np.linalg.norm(pts - self.c.reshape(shape + (2,)), axis=-1)
-        return (d >= self.r_in.reshape(shape) - tol) & (d <= self.r_out.reshape(shape) + tol)
-
 
 def stack_rings(regions):
     """(_RingRows of the regions, the region without rings or None).
 
     A region without rings, None or a Rect, spans the plane; a Rect then
-    also filters its samples by Rect.contains, and must stand alone.
+    also clips the rows by its half-planes, and must stand alone.
     """
     plane = (np.zeros(2), -np.inf, np.inf)
     rings = [plane if r is None or r.rings is None else r.rings for r in regions]
@@ -264,10 +265,9 @@ def _patch_relation(circle: Disk, laters, rings: _RingRows):
     Not live: a disk region (r_inner = -inf) misses the circle, as
     _disks_meet decides ("outside"); or a later circle holds the region,
     either with the region's own centre and a radius no smaller, or with
-    _margin to spare ("hidden"). Then every point that the region's clip or
-    its Disk.contains admits is also in that circle, so no sample of the
-    patch survives. Inside: the circle lies in the region, so the exact clip
-    of every subcell is its own area.
+    _margin to spare ("hidden"). Then no row of the patch has an area there
+    (see _geom.polygons_disks_area). Inside: the circle lies in the region,
+    so the exact clip of every subcell is its own area.
     """
     c, r_in, r_out = rings
     d = _distances(c, circle.center)
@@ -285,11 +285,10 @@ def _region_relation(patch: CellPatch, rings: _RingRows):
     circle (barycentre, _reach) of each triangle lies in region k of rings,
     or meets it, each with _margin to spare.
 
-    Every sample of a held triangle keeps its full area under the exact
-    clip. Every sample and subcentroid of a triangle that does not meet the
-    region lies farther than rad + Disk.contains' 1e-12 outside it, so the
-    full scan drops each one (see _visible_in_patch). All regions and
-    triangles are tested in one broadcast.
+    Every sample of a held triangle keeps its full area under the row rule
+    of _cut_rows, and every sample of a triangle that does not meet the
+    region has its bounding circle outside it, so that rule drops each one.
+    All regions and triangles are tested in one broadcast.
     """
     tol = _margin(patch.circle, np.max(np.abs(rings.c), axis=1) + rings.r_out)[:, None]
     (bx, by), (cx, cy) = patch.barycenters.T, rings.c.T
@@ -303,7 +302,7 @@ def _later_relation(patch: CellPatch, laters):
     """(clear, hidden), per triangle: whether its bounding circle
     (barycentre, _reach) lies clear of every later circle, or inside one,
     with _margin to spare. The layering keeps every sample of a clear
-    triangle whole, and no sample of a hidden one (see _visible_in_patch)."""
+    triangle whole, and no sample of a hidden one (see _cut_rows)."""
     nt = len(patch.tris)
     clear, hidden = np.ones(nt, dtype=bool), np.zeros(nt, dtype=bool)
     reach, (bx, by) = patch._reach, patch.barycenters.T
@@ -316,82 +315,48 @@ def _later_relation(patch: CellPatch, laters):
     return clear, hidden
 
 
-def _visible_in_patch(patch: CellPatch, level: int, laters, table, src, rings, flat, offset):
-    """(pts, w, offset + cell_id, sel) of the samples src (rows, or a
-    slice) of table, a sample table of the patch (see _tri_samples), that
-    are visible below the later circles laters, those of the later patches
-    that meet its circle: the samples of the cut cells of a cell split (see
-    CellSplit). Each sample is
-    clipped to its row of the _RingRows rings, or not at all when rings is
-    None; flat, a region without rings, keeps only the samples it contains.
-    sel marks the samples of src returned."""
-    pts, w, cid, rad_sub = (x[src] for x in table[:4])
-    keep = np.ones(len(pts), dtype=bool)
-    near_later = np.zeros(len(pts), dtype=bool)
+def _cut_rows(patch: CellPatch, level: int, laters, slots: int, table, src, rings: _RingRows, flat):
+    """(pts, w, cell_id, straddle) of the rows src of table, a sample table
+    of the patch (see _tri_samples), of the cut cells of a cell split (see
+    CellSplit): each against its row of rings and against flat (a Rect or
+    None), under laters, the circles of the later patches that meet the
+    patch circle.
+
+    A row's bounding circle, of radius rad about its point, holds its
+    subcell, or its _bulge_box for an arc bulge. A row whose circle meets
+    no boundary keeps its area, or gets w = 0 when the circle lies outside
+    the region, in a ring's inner disk or in a later circle. Every other
+    row gets w = NaN, and straddle = (polygons, areas, ins, outs), the
+    arguments of _geom.polygons_disks_area but a Rect's half-planes: the
+    in-disks are the patch disk of a bulge and the ring's outer disk, the
+    out-disks (slots of them) its inner disk and the later disks, each
+    where its circle meets the row's.
+    """
+    pts, w, cid, rad = (x[src] for x in table[:4])
+    n = len(pts)
+    d = np.linalg.norm(pts - rings.c, axis=1)
+    keep, edge = (d <= rings.r_out + rad) & (d > rings.r_in - rad), np.zeros(n, dtype=bool)
+    if flat is not None:
+        (x, y), (x0, x1, y0, y1) = pts.T, flat.bbox()
+        keep &= (x + rad >= x0) & (x - rad <= x1) & (y + rad >= y0) & (y - rad <= y1)
+        edge = ~((x - rad >= x0) & (x + rad <= x1) & (y - rad >= y0) & (y + rad <= y1))
+    outer, inner, near = d > rings.r_out - rad, d <= rings.r_in + rad, []
     for lc in laters:
         dl = np.linalg.norm(pts - np.asarray(lc.center), axis=1)
-        near_later |= np.abs(dl - lc.radius) <= rad_sub
-        keep &= dl > lc.radius
-    keep |= near_later
-    if rings is not None:
-        keep, w = _clip_weights(patch, level, table, (pts, w, src, rad_sub), keep, rings, near_later)
-    if flat is not None:
-        keep &= near_later | flat.contains(pts)
-    # subcells meeting a later-patch boundary: refined indicator,
-    # consistent between the region and the layering
-    refine = np.flatnonzero(near_later & keep)
-    if len(refine):
-        w = w.copy()
-        corners = _subcell_corners(patch, level, table[0], table[2], np.arange(len(table[0]))[src][refine])
-        w[refine] = _refined_weights(corners, flat if rings is None else rings.take(refine), laters)
-    sel = keep & (w > 0)
-    return pts[sel], w[sel], cid[sel] + offset, sel
-
-
-def _clip_weights(patch: CellPatch, level: int, table, samples, keep, rings: _RingRows, skip):
-    """(keep, w) for the samples (pts, w, src, rad) of the patch, src their
-    rows of the sample table, each against its own row of rings: the outer
-    disk's clip minus the inner one's. Each clip drops the kept samples
-    whose subcells miss its disk and gives the straddlers their exact
-    clipped area, all in one call. Samples flagged in skip are kept and left
-    to the caller. w is a new array.
-    """
-    pts, w, src, rad_sub = samples
-    d = np.linalg.norm(pts - rings.c, axis=1)
-    clipped = []
-    for side in ("r_out", "r_in"):
-        radius = getattr(rings, side)
-        keep_r = keep & ((d <= radius + rad_sub) | skip)
-        straddle = np.flatnonzero(keep_r & (d > radius - rad_sub) & ~skip)
-        w_r = np.where(keep_r, w, 0.0)
-        if len(straddle):  # never at a disk's inner circle (r_inner = -inf): skip the fixed cost
-            corners = _subcell_corners(patch, level, table[0], table[2], src[straddle])
-            own = rings.take(straddle)
-            w_r[straddle] = _geom.polygons_disk_area(corners, own.c, getattr(own, side))
-        clipped.append((keep_r, w_r))
-    (keep_out, w_out), (_, w_in) = clipped
-    w = w_out - w_in
-    return keep_out & ((w > 0) | skip), w
-
-
-def _refined_weights(corners, region, laters, depth: int = 3) -> np.ndarray:
-    """Indicator-refined areas of subtriangles ∩ region minus later circles.
-
-    corners is (n, 3, 2). Each subtriangle is split 4**depth ways and keeps
-    the pieces whose centroid lies in the region and outside every later
-    circle; region.contains answers for the (n, 4**depth, 2) centroids, so
-    _RingRows gives subtriangle i its own ring. Degenerate arc samples get 0:
-    arc slivers at a later boundary are negligible by area.
-    """
-    cents, areas = tri_subcentroids(corners[:, 0], corners[:, 1], corners[:, 2], depth)
-    mask = np.ones(areas.shape, dtype=bool)
-    if region is not None:
-        mask &= region.contains(cents)
-    for lc in laters:
-        mask &= ~lc.contains(cents)
-    weights = mask.sum(axis=1) * areas[:, 0]
-    degenerate = np.isclose(corners[:, 0], corners[:, 1]).all(axis=1)
-    return np.where(degenerate, 0.0, weights)
+        near.append(np.abs(dl - lc.radius) <= rad)
+        keep &= near[-1] | (dl > lc.radius)
+    rows = np.flatnonzero(keep & (edge | outer | inner | np.any(near, axis=0)))
+    ins, outs = np.full((len(rows), 2, 3), np.nan), np.full((len(rows), slots, 3), np.nan)
+    for disks, slot, meet, radius in ((ins, 1, outer[rows], rings.r_out), (outs, 0, inner[rows], rings.r_in)):
+        disks[meet, slot] = np.column_stack([rings.c[rows][meet], radius[rows][meet]])
+    for k, (lc, nr) in enumerate(zip(laters, near), start=1):
+        outs[nr[rows], k] = (*lc.center, lc.radius)
+    bulge = src[rows] - np.searchsorted(table[2], cid[rows]) == 1 << 2 * level  # the slot after the subcells
+    ins[bulge, 0] = (*patch.circle.center, patch.circle.radius)
+    straddle = (_subcell_corners(patch, level, table[2], src[rows]), w[rows], ins, outs)
+    w = np.where(keep, w, 0.0)
+    w[rows] = np.nan
+    return pts, w, cid, straddle
 
 
 def _disks_meet(d1: Disk, d2: Disk) -> bool:
@@ -407,8 +372,8 @@ def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
     cell ids and the largest centroid-to-corner distance.
 
     Each triangle's subcells come in turn, followed, for a bulged arc cell,
-    by one sample at the arc midpoint carrying the bulge area (its corners
-    collapse onto that point, so its rad is 0). Every operation acts on one
+    by one sample at the arc midpoint carrying the bulge area, its rad
+    that of the bulge's _bulge_box (CellPatch._bulge_rad). Every operation acts on one
     triangle at a time, so a triangle's rows do not depend on t's others.
     Corners are not kept; _subcell_corners rebuilds them from a table whose
     t increases.
@@ -424,13 +389,14 @@ def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
     # turned by pi), so rad is the triangle's largest barycentre-to-corner
     # distance over 2^level; the subcells at the corners reach that distance
     # from the barycentre, and no subcell reaches farther
-    rad = np.where(np.arange(m + 1) < m, patch._far[t][:, None] / (1 << level), 0.0)
+    rad = np.where(np.arange(m + 1) < m, patch._far[t][:, None] / (1 << level), patch._bulge_rad[t][:, None])
     return pts, np.concatenate([areas, patch._arc_extra[t][:, None]], axis=1)[slot], cell_id, rad[slot]
 
 
-def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndarray:
-    """Corners (k, 3, 2) of the samples idx of a sample table (pts, cell_id)
-    of the patch (see _tri_samples)."""
+def _subcell_corners(patch: CellPatch, level: int, cell_id, idx) -> np.ndarray:
+    """Polygons (k, 4, 2) of the samples idx of a sample table of the patch
+    whose cell ids are cell_id (see _tri_samples): a subcell's three corners,
+    the last one twice, or an arc bulge's _bulge_box."""
     t = cell_id[idx]
     j = idx - np.searchsorted(cell_id, t)  # position within the triangle's block
     _, lattice = subdivision_lattice(level)
@@ -439,9 +405,11 @@ def _subcell_corners(patch: CellPatch, level: int, pts, cell_id, idx) -> np.ndar
     v0 = patch.verts[tri[:, 0]]
     e1 = patch.verts[tri[:, 1]] - v0
     e2 = patch.verts[tri[:, 2]] - v0
-    arc, own = (j == m)[:, None], pts[idx]
-    out = np.empty((len(idx), 3, 2))
+    out = np.empty((len(idx), 4, 2))
     for c in range(3):  # corner by corner keeps the temporaries (k, 2)
         ij = lattice[np.minimum(j, m - 1), c]
-        out[:, c] = np.where(arc, own, v0 + ij[:, :1] * e1 / n + ij[:, 1:] * e2 / n)
+        out[:, c] = v0 + ij[:, :1] * e1 / n + ij[:, 1:] * e2 / n
+    out[:, 3] = out[:, 2]
+    arc = j == m
+    out[arc] = patch._bulge_box[t[arc]]
     return out

@@ -61,6 +61,18 @@ def _require(obj: dict, key: str, path: str, typ=None):
     return val
 
 
+def _check_numbers(obj: dict, path: str, arrays=("radii", "off_point")):
+    """A SchemaError naming path.key unless each value of obj is a number,
+    or for a key in arrays nested lists of numbers of one shape."""
+    for key, val in obj.items():
+        try:
+            arr = np.asarray(val)
+        except ValueError:  # ragged lists
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "biuf" or (arr.ndim > 0 and key not in arrays):
+            raise SchemaError(f"{path}.{key}", f"expected {'numbers' if key in arrays else 'a number'}, got {val!r}")
+
+
 def _sanitize(obj):
     """Make report objects JSON-serialisable and deterministic."""
     if isinstance(obj, dict):
@@ -84,6 +96,8 @@ def load_scenario(path: str) -> dict:
         raise SchemaError(path, "scenario file not found")
     except json.JSONDecodeError as e:
         raise SchemaError(path, f"invalid JSON: {e}")
+    if not isinstance(sc, dict):
+        raise SchemaError("scenario", f"expected a JSON object, got {type(sc).__name__}")
     _require(sc, "name", "scenario", str)
     _require(sc, "seed", "scenario", int)
     pipeline = _require(sc, "pipeline", "scenario", str)
@@ -91,16 +105,17 @@ def load_scenario(path: str) -> dict:
         raise SchemaError("scenario.pipeline", f"must be one of {PIPELINES}")
     if pipeline != "counterexample":
         _require(sc, "exponent_field", "scenario", dict)
-    sc.setdefault("params", {})
-    sc.setdefault("tolerances", {})
+    for key in ("params", "tolerances"):
+        sc.setdefault(key, {})
+        _check_numbers(_require(sc, key, "scenario", dict), f"scenario.{key}")
     return sc
 
 
 def _field_from_scenario(sc: dict) -> ExponentField:
     try:
         return ExponentField.from_json(sc["exponent_field"])
-    except (KeyError, ToolkitError) as e:
-        raise SchemaError("scenario.exponent_field", str(e))
+    except (KeyError, TypeError, ValueError, ToolkitError) as e:  # parsing outside input
+        raise SchemaError("scenario.exponent_field", f"{type(e).__name__}: {e}")
 
 
 def _map_from_scenario(sc: dict, seed: int) -> DiscreteSbvMap:
@@ -112,15 +127,18 @@ def _map_from_scenario(sc: dict, seed: int) -> DiscreteSbvMap:
         except (OSError, ValueError, KeyError, TypeError) as e:  # unreadable, not JSON, or not a map
             raise SchemaError("scenario.map.file", f"no map in {spec['file']}: {type(e).__name__}: {e}")
     kind = _require(spec, "kind", "scenario.map", str)
-    params = dict(spec.get("params", {}))
+    spec.setdefault("params", {})
+    params = dict(_require(spec, "params", "scenario.map", dict))
+    _check_numbers({k: v for k, v in params.items() if k != "domain"}, "scenario.map.params", _MAP_ARRAYS)
     if "domain" in params:
         params["domain"] = Disk.from_json(params["domain"])
-    if "G" in params:
-        params["G"] = np.asarray(params["G"], dtype=float)
-    for key in ("u0", "c_in", "c_out", "loop_center"):
+    for key in _MAP_ARRAYS:
         if key in params:
             params[key] = np.asarray(params[key], dtype=float)
     return synthesize(kind, params, seed)
+
+
+_MAP_ARRAYS = ("G", "u0", "c_in", "c_out", "loop_center")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +443,14 @@ def build_corpus(spec_path: str, out_dir: str | None = None) -> int:
     try:
         with open(spec_path) as f:
             spec = json.load(f)
+        if not isinstance(spec, dict):
+            raise SchemaError("corpus", f"expected a JSON object, got {type(spec).__name__}")
         base_seed = _require(spec, "base_seed", "corpus", int)
         groups = _require(spec, "groups", "corpus", list)
+        for gi, grp in enumerate(groups):
+            if not isinstance(grp, dict):
+                raise SchemaError(f"corpus.groups[{gi}]", f"expected an object, got {type(grp).__name__}")
+            _check_numbers({"count": grp.get("count", 1)}, f"corpus.groups[{gi}]", ())
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2

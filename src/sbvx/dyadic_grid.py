@@ -102,8 +102,10 @@ class DyadicGrid:
             area_CT = _geom.polygon_area(self.envelopes[ti])
             strip = _geom.stadium_polygon(x, y, w)
             area_Q = _geom.polygon_area(strip)
-            inter = _geom.clip_convex_polygons(strip, _geom.convex_hull(tri_poly))
-            area_QT = _geom.polygon_area(inter) if len(inter) >= 3 else 0.0
+            hull = _geom.convex_hull(tri_poly)  # ccw: each edge keeps its left side
+            normal = (np.roll(hull, -1, axis=0) - hull)[:, ::-1] * [-1.0, 1.0]
+            edges = np.column_stack([normal, np.sum(normal * hull, axis=1)])
+            area_QT = _geom.polygon_area(_geom.clip_halfplanes(strip[None], edges)[0])
             ball = np.pi * (self.alpha * delta_v[t[0]]) ** 2
             cap_area = _geom.polygon_area(_geom.hull_of_disks(np.stack([x, y]), self.alpha * delta_v[t[:2]], narc=24))
             vals = [area_CT / area_Q, area_T / max(area_QT, 1e-12 * area_T), ball / area_T, cap_area / area_CT]

@@ -245,10 +245,34 @@ class CellPatch:
         return out
 
     @cached_property
+    def _bulge_box(self) -> np.ndarray:
+        """(nt, 4, 2): each bulged arc cell's rectangle on its chord, reaching
+        beyond it, away from the vertex off the chord, twice the bulge's
+        depth; the patch disk cuts the bulge from it exactly. Zeros for the
+        other cells."""
+        box, arc = np.zeros((len(self.tris), 4, 2)), np.flatnonzero(self._bulged)
+        a, b = self._chords[self._bulged[self.arc_cells]].transpose(1, 0, 2)
+        nrm = (b - a)[:, ::-1] * [1.0, -1.0] / np.linalg.norm(b - a, axis=1)[:, None]
+        apex = self.verts[self.tris[arc, 3 - self._arc_edges[arc].sum(axis=1)]]  # the vertex off the chord
+        nrm *= np.where(np.sum(nrm * (a - apex), axis=1) < 0, -1.0, 1.0)[:, None]
+        depth = 2 * (self.circle.radius - np.sum((a - np.asarray(self.circle.center)) * nrm, axis=1))
+        box[arc] = np.stack([a, b, b + depth[:, None] * nrm, a + depth[:, None] * nrm], axis=1)
+        return box
+
+    @cached_property
+    def _bulge_rad(self) -> np.ndarray:
+        """(nt,): the largest distance from each arc-midpoint sample to its
+        _bulge_box's corners; 0 for the cells without a bulge."""
+        rad, arc = np.zeros(len(self.tris)), self._bulged
+        rad[arc] = np.max(np.linalg.norm(self._bulge_box[arc] - self._arc_mid[arc, None], axis=2), axis=1)
+        return rad
+
+    @cached_property
     def _reach(self) -> np.ndarray:
         """(nt,): the radius about each barycentre of a circle holding the
-        triangle and, for a bulged arc cell, its arc-midpoint sample."""
-        mid = np.linalg.norm(self._arc_mid - self.barycenters, axis=1)
+        triangle and, for a bulged arc cell, the circle about its
+        arc-midpoint sample that holds its _bulge_box."""
+        mid = np.linalg.norm(self._arc_mid - self.barycenters, axis=1) + self._bulge_rad
         return np.where(self._bulged, np.maximum(self._far, mid), self._far)
 
     @cached_property

@@ -87,6 +87,12 @@ class ExponentField:
     def __post_init__(self):
         if self.kind not in ("constant", "closed_form", "grid"):
             raise ToolkitError(f"unknown exponent field kind {self.kind!r}")
+        pb = self.params.get("pullback")
+        if pb is not None:  # a constant or affine field rescales its own params instead
+            ok = isinstance(pb, (list, tuple)) and len(pb) == 3 and all(
+                isinstance(x, (int, float)) and math.isfinite(x) for x in pb) and pb[2] > 0
+            if not ok or self.kind == "constant" or self.params.get("form") == "affine":
+                raise ToolkitError(f"pullback must be [cx, cy, scale], finite, scale > 0, on a non-affine field: {pb!r}")
         if not (1.0 < self.p_minus <= self.p_plus):
             raise ToolkitError(
                 f"exponent bounds must satisfy 1 < p_minus <= p_plus, "
@@ -104,6 +110,9 @@ class ExponentField:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if "pullback" in self.params:  # p(y) = base(center + scale y)
+            cx, cy, scale = self.params["pullback"]
+            pts = np.array([cx, cy]) + scale * pts
         if self.kind == "constant":
             return np.full(len(pts), float(self.params["value"]))
         if self.kind == "closed_form":
@@ -126,35 +135,22 @@ class ExponentField:
     def rescaled(self, center, scale: float) -> "ExponentField":
         """Field y -> p(center + scale * y) on the pulled-back domain, the y
         with center + scale * y in p's domain. A constant or affine field
-        gives a plain field of its kind; the other forms an in-memory one."""
+        gives a plain field of its kind; the other fields keep their
+        parameters and compose the map into params["pullback"] = [cx, cy,
+        scale], which __call__ applies first."""
         c = np.asarray(center, dtype=float)
         domain = self.domain.pulled_back(c, scale)
-        if self.kind == "constant" and type(self) is ExponentField:
-            return ExponentField("constant", domain, self.p_minus, self.p_plus, dict(self.params))
-        if self.params.get("form") == "affine" and type(self) is ExponentField:
-            a = np.asarray(self.params["a"], dtype=float)
-            params = {**self.params, "p0": float(self.params["p0"] + a[0] * c[0] + a[1] * c[1]),
-                      "a": [float(scale * a[0]), float(scale * a[1])]}
-            return ExponentField("closed_form", domain, self.p_minus, self.p_plus, params)
-
-        base = self
-
-        class _Rescaled(ExponentField):
-            def __call__(self, pts):  # noqa: D401
-                pts = np.atleast_2d(np.asarray(pts, dtype=float))
-                return base(c + scale * pts)
-
-        obj = _Rescaled.__new__(_Rescaled)
-        object.__setattr__(obj, "kind", "closed_form")
-        object.__setattr__(obj, "domain", domain)
-        object.__setattr__(obj, "p_minus", self.p_minus)
-        object.__setattr__(obj, "p_plus", self.p_plus)
-        object.__setattr__(obj, "params", {"form": "rescaled"})
-        return obj
+        params = dict(self.params)
+        if params.get("form") == "affine":
+            a = np.asarray(params["a"], dtype=float)
+            params.update(p0=float(params["p0"] + a[0] * c[0] + a[1] * c[1]),
+                          a=[float(scale * a[0]), float(scale * a[1])])
+        elif self.kind != "constant":
+            cx, cy, s0 = params.get("pullback", (0.0, 0.0, 1.0))
+            params["pullback"] = [float(cx + s0 * c[0]), float(cy + s0 * c[1]), float(s0 * scale)]
+        return ExponentField(self.kind, domain, self.p_minus, self.p_plus, params)
 
     def to_json(self) -> dict:
-        if self.params.get("form") == "rescaled":
-            raise ToolkitError("rescaled exponent fields are in-memory only")
         params = dict(self.params)
         if "values" in params:
             params["values"] = np.asarray(params["values"]).tolist()

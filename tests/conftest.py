@@ -100,52 +100,51 @@ def full_scan_parts(u, region, level):
 
 
 def _full_scan_patch(patch, level, later_patches, region, offset):
+    """Every subcell and bulge of the patch on its own: dropped when its
+    bounding circle (its point, rad) lies outside the region, inside an
+    annulus' inner disk or inside a later circle; its full area when the
+    circle meets no boundary; else the exact area of its polygon (subcell,
+    or bulge box within the patch disk) in the region and outside the later
+    circles, each row with its own list of disks."""
+    from sbvx import _geom
+    from sbvx.cellsplit import _disks_meet, _subcell_corners, _tri_samples
     from sbvx.quadrature import Annulus
-    from sbvx.cellsplit import _disks_meet, _refined_weights, _subcell_corners, _tri_samples
 
-    pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
+    pts, w, cid, rad = _tri_samples(patch, level, np.arange(len(patch.tris)))
     laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
-    keep = np.ones(len(pts), dtype=bool)
-    near_later = np.zeros(len(pts), dtype=bool)
+    n = len(pts)
+    keep, edge, outer, inner = np.ones(n, dtype=bool), *np.zeros((3, n), dtype=bool)
+    planes = None
+    if isinstance(region, (Disk, Annulus)):
+        d = np.linalg.norm(pts - np.asarray(region.center), axis=1)
+        r_out = region.radius if isinstance(region, Disk) else region.r_outer
+        r_in = -np.inf if isinstance(region, Disk) else region.r_inner
+        keep, outer, inner = (d > r_in - rad) & (d <= r_out + rad), d > r_out - rad, d <= r_in + rad
+    elif region is not None:
+        (x, y), (x0, x1, y0, y1) = pts.T, (region.x0, region.x1, region.y0, region.y1)
+        keep = (x + rad >= x0) & (x - rad <= x1) & (y + rad >= y0) & (y - rad <= y1)
+        edge = ~((x - rad >= x0) & (x + rad <= x1) & (y - rad >= y0) & (y + rad <= y1))
+        planes = [(1.0, 0.0, x0), (-1.0, 0.0, -x1), (0.0, 1.0, y0), (0.0, -1.0, -y1)]
+    near = []
     for lc in laters:
         dl = np.linalg.norm(pts - np.asarray(lc.center), axis=1)
-        near_later |= np.abs(dl - lc.radius) <= rad_sub
-        keep &= dl > lc.radius
-    keep |= near_later
-    if isinstance(region, Disk):
-        keep, w = _full_scan_clip(patch, level, keep, region.center, region.radius, near_later)
-    elif isinstance(region, Annulus):
-        (keep_out, w_out), (keep_inn, w_inn) = (
-            _full_scan_clip(patch, level, keep, region.center, r, near_later)
-            for r in (region.r_outer, region.r_inner)
-        )
-        w = np.where(keep_out, w_out, 0.0) - np.where(keep_inn, w_inn, 0.0)
-        keep = keep_out & ((w > 0) | near_later)
-    elif region is not None:
-        keep &= near_later | region.contains(pts)
-    refine = near_later & keep
-    if np.any(refine):
-        w = w.copy()
-        w[refine] = _refined_weights(
-            _subcell_corners(patch, level, pts, cid, np.flatnonzero(refine)), region, laters
-        )
-    sel = keep & (w > 0)
+        near.append(np.abs(dl - lc.radius) <= rad)
+        keep &= near[-1] | (dl > lc.radius)
+    w = np.where(keep, w, 0.0)
+    bulge = np.arange(n) - np.searchsorted(cid, cid) == 1 << 2 * level  # the slot after the subcells
+    rows = np.flatnonzero(keep & (edge | outer | inner | np.any(near, axis=0)))
+    ins, outs = np.full((len(rows), 2, 3), np.nan), np.full((len(rows), 1 + len(laters), 3), np.nan)
+    for j, k in enumerate(rows):
+        disks = ([(*patch.circle.center, patch.circle.radius)] if bulge[k] else []) + (
+            [(*region.center, r_out)] if outer[k] else [])
+        ins[j, : len(disks)] = np.reshape(disks, (-1, 3))
+        disks = ([(*region.center, r_in)] if inner[k] else []) + [
+            (*lc.center, lc.radius) for lc, nr in zip(laters, near) if nr[k]]
+        outs[j, : len(disks)] = np.reshape(disks, (-1, 3))
+    # each row of the call is the row's own call (tests/test_geom.py)
+    w[rows] = _geom.polygons_disks_area(_subcell_corners(patch, level, cid, rows), w[rows], ins, outs, planes)
+    sel = w > 0
     return pts[sel], w[sel], cid[sel] + offset
-
-
-def _full_scan_clip(patch, level, keep, center, radius, skip):
-    from sbvx import _geom
-    from sbvx.cellsplit import _subcell_corners, _tri_samples
-
-    pts, w, cid, rad_sub = _tri_samples(patch, level, np.arange(len(patch.tris)))
-    c = np.asarray(center)
-    d = np.linalg.norm(pts - c, axis=1)
-    keep = keep & ((d <= radius + rad_sub) | skip)
-    straddle = np.flatnonzero(keep & (d > radius - rad_sub) & ~skip)
-    w = w.copy()
-    corners = _subcell_corners(patch, level, pts, cid, straddle)
-    w[straddle] = _geom.polygons_disk_area(corners, c, radius)
-    return keep, w
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,8 @@ def rad_and_reach_by_rebuild(patch, level, pts, cell_id):
     corners rebuilt on their own by _subcell_corners."""
     from sbvx.cellsplit import _subcell_corners
 
-    corners = _subcell_corners(patch, level, pts, cell_id, np.arange(len(pts)))
-    rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(3)], axis=0)
+    corners = _subcell_corners(patch, level, cell_id, np.arange(len(pts)))
+    rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(corners.shape[1])], axis=0)
     reach = np.maximum.reduceat(
         np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,
         np.searchsorted(cell_id, np.arange(len(patch.tris))),

@@ -89,6 +89,50 @@ def test_run_bad_map_file_exit_two(tmp_path, capsys, content):
     assert "schema error: scenario.map.file" in capsys.readouterr().err
 
 
+GOOD_COVER = {"name": "g", "seed": 7, "pipeline": "cover", "exponent_field": FIELD,
+              "map": {"kind": "affine", "params": {"G": [[0.4, 0.1], [0.0, 0.2]]}},
+              "params": {"s": 0.75, "eta": 0.05}}
+
+
+@pytest.mark.parametrize("scenario, path", [
+    (5, "scenario"),
+    ({**GOOD_COVER, "params": [1]}, "scenario.params"),
+    ({**GOOD_COVER, "params": {"s": "abc"}}, "scenario.params.s"),
+    ({**GOOD_COVER, "tolerances": 3}, "scenario.tolerances"),
+    ({**GOOD_COVER, "map": {"params": {"G": "x"}}}, "scenario.map.kind"),
+    ({**GOOD_COVER, "map": {"kind": "affine", "params": {"G": "x"}}}, "scenario.map.params.G"),
+    ({**GOOD_COVER, "map": {"kind": "affine", "params": {"k": "2"}}}, "scenario.map.params.k"),
+    ({**GOOD_COVER, "exponent_field": {**FIELD, "p_minus": "x"}}, "scenario.exponent_field"),
+], ids=["number", "params_list", "param_string", "tolerances_number", "map_without_kind", "map_G_string",
+        "map_k_string", "field_bound_string"])
+def test_malformed_scenario_exit_two(tmp_path, capsys, scenario, path):
+    """A malformed scenario is a schema violation that names the field's
+    path (exit 2), never a traceback; the good scenario it is made from
+    runs (exit 0)."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    assert run_scenario(str(bad), out_dir=str(tmp_path / "out")) == 2
+    assert f"schema error: {path}:" in capsys.readouterr().err
+
+
+def test_good_cover_scenario_exit_zero(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_COVER))
+    assert run_scenario(str(good), out_dir=str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("spec, path", [
+    (5, "corpus"),
+    ({"base_seed": 1, "groups": [3]}, "corpus.groups[0]"),
+    ({"base_seed": 1, "groups": [{"name": "a", "count": "x"}]}, "corpus.groups[0].count"),
+], ids=["number", "group_number", "count_string"])
+def test_malformed_corpus_spec_exit_two(tmp_path, capsys, spec, path):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(spec))
+    assert build_corpus(str(spath), str(tmp_path / "corp")) == 2
+    assert f"schema error: {path}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "pipeline,extra",
     [

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ def test_blowup_exponent_bounds_inherited(unit_disk, affine_field):
     vals = fr.p_h(pts)
     assert vals.min() >= affine_field.p_minus - 1e-12
     assert vals.max() <= affine_field.p_plus + 1e-12
+
+
+def test_blowup_exponent_round_trips_through_json(unit_disk):
+    """The p_h of a blow-up under a radial_log field is a plain field: it
+    serialises, and reads back with bitwise-equal values at 1000 points."""
+    p = ExponentField("closed_form", unit_disk, 1.3, 1.9,
+                      {"form": "radial_log", "p0": 1.4, "c": 0.2, "x0": [0.1, -0.2], "r_cap": 0.5})
+    u = synthesize("affine", {"G": np.eye(2)}, seed=1)
+    p_h = blowup(u, p, [0.15, -0.1], 0.3, 0.05).p_h
+    back = ExponentField.from_json(json.loads(json.dumps(p_h.to_json())))
+    pts = p_h.domain.sample(1000, np.random.default_rng(7))
+    assert back.params["pullback"] == p_h.params["pullback"]
+    assert np.array_equal(back(pts), p_h(pts))
 
 
 def test_rescaled_exponent_convergence(unit_disk, affine_field):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbvx import cellsplit, sbv2d
-from sbvx.quadrature import Annulus, Disk, tri_subcentroids
+from sbvx import _geom, cellsplit, sbv2d
+from sbvx.quadrature import Annulus, Disk, Rect, tri_subcentroids
 from sbvx.sbv2d import CellPatch, DiscreteSbvMap, dilate_map, fan_mesh, synthesize
 from sbvx.vexp import CellTerms, ExponentField, affine_coefficients, luxembourg_from_samples
 
@@ -165,15 +165,19 @@ def _region(u, kind, rng):
 
 
 def _whole_by_bounding_circle(u, region):
-    """Flat ids of the cells whose circle (barycentre, far) widened by 1e-9
-    of the domain radius lies in the region and outside every later patch
+    """Flat ids of the cells whose circle (barycentre, far), or for a
+    bulged arc cell the circle about the barycentre that holds its bulge's
+    circle (arc midpoint, farthest _bulge_box corner), widened by 1e-9 of
+    the domain radius lies in the region and outside every later patch
     circle: whole by any margin the split may take."""
     c, r_in, r_out = region.rings
     slack = 1e-9 * (u.domain.radius + np.max(np.abs(u.domain.center)))
     out, offset = [], 0
     for i, q in enumerate(u.patches):
         far = np.max(np.linalg.norm(q.verts[q.tris] - q.barycenters[:, None], axis=2), axis=1)
-        reach = np.where(q.arc_cells, np.maximum(far, np.linalg.norm(q._arc_mid - q.barycenters, axis=1)), far)
+        box = np.max(np.linalg.norm(q._bulge_box - q._arc_mid[:, None], axis=2), axis=1)
+        bulge = np.linalg.norm(q._arc_mid - q.barycenters, axis=1) + box
+        reach = np.where(q._bulged, np.maximum(far, bulge), far)
         reach = reach + slack
         d = np.linalg.norm(q.barycenters - c, axis=1)
         ok = (d + reach < r_out) & (d - reach > r_in)
@@ -227,7 +231,8 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
     table_cell = np.concatenate([b[2] + o for b, o in zip(blocks, offsets)])
     for got, want in ((scell[whole], table_cell), (spts[whole], table_pts), (sw[whole], table_w)):
         assert np.array_equal(got, want)
-    bulge = np.concatenate([b[3] for b in blocks]) == 0  # rad 0: the arc-midpoint row
+    # the arc-midpoint row: the slot after a triangle's 4^level subcells
+    bulge = np.concatenate([np.arange(len(b[2])) - np.searchsorted(b[2], b[2]) == 1 << 2 * level for b in blocks])
     order = np.argsort(cell[of_whole], kind="stable")
     assert np.array_equal(pts[of_whole][order], table_pts[bulge])
     assert np.array_equal(w[of_whole][order], table_w[bulge])
@@ -279,6 +284,82 @@ def test_constant_q_integral_of_an_affine_map_over_its_domain(factor, center, q)
     assert abs(got - want) <= 1e-12 * want
     bulk, _ = sbv2d.total_variation_parts(u, u.domain, 2)
     assert abs(bulk - np.linalg.norm(G) / factor * np.pi * u.domain.radius**2) <= 1e-12 * bulk
+
+
+@pytest.fixture(scope="module")
+def visible_maps(global_map):
+    """An affine map, its two-patch local_phi output (three disks and an
+    annulus of the stack meet in it) and a corpus map's global_approx
+    output."""
+    from sbvx import local_phi
+
+    affine = synthesize("affine", {}, seed=3)
+    _, phi, _ = local_phi(affine, ExponentField.constant(1.5, affine.domain), 0.05, seed=3,
+                          center=(0.1, 0.05), r=0.15)
+    assert len(phi.patches) == 2
+    return [affine, phi, global_map]
+
+
+def _lens(c1, r1, c2, r2):
+    """Closed-form area of the intersection of two disks."""
+    d = float(np.hypot(*np.subtract(c2, c1)))
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return np.pi * min(r1, r2) ** 2
+    a1 = np.arccos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
+    a2 = np.arccos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
+    return r1 * r1 * (a1 - np.sin(a1) * np.cos(a1)) + r2 * r2 * (a2 - np.sin(a2) * np.cos(a2))
+
+
+def _visible_region(u, kind, rng):
+    """(region, |region ∩ domain|): a random disk, annulus or Rect that the
+    domain circle may cross, or None, and its area in the domain in closed
+    form. The regions keep at least a fair share of their area in the
+    domain, where the closed forms are well conditioned."""
+    scale, c0, R = u.domain.radius, np.asarray(u.domain.center), u.domain.radius
+    if kind == "none":
+        return None, np.pi * R * R
+    if kind == "disk":
+        c, r = c0 + scale * rng.uniform(-0.9, 0.9, 2), scale * 10.0 ** rng.uniform(-3, 0)
+        return Disk(tuple(c), r), _lens(c0, R, c, r)
+    if kind == "annulus":
+        c, r_in = c0 + scale * rng.uniform(-0.5, 0.5, 2), scale * rng.uniform(0.0, 0.6)
+        r_out = r_in + scale * rng.uniform(0.01, 0.6)
+        return Annulus(tuple(c), r_in, r_out), _lens(c0, R, c, r_out) - _lens(c0, R, c, r_in)
+    c, half = c0 + scale * rng.uniform(-0.7, 0.7, 2), scale * rng.uniform(0.05, 0.6, 2)
+    (x0, y0), (x1, y1) = c - half, c + half
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    return Rect(x0, x1, y0, y1), _geom.polygon_disk_area(corners, u.domain.center, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from(["disk", "annulus", "rect", "none"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_split_measures_the_visible_region_exactly(visible_maps, which, log_factor, kind, level, seed):
+    """Over random disks, annuli, Rects and the domain, levels 1-3 and
+    dilations by 1e-3..1e3: the split's whole-cell triangle areas plus its
+    row weights are |region ∩ domain| to 1e-12, later patch circles, arc
+    bulges and Rect edges included; and on the affine map and its local_phi
+    output, where every cell has the gradient norm |G|, the integral of
+    |grad u|^q is |G|^q |region ∩ domain| to 1e-12."""
+    rng = np.random.default_rng(seed)
+    factor = 10.0**log_factor
+    u = dilate_map(visible_maps[which], factor, new_center=tuple(rng.uniform(-2, 2, 2)))
+    region, want = _visible_region(u, kind, rng)
+    split = u._split([region], level)
+    got = np.sum(split.area[split.whole]) + np.sum(split.w)
+    assert abs(got - want) <= 1e-12 * want
+    if which < 2:
+        g = u.base.gmag[0]
+        assert np.all(np.abs(split.gmag - g) <= 1e-14 * g)
+        for q in (1.0, 1.5, 2.5):
+            assert abs(u.gradient_q_integral(q, region, level) - g**q * want) <= 1e-12 * g**q * want
 
 
 def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, constant_field):

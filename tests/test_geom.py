@@ -328,11 +328,94 @@ def test_convex_hull_and_membership():
     assert inside.tolist() == [True, False]
 
 
-def test_clip_convex_polygons_square_overlap():
+def _halfplanes_of(poly):
+    """(k, 3) half-planes (ax, ay, b) of a ccw convex polygon: its inside."""
+    d = np.roll(poly, -1, axis=0) - poly
+    normal = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    return np.column_stack([normal, np.sum(normal * poly, axis=1)])
+
+
+def test_clip_halfplanes_square_overlap():
+    """The unit square clipped by the half-planes of its copy shifted by 0.5
+    keeps the overlap, area 0.25; in one batch, a half-plane holding the
+    square returns its vertices as they were, and one missing it leaves a
+    single point."""
     sq1 = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    sq2 = sq1 + 0.5
-    inter = _geom.clip_convex_polygons(sq1, sq2)
+    inter = _geom.clip_halfplanes(sq1[None], _halfplanes_of(sq1 + 0.5))[0]
     assert _geom.polygon_area(inter) == pytest.approx(0.25, abs=1e-12)
+    out = _geom.clip_halfplanes(np.stack([sq1, sq1]), np.array([[[1.0, 0.0, -1.0]], [[1.0, 0.0, 2.0]]]))
+    assert np.array_equal(out[0], sq1)
+    assert np.all(out[1] == out[1, 0]) and _geom.polygon_area(out[1]) == 0.0
+
+
+def _lens(c1, r1, c2, r2):
+    """Closed-form area of the intersection of two disks."""
+    d = float(np.hypot(*np.subtract(c2, c1)))
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return np.pi * min(r1, r2) ** 2
+    a1 = np.arccos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
+    a2 = np.arccos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
+    return r1 * r1 * (a1 - np.sin(a1) * np.cos(a1)) + r2 * r2 * (a2 - np.sin(a2) * np.cos(a2))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("c2, r2", [
+    ((0.9, 0.4), 0.7),  # a lens
+    ((0.0, 0.0), 0.5),  # concentric
+    ((0.0, 0.0), 1.0),  # identical
+    ((2.0, 0.0), 1.0),  # tangent from outside
+    ((0.5, 0.0), 0.5),  # tangent from inside
+    ((0.3, -0.2), 0.4),  # inside
+    ((3.0, 1.0), 0.5),  # apart
+], ids=["lens", "concentric", "identical", "outer_tangent", "inner_tangent", "inside", "apart"])
+def test_polygons_disks_area_closed_form_lenses(scale, c2, r2):
+    """A square holding two disks, cut by both, reads their lens; cut by the
+    first less the second, the first disk's area less the lens; less the
+    union of both, the square less the disks' union: each to 1e-12 of the
+    scale's area, at every scale."""
+    c1, r1 = np.array([0.2, -0.1]) * scale, 1.0 * scale
+    c2, r2 = np.asarray(c2) * scale + c1, r2 * scale
+    square = (np.array([[-5, -5], [5, -5], [5, 5], [-5, 5]]) * scale + c1)[None]
+    area = np.array([100.0 * scale**2])
+    d1, d2, none = np.array([[[*c1, r1]]]), np.array([[[*c2, r2]]]), np.zeros((1, 0, 3))
+    lens = _lens(c1, r1, c2, r2)
+    tol = 1e-12 * scale**2
+    assert abs(_geom.polygons_disks_area(square, area, np.concatenate([d1, d2], axis=1), none)[0] - lens) <= tol
+    assert abs(_geom.polygons_disks_area(square, area, d1, d2)[0] - (np.pi * r1 * r1 - lens)) <= tol
+    union = np.pi * (r1 * r1 + r2 * r2) - lens
+    assert abs(_geom.polygons_disks_area(square, area, none, np.concatenate([d1, d2], axis=1))[0]
+               - (area[0] - union)) <= tol
+
+
+def test_polygons_disks_area_rows_are_their_own_calls():
+    """Rows of mixed kinds in one call, padded with empty slots (NaN radius),
+    give each row the bits of its own call; a polygon against one disk gives
+    the bits of polygons_disk_area; an out-disk holding an in-disk gives
+    exactly 0; half-planes clip first."""
+    rng = np.random.default_rng(3)
+    n = 40
+    tris = rng.uniform(-1, 1, (n, 3, 2))
+    polys = np.concatenate([tris, tris[:, -1:]], axis=1)
+    area = _geom.triangle_areas(tris[:, 0], tris[:, 1], tris[:, 2])
+    disks = np.concatenate([rng.uniform(-0.5, 0.5, (n, 3, 2)), rng.uniform(0.2, 1.0, (n, 3, 1))], axis=2)
+    ins, outs = disks[:, :2].copy(), disks[:, 2:].copy()
+    ins[::3, 1, 2] = np.nan
+    ins[1::3, :, 2] = np.nan
+    outs[2::4, 0, 2] = np.nan
+    got = _geom.polygons_disks_area(polys, area, ins, outs)
+    for i in range(n):
+        one = _geom.polygons_disks_area(polys[i : i + 1], area[i : i + 1], ins[i : i + 1], outs[i : i + 1])
+        assert got[i] == one[0]
+    single = _geom.polygons_disks_area(polys, area, disks[:, :1], np.zeros((n, 0, 3)))
+    assert np.array_equal(single, _geom.polygons_disk_area(tris, disks[:, 0, :2], disks[:, 0, 2]))
+    held = _geom.polygons_disks_area(polys, area, disks[:, :1], disks[:, :1] * [1, 1, 1 + 1e-9])
+    assert np.all(held == 0.0)
+    planes = [(1.0, 0.0, 0.0)]  # x >= 0
+    half = _geom.polygons_disks_area(polys, area, np.zeros((n, 0, 3)), np.zeros((n, 0, 3)), planes)
+    right = _geom.clip_halfplanes(polys, planes)
+    assert np.allclose(half, [_geom.polygon_area(p) for p in right], rtol=1e-13, atol=0)
 
 
 def test_stadium_polygon_area():

@@ -899,8 +899,8 @@ def test_bulge_samples_lie_inside_their_circle(factor, center):
     at the circle itself keeps every bulge sample, far from the origin too."""
     u = dilate_map(synthesize("sphere-vortex-with-slit", {"budget": 0.05}, seed=2), factor, new_center=center)
     q = u.base
-    pts, _, _, rad = _table(q, 2)
-    bulge = rad == 0
+    pts, _, cid, _ = _table(q, 2)
+    bulge = np.arange(len(cid)) - np.searchsorted(cid, cid) == 16  # the slot after a triangle's 4^2 subcells
     assert bulge.sum() == q._bulged.sum() > 0
     assert np.all(q.circle.contains(pts[bulge], tol=0.0))
     ring = Annulus(q.circle.center, 0.5 * q.circle.radius, q.circle.radius)  # clips at the circle

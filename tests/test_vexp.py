@@ -574,12 +574,22 @@ def test_rescaled_constant_and_affine_fields_are_plain_fields(unit_disk, affine_
         assert back == q and np.array_equal(back(pts), q(pts))
 
 
-def test_rescaled_other_fields_stay_in_memory(unit_disk):
+def test_rescaled_other_fields_carry_a_pullback(unit_disk):
+    """Any other field rescales into a plain field of its kind and
+    parameters with params["pullback"] = [cx, cy, scale], rescaling twice
+    composes the pullbacks, and a malformed pullback, or one on an affine
+    field, is rejected."""
     ridge = ExponentField("closed_form", unit_disk, 1.3, 1.7,
                           {"form": "ridge_power", "p0": 1.3, "c": 0.4, "u": [0.6, 0.8], "beta": 1.0})
-    q = ridge.rescaled((0.2, 0.1), 0.5)
+    q = ridge.rescaled((0.25, 0.125), 0.5)
     pts = np.random.default_rng(5).uniform(-1, 1, (16, 2))
-    assert np.array_equal(q(pts), ridge(np.array([0.2, 0.1]) + 0.5 * pts))
+    assert type(q) is ExponentField and q.params == {**ridge.params, "pullback": [0.25, 0.125, 0.5]}
+    assert np.array_equal(q(pts), ridge(np.array([0.25, 0.125]) + 0.5 * pts))
     assert vexp.affine_coefficients(q) is None
+    assert q.rescaled((2.0, -4.0), 0.25).params["pullback"] == [1.25, -1.875, 0.125]
+    for bad in ([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, float("nan"), 1.0], "x"):
+        with pytest.raises(ToolkitError):
+            ExponentField("closed_form", unit_disk, 1.3, 1.7, {**ridge.params, "pullback": bad})
     with pytest.raises(ToolkitError):
-        q.to_json()
+        ExponentField("closed_form", unit_disk, 1.3, 1.7,
+                      {"form": "affine", "p0": 1.5, "a": [0.1, 0.0], "pullback": [0.0, 0.0, 1.0]})
