@@ -358,7 +358,8 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
     the lower slot (Aurenhammer, SIAM J. Comput. 16, 1987), each meeting
     one disk (polygons_disk_area). Each row adds its own terms in a fixed
     order, so it has the bits of its own call, and of polygons_disk_area
-    against one disk; it is exactly 0 when an out-disk holds an in-disk.
+    against one disk; it is exactly 0 when an out-disk holds an in-disk or
+    every vertex of the clipped polygon.
     """
     polys = np.asarray(polys, dtype=float)
     n = len(polys)
@@ -393,10 +394,12 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
             rows.append(r)
             terms.append((-1.0) ** len(member) * polygons_disk_area(piece, np.zeros(2), d[:, i, 2]))
     total = np.bincount(np.concatenate(rows), weights=np.concatenate(terms), minlength=n)  # in order, from 0.0
-    for i in range(ins.shape[1]):  # not the round-off of cancelling terms
-        for o in range(outs.shape[1]):
+    for o in range(outs.shape[1]):  # not the round-off of cancelling terms
+        for i in range(ins.shape[1]):
             gap = outs[:, o, :2] - ins[:, i, :2]
             total[np.hypot(gap[:, 0], gap[:, 1]) + ins[:, i, 2] <= outs[:, o, 2]] = 0.0
+        gap = polys + (origin - outs[:, o, None, :2])
+        total[np.all(np.hypot(gap[..., 0], gap[..., 1]) <= outs[:, o, None, 2], axis=1)] = 0.0
     return total
 
 

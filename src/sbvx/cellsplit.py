@@ -23,6 +23,9 @@ from .vexp import CellTerms, affine_coefficients, luxembourg_from_samples
 if TYPE_CHECKING:
     from .sbv2d import CellPatch
 
+LEVEL = 2  # every cut cell is sampled by its 4^LEVEL subcells
+BULGE_SLOT = 1 << 2 * LEVEL  # a bulged arc cell's row after its subcells
+
 
 class CellSplit:
     """Split of the visible cells of a patch stack over a stack of regions:
@@ -59,8 +62,8 @@ class CellSplit:
     CellTerms of its latest affine exponent.
     """
 
-    def __init__(self, patches, cell_data, regions, level: int):
-        self.patches, self.level = patches, level
+    def __init__(self, patches, cell_data, regions):
+        self.patches = patches
         self.gmag, self.area, self.corners = cell_data
         self._terms = (None, None)  # ((p0, a), CellTerms) of the latest affine exponent
         rings, flat = stack_rings(regions)
@@ -86,7 +89,7 @@ class CellSplit:
             if not len(t):
                 continue
             ids, block = np.unique(t, return_inverse=True)
-            table = _tri_samples(patch, level, ids)
+            table = _tri_samples(patch, ids)
             start = np.searchsorted(table[2], np.append(ids, len(patch.tris)))
             cnt = start[block + 1] - start[block]  # the rows of each (region, triangle) pair
             src = np.arange(cnt.sum()) + np.repeat(start[block] - np.cumsum(cnt) + cnt, cnt)
@@ -94,7 +97,7 @@ class CellSplit:
             own, free = rings.take(reg), inside[reg]  # a region holding the patch clips nothing
             own = _RingRows(np.broadcast_to(own.c, (len(reg), 2)), np.where(free, -np.inf, own.r_in),
                             np.where(free, np.inf, own.r_out))
-            pts, w, cid, straddle = _cut_rows(patch, level, laters, len(patches), table, src, own, flat)
+            pts, w, cid, straddle = _cut_rows(patch, laters, len(patches), table, src, own, flat)
             parts.append((pts, w, offsets[i] + cid, reg))
             straddlers.append(straddle)
         empty = (np.zeros(0, dtype=int),) * 2
@@ -143,8 +146,8 @@ class CellSplit:
             sel = (cells >= offsets[i]) & (cells < offsets[i + 1])
             if sel.any():
                 t = cells[sel] - offsets[i]
-                tpts, tw, tcell, _ = _tri_samples(patch, self.level, t)
-                rows = (1 << 2 * self.level) + patch._bulged[t]  # 4^level subcells and the bulge
+                tpts, tw, tcell, _ = _tri_samples(patch, t)
+                rows = BULGE_SLOT + patch._bulged[t]  # the subcells and the bulge
                 parts.append((tpts, tw, tcell + offsets[i], np.repeat(whole_reg[sel], rows)))
         pts, w, cell, reg = (np.concatenate(col) for col in zip(*parts))
         order = np.argsort(reg * nc + cell, kind="stable")
@@ -315,7 +318,7 @@ def _later_relation(patch: CellPatch, laters):
     return clear, hidden
 
 
-def _cut_rows(patch: CellPatch, level: int, laters, slots: int, table, src, rings: _RingRows, flat):
+def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows, flat):
     """(pts, w, cell_id, straddle) of the rows src of table, a sample table
     of the patch (see _tri_samples), of the cut cells of a cell split (see
     CellSplit): each against its row of rings and against flat (a Rect or
@@ -351,9 +354,9 @@ def _cut_rows(patch: CellPatch, level: int, laters, slots: int, table, src, ring
         disks[meet, slot] = np.column_stack([rings.c[rows][meet], radius[rows][meet]])
     for k, (lc, nr) in enumerate(zip(laters, near), start=1):
         outs[nr[rows], k] = (*lc.center, lc.radius)
-    bulge = src[rows] - np.searchsorted(table[2], cid[rows]) == 1 << 2 * level  # the slot after the subcells
+    bulge = src[rows] - np.searchsorted(table[2], cid[rows]) == BULGE_SLOT
     ins[bulge, 0] = (*patch.circle.center, patch.circle.radius)
-    straddle = (_subcell_corners(patch, level, table[2], src[rows]), w[rows], ins, outs)
+    straddle = (_subcell_corners(patch, table[2], src[rows]), w[rows], ins, outs)
     w = np.where(keep, w, 0.0)
     w[rows] = np.nan
     return pts, w, cid, straddle
@@ -366,7 +369,7 @@ def _disks_meet(d1: Disk, d2: Disk) -> bool:
     )
 
 
-def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
+def _tri_samples(patch: CellPatch, t: np.ndarray):
     """Subcell samples of the patch's triangles t, built in one broadcast: a
     sample table (pts, w, cell_id, rad) of subcell centroids, areas, owning
     cell ids and the largest centroid-to-corner distance.
@@ -379,28 +382,28 @@ def _tri_samples(patch: CellPatch, level: int, t: np.ndarray):
     t increases.
     """
     v = patch.corners[t]
-    cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], level)
+    cents, areas = tri_subcentroids(v[:, 0], v[:, 1], v[:, 2], LEVEL)
     m = cents.shape[1]
     slot = np.ones((len(t), m + 1), dtype=bool)
     slot[:, m] = patch._bulged[t]
     pts = np.concatenate([cents, patch._arc_mid[t][:, None, :]], axis=1)[slot]
     cell_id = np.repeat(np.asarray(t)[:, None], m + 1, axis=1)[slot]
-    # every subcell is its triangle scaled by 2^-level (an inverted one also
+    # every subcell is its triangle scaled by 2^-LEVEL (an inverted one also
     # turned by pi), so rad is the triangle's largest barycentre-to-corner
-    # distance over 2^level; the subcells at the corners reach that distance
+    # distance over 2^LEVEL; the subcells at the corners reach that distance
     # from the barycentre, and no subcell reaches farther
-    rad = np.where(np.arange(m + 1) < m, patch._far[t][:, None] / (1 << level), patch._bulge_rad[t][:, None])
+    rad = np.where(np.arange(m + 1) < m, patch._far[t][:, None] / (1 << LEVEL), patch._bulge_rad[t][:, None])
     return pts, np.concatenate([areas, patch._arc_extra[t][:, None]], axis=1)[slot], cell_id, rad[slot]
 
 
-def _subcell_corners(patch: CellPatch, level: int, cell_id, idx) -> np.ndarray:
+def _subcell_corners(patch: CellPatch, cell_id, idx) -> np.ndarray:
     """Polygons (k, 4, 2) of the samples idx of a sample table of the patch
     whose cell ids are cell_id (see _tri_samples): a subcell's three corners,
     the last one twice, or an arc bulge's _bulge_box."""
     t = cell_id[idx]
     j = idx - np.searchsorted(cell_id, t)  # position within the triangle's block
-    _, lattice = subdivision_lattice(level)
-    n, m = 1 << level, len(lattice)
+    _, lattice = subdivision_lattice(LEVEL)
+    n, m = 1 << LEVEL, len(lattice)
     tri = patch.tris[t]
     v0 = patch.verts[tri[:, 0]]
     e1 = patch.verts[tri[:, 1]] - v0

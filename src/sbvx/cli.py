@@ -33,7 +33,7 @@ from .retract import RetractionConfig, project_w
 from .sbv2d import DiscreteSbvMap, jump_length
 from .sobolev_approx import cover_jump, global_approx
 from .svgplot import draw_field, draw_map, draw_profile
-from .synth import synthesize
+from .synth import KINDS, synthesize
 from .vexp import ExponentField, modulars_and_norms
 
 PIPELINES = ("norms", "approximate", "cover", "retract", "energy-probe", "counterexample")
@@ -127,18 +127,37 @@ def _map_from_scenario(sc: dict, seed: int) -> DiscreteSbvMap:
         except (OSError, ValueError, KeyError, TypeError) as e:  # unreadable, not JSON, or not a map
             raise SchemaError("scenario.map.file", f"no map in {spec['file']}: {type(e).__name__}: {e}")
     kind = _require(spec, "kind", "scenario.map", str)
+    if kind not in KINDS:
+        raise SchemaError("scenario.map.kind", f"must be one of {KINDS}")
     spec.setdefault("params", {})
     params = dict(_require(spec, "params", "scenario.map", dict))
-    _check_numbers({k: v for k, v in params.items() if k != "domain"}, "scenario.map.params", _MAP_ARRAYS)
-    if "domain" in params:
-        params["domain"] = Disk.from_json(params["domain"])
-    for key in _MAP_ARRAYS:
+    path = "scenario.map.params"
+    _check_numbers({k: v for k, v in params.items() if k != "domain"}, path, tuple(_MAP_SHAPES))
+    for key in (key for key in _MAP_COUNTS if key in params):
+        if isinstance(params[key], bool) or not isinstance(params[key], int) or params[key] < 1:
+            raise SchemaError(f"{path}.{key}", f"expected a positive integer, got {params[key]!r}")
+    for key, shape in _MAP_SHAPES.items():
         if key in params:
             params[key] = np.asarray(params[key], dtype=float)
+            want = tuple(params.get("k", 2) if n == "k" else n for n in shape)
+            if params[key].shape != want:
+                raise SchemaError(f"{path}.{key}", f"expected shape {want}, got {params[key].shape}")
+    if kind == "piecewise-constant-with-arc-jump":
+        _require(params, "budget", path)
+    if "domain" in params:
+        dom = _require(params, "domain", path, dict)
+        center, radius = _require(dom, "center", f"{path}.domain"), _require(dom, "radius", f"{path}.domain")
+        _check_numbers({"center": center, "radius": radius}, f"{path}.domain", ("center",))
+        if np.shape(center) != (2,) or not radius > 0:
+            raise SchemaError(f"{path}.domain", f"expected a centre [x, y] and a radius > 0, got {dom!r}")
+        params["domain"] = Disk.from_json(dom)
     return synthesize(kind, params, seed)
 
 
-_MAP_ARRAYS = ("G", "u0", "c_in", "c_out", "loop_center")
+# the synthesizers' params that count something, and the shape of each array
+# param ("k": the map's dimension, param k, default 2)
+_MAP_COUNTS = ("k", "n_rings", "n_sides", "n_points", "jump_segments", "slit_segments")
+_MAP_SHAPES = {"G": ("k", 2), "u0": ("k",), "c_in": ("k",), "c_out": ("k",), "loop_center": (2,)}
 
 
 # ---------------------------------------------------------------------------

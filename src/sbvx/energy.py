@@ -35,6 +35,9 @@ __all__ = [
 
 CRIT_TAU = 0.1  # not-in-jump threshold on F/rho at the smallest radii
 CRIT_FLOOR = 0.5  # in-jump floor on F/rho
+N_CHECK = 256  # probe points outside the ball at which a competitor must agree with u
+N_CIRCLE = 512  # segments of the north-pole competitor's circle
+N_RADII = 6  # radii rho', rho'/2, ... of each density probe point
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,13 @@ class EnergyBreakdown:
         return self.bulk + self.jump
 
 
-def functional(u: DiscreteSbvMap, p, c: float, region, level: int = 2) -> EnergyBreakdown:
+def functional(u: DiscreteSbvMap, p, c: float, region) -> EnergyBreakdown:
     """F(u, c, region): p(x)-modular of the gradient plus c * jump length;
     the stack of one region (see functionals)."""
-    return functionals(u, p, c, [region], level)[0]
+    return functionals(u, p, c, [region])[0]
 
 
-def functionals(u: DiscreteSbvMap, p, c: float, regions, level: int = 2) -> list:
+def functionals(u: DiscreteSbvMap, p, c: float, regions) -> list:
     """F(u, c, region) of each region of a stack of disks and annuli (or of
     one region of any kind): the modulars from one sample decomposition
     (DiscreteSbvMap.modulars_of_gradient) and the jump lengths from one clip
@@ -66,7 +69,7 @@ def functionals(u: DiscreteSbvMap, p, c: float, regions, level: int = 2) -> list
     return [
         EnergyBreakdown(bulk=bulk, jump=c * length, region=region)
         for bulk, length, region in zip(
-            u.modulars_of_gradient(p, regions, level), u.jump.lengths_in(regions), regions
+            u.modulars_of_gradient(p, regions), u.jump.lengths_in(regions), regions
         )
     ]
 
@@ -78,21 +81,19 @@ def deviation(
     ball: Disk,
     competitors,
     t: float = 1.0,
-    level: int = 2,
-    n_check: int = 256,
     seed: int = 0,
 ) -> float:
     """Upper estimate of the deviation from minimality on the competitor class.
 
-    Every competitor must agree with u outside a compact subset of the ball
-    and take values of norm t. Returns max(0, F(u) - min F(v)); the true
-    deviation over all admissible SBV maps is bounded above by any such
-    class-restricted value.
+    Every competitor must agree with u outside a compact subset of the ball,
+    checked at N_CHECK seeded points, and take values of norm t. Returns
+    max(0, F(u) - min F(v)); the true deviation over all admissible SBV maps
+    is bounded above by any such class-restricted value.
     """
     rng = np.random.default_rng(seed)
     probe = []
-    for _ in range(100 * n_check):
-        if len(probe) >= n_check:
+    for _ in range(100 * N_CHECK):
+        if len(probe) >= N_CHECK:
             break
         x = u.domain.sample(1, rng)[0]
         if np.linalg.norm(x - np.asarray(ball.center)) > ball.radius + 1e-9:
@@ -100,7 +101,7 @@ def deviation(
     if not probe:
         raise ToolkitError("the ball leaves no room in the domain to verify competitors")
     probe = np.asarray(probe)
-    fu = functional(u, p, c, ball, level).total
+    fu = functional(u, p, c, ball).total
     best = np.inf
     for i, v in enumerate(competitors):
         diff = np.max(np.linalg.norm(u.value_at(probe) - v.value_at(probe), axis=1))
@@ -111,20 +112,18 @@ def deviation(
         norms = np.concatenate([np.linalg.norm(q.values, axis=1) for q in v.patches])
         if np.max(np.abs(norms - t)) > 1e-9:
             raise CompetitorError(f"competitor {i} violates |v| = {t}", index=i)
-        best = min(best, functional(v, p, c, ball, level).total)
+        best = min(best, functional(v, p, c, ball).total)
     if not np.isfinite(best):
         return 0.0
     return max(0.0, fu - best)
 
 
-def upper_bound_competitor(
-    u: DiscreteSbvMap, ball: Disk, rho_prime: float, n_circle: int = 512
-) -> DiscreteSbvMap:
+def upper_bound_competitor(u: DiscreteSbvMap, ball: Disk, rho_prime: float) -> DiscreteSbvMap:
     """Competitor replacing u by the constant north pole inside B_rho'.
 
-    Its jump inside the ball is contained in the circle of radius rho' plus
-    the part of J_u outside B_rho'; circle segments where the traces agree
-    are dropped.
+    Its jump inside the ball is contained in the circle of radius rho'
+    (N_CIRCLE segments) plus the part of J_u outside B_rho'; circle segments
+    where the traces agree are dropped.
     """
     if u.target.get("kind") != "sphere":
         raise ToolkitError("the north-pole competitor needs a sphere-valued map")
@@ -139,7 +138,7 @@ def upper_bound_competitor(
     grads = np.zeros((len(tris), k, 2))
     patch = CellPatch(verts, tris, values, grads, inner, arc)
 
-    th = 2 * np.pi * np.arange(n_circle + 1) / n_circle
+    th = 2 * np.pi * np.arange(N_CIRCLE + 1) / N_CIRCLE
     ring = np.asarray(ball.center) + rho_prime * np.stack([np.cos(th), np.sin(th)], axis=1)
     a_seg, b_seg = ring[:-1], ring[1:]
     mids = 0.5 * (a_seg + b_seg)
@@ -235,21 +234,13 @@ def blowup(u: DiscreteSbvMap, p, x_h, sigma_h: float, eps_h: float) -> BlowupFra
 # ---------------------------------------------------------------------------
 
 
-def jump_criterion_profile(
-    u: DiscreteSbvMap,
-    p,
-    x0,
-    radii,
-    level: int = 2,
-    tau_crit: float = CRIT_TAU,
-    floor: float = CRIT_FLOOR,
-):
+def jump_criterion_profile(u: DiscreteSbvMap, p, x0, radii):
     """Profile rho -> F(u, B_rho(x0))/rho and a three-way verdict.
 
-    not-in-jump: the profile sits below tau_crit at the smallest radius with
+    not-in-jump: the profile sits below CRIT_TAU at the smallest radius with
     the transition already underway at the next one, and decays with positive
     log-log slope (identically-zero tails pass outright). in-jump-candidate:
-    the profile stays at or above the floor without collapsing at the
+    the profile stays at or above CRIT_FLOOR without collapsing at the
     smallest radius (a chord through the centre keeps F/rho level; a
     near-miss decays there). Anything else is inconclusive.
     """
@@ -260,7 +251,7 @@ def jump_criterion_profile(
         raise ToolkitError("radii must be strictly decreasing")
     x0 = np.asarray(x0, dtype=float)
     disks = [Disk(tuple(x0), r) for r in radii]
-    prof = [(r, fb.total / r) for r, fb in zip(radii, functionals(u, p, 1.0, disks, level))]
+    prof = [(r, fb.total / r) for r, fb in zip(radii, functionals(u, p, 1.0, disks))]
     vals = np.array([v for _, v in prof])
     verdict = "inconclusive"
     slope = None
@@ -268,10 +259,10 @@ def jump_criterion_profile(
     if np.count_nonzero(pos) >= 2:
         lr = np.log([r for r, _ in prof])
         slope = float(np.polyfit(lr[pos], np.log(vals[pos]), 1)[0])
-    if vals[-1] < tau_crit and vals[-2] < floor:
+    if vals[-1] < CRIT_TAU and vals[-2] < CRIT_FLOOR:
         if np.all(vals[-2:] <= 1e-14) or (slope is not None and slope > 0):
             verdict = "not-in-jump"
-    elif np.all(vals >= floor) and vals[-1] >= 0.8 * vals.max():
+    elif np.all(vals >= CRIT_FLOOR) and vals[-1] >= 0.8 * vals.max():
         verdict = "in-jump-candidate"
     return prof, verdict, slope
 
@@ -288,15 +279,9 @@ class DensityProbeConfig:
             raise ToolkitError("probe parameters must be positive")
 
 
-def density_probe(
-    u: DiscreteSbvMap,
-    p,
-    probe: DensityProbeConfig,
-    sample_points,
-    n_radii: int = 6,
-    level: int = 2,
-) -> dict:
-    """Record F(u, B_rho(x))/rho at jump points and flag density violations.
+def density_probe(u: DiscreteSbvMap, p, probe: DensityProbeConfig, sample_points) -> dict:
+    """Record F(u, B_rho(x))/rho at jump points, over N_RADII halving radii
+    from rho', and flag density violations.
 
     Only balls inside the probed subdomain B_{rho - delta} of the domain
     B_rho are measured. Returns the per-point profiles, the flagged
@@ -304,14 +289,14 @@ def density_probe(
     theta_hat.
     """
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    radii = probe.rho_prime * 2.0 ** (-np.arange(n_radii, dtype=float))
+    radii = probe.rho_prime * 2.0 ** (-np.arange(N_RADII, dtype=float))
     balls = [
         (x, r)
         for x in sample_points
         for r in radii
         if np.linalg.norm(x - np.asarray(u.domain.center)) + r <= u.domain.radius - probe.delta
     ]
-    energies = functionals(u, p, 1.0, [Disk(tuple(x), r) for x, r in balls], level)
+    energies = functionals(u, p, 1.0, [Disk(tuple(x), r) for x, r in balls])
     rows = []
     theta_hat = np.inf
     violations = []

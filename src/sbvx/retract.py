@@ -131,7 +131,6 @@ def choose_shift(
     config: RetractionConfig,
     seed: int = 0,
     region=None,
-    level: int = 2,
 ):
     """Pick the shift a in B_sigma minimising the p(x)-modular of grad(P_a o w).
 
@@ -144,7 +143,7 @@ def choose_shift(
     before giving up. The chain rule is broadcast over SHIFT_BLOCK shifts at
     a time.
     """
-    values, grads, cell_id, pts, wq = w.cell_samples(region, level)
+    values, grads, cell_id, pts, wq = w.cell_samples(region)
     pv = p(pts)
     rng = np.random.default_rng(seed)
     for _round in range(5):
@@ -204,7 +203,6 @@ def project_w(
     config: RetractionConfig,
     seed: int = 0,
     region=None,
-    level: int = 2,
     force_shift=None,
 ):
     """Sphere-valued replacement (P_a|_S)^{-1} o P_a o w with a chosen shift.
@@ -224,7 +222,7 @@ def project_w(
         if not np.linalg.norm(a) < 1.0:
             raise ToolkitError(f"forced shift {a} must lie inside the unit sphere")
     else:
-        a, shift_rep = choose_shift(w, p, config, seed=seed, region=region, level=level)
+        a, shift_rep = choose_shift(w, p, config, seed=seed, region=region)
 
     sup_w = max(np.max([np.linalg.norm(q.values, axis=1).max() for q in w.patches]), 0.0)
     if sup_w > config.M_bound + 1e-9:
@@ -263,8 +261,8 @@ def project_w(
     target = {"kind": "sphere", "radius": 1.0} if region is None else w.target
     w_tilde = DiscreteSbvMap(w.domain, tuple(new_patches), jump, target)
 
-    modular_in = w.modular_of_gradient(p, region, level)
-    modular_out = w_tilde.modular_of_gradient(p, region, level)
+    modular_in = w.modular_of_gradient(p, region)
+    modular_out = w_tilde.modular_of_gradient(p, region)
     report = {
         "shift": a.tolist(),
         "modular_in": modular_in,

@@ -410,7 +410,7 @@ class DiscreteSbvMap:
     patches: tuple  # CellPatch stack; later entries override within their circle
     jump: JumpSet
     target: dict = field(default_factory=lambda: {"kind": "free"})
-    # (key, CellSplit) of the latest single (region, level); replace() starts it empty
+    # (region key, CellSplit) of the latest single region; replace() starts it empty
     _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -465,20 +465,20 @@ class DiscreteSbvMap:
 
     # -- quadrature ---------------------------------------------------------
 
-    def bulk_samples(self, region=None, level: int = 2):
+    def bulk_samples(self, region=None):
         """Bulk view of the sampled cell split (see CellSplit.samples): (pts,
         weights, gmag), gmag the gradient norm of each sample's cell.
 
         cell_samples is the per-cell view of the same samples. The map keeps
-        the split of its latest (region, level), and hands the same read-only
+        the split of its latest region, and hands the same read-only
         arrays to every sampled integral over that region. The gradient
         integrals under a constant or affine exponent read the split itself
         (see CellSplit.integrals).
         """
-        pts, w, _, g, _ = self._split([region], level).samples
+        pts, w, _, g, _ = self._split([region]).samples
         return pts, w, g
 
-    def cell_samples(self, region=None, level: int = 2):
+    def cell_samples(self, region=None):
         """Per-cell view of the sampled cell split.
 
         Returns (cell_values (nc,k), cell_grads (nc,k,2), sub_cell_id (m,),
@@ -486,34 +486,34 @@ class DiscreteSbvMap:
         patch stack, and bulk_samples' points and weights with the flat id of
         the cell each belongs to.
         """
-        pts, w, cell, _, _ = self._split([region], level).samples
+        pts, w, cell, _, _ = self._split([region]).samples
         values = np.concatenate([p.values for p in self.patches])
         grads = np.concatenate([p.grads for p in self.patches])
         return values, grads, cell, pts, w
 
-    def _split(self, regions, level: int) -> CellSplit:
+    def _split(self, regions) -> CellSplit:
         """The CellSplit of a stack of regions, memoised for one region."""
         if len(regions) != 1:
-            return CellSplit(self.patches, self._cells, regions, level)
-        key = (region_key(regions[0]), level)
-        if self._memo[0] != key:
-            object.__setattr__(self, "_memo", (key, CellSplit(self.patches, self._cells, regions, level)))
+            return CellSplit(self.patches, self._cells, regions)
+        key = region_key(regions[0])
+        if self._memo[1] is None or self._memo[0] != key:
+            object.__setattr__(self, "_memo", (key, CellSplit(self.patches, self._cells, regions)))
         return self._memo[1]
 
-    def modular_of_gradient(self, p, region=None, level: int = 2) -> float:
+    def modular_of_gradient(self, p, region=None) -> float:
         """Integral of |grad u|^{p(x)} over the region (see CellSplit.integrals)."""
-        return self._split([region], level).integrals(p)[0]
+        return self._split([region]).integrals(p)[0]
 
-    def modulars_of_gradient(self, p, regions, level: int = 2) -> list:
+    def modulars_of_gradient(self, p, regions) -> list:
         """modular_of_gradient of each region of a stack of disks and annuli,
         bitwise, from one split (see CellSplit.integrals)."""
-        return self._split(regions, level).integrals(p)
+        return self._split(regions).integrals(p)
 
-    def gradient_q_integral(self, q: float, region=None, level: int = 2) -> float:
+    def gradient_q_integral(self, q: float, region=None) -> float:
         """Integral of |grad u|^q over the region (see CellSplit.integrals)."""
-        return self._split([region], level).integrals(float(q))[0]
+        return self._split([region]).integrals(float(q))[0]
 
-    def gradient_luxembourg_norm(self, p, region=None, level: int = 2) -> float:
+    def gradient_luxembourg_norm(self, p, region=None) -> float:
         """Luxembourg norm of |grad u| over the region, p a number or an
         exponent field (see CellSplit.luxembourg_norm).
 
@@ -521,7 +521,7 @@ class DiscreteSbvMap:
         log lambda, stopped once its error bound on log lambda is at most
         ``vexp.NEWTON_TOL``.
         """
-        return self._split([region], level).luxembourg_norm(p)
+        return self._split([region]).luxembourg_norm(p)
 
     def to_json(self) -> dict:
         return {
@@ -606,14 +606,14 @@ def jump_length(u: DiscreteSbvMap, region) -> float:
     return u.jump.length_in(region)
 
 
-def total_variation_parts(u: DiscreteSbvMap, region, level: int = 2):
+def total_variation_parts(u: DiscreteSbvMap, region):
     """(bulk, jump) parts of |Du|(region).
 
     bulk integrates |grad u| (DiscreteSbvMap.gradient_q_integral with
     q = 1: exact on the whole cells, sampled on the cut ones); jump sums
     |u+ - u-| times exact clipped segment lengths.
     """
-    bulk = u.gradient_q_integral(1.0, region, level)
+    bulk = u.gradient_q_integral(1.0, region)
     jump = 0.0
     if len(u.jump) > 0:
         amp = np.linalg.norm(u.jump.trace_plus - u.jump.trace_minus, axis=1)
@@ -621,20 +621,20 @@ def total_variation_parts(u: DiscreteSbvMap, region, level: int = 2):
     return bulk, jump
 
 
-def bv_poincare_check(u: DiscreteSbvMap, convex_region, level: int = 3):
+def bv_poincare_check(u: DiscreteSbvMap, convex_region):
     """L^1 Poincare data on a convex region.
 
     Returns (lhs, ratio): lhs = ||u - mean||_L1(region); ratio = lhs over
     diam(region) * |Du|(region).
     """
-    pts, w, _ = u.bulk_samples(convex_region, level)
+    pts, w, _ = u.bulk_samples(convex_region)
     vals = u.value_at(pts)
     area = float(np.sum(w))
     if area <= 0:
         raise ToolkitError("region does not meet the map domain")
     mean = np.sum(w[:, None] * vals, axis=0) / area
     lhs = float(np.sum(w * np.linalg.norm(vals - mean, axis=1)))
-    bulk, jump = total_variation_parts(u, convex_region, level)
+    bulk, jump = total_variation_parts(u, convex_region)
     du = bulk + jump
     if du <= 0:
         spread = float(np.max(np.linalg.norm(vals - mean, axis=1)))

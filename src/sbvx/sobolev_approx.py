@@ -161,7 +161,6 @@ def local_phi(
     h_max: int = 5,
     radius_retries: int = 8,
     samples_per_vertex: int = 200,
-    quad_level: int = 2,
 ):
     """Local approximation inside B_2r: returns (R, phi_map, report).
 
@@ -178,12 +177,12 @@ def local_phi(
     )
 
     ball_R = Disk(tuple(center), R)
-    est, max_pow, gap = _measure(u, phi, p, ball_R, quad_level)
+    est, max_pow, gap = _measure(u, phi, p, ball_R)
     report = {"R": R, "center": center.tolist(), "eta": eta, **est}
     report["modular_bound_const"] = (
         est["modular_out"] / ((1 + R**2) * max_pow) if max_pow > 0 else 0.0
     )
-    bulk, jmp = total_variation_parts(u, ball_R, quad_level)
+    bulk, jmp = total_variation_parts(u, ball_R)
     du = bulk + jmp
     l1 = est["l1_distance"]
     report["l1_C_hat"] = l1 / (R * du) if du > 0 else (0.0 if l1 <= 1e-10 else np.inf)
@@ -262,7 +261,7 @@ def _replace_in_ball(
     return R, phi, jump_in_2r
 
 
-def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: int):
+def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk):
     """The estimates of a replacement w of u that the local and the global
     step both report, measured on ball.
 
@@ -274,14 +273,14 @@ def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk, quad_level: in
     """
     est = {}
     for q, tag in ((1.0, "q1"), (p.p_minus, "q_pminus")):
-        in_q = u.gradient_q_integral(q, ball, quad_level)
-        out_q = w.gradient_q_integral(q, ball, quad_level)
+        in_q = u.gradient_q_integral(q, ball)
+        out_q = w.gradient_q_integral(q, ball)
         est[f"grad_{tag}_in"] = in_q
         est[f"grad_{tag}_out"] = out_q
         est[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)
-    est["modular_in"] = u.modular_of_gradient(p, ball, quad_level)
-    est["modular_out"] = w.modular_of_gradient(p, ball, quad_level)
-    norm_in = est["grad_norm_in"] = u.gradient_luxembourg_norm(p, ball, quad_level)
+    est["modular_in"] = u.modular_of_gradient(p, ball)
+    est["modular_out"] = w.modular_of_gradient(p, ball)
+    norm_in = est["grad_norm_in"] = u.gradient_luxembourg_norm(p, ball)
     pts, wq = ball.rule(10, order=4)
     gap = value_gap(u, w, pts)
     est["l1_distance"] = float(np.sum(wq * gap))
@@ -489,7 +488,6 @@ def global_approx(
     eta: float,
     seed: int = 0,
     h_max: int = 5,
-    quad_level: int = 2,
 ) -> ApproxReport:
     """Remove the jump of u inside B_{s rho} by iterated local replacement.
 
@@ -549,7 +547,7 @@ def global_approx(
     probe = _sample_outside(u.domain, family, rng, 512) if len(family) else np.zeros((0, 2))
     est["outside_identity_max_error"] = float(np.max(value_gap(u, w, probe), initial=0.0))
 
-    measured, max_pow, _ = _measure(u, w, p, ball_rho, quad_level)
+    measured, max_pow, _ = _measure(u, w, p, ball_rho)
     est.update(measured)
     est["modular_bound_const_var"] = (
         est["modular_out"] / ((1 + rho**2) * max_pow) if max_pow > 0 else 0.0
@@ -575,12 +573,10 @@ def _sample_outside(domain: Disk, family: BallFamily, rng, n: int) -> np.ndarray
     Trials draw a radius and then an angle, and stop at the n-th point kept
     or after 20 n trials. A point is kept when it lies farther than
     1e-9 of the domain radius outside every ball. Trials are drawn in chunks
-    of 2 n until n points are kept or 20 n are tried, and the generator draws
-    the same stream in chunks as in one call; it is then rewound and redraws
-    only the trials up to the stop, so it ends where one trial at a time
-    would leave it.
+    of 2 n, and the generator draws the same stream in chunks as in one
+    call, so the points are those of one trial at a time; the generator
+    ends past the last chunk.
     """
-    state = rng.bit_generator.state
     c = np.asarray(domain.center)
     reach = family.radii + 1e-9 * domain.radius
     pts, tried, n_kept = [], 0, 0
@@ -593,9 +589,7 @@ def _sample_outside(domain: Disk, family: BallFamily, rng, n: int) -> np.ndarray
         kept = np.flatnonzero(np.all(dist > reach, axis=1))[: n - n_kept]
         pts.append(x[kept])
         n_kept += len(kept)
-        tried += len(x) if n_kept < n else int(kept[-1]) + 1
-    rng.bit_generator.state = state
-    rng.random(2 * tried)
+        tried += len(x)
     return np.concatenate(pts) if pts else np.zeros((0, 2))
 
 

@@ -1,5 +1,5 @@
-"""Tiny deterministic SVG writer for grids, jump sets, ball covers, and
-profile curves. No timestamps, no generated ids: byte-identical output for
+"""Tiny deterministic SVG writer for jump sets, ball covers, profile curves
+and exponent fields. No timestamps, no generated ids: byte-identical output for
 identical input."""
 from __future__ import annotations
 
@@ -51,13 +51,6 @@ class SvgCanvas:
             f'stroke-width="{width}" opacity="{opacity}"/>'
         )
 
-    def polygon(self, pts, stroke="#000000", fill="none", width=1.0, opacity=1.0):
-        s = " ".join("%.2f,%.2f" % self._px(p) for p in pts)
-        self.elems.append(
-            f'<polygon points="{s}" stroke="{stroke}" fill="{fill}" '
-            f'stroke-width="{width}" opacity="{opacity}"/>'
-        )
-
     def rects(self, lo, hi, fills, opacity=1.0):
         """One rectangle [lo_i, hi_i] of fill fills[i] per row of the (n, 2)
         arrays lo and hi, converted to pixels as arrays and formatted in one pass."""
@@ -91,17 +84,15 @@ class SvgCanvas:
             f.write(self.tostring())
 
 
-def draw_map(u, adapted=None, family=None, path=None, size: int = 640):
-    """Domain, jump set (trace-side colouring), optional grid and ball cover."""
+def draw_map(u, family=None, path=None, size: int = 640):
+    """Domain, patch circles, jump set (trace-side colouring) and optional
+    ball cover."""
     c = np.asarray(u.domain.center)
     R = u.domain.radius
     cv = SvgCanvas(size, (c[0] - 1.1 * R, c[0] + 1.1 * R, c[1] - 1.1 * R, c[1] + 1.1 * R))
     cv.circle(c, R, stroke="#222222", width=1.5)
     for patch in u.patches[1:]:
         cv.circle(patch.circle.center, patch.circle.radius, stroke="#2ca02c", width=0.8, opacity=0.7)
-    if adapted is not None:
-        for t in adapted.tris:
-            cv.polygon(adapted.verts[t], stroke="#bbbbbb", width=0.4)
     if family is not None and len(family) > 0:
         for x, r, f in zip(family.centers, family.radii, family.family_index):
             cv.circle(x, r, stroke=FAMILY_COLORS[(f - 1) % len(FAMILY_COLORS)], width=1.2)
@@ -120,13 +111,10 @@ def draw_map(u, adapted=None, family=None, path=None, size: int = 640):
     return cv
 
 
-def draw_profile(rows, path=None, size: int = 640, logy: bool = False):
+def draw_profile(rows, path=None, size: int = 640):
     """Polyline chart of (x, y) rows, e.g. (rho, F/rho) or (R, margin)."""
-    rows = [(float(x), float(y)) for x, y in rows]
-    xs = [x for x, _ in rows]
-    ys = [max(y, 1e-300) for _, y in rows]
-    if logy:
-        ys = list(np.log10(ys))
+    xs = [float(x) for x, _ in rows]
+    ys = [float(y) for _, y in rows]
     pad_x = 0.05 * (max(xs) - min(xs) + 1e-12)
     pad_y = 0.05 * (max(ys) - min(ys) + 1e-12)
     cv = SvgCanvas(size, (min(xs) - pad_x, max(xs) + pad_x, min(ys) - pad_y, max(ys) + pad_y))

@@ -10,6 +10,10 @@ from .sbv2d import CellPatch, DiscreteSbvMap, JumpSet
 
 __all__ = ["synthesize", "fan_mesh", "delaunay_disk_mesh", "two_constant_map"]
 
+N_BOUNDARY = 48  # boundary-ring vertices of a Delaunay disk mesh
+KINDS = ("affine", "piecewise-constant-with-arc-jump", "sphere-vortex-with-slit",
+         "random-cells-with-random-polyline")
+
 
 def fan_mesh(disk: Disk, n_rings: int = 10):
     """Structured spiderweb mesh of a disk: ring j has 6j vertices.
@@ -63,8 +67,9 @@ def fan_mesh(disk: Disk, n_rings: int = 10):
     return verts, tris, arc_cells
 
 
-def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_boundary: int = 48):
-    """Delaunay mesh of seeded random interior points plus a boundary ring."""
+def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator):
+    """Delaunay mesh of seeded random interior points plus a boundary ring
+    of N_BOUNDARY vertices."""
     from scipy.spatial import Delaunay  # loaded on first use: only random-cells maps need it
 
     c = np.asarray(disk.center, dtype=float)
@@ -72,7 +77,7 @@ def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_
     r = R * np.sqrt(rng.random(n_interior)) * 0.97
     t = 2 * np.pi * rng.random(n_interior)
     interior = c + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    th = 2 * np.pi * np.arange(n_boundary) / n_boundary
+    th = 2 * np.pi * np.arange(N_BOUNDARY) / N_BOUNDARY
     boundary = c + R * np.stack([np.cos(th), np.sin(th)], axis=1)
     verts = np.concatenate([interior, boundary])
     tris = Delaunay(verts).simplices
@@ -82,11 +87,8 @@ def delaunay_disk_mesh(disk: Disk, n_interior: int, rng: np.random.Generator, n_
 
 
 def synthesize(kind: str, params: dict, seed: int) -> DiscreteSbvMap:
-    """Deterministic test-map generator.
-
-    kinds: affine | piecewise-constant-with-arc-jump | sphere-vortex-with-slit
-    | random-cells-with-random-polyline. The reported jump length matches the
-    requested budget to well under 1%.
+    """Deterministic test-map generator of one of KINDS. The reported jump
+    length matches the requested budget to well under 1%.
     """
     rng = np.random.default_rng(seed)
     domain = params.get("domain", Disk((0.0, 0.0), 1.0))

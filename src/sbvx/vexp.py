@@ -49,6 +49,7 @@ CLOSED_FORMS = ("affine", "radial_log", "radial_power", "ridge_power")
 
 NEWTON_TOL = 1e-16  # bound on the error in log lambda after the last Newton step
 NEWTON_MAX_ITER = 100
+STRONG_RATIO = 0.8  # decay per scale of a strong log-Hoelder profile
 
 
 def _eval_closed_form(form: str, params: dict, pts: np.ndarray) -> np.ndarray:
@@ -562,7 +563,6 @@ def log_holder_diagnose(
     sample_budget: int = 100_000,
     scales=None,
     seed: int = 0,
-    strong_ratio: float = 0.8,
 ) -> LogHolderReport:
     """Estimate the log-Hoelder constant, the ball constant, and the strong
     profile of an exponent field by seeded sampling.
@@ -571,7 +571,7 @@ def log_holder_diagnose(
     0 < |x-y| <= 1/2; ell is the max over sampled balls B of
     |B|^(p_B^- - p_B^+). The strong profile lists omega(rho) * log(1/rho)
     at the requested scales; the field is flagged strong when the profile
-    decays by the configured ratio at the three smallest scales.
+    decays by STRONG_RATIO at each of the three smallest scales.
     """
     if sample_budget <= 0:
         raise ToolkitError("sample budget must be positive")
@@ -626,7 +626,7 @@ def log_holder_diagnose(
     is_strong = True
     if len(vals) >= 4:
         for j in range(len(vals) - 3, len(vals)):
-            if not (vals[j] <= strong_ratio * vals[j - 1] + 1e-12):
+            if not (vals[j] <= STRONG_RATIO * vals[j - 1] + 1e-12):
                 is_strong = False
                 break
     return LogHolderReport(

@@ -83,7 +83,7 @@ def full_scan():
     return full_scan_parts
 
 
-def full_scan_parts(u, region, level):
+def full_scan_parts(u, region):
     """Per patch, the (pts, w, cell) the full scan keeps: every patch that a
     disk region meets (any patch for other regions) scanned subcell by
     subcell, with the region kept as it is. cell is flat in the stack."""
@@ -92,14 +92,14 @@ def full_scan_parts(u, region, level):
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
     empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
     return [
-        _full_scan_patch(patch, level, u.patches[i + 1 :], region, offsets[i])
+        _full_scan_patch(patch, u.patches[i + 1 :], region, offsets[i])
         if not isinstance(region, Disk) or _disks_meet(patch.circle, region)
         else empty
         for i, patch in enumerate(u.patches)
     ]
 
 
-def _full_scan_patch(patch, level, later_patches, region, offset):
+def _full_scan_patch(patch, later_patches, region, offset):
     """Every subcell and bulge of the patch on its own: dropped when its
     bounding circle (its point, rad) lies outside the region, inside an
     annulus' inner disk or inside a later circle; its full area when the
@@ -107,10 +107,10 @@ def _full_scan_patch(patch, level, later_patches, region, offset):
     or bulge box within the patch disk) in the region and outside the later
     circles, each row with its own list of disks."""
     from sbvx import _geom
-    from sbvx.cellsplit import _disks_meet, _subcell_corners, _tri_samples
+    from sbvx.cellsplit import BULGE_SLOT, _disks_meet, _subcell_corners, _tri_samples
     from sbvx.quadrature import Annulus
 
-    pts, w, cid, rad = _tri_samples(patch, level, np.arange(len(patch.tris)))
+    pts, w, cid, rad = _tri_samples(patch, np.arange(len(patch.tris)))
     laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
     n = len(pts)
     keep, edge, outer, inner = np.ones(n, dtype=bool), *np.zeros((3, n), dtype=bool)
@@ -131,7 +131,7 @@ def _full_scan_patch(patch, level, later_patches, region, offset):
         near.append(np.abs(dl - lc.radius) <= rad)
         keep &= near[-1] | (dl > lc.radius)
     w = np.where(keep, w, 0.0)
-    bulge = np.arange(n) - np.searchsorted(cid, cid) == 1 << 2 * level  # the slot after the subcells
+    bulge = np.arange(n) - np.searchsorted(cid, cid) == BULGE_SLOT
     rows = np.flatnonzero(keep & (edge | outer | inner | np.any(near, axis=0)))
     ins, outs = np.full((len(rows), 2, 3), np.nan), np.full((len(rows), 1 + len(laters), 3), np.nan)
     for j, k in enumerate(rows):
@@ -142,7 +142,7 @@ def _full_scan_patch(patch, level, later_patches, region, offset):
             (*lc.center, lc.radius) for lc, nr in zip(laters, near) if nr[k]]
         outs[j, : len(disks)] = np.reshape(disks, (-1, 3))
     # each row of the call is the row's own call (tests/test_geom.py)
-    w[rows] = _geom.polygons_disks_area(_subcell_corners(patch, level, cid, rows), w[rows], ins, outs, planes)
+    w[rows] = _geom.polygons_disks_area(_subcell_corners(patch, cid, rows), w[rows], ins, outs, planes)
     sel = w > 0
     return pts[sel], w[sel], cid[sel] + offset
 
@@ -158,12 +158,12 @@ def rad_by_rebuild():
     return rad_and_reach_by_rebuild
 
 
-def rad_and_reach_by_rebuild(patch, level, pts, cell_id):
+def rad_and_reach_by_rebuild(patch, pts, cell_id):
     """(rad, reach) of the patch samples (pts, cell_id), each sample's
     corners rebuilt on their own by _subcell_corners."""
     from sbvx.cellsplit import _subcell_corners
 
-    corners = _subcell_corners(patch, level, cell_id, np.arange(len(pts)))
+    corners = _subcell_corners(patch, cell_id, np.arange(len(pts)))
     rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(corners.shape[1])], axis=0)
     reach = np.maximum.reduceat(
         np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,

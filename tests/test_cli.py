@@ -102,9 +102,19 @@ GOOD_COVER = {"name": "g", "seed": 7, "pipeline": "cover", "exponent_field": FIE
     ({**GOOD_COVER, "map": {"params": {"G": "x"}}}, "scenario.map.kind"),
     ({**GOOD_COVER, "map": {"kind": "affine", "params": {"G": "x"}}}, "scenario.map.params.G"),
     ({**GOOD_COVER, "map": {"kind": "affine", "params": {"k": "2"}}}, "scenario.map.params.k"),
+    ({**GOOD_COVER, "map": {"kind": "random-cells-with-random-polyline", "params": {"budget": 0.01, "k": 2.5}}},
+     "scenario.map.params.k"),
+    ({**GOOD_COVER, "map": {"kind": "affine", "params": {"n_rings": 2.5}}}, "scenario.map.params.n_rings"),
+    ({**GOOD_COVER, "map": {"kind": "piecewise-constant-with-arc-jump", "params": {"k": 2}}},
+     "scenario.map.params.budget"),
+    ({**GOOD_COVER, "map": {"kind": "affine", "params": {"domain": {"center": [0.0, 0.0]}}}},
+     "scenario.map.params.domain.radius"),
+    ({**GOOD_COVER, "map": {"kind": "affine", "params": {"G": [1.0, 2.0]}}}, "scenario.map.params.G"),
+    ({**GOOD_COVER, "map": {"kind": "spiral", "params": {}}}, "scenario.map.kind"),
     ({**GOOD_COVER, "exponent_field": {**FIELD, "p_minus": "x"}}, "scenario.exponent_field"),
 ], ids=["number", "params_list", "param_string", "tolerances_number", "map_without_kind", "map_G_string",
-        "map_k_string", "field_bound_string"])
+        "map_k_string", "map_k_fraction", "map_n_rings_fraction", "map_without_budget", "domain_without_radius",
+        "map_G_vector", "map_unknown_kind", "field_bound_string"])
 def test_malformed_scenario_exit_two(tmp_path, capsys, scenario, path):
     """A malformed scenario is a schema violation that names the field's
     path (exit 2), never a traceback; the good scenario it is made from

@@ -50,8 +50,8 @@ def test_functional_monotone_in_radius(unit_disk, affine_field):
         kind = ("random-cells-with-random-polyline", "sphere-vortex-with-slit")[seed % 2]
         u = synthesize(kind, {"budget": 0.1, "k": 2}, seed=seed)
         r1, r2 = sorted(rng.uniform(0.2, 0.95, 2))
-        f1 = functional(u, affine_field, 1.0, Disk((0, 0), r1), level=1)
-        f2 = functional(u, affine_field, 1.0, Disk((0, 0), r2), level=1)
+        f1 = functional(u, affine_field, 1.0, Disk((0, 0), r1))
+        f2 = functional(u, affine_field, 1.0, Disk((0, 0), r2))
         assert f1.total <= f2.total + 1e-12
 
 

@@ -194,11 +194,9 @@ def _whole_by_bounding_circle(u, region):
     st.integers(min_value=0, max_value=5),
     st.floats(min_value=-3.0, max_value=3.0),
     st.sampled_from(["disk", "annulus", "circle", "ring", "domain"]),
-    st.integers(min_value=1, max_value=2),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_field, which, log_factor, kind,
-                                                           level, seed):
+def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_field, which, log_factor, kind, seed):
     """On random patch stacks, disks, annuli and dilations by 1e-3..1e3:
 
     - bulk_samples keeps, bitwise and in order, the split's rows of the cells
@@ -216,23 +214,24 @@ def test_split_is_the_decomposition_with_whole_cells_exact(split_maps, affine_fi
     u = dilate_map(split_maps[which], factor, new_center=tuple(new_center))
     p = affine_field.rescaled(-new_center / factor, 1 / factor)
     region = _region(u, kind, rng)
-    split = u._split([region], level)
+    split = u._split([region])
     cells, pts, w, cell = split.whole, split.pts, split.w, split.cell
-    spts, sw, _ = u.bulk_samples(region, level)
-    scell = u.cell_samples(region, level)[2]
+    spts, sw, _ = u.bulk_samples(region)
+    scell = u.cell_samples(region)[2]
     whole, of_whole = np.isin(scell, cells), np.isin(cell, cells)
     for got, want in ((cell, scell), (pts, spts), (w, sw)):
         assert np.array_equal(got[~of_whole], want[~whole])
     gmag, area, corners = u._cells
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
-    blocks = [cellsplit._tri_samples(q, level, cells[(cells >= o) & (cells < o + len(q.tris))] - o)
+    blocks = [cellsplit._tri_samples(q, cells[(cells >= o) & (cells < o + len(q.tris))] - o)
               for q, o in zip(u.patches, offsets)]
     table_pts, table_w = (np.concatenate([b[j] for b in blocks]) for j in (0, 1))
     table_cell = np.concatenate([b[2] + o for b, o in zip(blocks, offsets)])
     for got, want in ((scell[whole], table_cell), (spts[whole], table_pts), (sw[whole], table_w)):
         assert np.array_equal(got, want)
-    # the arc-midpoint row: the slot after a triangle's 4^level subcells
-    bulge = np.concatenate([np.arange(len(b[2])) - np.searchsorted(b[2], b[2]) == 1 << 2 * level for b in blocks])
+    # the arc-midpoint row: the slot after a triangle's subcells
+    bulge = np.concatenate([np.arange(len(b[2])) - np.searchsorted(b[2], b[2]) == cellsplit.BULGE_SLOT
+                            for b in blocks])
     order = np.argsort(cell[of_whole], kind="stable")
     assert np.array_equal(pts[of_whole][order], table_pts[bulge])
     assert np.array_equal(w[of_whole][order], table_w[bulge])
@@ -263,15 +262,15 @@ def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_
     rng = np.random.default_rng(11)
     for u in split_maps:
         regions = [_region(u, kind, rng) for kind in ("disk", "annulus", "circle", "ring", "domain", "disk")]
-        s = u._split(regions, 2)
+        s = u._split(regions)
         cells, pts, w, cell, cb, b = s.whole, s.pts, s.w, s.cell, s.whole_bounds, s.bounds
-        mods = [u.modulars_of_gradient(p, regions, 2) for p in (affine_field, halfdisk_field)]
+        mods = [u.modulars_of_gradient(p, regions) for p in (affine_field, halfdisk_field)]
         for k, region in enumerate(regions):
-            one = u._split([region], 2)
+            one = u._split([region])
             assert np.array_equal(cells[cb[k] : cb[k + 1]], one.whole)
             for got, want in zip((pts, w, cell), (one.pts, one.w, one.cell)):
                 assert np.array_equal(got[b[k] : b[k + 1]], want)
-            assert [m[k] for m in mods] == [u.modular_of_gradient(p, region, 2) for p in (affine_field, halfdisk_field)]
+            assert [m[k] for m in mods] == [u.modular_of_gradient(p, region) for p in (affine_field, halfdisk_field)]
 
 
 @pytest.mark.parametrize("factor, center", [(1.0, (0.0, 0.0)), (1e-3, (5.0, -2.0)), (1e3, (-1e3, 2e3))])
@@ -279,10 +278,10 @@ def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_
 def test_constant_q_integral_of_an_affine_map_over_its_domain(factor, center, q):
     G = np.array([[1.0, 2.0], [-0.5, 1.5]])
     u = dilate_map(synthesize("affine", {"G": G, "u0": [0.0, 0.0]}, seed=0), factor, new_center=center)
-    got = u.gradient_q_integral(q, u.domain, 2)
+    got = u.gradient_q_integral(q, u.domain)
     want = (np.linalg.norm(G) / factor) ** q * np.pi * u.domain.radius**2
     assert abs(got - want) <= 1e-12 * want
-    bulk, _ = sbv2d.total_variation_parts(u, u.domain, 2)
+    bulk, _ = sbv2d.total_variation_parts(u, u.domain)
     assert abs(bulk - np.linalg.norm(G) / factor * np.pi * u.domain.radius**2) <= 1e-12 * bulk
 
 
@@ -338,12 +337,11 @@ def _visible_region(u, kind, rng):
     st.integers(min_value=0, max_value=2),
     st.floats(min_value=-3.0, max_value=3.0),
     st.sampled_from(["disk", "annulus", "rect", "none"]),
-    st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_split_measures_the_visible_region_exactly(visible_maps, which, log_factor, kind, level, seed):
-    """Over random disks, annuli, Rects and the domain, levels 1-3 and
-    dilations by 1e-3..1e3: the split's whole-cell triangle areas plus its
+def test_split_measures_the_visible_region_exactly(visible_maps, which, log_factor, kind, seed):
+    """Over random disks, annuli, Rects and the domain, and dilations by
+    1e-3..1e3: the split's whole-cell triangle areas plus its
     row weights are |region ∩ domain| to 1e-12, later patch circles, arc
     bulges and Rect edges included; and on the affine map and its local_phi
     output, where every cell has the gradient norm |G|, the integral of
@@ -352,14 +350,14 @@ def test_split_measures_the_visible_region_exactly(visible_maps, which, log_fact
     factor = 10.0**log_factor
     u = dilate_map(visible_maps[which], factor, new_center=tuple(rng.uniform(-2, 2, 2)))
     region, want = _visible_region(u, kind, rng)
-    split = u._split([region], level)
+    split = u._split([region])
     got = np.sum(split.area[split.whole]) + np.sum(split.w)
     assert abs(got - want) <= 1e-12 * want
     if which < 2:
         g = u.base.gmag[0]
         assert np.all(np.abs(split.gmag - g) <= 1e-14 * g)
         for q in (1.0, 1.5, 2.5):
-            assert abs(u.gradient_q_integral(q, region, level) - g**q * want) <= 1e-12 * g**q * want
+            assert abs(u.gradient_q_integral(q, region) - g**q * want) <= 1e-12 * g**q * want
 
 
 def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, constant_field):
@@ -369,11 +367,11 @@ def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, cons
         for kind in ("disk", "annulus", "domain"):
             region = _region(u, kind, rng)
             for p in (affine_field, constant_field):
-                lam = u.gradient_luxembourg_norm(p, region, 2)
+                lam = u.gradient_luxembourg_norm(p, region)
                 scaled = DiscreteSbvMap(u.domain, tuple(
                     CellPatch(q.verts, q.tris, q.values, q.grads / lam, q.circle, q.arc_cells) for q in u.patches
                 ), u.jump, {"kind": "free"})
-                assert abs(scaled.modular_of_gradient(p, region, 2) - 1.0) <= 1e-13
+                assert abs(scaled.modular_of_gradient(p, region) - 1.0) <= 1e-13
 
 
 def test_luxembourg_norm_takes_a_number_as_its_constant_field(split_maps):
@@ -384,8 +382,8 @@ def test_luxembourg_norm_takes_a_number_as_its_constant_field(split_maps):
         for kind in ("disk", "annulus", "domain"):
             region = _region(u, kind, rng)
             field = ExponentField.constant(1.5, u.domain)
-            assert u.gradient_luxembourg_norm(1.5, region, 2) == u.gradient_luxembourg_norm(field, region, 2)
-            assert u.modular_of_gradient(1.5, region, 2) == u.modular_of_gradient(field, region, 2)
+            assert u.gradient_luxembourg_norm(1.5, region) == u.gradient_luxembourg_norm(field, region)
+            assert u.modular_of_gradient(1.5, region) == u.modular_of_gradient(field, region)
 
 
 def test_global_approx_samples_no_whole_cell(affine_field, monkeypatch):
@@ -394,19 +392,19 @@ def test_global_approx_samples_no_whole_cell(affine_field, monkeypatch):
     split builds samples for its cut cells alone."""
     from sbvx import global_approx
 
-    def no_decomposition(self, region=None, level=2):
+    def no_decomposition(self, region=None):
         raise AssertionError("bulk_samples called")
 
     sampled, splits = [], []
     tri_samples, cell_split = cellsplit._tri_samples, DiscreteSbvMap._split
 
-    def spy_samples(patch, level, t):
+    def spy_samples(patch, t):
         sampled.append((patch, np.array(t)))
-        return tri_samples(patch, level, t)
+        return tri_samples(patch, t)
 
-    def spy_split(self, regions, level):
+    def spy_split(self, regions):
         splits.append((self, regions, len(sampled)))
-        return cell_split(self, regions, level)
+        return cell_split(self, regions)
 
     monkeypatch.setattr(DiscreteSbvMap, "bulk_samples", no_decomposition)
     monkeypatch.setattr(cellsplit, "_tri_samples", spy_samples)
@@ -430,5 +428,5 @@ def test_grid_field_still_samples(global_map, cutting_regions):
         "values": 1.5 + 0.1 * np.sin(np.arange(25.0)).reshape(5, 5),
     })
     for region in cutting_regions:
-        pts, w, g = global_map.bulk_samples(region, 2)
-        assert global_map.modular_of_gradient(grid, region, 2) == float(np.sum(w * g ** grid(pts)))
+        pts, w, g = global_map.bulk_samples(region)
+        assert global_map.modular_of_gradient(grid, region) == float(np.sum(w * g ** grid(pts)))

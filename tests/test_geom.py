@@ -418,6 +418,30 @@ def test_polygons_disks_area_rows_are_their_own_calls():
     assert np.allclose(half, [_geom.polygon_area(p) for p in right], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+def test_polygons_disks_area_is_exactly_zero_inside_an_out_disk(scale):
+    """A polygon that one of its out-disks holds has area exactly 0, not the
+    round-off of area - |polygon ∩ disk|: triangles inside an out-disk, with
+    or without an in-disk, a second out-disk or a half-plane that holds
+    them, away from the origin."""
+    rng = np.random.default_rng(int(-np.log10(scale)) + 7)
+    n = 200
+    c = scale * rng.uniform(-3, 3, (n, 2))
+    r = scale * rng.uniform(0.1, 1.0, n)
+    rad, ang = np.sqrt(rng.uniform(0, 1, (n, 3))) * 0.999 * r[:, None], rng.uniform(0, 2 * np.pi, (n, 3))
+    tris = c[:, None] + rad[..., None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    polys = np.concatenate([tris, tris[:, -1:]], axis=1)
+    area = _geom.triangle_areas(tris[:, 0], tris[:, 1], tris[:, 2])
+    held = np.column_stack([c, r])[:, None]
+    far = np.column_stack([c + 10 * scale, np.full(n, scale)])[:, None]
+    none = np.zeros((n, 0, 3))
+    assert np.all(_geom.polygons_disks_area(polys, area, none, held) == 0.0)
+    assert np.all(_geom.polygons_disks_area(polys, area, none, np.concatenate([far, held], axis=1)) == 0.0)
+    assert np.all(_geom.polygons_disks_area(polys, area, held * [1, 1, 2], held) == 0.0)
+    planes = [(1.0, 0.0, -10 * scale)]  # x >= -10 scale holds every triangle
+    assert np.all(_geom.polygons_disks_area(polys, area, none, held, planes) == 0.0)
+
+
 def test_stadium_polygon_area():
     poly = _geom.stadium_polygon([0, 0], [2, 0], 0.3, narc=256)
     expect = 2 * 2 * 0.3 + np.pi * 0.09

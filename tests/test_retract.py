@@ -258,7 +258,7 @@ def test_fubini_shift_averaging(affine_field):
     w = wobble_map()
     p_plus = affine_field.p_plus
     sigma = 0.05
-    values, grads, cell_id, pts, wq = w.cell_samples(None, 2)
+    values, grads, cell_id, pts, wq = w.cell_samples(None)
     gvals = np.linalg.norm(grads.reshape(len(values), -1), axis=1)[cell_id] ** (
         affine_field(pts)
     )
@@ -300,7 +300,7 @@ def test_choose_shift_minimises_the_bulk_samples_modular(global_map, cutting_reg
         grads[:, 0, 0] = gm
         patches.append(CellPatch(q.verts, q.tris, q.values, grads, q.circle, q.arc_cells))
     composed = DiscreteSbvMap(global_map.domain, tuple(patches), global_map.jump)
-    pts, wq, g = composed.bulk_samples(region, 2)
+    pts, wq, g = composed.bulk_samples(region)
     assert rep["modular_min"] == pytest.approx(np.sum(wq * g ** affine_field(pts)), rel=1e-12)
 
 

@@ -26,15 +26,15 @@ from sbvx.sbv2d import (
 )
 
 
-def _table(patch, level):
+def _table(patch):
     """The sample table of every triangle of the patch (see _tri_samples)."""
-    return _tri_samples(patch, level, np.arange(len(patch.tris)))
+    return _tri_samples(patch, np.arange(len(patch.tris)))
 
 
-def _sampled(u, region, level):
+def _sampled(u, region):
     """(pts, w, cell, gmag): the sampled view of u's memoised split of the
     region (see CellSplit.samples)."""
-    return u._split([region], level).samples[:4]
+    return u._split([region]).samples[:4]
 
 
 def step_map(disk, n_rings=12):
@@ -187,7 +187,7 @@ def test_poincare_affine_square_vs_quadrature():
     grads = np.repeat(G[None, :, :], len(tris), axis=0)
     u = DiscreteSbvMap(dom, (CellPatch(verts, tris, vals, grads, dom, arc),), JumpSet.empty(1))
     square = Rect(0.0, 1.0, 0.0, 1.0)
-    lhs, ratio = bv_poincare_check(u, square, level=3)
+    lhs, ratio = bv_poincare_check(u, square)
     mean = G @ np.array([0.0, 0.0])  # centred affine over the symmetric square
     val, _ = integrate.dblquad(
         lambda y, x: abs(G[0, 0] * (x - 0.5) + G[0, 1] * (y - 0.5)), 0, 1, 0, 1,
@@ -218,7 +218,7 @@ def test_poincare_ratio_bounded_over_corpus(unit_disk):
         u = synthesize(
             "random-cells-with-random-polyline", {"budget": 0.3, "k": 2, "n_points": 90}, seed=seed
         )
-        _, ratio = bv_poincare_check(u, Disk((0, 0), 0.7), level=2)
+        _, ratio = bv_poincare_check(u, Disk((0, 0), 0.7))
         ratios.append(ratio)
     # the empirical Poincare constant of the corpus stays bounded
     assert max(ratios) <= EMPIRICAL_POINCARE_BOUND
@@ -410,29 +410,29 @@ def _inner_patch(u, center, radius, n_rings=4):
 def test_bulk_samples_memo_is_per_map_and_read_only(unit_disk):
     u = synthesize("affine", {"G": [[1.0, 0.0], [0.0, 1.0]], "u0": [0.0, 0.0]}, seed=0)
     ball = Disk((0.1, 0.0), 0.6)
-    first = u.bulk_samples(ball, 2)
-    assert all(a is b for a, b in zip(first, u.bulk_samples(Disk((0.1, 0.0), 0.6), 2)))
+    first = u.bulk_samples(ball)
+    assert all(a is b for a, b in zip(first, u.bulk_samples(Disk((0.1, 0.0), 0.6))))
     for arr in first:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
     phi = u.with_patch(_inner_patch(u, (0.2, 0.1), 0.3))
-    got = phi.bulk_samples(ball, 2)
-    fresh = DiscreteSbvMap(phi.domain, phi.patches, phi.jump, phi.target).bulk_samples(ball, 2)
+    got = phi.bulk_samples(ball)
+    fresh = DiscreteSbvMap(phi.domain, phi.patches, phi.jump, phi.target).bulk_samples(ball)
     assert not any(a is b for a, b in zip(got, first))
     assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
     assert np.max(got[2]) > np.max(first[2])  # the inner patch's steeper gradient shows
     # the parent still answers from its own samples, the other region afresh
-    assert all(a is b for a, b in zip(u.bulk_samples(ball, 2), first))
-    other = u.bulk_samples(Disk((0.1, 0.0), 0.5), 2)
+    assert all(a is b for a, b in zip(u.bulk_samples(ball), first))
+    other = u.bulk_samples(Disk((0.1, 0.0), 0.5))
     assert np.sum(other[1]) < np.sum(first[1])
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_cell_samples_is_the_per_cell_view_of_bulk_samples(global_map, cutting_regions, which):
     region = cutting_regions[which]
-    pts, w, g = global_map.bulk_samples(region, 2)
-    values, grads, cell, cpts, cw = global_map.cell_samples(region, 2)
+    pts, w, g = global_map.bulk_samples(region)
+    values, grads, cell, cpts, cw = global_map.cell_samples(region)
     assert len(values) == len(grads) == sum(len(q.tris) for q in global_map.patches)
     assert np.array_equal(cpts, pts) and np.array_equal(cw, w)
     assert np.array_equal(g, np.linalg.norm(grads[cell].reshape(len(cell), -1), axis=1))
@@ -449,9 +449,9 @@ def test_bulk_samples_weights_sum_to_exact_area(unit_disk):
         rho = rng.uniform(0.0, 0.99 - r)
         ang = rng.uniform(0, 2 * np.pi)
         disk = Disk((rho * np.cos(ang), rho * np.sin(ang)), r)
-        _, w, _ = u.bulk_samples(disk, 2)
+        _, w, _ = u.bulk_samples(disk)
         assert np.sum(w) == pytest.approx(np.pi * r * r, rel=1e-12)
-    _, w, _ = u.bulk_samples(Disk((0.2, -0.1), 1.5), 2)
+    _, w, _ = u.bulk_samples(Disk((0.2, -0.1), 1.5))
     assert np.sum(w) == pytest.approx(np.pi, rel=1e-12)
 
 
@@ -476,8 +476,7 @@ def sample_maps(global_map, affine_field):
     ]
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_subcell_bounds_hold_the_per_sample_corner_rebuild(sample_maps, rad_by_rebuild, level):
+def test_subcell_bounds_hold_the_per_sample_corner_rebuild(sample_maps, rad_by_rebuild):
     """rad, in closed form, is the rebuilt corners' largest distance, and
     reach is at least the largest |pt - barycentre| + rad of the rebuilt
     subcells, for every patch, graded top patches included. The rebuilt
@@ -485,9 +484,9 @@ def test_subcell_bounds_hold_the_per_sample_corner_rebuild(sample_maps, rad_by_r
     which on a small triangle far from the origin exceeds 1e-13 of rad."""
     for u in sample_maps:
         for patch in u.patches:
-            pts, _, cell_id, rad = _table(patch, level)
+            pts, _, cell_id, rad = _table(patch)
             reach = patch._reach
-            want_rad, want_reach = rad_by_rebuild(patch, level, pts, cell_id)
+            want_rad, want_reach = rad_by_rebuild(patch, pts, cell_id)
             tol = 8 * np.finfo(float).eps * np.max(np.abs(patch.verts))
             assert np.all(np.abs(rad - want_rad) <= 1e-13 * want_rad + tol)
             assert np.all((rad == 0) == (want_rad == 0))  # arc samples
@@ -500,7 +499,7 @@ _REGION_KINDS = (
 )
 
 
-def _probe_region(u, kind, level, rng):
+def _probe_region(u, kind, rng):
     """A region of the given kind for the map u: a patch circle itself or
     dilated by a relative 1e-15 to 1e-3 either way, a tiny disk at a cell
     corner, a disk tangent to a later circle from either side, a disk
@@ -528,12 +527,12 @@ def _probe_region(u, kind, level, rng):
         return Disk(tuple(np.asarray(later.center) + off * np.array([np.cos(t), np.sin(t)])), r)
     if kind == "bound":
         patch = u.patches[i]
-        return _touching_bound(patch, level, int(rng.integers(len(patch.tris))), scale * rng.uniform(0.01, 0.5))
+        return _touching_bound(patch, int(rng.integers(len(patch.tris))), scale * rng.uniform(0.01, 0.5))
     if kind == "inner_bound":
         patch = u.patches[i]
         t = int(rng.integers(len(patch.tris)))
         r = scale * rng.uniform(0.01, 0.5)
-        outside = _touching_bound(patch, level, t, r)
+        outside = _touching_bound(patch, t, r)
         # the same touching point, with the disk on the triangle's side
         center = 2 * patch.barycenters[t] - np.asarray(outside.center)
         r_in = float(np.linalg.norm(np.asarray(outside.center) - center)) - r
@@ -550,11 +549,11 @@ def _probe_region(u, kind, level, rng):
     return u.domain
 
 
-def _touching_bound(patch, level, t, r):
+def _touching_bound(patch, t, r):
     """The disk of radius r touching triangle t's bounding circle
     (barycentre, CellPatch._reach) from outside, where the sample that sets
     it points from the barycentre."""
-    pts, _, cid, rad = _table(patch, level)
+    pts, _, cid, rad = _table(patch)
     reach = patch._reach
     own = np.flatnonzero(cid == t)
     far = own[np.argmax(np.linalg.norm(pts[own] - patch.barycenters[t], axis=1) + rad[own])]
@@ -577,12 +576,9 @@ def _patch_inside(circle, region):
     st.integers(min_value=0, max_value=5),
     st.floats(min_value=-3.0, max_value=3.0),
     st.sampled_from(_REGION_KINDS),
-    st.integers(min_value=1, max_value=2),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_classified_samples_equal_full_scan(
-    sample_maps, full_scan, which, log_factor, kind, level, seed
-):
+def test_classified_samples_equal_full_scan(sample_maps, full_scan, which, log_factor, kind, seed):
     """Per patch, the classified build keeps exactly the samples the full
     scan keeps. A patch inside the region is sampled without the clip: its
     Σw and Σw·g^q agree with the full scan's to 1e-12, the round-off of the
@@ -591,11 +587,11 @@ def test_classified_samples_equal_full_scan(
     areas' sum to 1e-14."""
     rng = np.random.default_rng(seed)
     u = dilate_map(sample_maps[which], 10.0**log_factor, new_center=(0.3, -0.2))
-    region = _probe_region(u, kind, level, rng)
-    pts, w, cell, g = _sampled(u, region, level)
+    region = _probe_region(u, kind, rng)
+    pts, w, cell, g = _sampled(u, region)
     gmag = np.concatenate([q.gmag for q in u.patches])
     offsets = np.cumsum([0] + [len(q.tris) for q in u.patches])
-    for i, (rp, rw, rc) in enumerate(full_scan(u, region, level)):
+    for i, (rp, rw, rc) in enumerate(full_scan(u, region)):
         sel = (cell >= offsets[i]) & (cell < offsets[i + 1])
         if _patch_inside(u.patches[i].circle, region):
             for q in (0.0, 1.0, 1.6):
@@ -623,9 +619,9 @@ def test_disks_touching_bounding_circles_keep_the_full_scan(sample_maps, full_sc
     u = dilate_map(sample_maps[which], factor, new_center=(0.3, -0.2))
     rng = np.random.default_rng(which)
     for t in range(len(u.base.tris)):
-        region = _touching_bound(u.base, 2, t, factor * rng.uniform(0.01, 0.5))
-        pts, w, cell, _ = _sampled(u, region, 2)
-        (rp, rw, rc), = full_scan(u, region, 2)
+        region = _touching_bound(u.base, t, factor * rng.uniform(0.01, 0.5))
+        pts, w, cell, _ = _sampled(u, region)
+        (rp, rw, rc), = full_scan(u, region)
         assert np.array_equal(pts, rp) and np.array_equal(w, rw) and np.array_equal(cell, rc)
 
 
@@ -645,8 +641,8 @@ def test_disk_holding_every_patch_samples_as_none(sample_maps, which, log_factor
     c = np.asarray(u.domain.center) + shift * scale * np.array([np.cos(angle), np.sin(angle)])
     r = max(np.linalg.norm(np.asarray(q.circle.center) - c) + q.circle.radius for q in u.patches)
     for disk in (u.domain, Disk(tuple(c), r * (1 + slack))):
-        got = u.bulk_samples(disk, 2)
-        whole = u.bulk_samples(None, 2)
+        got = u.bulk_samples(disk)
+        whole = u.bulk_samples(None)
         assert all(np.array_equal(a, b) for a, b in zip(got, whole))
 
 
@@ -791,9 +787,8 @@ def test_trace_band_points_land_in_their_arc_cell():
         holds = _in_bulges(patch, band, np.flatnonzero(arc))
         assert np.all(holds.sum(axis=1) == 1)
         assert np.array_equal(patch.locate(band), np.flatnonzero(arc)[np.argmax(holds, axis=1)])
-        for level in (2, 3):
-            pts, _, cell_id, _ = _table(patch, level)
-            assert np.array_equal(patch.locate(pts), cell_id)
+        pts, _, cell_id, _ = _table(patch)
+        assert np.array_equal(patch.locate(pts), cell_id)
 
 
 def test_disk_rule_points_are_located_in_containing_cells_of_a_graded_patch():
@@ -899,10 +894,10 @@ def test_bulge_samples_lie_inside_their_circle(factor, center):
     at the circle itself keeps every bulge sample, far from the origin too."""
     u = dilate_map(synthesize("sphere-vortex-with-slit", {"budget": 0.05}, seed=2), factor, new_center=center)
     q = u.base
-    pts, _, cid, _ = _table(q, 2)
+    pts, _, cid, _ = _table(q)
     bulge = np.arange(len(cid)) - np.searchsorted(cid, cid) == 16  # the slot after a triangle's 4^2 subcells
     assert bulge.sum() == q._bulged.sum() > 0
     assert np.all(q.circle.contains(pts[bulge], tol=0.0))
     ring = Annulus(q.circle.center, 0.5 * q.circle.radius, q.circle.radius)  # clips at the circle
-    _, _, cell, _ = _sampled(u, ring, 2)
+    _, _, cell, _ = _sampled(u, ring)
     assert np.all(np.isin(np.flatnonzero(q._bulged), cell))

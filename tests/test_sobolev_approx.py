@@ -303,7 +303,7 @@ def _assert_maps_equal(w1, w2):
         assert np.array_equal(getattr(w1.jump, name), getattr(w2.jump, name))
 
 
-def _global_approx_calling_local_phi(u, p, s, eta, seed=0, h_max=5, quad_level=2):
+def _global_approx_calling_local_phi(u, p, s, eta, seed=0, h_max=5):
     """global_approx with every ball run through the full local_phi, its
     report dropped: the reference the construction-only loop must reproduce
     bitwise."""
@@ -330,7 +330,7 @@ def _global_approx_calling_local_phi(u, p, s, eta, seed=0, h_max=5, quad_level=2
             for x, rx in zip(cs, rs):
                 _, w, _ = local_phi(
                     w, p, eta=2 * eta, seed=int(rng.integers(0, 2**31 - 1)),
-                    center=x, r=rx / 2, h_max=h_max, quad_level=quad_level,
+                    center=x, r=rx / 2, h_max=h_max,
                 )
         family = family.merged_with(fam)
     resid = w.jump.length_in(s_disk)
@@ -348,7 +348,7 @@ def _global_approx_calling_local_phi(u, p, s, eta, seed=0, h_max=5, quad_level=2
     est["jump_out"] = w.jump.length_in(ball_rho)
     probe = _sample_outside(u.domain, family, rng, 512) if len(family) else np.zeros((0, 2))
     est["outside_identity_max_error"] = float(np.max(value_gap(u, w, probe), initial=0.0))
-    measured, max_pow, _ = _measure(u, w, p, ball_rho, quad_level)
+    measured, max_pow, _ = _measure(u, w, p, ball_rho)
     est.update(measured)
     est["modular_bound_const_var"] = (
         est["modular_out"] / ((1 + rho**2) * max_pow) if max_pow > 0 else 0.0
@@ -531,8 +531,6 @@ def test_sample_outside_equals_scalar_loop(geo_seed, seed, n, n_balls, size):
     want = _sample_outside_scalar(domain, family, rng_b, n)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("layout", ["mixed", "empty"])
@@ -567,21 +565,18 @@ def test_window_radii_equal_per_radius_loop_across_radius_blocks(k_max, layout):
 
 def test_sample_outside_is_scale_free():
     """Under a power-of-two dilation of the domain and the family about the
-    origin, the kept points scale exactly and the generator ends in the same
-    state: the outside tolerance is relative to the domain radius."""
+    origin, the kept points scale exactly: the outside tolerance is relative
+    to the domain radius."""
 
     def run(f):
         domain = Disk((0.0, 0.0), f)
         family = BallFamily(np.array([[0.3, -0.2]]) * f, np.array([0.25]) * f, np.ones(1, dtype=int), 1)
-        rng = np.random.default_rng(5)
-        return _sample_outside(domain, family, rng, 512), rng.bit_generator.state
+        return _sample_outside(domain, family, np.random.default_rng(5), 512)
 
-    x0, state0 = run(1.0)
+    x0 = run(1.0)
     assert len(x0) == 512
     for k in range(-40, 41):
-        x, state = run(2.0**k)
-        assert np.array_equal(x, np.ldexp(x0, k)), k
-        assert state == state0, k
+        assert np.array_equal(run(2.0**k), np.ldexp(x0, k)), k
 
 
 def test_local_phi_sup_norms_are_scale_free():

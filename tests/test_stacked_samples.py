@@ -64,10 +64,9 @@ _KINDS = ("disk", "annulus", "hidden", "outside", "circle", "corner")
     st.integers(min_value=0, max_value=6),
     st.floats(min_value=-3.0, max_value=3.0),
     st.integers(min_value=1, max_value=60),
-    st.integers(min_value=1, max_value=2),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, which, log_factor, k, level, seed):
+def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, which, log_factor, k, seed):
     """Each region's rows of the stack's sampled split (pts, w, cell,
     gmag), modular and jump length equal its own call's (the memoised
     bulk_samples and cell_samples, modular_of_gradient, length_in) bitwise,
@@ -77,23 +76,23 @@ def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, whi
     u = dilate_map(stack_maps[which], factor, new_center=tuple(new_center))
     p = affine_field.rescaled(-new_center / factor, 1 / factor)  # the field dilated with the map
     regions = [_region(u, _KINDS[int(rng.integers(len(_KINDS)))], rng) for _ in range(k)]
-    pts, w, cell, g, bounds = u._split(regions, level).samples
+    pts, w, cell, g, bounds = u._split(regions).samples
     assert bounds[0] == 0 and bounds[-1] == len(pts) and np.all(np.diff(bounds) >= 0)
     c = float(rng.uniform(0.1, 2.0))
-    energies = functionals(u, p, c, regions, level)
+    energies = functionals(u, p, c, regions)
     lengths = u.jump.lengths_in(regions)
     for i, region in enumerate(regions):
         rows = slice(bounds[i], bounds[i + 1])
-        one_pts, one_w, one_g = u.bulk_samples(region, level)
-        one = (one_pts, one_w, u.cell_samples(region, level)[2], one_g)
+        one_pts, one_w, one_g = u.bulk_samples(region)
+        one = (one_pts, one_w, u.cell_samples(region)[2], one_g)
         for a, b in zip((pts[rows], w[rows], cell[rows], g[rows]), one):
             assert np.array_equal(a, b)
-        assert energies[i].bulk == u.modular_of_gradient(p, region, level)
+        assert energies[i].bulk == u.modular_of_gradient(p, region)
         assert lengths[i] == u.jump.length_in(region) and energies[i].jump == c * lengths[i]
-        alone = functional(u, p, c, region, level)
+        alone = functional(u, p, c, region)
         assert (alone.bulk, alone.jump) == (energies[i].bulk, energies[i].jump)
     for i in rng.choice(k, size=min(k, 2), replace=False):
-        parts = full_scan(u, regions[i], level)
+        parts = full_scan(u, regions[i])
         rows = slice(bounds[i], bounds[i + 1])
         assert np.array_equal(pts[rows], np.concatenate([rp for rp, _, _ in parts]))
         assert np.array_equal(cell[rows], np.concatenate([rc for _, _, rc in parts]))
@@ -101,16 +100,16 @@ def test_stack_equals_each_region_alone(stack_maps, full_scan, affine_field, whi
 
 def test_stack_of_none_or_a_rect_is_its_region_alone(global_map, affine_field):
     for region in (None, Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain):
-        pts, w, cell, g, bounds = global_map._split([region], 2).samples
+        pts, w, cell, g, bounds = global_map._split([region]).samples
         assert list(bounds) == [0, len(pts)]
-        modular = global_map.modular_of_gradient(affine_field, region, 2)
-        assert global_map.modulars_of_gradient(affine_field, [region], 2) == [modular]
+        modular = global_map.modular_of_gradient(affine_field, region)
+        assert global_map.modulars_of_gradient(affine_field, [region]) == [modular]
     with pytest.raises(ToolkitError):
-        global_map._split([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain], 2)
+        global_map._split([Rect(-0.3, 0.2, -0.1, 0.4), global_map.domain])
 
 
 def test_empty_stack(global_map, affine_field):
-    pts, w, cell, g, bounds = global_map._split([], 2).samples
+    pts, w, cell, g, bounds = global_map._split([]).samples
     assert len(pts) == 0 and list(bounds) == [0]
     assert functionals(global_map, affine_field, 1.0, []) == []
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sbvx.cli import run_scenario
 from sbvx.quadrature import Disk
-from sbvx.svgplot import SvgCanvas, draw_field
+from sbvx.svgplot import SvgCanvas, draw_field, draw_profile
 from sbvx.vexp import ExponentField
 
 
@@ -96,3 +96,11 @@ def test_norms_figure_on_a_rect_domain_equals_the_per_rect_loop(tmp_path):
     got = (tmp_path / "o" / "n" / "figures" / "exponent_field.svg").read_text()
     want = _draw_field_per_rect(ExponentField.from_json(field), Disk((0.0, 0.0), 1.0))
     assert got == want.tostring()
+
+
+def test_draw_profile_plots_negative_values_where_they_are():
+    """A negative y is drawn at its own height: the middle of -1, 0, 1 sits
+    at the middle of the canvas."""
+    cv = draw_profile([(0.0, -1.0), (1.0, 0.0), (2.0, 1.0)], size=640)
+    circles = [e for e in cv.elems if e.startswith("<circle")]
+    assert 'cy="320.00"' in circles[1]
