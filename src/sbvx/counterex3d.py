@@ -21,6 +21,7 @@ from .errors import ConstructionError, ToolkitError
 __all__ = ["ConeComplex", "build_complex", "annulus_measure", "verify_violation"]
 
 SOLID_TOL = 1e-12  # slack of contains_solid on the cosine of a point's angle to a cone axis
+MC_CHUNK = 2**16  # slant samples drawn at once: bounds the memory of the Monte Carlo, not its result
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,22 @@ def build_complex(
     )
 
 
+def _band_hits(complex_: ConeComplex, R: float, delta: float, mc_samples: int, seed: int) -> int:
+    """How many of mc_samples area-uniform points on the lateral surfaces lie
+    between radii R - delta and R. The points are split over the cones by
+    one multinomial draw, and each cone's slant samples come from the same
+    stream MC_CHUNK at a time, so the count is that of one draw per cone."""
+    rng = np.random.default_rng(seed)
+    weights = np.sin(complex_.half_angles)
+    counts = rng.multinomial(mc_samples, weights / weights.sum())
+    hits = 0
+    for n_i in counts:
+        for start in range(0, n_i, MC_CHUNK):  # area-uniform along the slant
+            s = complex_.radius * np.sqrt(rng.random(min(MC_CHUNK, n_i - start)))
+            hits += int(np.count_nonzero((s >= R - delta) & (s <= R)))
+    return hits
+
+
 def annulus_measure(
     complex_: ConeComplex,
     R: float,
@@ -198,16 +215,7 @@ def annulus_measure(
         raise ToolkitError("delta must lie in (0, R)")
     analytic = complex_.lateral_band_area(R, delta)
     if mc_samples:
-        rng = np.random.default_rng(seed)
-        weights = np.sin(complex_.half_angles)
-        weights = weights / weights.sum()
-        counts = rng.multinomial(mc_samples, weights)
-        hits = 0
-        for n_i in counts:
-            if n_i == 0:
-                continue
-            s = rad * np.sqrt(rng.random(n_i))  # area-uniform along the slant
-            hits += int(np.count_nonzero((s >= R - delta) & (s <= R)))
+        hits = _band_hits(complex_, R, delta, mc_samples, seed)
         mc = complex_.total_surface_measure() * hits / mc_samples
         rel = abs(mc - analytic) / analytic if analytic > 0 else np.inf
         if rel > mc_tol:

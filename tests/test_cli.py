@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import sbvx
+from sbvx import cli
 from sbvx.cli import build_corpus, main, run_scenario
+from sbvx.counterex3d import ConeComplex
+from sbvx.energy import scale_map_values
 
 FIELD = {
     "kind": "closed_form",
@@ -281,3 +285,85 @@ def test_main_run_subcommand(tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "out" / "m" / "meta.json").read_text())
     assert set(meta) == {"elapsed_s", "timestamp", "platform"}
+
+
+# ---------------------------------------------------------------------------
+# every check fires: a measurement pushed past its bound exits 1 by name
+# ---------------------------------------------------------------------------
+
+
+def _assert_fails(tmp_path, capsys, scenario, name):
+    assert run_scenario(str(scenario), out_dir=str(tmp_path / "out")) == 1
+    assert f"assertion failed: {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "f" / "report.json").exists()
+
+
+def test_short_annulus_band_fails_annulus_lower_bound(tmp_path, capsys, monkeypatch):
+    band = ConeComplex.lateral_band_area
+    monkeypatch.setattr(ConeComplex, "lateral_band_area",
+                        lambda self, R, delta: 1e-3 * band(self, R, delta))
+    p = write_scenario(tmp_path / "c.json", name="f", pipeline="counterexample",
+                       params={"epsilon": 0.1, "C_target": 5.0, "mc_samples": 1000})
+    _assert_fails(tmp_path, capsys, p, "annulus_lower_bound")
+
+
+def test_surface_measure_at_epsilon_fails_total_measure(tmp_path, capsys, monkeypatch):
+    build = cli.build_complex
+
+    def built(*args, **kw):  # the measure moves once the complex has passed its own checks
+        cx = build(*args, **kw)
+        monkeypatch.setattr(ConeComplex, "total_surface_measure", lambda self: self.epsilon)
+        return cx
+
+    monkeypatch.setattr(cli, "build_complex", built)
+    p = write_scenario(tmp_path / "c.json", name="f", pipeline="counterexample",
+                       params={"epsilon": 0.1, "C_target": 5.0, "mc_samples": 0})
+    _assert_fails(tmp_path, capsys, p, "total_measure")
+
+
+def test_norm_outside_its_modular_bounds_fails_norm_modular_inequality(tmp_path, capsys, monkeypatch):
+    solve = cli.modulars_and_norms
+
+    def solved(fs, p, region):
+        out = solve(fs, p, region)
+        m = out[3][0]  # function 3 gets a norm above both of its bounds
+        out[3] = (m, 2 * max(1.0, m ** (1 / p.p_minus), m ** (1 / p.p_plus)))
+        return out
+
+    monkeypatch.setattr(cli, "modulars_and_norms", solved)
+    p = write_scenario(tmp_path / "n.json", name="f", pipeline="norms", params={"n_functions": 6})
+    _assert_fails(tmp_path, capsys, p, "norm_modular_inequality: function 3")
+
+
+@pytest.mark.parametrize("key, bound, name", [
+    ("total_perimeter", "perimeter_bound", "cover_perimeter"),
+    ("total_area", "area_bound_min_form", "cover_area"),
+    ("max_center_norm_plus_radius", None, "cover_containment"),
+], ids=["cover_perimeter", "cover_area", "cover_containment"])
+def test_cover_measure_past_its_bound_fails(tmp_path, capsys, monkeypatch, key, bound, name):
+    cover = cli.cover_jump
+
+    def covered(u, s, eta, seed):
+        fam = cover(u, s, eta, seed=seed)
+        limit = fam.stats[bound] if bound else (1 + s) / 2 * u.domain.radius
+        return dataclasses.replace(fam, stats={**fam.stats, key: limit + 1e-9})
+
+    monkeypatch.setattr(cli, "cover_jump", covered)
+    p = write_scenario(tmp_path / "c.json", name="f", pipeline="cover",
+                       map={"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}},
+                       params={"s": 0.75, "eta": 0.05})
+    _assert_fails(tmp_path, capsys, p, name)
+
+
+def test_values_off_the_sphere_fail_sphere_constraint(tmp_path, capsys, monkeypatch):
+    project = cli.project_w
+
+    def projected(u, p, cfg, seed):
+        wt, rep = project(u, p, cfg, seed=seed)
+        return scale_map_values(wt, 1 + 1e-6), rep
+
+    monkeypatch.setattr(cli, "project_w", projected)
+    p = write_scenario(tmp_path / "r.json", name="f", pipeline="retract",
+                       map={"kind": "sphere-vortex-with-slit", "params": {"budget": 0.01}},
+                       params={"value_scale": 0.9, "M_bound": 1.0})
+    _assert_fails(tmp_path, capsys, p, "sphere_constraint")

@@ -126,13 +126,20 @@ def test_modulars_and_norms_raise_the_first_serial_error(three_cpus, unit_disk, 
         f_bad = lambda pts, bad=bad: np.full(len(pts), bad)  # noqa: E731
         with pytest.raises(ToolkitError) as serial:
             modular_and_norm(f_bad, affine_field, unit_disk)
-        fs = _integrands(8)
+        tried = []
+
+        def last(pts):
+            tried.append(len(pts))
+            return 1.0 + pts[:, 0] ** 2
+
+        fs = _integrands(8) + [last]
         fs[k], fs[k + 1] = f_bad, raises
         before = threading.active_count()
         with pytest.raises(ToolkitError) as pooled:
             modulars_and_norms(fs, affine_field, unit_disk)
         assert str(pooled.value) == str(serial.value)
         assert threading.active_count() == before
+        assert len(tried) == 1  # every f was tried before the raise
 
 
 def test_modulars_and_norms_leave_no_thread_behind(three_cpus, unit_disk, affine_field):
