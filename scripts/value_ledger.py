@@ -15,8 +15,8 @@ import path and writes three sections:
 - files: the SHA-256 of each file that the six criterion-10 scenarios write
   at scenario seeds 11, 12 and 13: report.json, data.csv and the figures.
   meta.json holds the run's time and is left out. The same is hashed for
-  norms and counterexample at the sizes the cli_pipelines benchmark runs
-  (50 functions, 10^6 Monte Carlo samples), under the keys perfbench_size/.
+  norms at the size the cli_pipelines benchmark runs (50 functions), under
+  the keys perfbench_size/.
 - bounds: for each frozen bound of the suite (K_MODULAR, XI_CAP_CORPUS,
   RETRACT_RATIO_BOUND), the worst measured value and its margin to the bound.
 
@@ -48,12 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 SEEDS = (11, 12, 13)
 ROUND_OFF = 1e-14  # a change |b - a| <= ROUND_OFF max(1, |a|) is at round-off
-# norms and counterexample at the benchmark's sizes, the schema defaults
-PERFBENCH_SIZE_SCENARIOS = [
-    {"name": "n50", "pipeline": "norms", "params": {"n_functions": 50}},
-    {"name": "x1e6", "pipeline": "counterexample",
-     "params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 10**6}},
-]
+# norms at the benchmark's size, the schema default
+PERFBENCH_SIZE_SCENARIOS = [{"name": "n50", "pipeline": "norms", "params": {"n_functions": 50}}]
 
 
 def _flatten(prefix, obj, out):

@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterex3d import annulus_measure, build_complex, verify_violation
-from .energy import DensityProbeConfig, density_probe, functional, jump_criterion_profile
+from .counterex3d import build_complex, verify_violation
+from .energy import DensityProbeConfig, density_probe, jump_criterion_profile, scale_map_values
 from .errors import ToolkitError
 from .quadrature import Disk
 from .retract import RetractionConfig, project_w
-from .sbv2d import DiscreteSbvMap, jump_length
-from .sobolev_approx import cover_jump, global_approx
+from .sbv2d import DiscreteSbvMap
+from .sobolev_approx import RESID_TOL_FACTOR, cover_jump, global_approx
 from .svgplot import draw_field, draw_map, draw_profile
 from .synth import KINDS, synthesize
 from .vexp import ExponentField, modulars_and_norms
@@ -105,9 +105,10 @@ def load_scenario(path: str) -> dict:
         raise SchemaError("scenario.pipeline", f"must be one of {PIPELINES}")
     if pipeline != "counterexample":
         _require(sc, "exponent_field", "scenario", dict)
-    for key in ("params", "tolerances"):
-        sc.setdefault(key, {})
-        _check_numbers(_require(sc, key, "scenario", dict), f"scenario.{key}")
+    if "tolerances" in sc:
+        raise SchemaError("scenario.tolerances", "not read: each check's slack is fixed (docs/schema.md)")
+    sc.setdefault("params", {})
+    _check_numbers(_require(sc, "params", "scenario", dict), "scenario.params")
     return sc
 
 
@@ -161,19 +162,34 @@ _MAP_SHAPES = {"G": ("k", 2), "u0": ("k",), "c_in": ("k",), "c_out": ("k",), "lo
 
 
 # ---------------------------------------------------------------------------
-# pipelines: each returns (report dict, data rows, figure painter)
+# pipelines: each returns (report dict, data rows, figure painter, records)
 # ---------------------------------------------------------------------------
 
+# A record (name, lhs, rhs, slack, detail) asserts lhs <= rhs + slack. The slacks are fixed: no_new_jump and
+# jump_free_srho allow RESID_TOL_FACTOR times the domain radius, outside_identity and annulus_lower_bound 0.
+ROUND_OFF_SLACK = 1e-12  # the cover_* and family_* bounds, union_containment
+NORM_MODULAR_SLACK = 1e-8
+SUP_SLACK = 1e-9  # linf_nonexpansion, sphere_constraint; chebyshev_surrogate times the mean
+STRICT = -np.nextafter(0.0, 1.0)  # total_measure: a negative slack, so rhs - lhs must be > 0
 
-def _pipe_norms(sc, seed, tol):
+
+def check(records) -> list[dict]:
+    """The report's checks: name, lhs, rhs, slack and margin rhs - lhs of each
+    record. AssertionFailure(name, detail) at the first that fails; a NaN fails."""
+    for name, lhs, rhs, slack, detail in records:
+        if not (rhs - lhs >= -slack):
+            raise AssertionFailure(name, detail)
+    return [{"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "margin": rhs - lhs}
+            for name, lhs, rhs, slack, _ in records]
+
+
+def _pipe_norms(sc, seed):
     p = _field_from_scenario(sc)
     params = sc["params"]
     n_funcs = int(params.get("n_functions", 50))
     rng = np.random.default_rng(seed)
     dom = p.domain
     rows = [("index", "modular", "norm", "branch", "lower", "upper", "margin")]
-    worst = np.inf
-    tol_nm = float(tol.get("norm_modular", 1e-8))
 
     def draw():
         amp = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
@@ -200,32 +216,25 @@ def _pipe_norms(sc, seed, tol):
         else:
             lo, hi = m ** (1 / p.p_minus), m ** (1 / p.p_plus)
             branch = "<=1"
-        margin = min(nrm - lo, hi - nrm)
-        worst = min(worst, margin)
-        rows.append((i, m, nrm, branch, lo, hi, margin))
-        if margin < -tol_nm:
-            raise AssertionFailure(
-                "norm_modular_inequality",
-                f"function {i}: norm {nrm:.12g} outside [{lo:.12g}, {hi:.12g}]",
-            )
-    report = {
-        "pipeline": "norms",
-        "n_functions": n_funcs,
-        "worst_margin": worst,
-        "tolerance": tol_nm,
-        "p_minus": p.p_minus,
-        "p_plus": p.p_plus,
-    }
+        rows.append((i, m, nrm, branch, lo, hi, min(nrm - lo, hi - nrm)))
+    margins = [row[-1] for row in rows[1:]]
+    records = []
+    if margins:  # the worst function; argmin finds a NaN first
+        i, m, nrm, _, lo, hi, _ = rows[1 + int(np.argmin(margins))]
+        records.append(("norm_modular_inequality", *((lo, nrm) if nrm - lo <= hi - nrm else (nrm, hi)),
+                        NORM_MODULAR_SLACK, f"function {i}: norm {nrm:.12g} outside [{lo:.12g}, {hi:.12g}]"))
+    report = {"pipeline": "norms", "n_functions": n_funcs, "worst_margin": min(margins, default=np.inf),
+              "tolerance": NORM_MODULAR_SLACK, "p_minus": p.p_minus, "p_plus": p.p_plus}
 
     def figures(figdir):
         # figure policy: the field is drawn on a disk, a rect domain's on the unit disk
         draw_field(p, dom if isinstance(dom, Disk) else Disk((0, 0), 1.0),
                    path=os.path.join(figdir, "exponent_field.svg"))
 
-    return report, rows, figures
+    return report, rows, figures, records
 
 
-def _pipe_cover(sc, seed, tol):
+def _pipe_cover(sc, seed):
     p = _field_from_scenario(sc)
     u = _map_from_scenario(sc, seed)
     params = sc["params"]
@@ -234,13 +243,13 @@ def _pipe_cover(sc, seed, tol):
     fam = cover_jump(u, s, eta, seed=seed)
     st = dict(fam.stats) if len(fam) else {}
     report = {"pipeline": "cover", "n_balls": len(fam), "xi_hat": fam.xi_hat, "stats": st}
-    if len(fam):
-        if st["total_perimeter"] > st["perimeter_bound"] + 1e-12:
-            raise AssertionFailure("cover_perimeter", "perimeter bound violated")
-        if st["total_area"] > st["area_bound_min_form"] + 1e-12:
-            raise AssertionFailure("cover_area", "min-form area bound violated")
-        if st["max_center_norm_plus_radius"] > (1 + s) / 2 * u.domain.radius + 1e-12:
-            raise AssertionFailure("cover_containment", "union escapes B_(1+s)rho/2")
+    records = [
+        ("cover_perimeter", st["total_perimeter"], st["perimeter_bound"], ROUND_OFF_SLACK,
+         "perimeter bound violated"),
+        ("cover_area", st["total_area"], st["area_bound_min_form"], ROUND_OFF_SLACK, "min-form area bound violated"),
+        ("cover_containment", st["max_center_norm_plus_radius"], (1 + s) / 2 * u.domain.radius, ROUND_OFF_SLACK,
+         "union escapes B_(1+s)rho/2"),
+    ] if len(fam) else []
     rows = [("center_x", "center_y", "radius", "family")]
     for c, r, f in zip(fam.centers, fam.radii, fam.family_index):
         rows.append((c[0], c[1], r, int(f)))
@@ -248,10 +257,10 @@ def _pipe_cover(sc, seed, tol):
     def figures(figdir):
         draw_map(u, family=fam, path=os.path.join(figdir, "cover.svg"))
 
-    return report, rows, figures
+    return report, rows, figures, records
 
 
-def _pipe_approximate(sc, seed, tol):
+def _pipe_approximate(sc, seed):
     p = _field_from_scenario(sc)
     u = _map_from_scenario(sc, seed)
     params = sc["params"]
@@ -259,46 +268,39 @@ def _pipe_approximate(sc, seed, tol):
     eta = float(params.get("eta", 0.05))
     rep = global_approx(u, p, s, eta, seed=seed, h_max=int(params.get("h_max", 5)))
     e = rep.estimates
-    tol_resid = float(tol.get("residual", 1e-9)) * u.domain.radius
-    checks = [
-        ("no_new_jump", e["jump_new"] <= tol_resid, f"jump_new = {e['jump_new']:.3g}"),
-        ("jump_free_srho", e["jump_residual_srho"] <= tol_resid,
-         f"residual = {e['jump_residual_srho']:.3g}"),
-        ("outside_identity", e["outside_identity_max_error"] == 0.0,
+    resid = RESID_TOL_FACTOR * u.domain.radius
+    records = [
+        ("no_new_jump", e["jump_new"], 0.0, resid, f"jump_new = {e['jump_new']:.3g}"),
+        ("jump_free_srho", e["jump_residual_srho"], 0.0, resid, f"residual = {e['jump_residual_srho']:.3g}"),
+        ("outside_identity", e["outside_identity_max_error"], 0.0, 0.0,
          f"max error {e['outside_identity_max_error']:.3g}"),
-        ("linf_nonexpansion", e["linf_out"] <= e["linf_in"] + 1e-9,
-         f"{e['linf_out']:.9g} vs {e['linf_in']:.9g}"),
+        ("linf_nonexpansion", e["linf_out"], e["linf_in"], SUP_SLACK, f"{e['linf_out']:.9g} vs {e['linf_in']:.9g}"),
     ]
     if len(rep.family):
-        checks += [
-            ("family_perimeter", e["family_perimeter"] <= e["family_perimeter_bound"] + 1e-12,
+        records += [
+            ("family_perimeter", e["family_perimeter"], e["family_perimeter_bound"], ROUND_OFF_SLACK,
              f"{e['family_perimeter']:.6g} vs {e['family_perimeter_bound']:.6g}"),
-            ("family_area", e["family_area"] <= e["family_area_bound_min_form"] + 1e-12,
+            ("family_area", e["family_area"], e["family_area_bound_min_form"], ROUND_OFF_SLACK,
              f"{e['family_area']:.6g} vs {e['family_area_bound_min_form']:.6g}"),
-            ("union_containment", e["union_containment_margin"] >= -1e-12,
+            ("union_containment", 0.0, e["union_containment_margin"], ROUND_OFF_SLACK,
              f"margin {e['union_containment_margin']:.6g}"),
         ]
-    for name, ok, detail in checks:
-        if not ok:
-            raise AssertionFailure(name, detail)
-    report = {"pipeline": "approximate", "estimates": e, "checks": [c[0] for c in checks]}
+    report = {"pipeline": "approximate", "estimates": e}
     rows = [("key", "value")] + [(k, v) for k, v in sorted(e.items()) if np.isscalar(v)]
 
     def figures(figdir):
         draw_map(u, family=rep.family, path=os.path.join(figdir, "before.svg"))
         draw_map(rep.w, family=rep.family, path=os.path.join(figdir, "after.svg"))
 
-    return report, rows, figures
+    return report, rows, figures, records
 
 
-def _pipe_retract(sc, seed, tol):
+def _pipe_retract(sc, seed):
     p = _field_from_scenario(sc)
     u = _map_from_scenario(sc, seed)
     params = sc["params"]
     scale = float(params.get("value_scale", 1.0))
     if scale != 1.0:
-        from .energy import scale_map_values
-
         u = scale_map_values(u, scale)
     sup_u = max(np.linalg.norm(q.values, axis=1).max() for q in u.patches)
     cfg = RetractionConfig(
@@ -308,13 +310,12 @@ def _pipe_retract(sc, seed, tol):
         M_bound=float(params.get("M_bound", max(1.0, sup_u * (1 + 1e-9)))),
     )
     wt, rep = project_w(u, p, cfg, seed=seed)
-    unit_dev = max(
-        float(np.max(np.abs(np.linalg.norm(q.values, axis=1) - 1.0))) for q in wt.patches
-    )
-    if unit_dev > float(tol.get("unit_norm", 1e-9)):
-        raise AssertionFailure("sphere_constraint", f"unit deviation {unit_dev:.3g}")
-    if rep["shift_modular_min"] > rep["shift_modular_mean"] * (1 + 1e-9):
-        raise AssertionFailure("chebyshev_surrogate", "min exceeds mean")
+    unit_dev = float(np.max([np.max(np.abs(np.linalg.norm(q.values, axis=1) - 1.0)) for q in wt.patches]))
+    low, mean = rep["shift_modular_min"], rep["shift_modular_mean"]
+    records = [
+        ("sphere_constraint", unit_dev, 0.0, SUP_SLACK, f"unit deviation {unit_dev:.3g}"),
+        ("chebyshev_surrogate", low, mean, SUP_SLACK * mean, f"min {low:.9g} exceeds mean {mean:.9g}"),
+    ]
     report = {"pipeline": "retract", "projection": rep, "unit_deviation": unit_dev,
               "lambda_lip": cfg.lambda_lip}
     rows = [("key", "value")] + [(k, v) for k, v in sorted(rep.items()) if np.isscalar(v)]
@@ -322,10 +323,10 @@ def _pipe_retract(sc, seed, tol):
     def figures(figdir):
         draw_map(wt, path=os.path.join(figdir, "projected.svg"))
 
-    return report, rows, figures
+    return report, rows, figures, records
 
 
-def _pipe_energy_probe(sc, seed, tol):
+def _pipe_energy_probe(sc, seed):
     p = _field_from_scenario(sc)
     u = _map_from_scenario(sc, seed)
     params = sc["params"]
@@ -361,30 +362,27 @@ def _pipe_energy_probe(sc, seed, tol):
         if "on_jump" in profs:
             draw_profile(profs["on_jump"]["profile"], path=os.path.join(figdir, "profile_on.svg"))
 
-    return report, rows, figures
+    return report, rows, figures, []
 
 
-def _pipe_counterexample(sc, seed, tol):
+def _pipe_counterexample(sc, seed):
     params = sc["params"]
     eps = float(params.get("epsilon", 0.1))
     C = float(params.get("C_target", 5.0))
     cx = build_complex(eps, C, int(params.get("axis_count", 64)), seed=seed)
     rep = verify_violation(cx, h=cx.h0)  # the rows at h0, with no raise of its own
-    if not rep["all_pass"]:
-        raise AssertionFailure("annulus_lower_bound", f"min margin {rep['min_margin']:.4g}")
-    mc = annulus_measure(
-        cx, 0.75 * cx.radius, 0.75 * cx.radius * 2.0**-3,
-        mc_samples=int(params.get("mc_samples", 10**6)),
-        mc_tol=float(tol.get("mc", 0.02)), seed=seed,
-    )
+    worst = rep["rows"][int(np.argmin([r["margin"] for r in rep["rows"]]))]
     h2 = cx.total_surface_measure()
-    if not h2 < eps:
-        raise AssertionFailure("total_measure", f"H2 = {h2:.4g} >= eps")
+    # a margin is the band's area over C eps delta^2; the construction enforces H2 < eps too
+    records = [
+        ("annulus_lower_bound", 1.0, worst["margin"], 0.0,
+         f"min margin {worst['margin']:.4g} at R = {worst['R']:.6g}"),
+        ("total_measure", h2, eps, STRICT, f"H2 = {h2:.4g} >= eps"),
+    ]
     report = {
         "pipeline": "counterexample", "epsilon": eps, "C_target": C,
         "kappa": cx.kappa, "h0": cx.h0, "n_cones": len(cx.axes),
         "H2_total": h2, "min_margin": rep["min_margin"],
-        "mc_band_area": mc,
     }
     rows = [("R", "delta", "area", "bound", "margin")]
     for r in rep["rows"]:
@@ -397,7 +395,7 @@ def _pipe_counterexample(sc, seed, tol):
             with open(os.path.join(figdir, "cones.obj"), "w") as f:
                 f.write(cx.to_obj())
 
-    return report, rows, figures
+    return report, rows, figures, records
 
 
 _PIPE_FUNCS = {
@@ -425,7 +423,8 @@ def run_scenario(scenario_path: str, out_dir: str | None = None,
     seed = int(seed_override if seed_override is not None else sc["seed"])
     t_start = time.time()
     try:
-        report, rows, figures = _PIPE_FUNCS[sc["pipeline"]](sc, seed, sc["tolerances"])
+        report, rows, figures, records = _PIPE_FUNCS[sc["pipeline"]](sc, seed)
+        report["checks"] = check(records)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from .errors import ConstructionError, ToolkitError
 __all__ = ["ConeComplex", "build_complex", "annulus_measure", "verify_violation"]
 
 SOLID_TOL = 1e-12  # slack of contains_solid on the cosine of a point's angle to a cone axis
-MC_CHUNK = 2**16  # slant samples drawn at once: bounds the memory of the Monte Carlo, not its result
 
 
 @dataclass(frozen=True)
@@ -179,50 +178,15 @@ def build_complex(
     )
 
 
-def _band_hits(complex_: ConeComplex, R: float, delta: float, mc_samples: int, seed: int) -> int:
-    """How many of mc_samples area-uniform points on the lateral surfaces lie
-    between radii R - delta and R. The points are split over the cones by
-    one multinomial draw, and each cone's slant samples come from the same
-    stream MC_CHUNK at a time, so the count is that of one draw per cone."""
-    rng = np.random.default_rng(seed)
-    weights = np.sin(complex_.half_angles)
-    counts = rng.multinomial(mc_samples, weights / weights.sum())
-    hits = 0
-    for n_i in counts:
-        for start in range(0, n_i, MC_CHUNK):  # area-uniform along the slant
-            s = complex_.radius * np.sqrt(rng.random(min(MC_CHUNK, n_i - start)))
-            hits += int(np.count_nonzero((s >= R - delta) & (s <= R)))
-    return hits
-
-
-def annulus_measure(
-    complex_: ConeComplex,
-    R: float,
-    delta: float,
-    mc_samples: int | None = None,
-    mc_tol: float = 0.02,
-    seed: int = 0,
-) -> float:
-    """Lateral cone area in the annulus B_R minus B_{R-delta}.
-
-    Exact frustum-band value; when mc_samples is set, an area-uniform Monte
-    Carlo estimate over the lateral surfaces must agree within mc_tol.
-    """
+def annulus_measure(complex_: ConeComplex, R: float, delta: float) -> float:
+    """Lateral cone area in the annulus B_R minus B_{R-delta}: the exact
+    frustum-band value, for R in (radius/2, radius) and delta in (0, R)."""
     rad = complex_.radius
     if not (rad / 2 < R < rad):
         raise ToolkitError(f"R = {R} must lie in (radius/2, radius) = ({rad/2}, {rad})")
     if not (0 < delta < R):
         raise ToolkitError("delta must lie in (0, R)")
-    analytic = complex_.lateral_band_area(R, delta)
-    if mc_samples:
-        hits = _band_hits(complex_, R, delta, mc_samples, seed)
-        mc = complex_.total_surface_measure() * hits / mc_samples
-        rel = abs(mc - analytic) / analytic if analytic > 0 else np.inf
-        if rel > mc_tol:
-            raise ToolkitError(
-                f"Monte Carlo band area deviates {rel:.3%} from the analytic value"
-            )
-    return analytic
+    return complex_.lateral_band_area(R, delta)
 
 
 def verify_violation(complex_: ConeComplex, R_grid=None, h: int | None = None) -> dict:

@@ -20,6 +20,7 @@ from sbvx.sbv2d import (
 from sbvx.sobolev_approx import global_approx, local_phi
 from sbvx.counterex3d import annulus_measure, build_complex, verify_violation
 from sbvx.vexp import ExponentField, luxembourg_norm, modular
+from test_counterex3d import mc_band_area
 
 # frozen regression constants (measured on the seeded corpus below)
 K_MODULAR = 1.05  # corpus-wide K of the gradient-modular bound
@@ -106,7 +107,7 @@ CRITERION_10_SCENARIOS = [
     {"name": "e", "pipeline": "energy-probe", "params": {"off_point": [-0.4, -0.4]},
      "map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.05}}},
     {"name": "x", "pipeline": "counterexample",
-     "params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 100000}},
+     "params": {"epsilon": 0.1, "C_target": 5.0}},
 ]
 
 
@@ -324,8 +325,9 @@ def test_criterion_7_counterexample():
             worst_margin = min(worst_margin, rep["min_margin"])
             ok &= cx.total_surface_measure() < eps
             # Monte Carlo agreement at 1e6 samples
-            R = 0.75
-            annulus_measure(cx, R, R * 2.0**-3, mc_samples=10**6, mc_tol=0.02, seed=3)
+            R, delta = 0.75, 0.75 * 2.0**-3
+            area = annulus_measure(cx, R, delta)
+            ok &= abs(mc_band_area(cx, R, delta, 10**6, seed=3) - area) <= 0.02 * area
             dt = time.time() - t0
             ok &= dt < 60.0
             details.append(f"eps={eps},C={C}:m={rep['min_margin']:.2f}")

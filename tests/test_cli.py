@@ -52,7 +52,7 @@ def test_run_affine_approximate_exit_zero(tmp_path):
 def test_run_counterexample_margins(tmp_path):
     p = write_scenario(
         tmp_path / "c.json", name="ctr", pipeline="counterexample",
-        params={"epsilon": 0.1, "C_target": 5.0, "mc_samples": 200000},
+        params={"epsilon": 0.1, "C_target": 5.0},
     )
     rc = run_scenario(str(p), out_dir=str(tmp_path / "out"))
     assert rc == 0
@@ -103,6 +103,7 @@ GOOD_COVER = {"name": "g", "seed": 7, "pipeline": "cover", "exponent_field": FIE
     ({**GOOD_COVER, "params": [1]}, "scenario.params"),
     ({**GOOD_COVER, "params": {"s": "abc"}}, "scenario.params.s"),
     ({**GOOD_COVER, "tolerances": 3}, "scenario.tolerances"),
+    ({**GOOD_COVER, "tolerances": {"residual": 1}}, "scenario.tolerances"),
     ({**GOOD_COVER, "map": {"params": {"G": "x"}}}, "scenario.map.kind"),
     ({**GOOD_COVER, "map": {"kind": "affine", "params": {"G": "x"}}}, "scenario.map.params.G"),
     ({**GOOD_COVER, "map": {"kind": "affine", "params": {"k": "2"}}}, "scenario.map.params.k"),
@@ -116,9 +117,9 @@ GOOD_COVER = {"name": "g", "seed": 7, "pipeline": "cover", "exponent_field": FIE
     ({**GOOD_COVER, "map": {"kind": "affine", "params": {"G": [1.0, 2.0]}}}, "scenario.map.params.G"),
     ({**GOOD_COVER, "map": {"kind": "spiral", "params": {}}}, "scenario.map.kind"),
     ({**GOOD_COVER, "exponent_field": {**FIELD, "p_minus": "x"}}, "scenario.exponent_field"),
-], ids=["number", "params_list", "param_string", "tolerances_number", "map_without_kind", "map_G_string",
-        "map_k_string", "map_k_fraction", "map_n_rings_fraction", "map_without_budget", "domain_without_radius",
-        "map_G_vector", "map_unknown_kind", "field_bound_string"])
+], ids=["number", "params_list", "param_string", "tolerances_number", "tolerances_override", "map_without_kind",
+        "map_G_string", "map_k_string", "map_k_fraction", "map_n_rings_fraction", "map_without_budget",
+        "domain_without_radius", "map_G_vector", "map_unknown_kind", "field_bound_string"])
 def test_malformed_scenario_exit_two(tmp_path, capsys, scenario, path):
     """A malformed scenario is a schema violation that names the field's
     path (exit 2), never a traceback; the good scenario it is made from
@@ -159,7 +160,7 @@ def test_malformed_corpus_spec_exit_two(tmp_path, capsys, spec, path):
                      "params": {"value_scale": 0.9, "M_bound": 1.0}}),
         ("energy-probe", {"map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.05}},
                           "params": {"off_point": [-0.4, -0.4]}}),
-        ("counterexample", {"params": {"epsilon": 0.1, "C_target": 5.0, "mc_samples": 100000}}),
+        ("counterexample", {"params": {"epsilon": 0.1, "C_target": 5.0}}),
     ],
 )
 def test_determinism_all_pipelines(tmp_path, pipeline, extra):
@@ -303,7 +304,7 @@ def test_short_annulus_band_fails_annulus_lower_bound(tmp_path, capsys, monkeypa
     monkeypatch.setattr(ConeComplex, "lateral_band_area",
                         lambda self, R, delta: 1e-3 * band(self, R, delta))
     p = write_scenario(tmp_path / "c.json", name="f", pipeline="counterexample",
-                       params={"epsilon": 0.1, "C_target": 5.0, "mc_samples": 1000})
+                       params={"epsilon": 0.1, "C_target": 5.0})
     _assert_fails(tmp_path, capsys, p, "annulus_lower_bound")
 
 
@@ -317,7 +318,7 @@ def test_surface_measure_at_epsilon_fails_total_measure(tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "build_complex", built)
     p = write_scenario(tmp_path / "c.json", name="f", pipeline="counterexample",
-                       params={"epsilon": 0.1, "C_target": 5.0, "mc_samples": 0})
+                       params={"epsilon": 0.1, "C_target": 5.0})
     _assert_fails(tmp_path, capsys, p, "total_measure")
 
 
@@ -367,3 +368,99 @@ def test_values_off_the_sphere_fail_sphere_constraint(tmp_path, capsys, monkeypa
                        map={"kind": "sphere-vortex-with-slit", "params": {"budget": 0.01}},
                        params={"value_scale": 0.9, "M_bound": 1.0})
     _assert_fails(tmp_path, capsys, p, "sphere_constraint")
+
+
+# the scenarios of the checks below: criterion 10's, with a covering family in approximate
+CHECKED = {
+    "norms": {"params": {"n_functions": 6}},
+    "cover": {"map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.003}},
+              "params": {"s": 0.75, "eta": 0.05}},
+    "approximate": {"map": {"kind": "piecewise-constant-with-arc-jump", "params": {"budget": 0.003, "k": 2}},
+                    "params": {"s": 0.75, "eta": 0.05}},
+    "retract": {"map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.01}},
+                "params": {"value_scale": 0.9, "M_bound": 1.0}},
+    "energy-probe": {"map": {"kind": "sphere-vortex-with-slit", "params": {"budget": 0.05}},
+                     "params": {"off_point": [-0.4, -0.4]}},
+    "counterexample": {"params": {"epsilon": 0.1, "C_target": 5.0}},
+}
+CHECK_NAMES = {
+    "norms": ["norm_modular_inequality"],
+    "cover": ["cover_perimeter", "cover_area", "cover_containment"],
+    "approximate": ["no_new_jump", "jump_free_srho", "outside_identity", "linf_nonexpansion", "family_perimeter",
+                    "family_area", "union_containment"],
+    "retract": ["sphere_constraint", "chebyshev_surrogate"],
+    "energy-probe": [],
+    "counterexample": ["annulus_lower_bound", "total_measure"],
+}
+
+
+@pytest.mark.parametrize("pipeline", list(CHECKED))
+def test_report_holds_each_check_with_its_margin_in_pipeline_order(tmp_path, pipeline):
+    p = write_scenario(tmp_path / "s.json", name="ok", pipeline=pipeline, **CHECKED[pipeline])
+    assert run_scenario(str(p), out_dir=str(tmp_path / "out")) == 0
+    checks = json.loads((tmp_path / "out" / "ok" / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES[pipeline]
+    for c in checks:
+        assert set(c) == {"name", "lhs", "rhs", "slack", "margin"}
+        assert c["margin"] == c["rhs"] - c["lhs"] and c["margin"] >= -c["slack"]
+
+
+def _fails_through(tmp_path, capsys, monkeypatch, pipeline, seam, change, name):
+    """Route what the pipeline reads from cli.<seam> through change, and
+    expect the run to fail the check name."""
+    fn = getattr(cli, seam)
+    monkeypatch.setattr(cli, seam, lambda *args, **kw: change(fn(*args, **kw)))
+    p = write_scenario(tmp_path / "s.json", name="f", pipeline=pipeline, **CHECKED[pipeline])
+    _assert_fails(tmp_path, capsys, p, name)
+
+
+def _nan_norm(out):
+    out[3] = (out[3][0], np.nan)
+    return out
+
+
+def _stats(key, value):
+    return lambda fam: dataclasses.replace(fam, stats={**fam.stats, key: value})
+
+
+def _projection(key, value_of):
+    return lambda out: (out[0], {**out[1], key: value_of(out[1])})
+
+
+@pytest.mark.parametrize("pipeline, seam, change, name", [
+    ("norms", "modulars_and_norms", _nan_norm, "norm_modular_inequality: function 3"),
+    ("cover", "cover_jump", _stats("total_perimeter", np.nan), "cover_perimeter"),
+    ("cover", "cover_jump", _stats("total_area", np.nan), "cover_area"),
+    ("cover", "cover_jump", _stats("max_center_norm_plus_radius", np.nan), "cover_containment"),
+    ("retract", "project_w", lambda out: (scale_map_values(out[0], np.nan), out[1]), "sphere_constraint"),
+    ("retract", "project_w", _projection("shift_modular_min", lambda rep: np.nan), "chebyshev_surrogate"),
+], ids=["norm_modular_inequality", "cover_perimeter", "cover_area", "cover_containment", "sphere_constraint",
+        "chebyshev_surrogate"])
+def test_a_nan_measurement_fails_its_check(tmp_path, capsys, monkeypatch, pipeline, seam, change, name):
+    _fails_through(tmp_path, capsys, monkeypatch, pipeline, seam, change, name)
+
+
+def _estimates(**changes):
+    """global_approx's report with each named estimate replaced by a function of the estimates."""
+    return lambda rep: dataclasses.replace(
+        rep, estimates={**rep.estimates, **{key: f(rep.estimates) for key, f in changes.items()}})
+
+
+@pytest.mark.parametrize("pipeline, seam, change, name", [
+    ("approximate", "global_approx", _estimates(jump_new=lambda e: 1e-6), "no_new_jump"),
+    ("approximate", "global_approx", _estimates(jump_residual_srho=lambda e: 1e-6), "jump_free_srho"),
+    ("approximate", "global_approx", _estimates(outside_identity_max_error=lambda e: 1e-15), "outside_identity"),
+    ("approximate", "global_approx", _estimates(linf_out=lambda e: e["linf_in"] + 1e-6), "linf_nonexpansion"),
+    ("approximate", "global_approx", _estimates(family_perimeter=lambda e: e["family_perimeter_bound"] + 1e-9),
+     "family_perimeter"),
+    ("approximate", "global_approx", _estimates(family_area=lambda e: e["family_area_bound_min_form"] + 1e-9),
+     "family_area"),
+    ("approximate", "global_approx", _estimates(union_containment_margin=lambda e: -1e-9), "union_containment"),
+    ("retract", "project_w", _projection("shift_modular_min", lambda rep: rep["shift_modular_mean"] * (1 + 1e-6)),
+     "chebyshev_surrogate"),
+    ("approximate", "global_approx",
+     _estimates(union_containment_margin=lambda e: -1e-9, jump_new=lambda e: 1e-6), "no_new_jump"),
+], ids=["no_new_jump", "jump_free_srho", "outside_identity", "linf_nonexpansion", "family_perimeter",
+        "family_area", "union_containment", "chebyshev_surrogate", "two_fail_the_first_is_named"])
+def test_an_estimate_past_its_bound_fails_its_check(tmp_path, capsys, monkeypatch, pipeline, seam, change, name):
+    _fails_through(tmp_path, capsys, monkeypatch, pipeline, seam, change, name)
