@@ -208,19 +208,23 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     P = A + t0 * d
     Q = A + t1 * d
     mid = A + 0.5 * (t0 + t1) * d
-    # an edge that does not cross the circle lies outside it, tangent or not
-    inside = (disc > 0) & (np.sum(mid * mid, axis=-1) <= r2)
-    tri = 0.5 * (P[..., 0] * Q[..., 1] - P[..., 1] * Q[..., 0])
-    da = np.arctan2(Q[..., 1], Q[..., 0]) - np.arctan2(P[..., 1], P[..., 0])
-    da = np.where(da > np.pi, da - 2 * np.pi, np.where(da < -np.pi, da + 2 * np.pi, da))
-    piece = np.where(inside, tri, 0.5 * r2 * da)
-    kept = live & ((t1 - t0)[..., 0] > EPS)
-    piece = np.where(kept, piece, 0.0).reshape(len(p), 3 * p.shape[1])
+    # an edge that does not cross the circle lies outside it, tangent or not;
+    # a piece no longer than EPS is a sector, never inside: it still adds its
+    # share, for dropped it would open the contour by its length times its
+    # distance to the centre, which a thin polygon far from it cannot spare
+    inside = (disc > 0) & ((t1 - t0)[..., 0] > EPS) & (np.sum(mid * mid, axis=-1) <= r2)
+    # P x Q as (t1 - t0) (A x d), and the sector's angle from it and P . Q:
+    # both keep their digits on a piece short beside its distance to the
+    # centre, where P x Q and a difference of two arctan2 would cancel
+    cross = (t1 - t0)[..., 0] * (A[..., 0] * d[..., 1] - A[..., 1] * d[..., 0])
+    da = np.arctan2(cross, np.sum(P * Q, axis=-1))
+    piece = np.where(inside, 0.5 * cross, 0.5 * r2 * da)
+    piece = np.where(live, piece, 0.0).reshape(len(p), 3 * p.shape[1])
     # summed in edge order; a pairwise np.sum would round the cancelling pieces differently
     total = np.zeros(len(p))
     for j in range(piece.shape[1]):
         total += piece[:, j]
-    enters = (inside & kept).any(axis=(1, 2))
+    enters = (inside & live).any(axis=(1, 2))
     return np.where(enters | (np.abs(total) > 0.5 * np.pi * r2.ravel()), np.abs(total), 0.0)
 
 
@@ -345,14 +349,18 @@ def clip_halfplanes(polys: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return out
 
 
-def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarray, planes=None) -> np.ndarray:
+def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarray, planes=None,
+                        origin=None) -> np.ndarray:
     """Exact area of each convex polygon cut by its half-planes and its
     in-disks, less the union of its out-disks.
 
-    polys and planes (or None) are as clip_halfplanes takes them; area (n,)
-    is each polygon's area, used where it has no in-disk and no half-plane.
+    polys and planes (or None) are as clip_halfplanes takes them, each
+    polygon relative to its row of origin (n, 2) when given; area (n,) is
+    each polygon's area, used where it has no in-disk and no half-plane.
     ins (n, ki, 3) and outs (n, ko, 3) are disks (cx, cy, r), NaN radius for
-    an empty slot. The out-disks enter by inclusion-exclusion; the polygon
+    an empty slot. The planes and disks are in the coordinates of origin;
+    each moves to a polygon's frame as one shift, the same for every row of
+    one origin. The out-disks enter by inclusion-exclusion; the polygon
     cut by several disks splits into their farthest power cells V_i = {x :
     |x - c_i|^2 - r_i^2 >= |x - c_j|^2 - r_j^2 for all j}, a tie going to
     the lower slot (Aurenhammer, SIAM J. Comput. 16, 1987), each meeting
@@ -363,12 +371,14 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
     """
     polys = np.asarray(polys, dtype=float)
     n = len(polys)
-    origin = np.zeros((n, 1, 2))
+    origin = np.zeros((n, 1, 2)) if origin is None else np.reshape(np.asarray(origin, dtype=float), (n, 1, 2))
+    first = np.zeros((n, 1, 2))
     if planes is not None:  # clipped about each polygon's first vertex, where a nearby edge's offset is exact
-        origin = polys[:, :1]
+        first = polys[:, :1]
         planes = np.broadcast_to(np.asarray(planes, dtype=float), (n,) + np.shape(planes)[-2:])
         b = planes[..., 2] - planes[..., 0] * origin[..., 0] - planes[..., 1] * origin[..., 1]
-        polys = clip_halfplanes(polys - origin, np.concatenate([planes[..., :2], b[..., None]], axis=-1))
+        b = b - planes[..., 0] * first[..., 0] - planes[..., 1] * first[..., 1]
+        polys = clip_halfplanes(polys - first, np.concatenate([planes[..., :2], b[..., None]], axis=-1))
         x, y = polys[..., 0], polys[..., 1]
         area = 0.5 * np.abs(np.sum(x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1), axis=1))
     repeats = np.all(polys == np.roll(polys, 1, axis=1), axis=(0, 2))  # a vertex that every row repeats
@@ -390,7 +400,7 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
             b[(delta == 0).all(axis=-1) & (b == 0) & (np.arange(d.shape[1]) < i)] = 1.0  # an identical disk before i
             cuts = np.concatenate([2 * delta, b[..., None]], axis=-1)
             cuts[~present[r]] = (0.0, 0.0, -1.0)  # an empty slot keeps the whole plane
-            piece = clip_halfplanes(polys[r] + (origin[r] - c), np.delete(cuts, i, axis=1))
+            piece = clip_halfplanes(polys[r] + ((origin[r] - c) + first[r]), np.delete(cuts, i, axis=1))
             rows.append(r)
             terms.append((-1.0) ** len(member) * polygons_disk_area(piece, np.zeros(2), d[:, i, 2]))
     total = np.bincount(np.concatenate(rows), weights=np.concatenate(terms), minlength=n)  # in order, from 0.0
@@ -398,7 +408,7 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
         for i in range(ins.shape[1]):
             gap = outs[:, o, :2] - ins[:, i, :2]
             total[np.hypot(gap[:, 0], gap[:, 1]) + ins[:, i, 2] <= outs[:, o, 2]] = 0.0
-        gap = polys + (origin - outs[:, o, None, :2])
+        gap = polys + ((origin - outs[:, o, None, :2]) + first)
         total[np.all(np.hypot(gap[..., 0], gap[..., 1]) <= outs[:, o, None, 2], axis=1)] = 0.0
     return total
 

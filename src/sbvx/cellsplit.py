@@ -97,7 +97,10 @@ class CellSplit:
             own, free = rings.take(reg), inside[reg]  # a region holding the patch clips nothing
             own = _RingRows(np.broadcast_to(own.c, (len(reg), 2)), np.where(free, -np.inf, own.r_in),
                             np.where(free, np.inf, own.r_out))
-            pts, w, cid, straddle = _cut_rows(patch, laters, len(patches), table, src, own, flat)
+            # each row's polygon is built about the centre of the region that
+            # clips it, or the patch's: one point for all rows of a region
+            frame = np.where(np.isfinite(own.r_out)[:, None], own.c, patch.circle.center)
+            pts, w, cid, straddle = _cut_rows(patch, laters, len(patches), table, src, own, flat, frame)
             parts.append((pts, w, offsets[i] + cid, reg))
             straddlers.append(straddle)
         empty = (np.zeros(0, dtype=int),) * 2
@@ -108,12 +111,12 @@ class CellSplit:
         empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         pts, w, cell, reg = (np.concatenate(col) for col in zip(empty, *parts))
         if straddlers:  # every row that meets a boundary, its w NaN until now, in one call
-            polys, area, ins, outs = (np.concatenate(col) for col in zip(*straddlers))
+            polys, area, ins, outs, frame = (np.concatenate(col) for col in zip(*straddlers))
             planes = None
             if flat is not None:  # a Rect: x >= x0, x <= x1, y >= y0, y <= y1
                 x0, x1, y0, y1 = flat.bbox()
                 planes = [(1.0, 0.0, x0), (-1.0, 0.0, -x1), (0.0, 1.0, y0), (0.0, -1.0, -y1)]
-            w[np.isnan(w)] = _geom.polygons_disks_area(polys, area, ins, outs, planes)
+            w[np.isnan(w)] = _geom.polygons_disks_area(polys, area, ins, outs, planes, frame)
         sel = w > 0
         pts, w, cell, reg = pts[sel], w[sel], cell[sel], reg[sel]
         if len(regions) > 1:
@@ -318,19 +321,21 @@ def _later_relation(patch: CellPatch, laters):
     return clear, hidden
 
 
-def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows, flat):
+def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows, flat, frame):
     """(pts, w, cell_id, straddle) of the rows src of table, a sample table
     of the patch (see _tri_samples), of the cut cells of a cell split (see
     CellSplit): each against its row of rings and against flat (a Rect or
     None), under laters, the circles of the later patches that meet the
-    patch circle.
+    patch circle. frame (rows of src, 2) is the point each row's polygon is
+    built about: its ring's centre, or the patch circle's for a row without
+    a ring.
 
     A row's bounding circle, of radius rad about its point, holds its
     subcell, or its _bulge_box for an arc bulge. A row whose circle meets
     no boundary keeps its area, or gets w = 0 when the circle lies outside
     the region, in a ring's inner disk or in a later circle. Every other
-    row gets w = NaN, and straddle = (polygons, areas, ins, outs), the
-    arguments of _geom.polygons_disks_area but a Rect's half-planes: the
+    row gets w = NaN, and straddle = (polygons, areas, ins, outs, origins),
+    the arguments of _geom.polygons_disks_area but a Rect's half-planes: the
     in-disks are the patch disk of a bulge and the ring's outer disk, the
     out-disks (slots of them) its inner disk and the later disks, each
     where its circle meets the row's.
@@ -356,7 +361,7 @@ def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows
         outs[nr[rows], k] = (*lc.center, lc.radius)
     bulge = src[rows] - np.searchsorted(table[2], cid[rows]) == BULGE_SLOT
     ins[bulge, 0] = (*patch.circle.center, patch.circle.radius)
-    straddle = (_subcell_corners(patch, table[2], src[rows]), w[rows], ins, outs)
+    straddle = (_subcell_corners(patch, table[2], src[rows], frame[rows]), w[rows], ins, outs, frame[rows])
     w = np.where(keep, w, 0.0)
     w[rows] = np.nan
     return pts, w, cid, straddle
@@ -396,23 +401,33 @@ def _tri_samples(patch: CellPatch, t: np.ndarray):
     return pts, np.concatenate([areas, patch._arc_extra[t][:, None]], axis=1)[slot], cell_id, rad[slot]
 
 
-def _subcell_corners(patch: CellPatch, cell_id, idx) -> np.ndarray:
+def _subcell_corners(patch: CellPatch, cell_id, idx, origin) -> np.ndarray:
     """Polygons (k, 4, 2) of the samples idx of a sample table of the patch
     whose cell ids are cell_id (see _tri_samples): a subcell's three corners,
-    the last one twice, or an arc bulge's _bulge_box."""
+    the last one twice, or an arc bulge's _bulge_box; each relative to its
+    row of origin (k, 2).
+
+    A corner is (V[a] - origin) + w_b (V[b] - V[a]) / n + w_c (V[c] - V[a]) / n,
+    its vertices ordered by (zero weight, vertex id): a lattice point on an
+    edge or at a vertex takes the same bits from every triangle that has it
+    and the same origin, so the subcells of neighbouring cells meet without
+    a gap. About a nearby origin the corners round to their own size, not
+    to that of their coordinates."""
     t = cell_id[idx]
     j = idx - np.searchsorted(cell_id, t)  # position within the triangle's block
     _, lattice = subdivision_lattice(LEVEL)
     n, m = 1 << LEVEL, len(lattice)
     tri = patch.tris[t]
-    v0 = patch.verts[tri[:, 0]]
-    e1 = patch.verts[tri[:, 1]] - v0
-    e2 = patch.verts[tri[:, 2]] - v0
     out = np.empty((len(idx), 4, 2))
-    for c in range(3):  # corner by corner keeps the temporaries (k, 2)
+    for c in range(3):  # corner by corner keeps the temporaries (k, 3)
         ij = lattice[np.minimum(j, m - 1), c]
-        out[:, c] = v0 + ij[:, :1] * e1 / n + ij[:, 1:] * e2 / n
+        wt = np.column_stack([n - ij[:, 0] - ij[:, 1], ij])  # weights of the triangle's vertices
+        order = np.argsort(np.where(wt == 0, tri + len(patch.verts), tri), axis=1)
+        vid, wt = np.take_along_axis(tri, order, axis=1), np.take_along_axis(wt, order, axis=1)
+        va = patch.verts[vid[:, 0]]
+        out[:, c] = (va - origin + wt[:, 1:2] * (patch.verts[vid[:, 1]] - va) / n
+                     + wt[:, 2:] * (patch.verts[vid[:, 2]] - va) / n)
     out[:, 3] = out[:, 2]
     arc = j == m
-    out[arc] = patch._bulge_box[t[arc]]
+    out[arc] = patch._bulge_box[t[arc]] - origin[arc, None]
     return out

@@ -105,7 +105,9 @@ def _full_scan_patch(patch, later_patches, region, offset):
     annulus' inner disk or inside a later circle; its full area when the
     circle meets no boundary; else the exact area of its polygon (subcell,
     or bulge box within the patch disk) in the region and outside the later
-    circles, each row with its own list of disks."""
+    circles, each row with its own list of disks, built about the centre of
+    a Disk or Annulus region that does not hold the patch circle, else about
+    the patch's."""
     from sbvx import _geom
     from sbvx.cellsplit import BULGE_SLOT, _disks_meet, _subcell_corners, _tri_samples
     from sbvx.quadrature import Annulus
@@ -114,11 +116,14 @@ def _full_scan_patch(patch, later_patches, region, offset):
     laters = [q.circle for q in later_patches if _disks_meet(patch.circle, q.circle)]
     n = len(pts)
     keep, edge, outer, inner = np.ones(n, dtype=bool), *np.zeros((3, n), dtype=bool)
-    planes = None
+    planes, origin = None, np.asarray(patch.circle.center, dtype=float)
     if isinstance(region, (Disk, Annulus)):
         d = np.linalg.norm(pts - np.asarray(region.center), axis=1)
         r_out = region.radius if isinstance(region, Disk) else region.r_outer
         r_in = -np.inf if isinstance(region, Disk) else region.r_inner
+        gap = np.linalg.norm(np.subtract(patch.circle.center, region.center))
+        if not (gap + patch.circle.radius <= r_out and gap - patch.circle.radius >= r_in):
+            origin = np.asarray(region.center, dtype=float)
         keep, outer, inner = (d > r_in - rad) & (d <= r_out + rad), d > r_out - rad, d <= r_in + rad
     elif region is not None:
         (x, y), (x0, x1, y0, y1) = pts.T, (region.x0, region.x1, region.y0, region.y1)
@@ -142,7 +147,9 @@ def _full_scan_patch(patch, later_patches, region, offset):
             (*lc.center, lc.radius) for lc, nr in zip(laters, near) if nr[k]]
         outs[j, : len(disks)] = np.reshape(disks, (-1, 3))
     # each row of the call is the row's own call (tests/test_geom.py)
-    w[rows] = _geom.polygons_disks_area(_subcell_corners(patch, cid, rows), w[rows], ins, outs, planes)
+    origin = np.tile(origin, (len(rows), 1))
+    polys = _subcell_corners(patch, cid, rows, origin)
+    w[rows] = _geom.polygons_disks_area(polys, w[rows], ins, outs, planes, origin)
     sel = w > 0
     return pts[sel], w[sel], cid[sel] + offset
 
@@ -163,7 +170,7 @@ def rad_and_reach_by_rebuild(patch, pts, cell_id):
     corners rebuilt on their own by _subcell_corners."""
     from sbvx.cellsplit import _subcell_corners
 
-    corners = _subcell_corners(patch, cell_id, np.arange(len(pts)))
+    corners = _subcell_corners(patch, cell_id, np.arange(len(pts)), np.zeros((len(pts), 2)))
     rad = np.max([np.linalg.norm(corners[:, k] - pts, axis=1) for k in range(corners.shape[1])], axis=0)
     reach = np.maximum.reduceat(
         np.linalg.norm(pts - patch.barycenters[cell_id], axis=1) + rad,

@@ -3,7 +3,7 @@ exponents: the cell split, the CellTerms kernel, and the integrals and the
 Luxembourg norm built on them."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbvx import _geom, cellsplit, sbv2d
@@ -339,6 +339,10 @@ def _visible_region(u, kind, rng):
     st.sampled_from(["disk", "annulus", "rect", "none"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a disk over a thin arc bulge, and one on the edge between two cells, each
+# small beside its coordinates
+@example(which=2, log_factor=-2.375, kind="disk", seed=7790830)
+@example(which=0, log_factor=-3.0, kind="disk", seed=2660554101)
 def test_split_measures_the_visible_region_exactly(visible_maps, which, log_factor, kind, seed):
     """Over random disks, annuli, Rects and the domain, and dilations by
     1e-3..1e3: the split's whole-cell triangle areas plus its
