@@ -11,7 +11,11 @@ import path and writes three sections:
   and 2 are local_phi's report on each of their 20 instances (criterion 2
   adds the interpolant's largest gradient entry); criteria 3 and 4 are
   global_approx's estimates on the 50-instance corpus under the variable and
-  the constant exponent. A key reads criterion/instance/name.
+  the constant exponent. criterion_4_dilated is global_approx's estimates
+  on instances 30 and 35 dilated by 1e-6 under the constant exponent 1.6,
+  as test_criterion_3_holds_on_instances_dilated_by_1e_6 runs them, so that
+  a value that depends on the absolute scale shows. A key reads
+  criterion/instance/name.
 - files: the SHA-256 of each file that the six criterion-10 scenarios write
   at scenario seeds 11, 12 and 13: report.json, data.csv and the figures.
   meta.json holds the run's time and is left out. The same is hashed for
@@ -47,6 +51,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 SEEDS = (11, 12, 13)
+DILATED = ((30, 35), 1e-6)  # the instances and the factor of criterion_4_dilated
 ROUND_OFF = 1e-14  # a change |b - a| <= ROUND_OFF max(1, |a|) is at round-off
 # norms at the benchmark's size, the schema default
 PERFBENCH_SIZE_SCENARIOS = [{"name": "n50", "pipeline": "norms", "params": {"n_functions": 50}}]
@@ -78,8 +83,9 @@ def _values_and_bounds():
     from test_retract import wobble_map
 
     from sbvx.retract import RetractionConfig, project_w
-    from sbvx.sbv2d import synthesize
+    from sbvx.sbv2d import dilate_map, synthesize
     from sbvx.sobolev_approx import global_approx, local_phi
+    from sbvx.vexp import ExponentField
 
     values = {}
     for i, u in criterion_1_maps():
@@ -103,6 +109,10 @@ def _values_and_bounds():
                     worst_const = max(worst_const, e["modular_bound_const_stripped"])
             if p is P_VAR and len(rep.family):
                 worst_xi = max(worst_xi, e["xi_hat"])
+        if idx in DILATED[0]:
+            small = dilate_map(u, DILATED[1])
+            rep = global_approx(small, ExponentField.constant(1.6, small.domain), s, eta, seed=seed + 1)
+            _flatten(f"criterion_4_dilated/{idx:02d}", rep.estimates, values)
     cfg = RetractionConfig(k=2, sigma=0.05, M_bound=2.0)
     ratio = max(project_w(wobble_map(seed=seed), P_VAR, cfg, seed=seed)[1]["energy_ratio"] for seed in range(12))
     worst_k = max(worst_var, worst_const)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -32,17 +33,14 @@ class CellSplit:
     disks and annuli, or one region of any kind (None for the whole domain,
     or a Rect). It holds the whole cells, and the samples of the others.
 
-    A disk region that misses a patch, or that a later circle holds, takes
-    nothing of it (see _patch_relation). Each triangle is classified by its
-    bounding circle (barycentre, CellPatch._reach), with _margin to spare,
-    against the region (_region_relation) and the later circles
-    (_later_relation); all regions and triangles of a patch in one
-    broadcast. A cell is whole in a region when its circle lies in the
-    region and clear of every later circle, or lies clear of them in a
-    region that holds the patch: every subcell sample of it keeps its full
-    area (see samples). A region without rings holds no cell whole. A cell
-    whose circle lies in a later circle is hidden, and adds nothing. Every
-    other cell whose circle meets the region is cut.
+    One relation of circles against rings (_relation) decides the split. A
+    disk region that misses a patch circle, or that a later circle holds,
+    takes nothing of the patch. A cell is whole in a region that holds its
+    bounding circle (barycentre, CellPatch._reach) or the patch circle, when
+    that circle is clear of every later circle: every subcell sample keeps
+    its full area (see samples). No region without rings holds a cell whole.
+    A cell whose circle lies in a later circle is hidden and adds nothing.
+    Every other cell whose circle meets the region is cut.
 
     A cut cell's samples are its subcells and, for an arc bulge, one sample
     at the arc midpoint carrying the segment area (see _tri_samples). Each
@@ -67,19 +65,39 @@ class CellSplit:
         self.gmag, self.area, self.corners = cell_data
         self._terms = (None, None)  # ((p0, a), CellTerms) of the latest affine exponent
         rings, flat = stack_rings(regions)
-        offsets = np.cumsum([0] + [len(p.tris) for p in patches])
+        # each patch circle and region against each, as a ring (row) and as a
+        # circle (column), with _slack to spare (a concentric pair exactly):
+        # a patch circle meets a later one or a region, and holds a region;
+        # and, exactly, a region holds a patch circle
+        n = len(patches)
+        both = _RingRows(np.concatenate([[q.circle.center for q in patches], rings.c]),
+                         np.concatenate([np.full(n, -np.inf), rings.r_in]),
+                         np.concatenate([[q.circle.radius for q in patches], rings.r_out]))
+        slack = _slack(both)
+        tol = np.where((both.c[:, None] == both.c).all(axis=2), 0.0, slack)
+        tol[n:] = 0.0
+        holds, met = _relation(both.c, both.r_out, both, tol)
+        annulus = rings.r_in > -np.inf  # an annulus takes part of every patch, as in the full scan
+        offsets = list(accumulate((len(q.tris) for q in patches), initial=0))
         wholes, parts, straddlers = [], [], []
         for i, patch in enumerate(patches):
-            laters = [q.circle for q in patches[i + 1 :] if _disks_meet(patch.circle, q.circle)]
-            live, inside = _patch_relation(patch.circle, laters, rings)
+            later = [j for j in range(i + 1, n) if met[i, j]]  # the later circles that meet the patch's
+            # a disk region missing the patch circle, or held by a later circle, takes nothing of it
+            live = (met[i, n:] | annulus) & ~holds[later, n:].any(axis=0)
             if not live.any():
                 continue
-            clear, hidden = _later_relation(patch, laters)
-            held = np.full((len(live), len(patch.tris)), flat is None)
-            meets = np.ones_like(held)
-            cut = np.flatnonzero(live & ~inside)
-            if len(cut):
-                held[cut], meets[cut] = _region_relation(patch, rings.take(cut))
+            free = holds[n:, i]  # the regions that hold the patch circle clip nothing of it
+            cut, nt = np.flatnonzero(live & ~free), len(patch.tris)
+            held, meets = np.full((len(live), nt), flat is None), np.ones((len(live), nt), dtype=bool)
+            hidden, clear = np.False_, np.True_
+            # each triangle's bounding circle against the regions that cut the
+            # patch, then against the later circles, in one broadcast, with
+            # each ring's slack against the patch circle
+            rows = [*(n + cut), *later]
+            if rows:
+                ins, meet = _relation(patch.barycenters, patch._reach, both.take(rows), slack[rows, i : i + 1])
+                held[cut], meets[cut] = ins[: len(cut)], meet[: len(cut)]
+                hidden, clear = ins[len(cut) :].any(axis=0), ~meet[len(cut) :].any(axis=0)
             whole = live[:, None] & held & clear
             reg, t = np.nonzero(whole)
             wholes.append((offsets[i] + t, reg))
@@ -94,13 +112,12 @@ class CellSplit:
             cnt = start[block + 1] - start[block]  # the rows of each (region, triangle) pair
             src = np.arange(cnt.sum()) + np.repeat(start[block] - np.cumsum(cnt) + cnt, cnt)
             reg = np.repeat(reg, cnt)
-            own, free = rings.take(reg), inside[reg]  # a region holding the patch clips nothing
-            own = _RingRows(np.broadcast_to(own.c, (len(reg), 2)), np.where(free, -np.inf, own.r_in),
-                            np.where(free, np.inf, own.r_out))
+            own = _RingRows(rings.c, np.where(free, -np.inf, rings.r_in), np.where(free, np.inf, rings.r_out))
             # each row's polygon is built about the centre of the region that
             # clips it, or the patch's: one point for all rows of a region
             frame = np.where(np.isfinite(own.r_out)[:, None], own.c, patch.circle.center)
-            pts, w, cid, straddle = _cut_rows(patch, laters, len(patches), table, src, own, flat, frame)
+            laters = [patches[j].circle for j in later]
+            pts, w, cid, straddle = _cut_rows(patch, laters, n, table, src, own.take(reg), flat, frame[reg])
             parts.append((pts, w, offsets[i] + cid, reg))
             straddlers.append(straddle)
         empty = (np.zeros(0, dtype=int),) * 2
@@ -228,9 +245,6 @@ class _RingRows(NamedTuple):
     r_out: np.ndarray
 
     def take(self, idx) -> "_RingRows":
-        """Rows idx; a single row stands for every row, by broadcasting."""
-        if len(self.r_out) == 1:
-            return self
         return _RingRows(self.c[idx], self.r_in[idx], self.r_out[idx])
 
 
@@ -249,76 +263,30 @@ def stack_rings(regions):
     return _RingRows(c.reshape(-1, 2), r_in, r_out), (flat[0] if flat else None)
 
 
-def _margin(circle: Disk, scale) -> np.ndarray:
-    """Slack of the region tests of a circle against regions whose centre
-    and outer radius reach scale = max|centre| + r_outer: Disk.contains'
-    1e-12, plus 1e-12 of the coordinate scale, far above the round-off of any
-    distance between them."""
-    return 1e-12 * (1.0 + np.maximum(max(abs(x) for x in circle.center) + circle.radius, scale))
+def _slack(rings: _RingRows) -> np.ndarray:
+    """(k, j): 1e-12 of the larger coordinate scale, max|centre| + r_outer,
+    of rings k and j (a triangle takes its patch circle's): far above the
+    round-off of their distances, and scaled by a dilation."""
+    scale = np.abs(rings.c).max(axis=1) + rings.r_out
+    return 1e-12 * np.maximum.outer(scale, scale)
 
 
-def _distances(c: np.ndarray, x) -> np.ndarray:
-    """|x - c[k]| for each row of c, as np.linalg.norm gives it for the one
-    pair: its dot product rounds differently from a row-wise norm."""
-    x = np.asarray(x, dtype=float)
-    return np.array([np.linalg.norm(x - ck) for ck in c]).reshape(len(c))
-
-
-def _patch_relation(circle: Disk, laters, rings: _RingRows):
-    """(live, inside): how each region of rings meets a patch circle under
-    its later circles.
-
-    Not live: a disk region (r_inner = -inf) misses the circle, as
-    _disks_meet decides ("outside"); or a later circle holds the region,
-    either with the region's own centre and a radius no smaller, or with
-    _margin to spare ("hidden"). Then no row of the patch has an area there
-    (see _geom.polygons_disks_area). Inside: the circle lies in the region,
-    so the exact clip of every subcell is its own area.
-    """
-    c, r_in, r_out = rings
-    d = _distances(c, circle.center)
-    live = (r_in != -np.inf) | (d <= circle.radius + r_out + 1e-12)
-    for lc in laters:
-        dist = _distances(c, lc.center)
-        tol = np.where(dist > 0, _margin(lc, np.max(np.abs(c), axis=1) + r_out), 0.0)
-        live &= ~(lc.radius - r_out - dist >= tol)
-    inside = (d + circle.radius <= r_out) & (d - circle.radius >= r_in)
-    return live, inside
-
-
-def _region_relation(patch: CellPatch, rings: _RingRows):
-    """(held, meets), each (regions, triangles): whether the bounding
-    circle (barycentre, _reach) of each triangle lies in region k of rings,
-    or meets it, each with _margin to spare.
-
-    Every sample of a held triangle keeps its full area under the row rule
-    of _cut_rows, and every sample of a triangle that does not meet the
-    region has its bounding circle outside it, so that rule drops each one.
-    All regions and triangles are tested in one broadcast.
-    """
-    tol = _margin(patch.circle, np.max(np.abs(rings.c), axis=1) + rings.r_out)[:, None]
-    (bx, by), (cx, cy) = patch.barycenters.T, rings.c.T
-    d = np.hypot(bx - cx[:, None], by - cy[:, None])
-    reach, r_in, r_out = patch._reach, rings.r_in[:, None], rings.r_out[:, None]
-    held = (d + reach <= r_out - tol) & (d - reach >= r_in + tol)
-    return held, (d <= reach + r_out + tol) & (d + reach >= r_in - tol)
-
-
-def _later_relation(patch: CellPatch, laters):
-    """(clear, hidden), per triangle: whether its bounding circle
-    (barycentre, _reach) lies clear of every later circle, or inside one,
-    with _margin to spare. The layering keeps every sample of a clear
-    triangle whole, and no sample of a hidden one (see _cut_rows)."""
-    nt = len(patch.tris)
-    clear, hidden = np.ones(nt, dtype=bool), np.zeros(nt, dtype=bool)
-    reach, (bx, by) = patch._reach, patch.barycenters.T
-    scale = np.maximum(np.abs(bx), np.abs(by)) + reach
-    for lc in laters:
-        d = np.hypot(bx - lc.center[0], by - lc.center[1])
-        tol = _margin(lc, scale)
-        clear &= d - reach > lc.radius + tol
-        hidden |= d + reach < lc.radius - tol
-    return clear, hidden
+def _relation(centres, radii, rings: _RingRows, tol):
+    """(inside, meets), each (rings, circles): whether circle j, about
+    centres[j] with radius radii[j], lies in ring k, or meets it, with
+    tol[k, j] to spare (tol broadcasts to (rings, circles)). A ring is a
+    region, a patch circle (r_in = -inf) or the plane (r_out = inf); a
+    circle is a patch circle, a region's outer circle or a triangle's
+    bounding circle (barycentre, CellPatch._reach). With _slack to spare,
+    the row rule of _cut_rows keeps every sample of a triangle inside a ring
+    and drops every sample of one that does not meet it. Each distance is
+    np.linalg.norm's for the one pair, as the full scan's."""
+    # (rings, circles, 2), from (2, circles) for a fast broadcast
+    diff = (np.ascontiguousarray(np.transpose(centres)) - rings.c[:, :, None]).transpose(0, 2, 1)
+    d = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0]
+    reach, r_in, r_out = radii + tol, rings.r_in[:, None], rings.r_out[:, None]
+    near, far = d - reach, d + reach
+    return (far <= r_out) & (near >= r_in), (near <= r_out) & (far >= r_in)
 
 
 def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows, flat, frame):
@@ -368,10 +336,9 @@ def _cut_rows(patch: CellPatch, laters, slots: int, table, src, rings: _RingRows
 
 
 def _disks_meet(d1: Disk, d2: Disk) -> bool:
-    return (
-        np.linalg.norm(np.asarray(d1.center) - np.asarray(d2.center))
-        <= d1.radius + d2.radius + 1e-12
-    )
+    """Whether patch circle d1 meets d2, a later circle or a disk region, as the split decides it."""
+    both = stack_rings([d1, d2])[0]
+    return bool(_relation(both.c, both.r_out, both, _slack(both))[1][0, 1])
 
 
 def _tri_samples(patch: CellPatch, t: np.ndarray):

@@ -224,7 +224,7 @@ def _pipe_norms(sc, seed):
         records.append(("norm_modular_inequality", *((lo, nrm) if nrm - lo <= hi - nrm else (nrm, hi)),
                         NORM_MODULAR_SLACK, f"function {i}: norm {nrm:.12g} outside [{lo:.12g}, {hi:.12g}]"))
     report = {"pipeline": "norms", "n_functions": n_funcs, "worst_margin": min(margins, default=np.inf),
-              "tolerance": NORM_MODULAR_SLACK, "p_minus": p.p_minus, "p_plus": p.p_plus}
+              "p_minus": p.p_minus, "p_plus": p.p_plus}
 
     def figures(figdir):
         # figure policy: the field is drawn on a disk, a rect domain's on the unit disk

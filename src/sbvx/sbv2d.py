@@ -509,10 +509,6 @@ class DiscreteSbvMap:
         bitwise, from one split (see CellSplit.integrals)."""
         return self._split(regions).integrals(p)
 
-    def gradient_q_integral(self, q: float, region=None) -> float:
-        """Integral of |grad u|^q over the region (see CellSplit.integrals)."""
-        return self._split([region]).integrals(float(q))[0]
-
     def gradient_luxembourg_norm(self, p, region=None) -> float:
         """Luxembourg norm of |grad u| over the region, p a number or an
         exponent field (see CellSplit.luxembourg_norm).
@@ -609,11 +605,11 @@ def jump_length(u: DiscreteSbvMap, region) -> float:
 def total_variation_parts(u: DiscreteSbvMap, region):
     """(bulk, jump) parts of |Du|(region).
 
-    bulk integrates |grad u| (DiscreteSbvMap.gradient_q_integral with
-    q = 1: exact on the whole cells, sampled on the cut ones); jump sums
+    bulk integrates |grad u| (DiscreteSbvMap.modular_of_gradient with
+    p = 1: exact on the whole cells, sampled on the cut ones); jump sums
     |u+ - u-| times exact clipped segment lengths.
     """
-    bulk = u.gradient_q_integral(1.0, region)
+    bulk = u.modular_of_gradient(1.0, region)
     jump = 0.0
     if len(u.jump) > 0:
         amp = np.linalg.norm(u.jump.trace_plus - u.jump.trace_minus, axis=1)

@@ -273,8 +273,8 @@ def _measure(u: DiscreteSbvMap, w: DiscreteSbvMap, p, ball: Disk):
     """
     est = {}
     for q, tag in ((1.0, "q1"), (p.p_minus, "q_pminus")):
-        in_q = u.gradient_q_integral(q, ball)
-        out_q = w.gradient_q_integral(q, ball)
+        in_q = u.modular_of_gradient(q, ball)
+        out_q = w.modular_of_gradient(q, ball)
         est[f"grad_{tag}_in"] = in_q
         est[f"grad_{tag}_out"] = out_q
         est[f"c_hat_{tag}"] = out_q / in_q if in_q > 0 else (0.0 if out_q <= 1e-12 else np.inf)

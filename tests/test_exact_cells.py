@@ -278,7 +278,7 @@ def test_split_of_each_region_of_a_stack_is_its_stack_of_one(split_maps, affine_
 def test_constant_q_integral_of_an_affine_map_over_its_domain(factor, center, q):
     G = np.array([[1.0, 2.0], [-0.5, 1.5]])
     u = dilate_map(synthesize("affine", {"G": G, "u0": [0.0, 0.0]}, seed=0), factor, new_center=center)
-    got = u.gradient_q_integral(q, u.domain)
+    got = u.modular_of_gradient(q, u.domain)
     want = (np.linalg.norm(G) / factor) ** q * np.pi * u.domain.radius**2
     assert abs(got - want) <= 1e-12 * want
     bulk, _ = sbv2d.total_variation_parts(u, u.domain)
@@ -361,7 +361,25 @@ def test_split_measures_the_visible_region_exactly(visible_maps, which, log_fact
         g = u.base.gmag[0]
         assert np.all(np.abs(split.gmag - g) <= 1e-14 * g)
         for q in (1.0, 1.5, 2.5):
-            assert abs(u.gradient_q_integral(q, region) - g**q * want) <= 1e-12 * g**q * want
+            assert abs(u.modular_of_gradient(q, region) - g**q * want) <= 1e-12 * g**q * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-9.0, max_value=6.0), st.integers(min_value=0, max_value=2**32 - 1))
+# two disks whose whole cells an absolute slack of 1e-12 changes at 1e-9
+@example(log_factor=-9.0, seed=18)
+@example(log_factor=-9.0, seed=21)
+def test_whole_cells_do_not_depend_on_the_scale(global_map, log_factor, seed):
+    """A disk region's whole cells on global_map are those of the dilated
+    disk on the map dilated about the origin, by factors 1e-9 to 1e6: no
+    absolute length decides a cell whole."""
+    rng = np.random.default_rng(seed)
+    factor = 10.0**log_factor
+    centre, radius = rng.uniform(-0.9, 0.9, 2), 10.0 ** rng.uniform(-1.5, 0)
+    want = global_map._split([Disk(tuple(centre), radius)]).whole
+    dilated = dilate_map(global_map, factor)
+    got = dilated._split([Disk(tuple(factor * centre), factor * radius)]).whole
+    assert np.array_equal(got, want)
 
 
 def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, constant_field):
@@ -380,7 +398,7 @@ def test_luxembourg_norm_solves_the_exact_modular(split_maps, affine_field, cons
 
 def test_luxembourg_norm_takes_a_number_as_its_constant_field(split_maps):
     """A number p gives the norm of the constant field p, bitwise, as it
-    does for the modular and the q-integral."""
+    does for the modular."""
     rng = np.random.default_rng(5)
     for u in split_maps:
         for kind in ("disk", "annulus", "domain"):
