@@ -14,8 +14,10 @@ import path and writes three sections:
   the constant exponent. criterion_4_dilated is global_approx's estimates
   on instances 30 and 35 dilated by 1e-6 under the constant exponent 1.6,
   as test_criterion_3_holds_on_instances_dilated_by_1e_6 runs them, so that
-  a value that depends on the absolute scale shows. A key reads
-  criterion/instance/name.
+  a value that depends on the absolute scale shows. split_rows is, for each
+  criterion-3 instance, the number of rows and of whole cells in the cell
+  split of its final map over B_rho, so that a change in which rows exist
+  shows. A key reads criterion/instance/name.
 - files: the SHA-256 of each file that the six criterion-10 scenarios write
   at scenario seeds 11, 12 and 13: report.json, data.csv and the figures.
   meta.json holds the run's time and is left out. The same is hashed for
@@ -82,6 +84,7 @@ def _values_and_bounds():
     )
     from test_retract import wobble_map
 
+    from sbvx.quadrature import Disk
     from sbvx.retract import RetractionConfig, project_w
     from sbvx.sbv2d import dilate_map, synthesize
     from sbvx.sobolev_approx import global_approx, local_phi
@@ -107,8 +110,11 @@ def _values_and_bounds():
                     worst_var = max(worst_var, e["modular_bound_const_var"])
                 else:
                     worst_const = max(worst_const, e["modular_bound_const_stripped"])
-            if p is P_VAR and len(rep.family):
-                worst_xi = max(worst_xi, e["xi_hat"])
+            if p is P_VAR:
+                split = rep.w._split([Disk(u.domain.center, u.domain.radius)])
+                _flatten(f"split_rows/{idx:02d}", {"rows": len(split.w), "whole_cells": len(split.whole)}, values)
+                if len(rep.family):
+                    worst_xi = max(worst_xi, e["xi_hat"])
         if idx in DILATED[0]:
             small = dilate_map(u, DILATED[1])
             rep = global_approx(small, ExponentField.constant(1.6, small.domain), s, eta, seed=seed + 1)

@@ -9,6 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 EPS = 1e-12
+# an area whose magnitude is at most ROUND_OFF times the summed magnitudes of
+# the terms that built it is the round-off of their cancellation: exactly 0
+ROUND_OFF = 1024 * 2.0**-52  # 1024 machine epsilons of a double
 
 
 def seg_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,12 +181,17 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     piece inside the disk contributes the triangle it spans with the circle
     centre, a piece outside contributes the circular sector it subtends. An
     edge without crossings (tangent ones included) is outside.
-    Edges and pieces shorter than EPS contribute nothing, so polygons with
-    coincident vertices (down to a single point) are handled. A polygon none
-    of whose pieces lies inside either holds the disk, its sectors summing
-    to the disk's area, or misses it: its area is then exactly 0, not the
-    round-off of its cancelling sectors.
+    Edges of length 0 contribute nothing, so polygons with coincident
+    vertices (down to a single point) are handled. An area within ROUND_OFF
+    of the summed magnitudes of its pieces, as that of a polygon that misses
+    the disk, its sectors cancelling, is exactly 0.
     """
+    return _polygons_disk_area(polys, center, radius)[0]
+
+
+def _polygons_disk_area(polys, center, radius):
+    """(areas, scales): polygons_disk_area's areas, and the summed magnitudes
+    of each polygon's Green's-theorem pieces, the scale of their round-off."""
     p = np.asarray(polys, dtype=float) - np.reshape(np.asarray(center, dtype=float), (-1, 1, 2))
     x, y = p[..., 0], p[..., 1]
     signed = 0.5 * (
@@ -193,7 +201,7 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     A = p[:, :, None, :]  # (n, m, 1, 2) edge starts
     d = np.roll(p, -1, axis=1)[:, :, None, :] - A
     dd = np.sum(d * d, axis=-1)
-    live = dd > EPS * EPS
+    live = dd > 0
     dd_safe = np.where(live, dd, 1.0)
     r2 = np.reshape(np.multiply(radius, radius, dtype=float), (-1, 1, 1))
     bq = 2.0 * np.sum(A * d, axis=-1)
@@ -208,11 +216,8 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     P = A + t0 * d
     Q = A + t1 * d
     mid = A + 0.5 * (t0 + t1) * d
-    # an edge that does not cross the circle lies outside it, tangent or not;
-    # a piece no longer than EPS is a sector, never inside: it still adds its
-    # share, for dropped it would open the contour by its length times its
-    # distance to the centre, which a thin polygon far from it cannot spare
-    inside = (disc > 0) & ((t1 - t0)[..., 0] > EPS) & (np.sum(mid * mid, axis=-1) <= r2)
+    # an edge that does not cross the circle lies outside it, tangent or not
+    inside = (disc > 0) & (np.sum(mid * mid, axis=-1) <= r2)
     # P x Q as (t1 - t0) (A x d), and the sector's angle from it and P . Q:
     # both keep their digits on a piece short beside its distance to the
     # centre, where P x Q and a difference of two arctan2 would cancel
@@ -221,11 +226,11 @@ def polygons_disk_area(polys: np.ndarray, center, radius) -> np.ndarray:
     piece = np.where(inside, 0.5 * cross, 0.5 * r2 * da)
     piece = np.where(live, piece, 0.0).reshape(len(p), 3 * p.shape[1])
     # summed in edge order; a pairwise np.sum would round the cancelling pieces differently
-    total = np.zeros(len(p))
+    total, scale = np.zeros(len(p)), np.zeros(len(p))
     for j in range(piece.shape[1]):
         total += piece[:, j]
-    enters = (inside & live).any(axis=(1, 2))
-    return np.where(enters | (np.abs(total) > 0.5 * np.pi * r2.ravel()), np.abs(total), 0.0)
+        scale += np.abs(piece[:, j])
+    return np.where(np.abs(total) > ROUND_OFF * scale, np.abs(total), 0.0), scale
 
 
 def polygon_disk_area(pts: np.ndarray, center, radius: float) -> float:
@@ -366,8 +371,9 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
     the lower slot (Aurenhammer, SIAM J. Comput. 16, 1987), each meeting
     one disk (polygons_disk_area). Each row adds its own terms in a fixed
     order, so it has the bits of its own call, and of polygons_disk_area
-    against one disk; it is exactly 0 when an out-disk holds an in-disk or
-    every vertex of the clipped polygon.
+    against one disk. A row within ROUND_OFF of the summed magnitudes of its
+    terms' Green's-theorem pieces (and of its area, where it has no in-disk)
+    is exactly 0.
     """
     polys = np.asarray(polys, dtype=float)
     n = len(polys)
@@ -385,7 +391,8 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
     polys = polys[:, ~repeats | (np.arange(polys.shape[1]) == 0)]
     ins, outs = (d[:, np.isfinite(d[..., 2]).any(axis=0)] for d in (np.asarray(ins, float), np.asarray(outs, float)))
     bare = ~np.isfinite(ins[..., 2]).any(axis=1)
-    rows, terms = [np.flatnonzero(bare)], [np.asarray(area, dtype=float)[bare]]
+    area = np.asarray(area, dtype=float)[bare]
+    parts = [(np.flatnonzero(bare), area, np.abs(area))]  # (rows, terms, scales)
     for subset in range(1 << outs.shape[1]):
         member = [k for k in range(outs.shape[1]) if subset >> k & 1]
         disks = np.concatenate([ins, outs[:, member]], axis=1)
@@ -401,16 +408,12 @@ def polygons_disks_area(polys: np.ndarray, area, ins: np.ndarray, outs: np.ndarr
             cuts = np.concatenate([2 * delta, b[..., None]], axis=-1)
             cuts[~present[r]] = (0.0, 0.0, -1.0)  # an empty slot keeps the whole plane
             piece = clip_halfplanes(polys[r] + ((origin[r] - c) + first[r]), np.delete(cuts, i, axis=1))
-            rows.append(r)
-            terms.append((-1.0) ** len(member) * polygons_disk_area(piece, np.zeros(2), d[:, i, 2]))
-    total = np.bincount(np.concatenate(rows), weights=np.concatenate(terms), minlength=n)  # in order, from 0.0
-    for o in range(outs.shape[1]):  # not the round-off of cancelling terms
-        for i in range(ins.shape[1]):
-            gap = outs[:, o, :2] - ins[:, i, :2]
-            total[np.hypot(gap[:, 0], gap[:, 1]) + ins[:, i, 2] <= outs[:, o, 2]] = 0.0
-        gap = polys + ((origin - outs[:, o, None, :2]) + first)
-        total[np.all(np.hypot(gap[..., 0], gap[..., 1]) <= outs[:, o, None, 2], axis=1)] = 0.0
-    return total
+            term, scale = _polygons_disk_area(piece, np.zeros(2), d[:, i, 2])
+            parts.append((r, (-1.0) ** len(member) * term, scale))
+    rows, terms, scales = (np.concatenate(col) for col in zip(*parts))
+    total = np.bincount(rows, weights=terms, minlength=n)  # in order, from 0.0
+    scale = np.bincount(rows, weights=scales, minlength=n)
+    return np.where(np.abs(total) > ROUND_OFF * scale, total, 0.0)
 
 
 def stadium_polygon(a, b, width: float, narc: int = 16) -> np.ndarray:

@@ -65,18 +65,18 @@ class CellSplit:
         self.gmag, self.area, self.corners = cell_data
         self._terms = (None, None)  # ((p0, a), CellTerms) of the latest affine exponent
         rings, flat = stack_rings(regions)
-        # each patch circle and region against each, as a ring (row) and as a
-        # circle (column), with _slack to spare (a concentric pair exactly):
-        # a patch circle meets a later one or a region, and holds a region;
-        # and, exactly, a region holds a patch circle
+        # each patch circle, as a ring (row), against each patch circle and
+        # region, as a circle (column), with _slack to spare (a concentric
+        # pair exactly): it meets a later one or a region, and holds a region;
+        # and each region against each patch circle: exactly, it holds one
         n = len(patches)
         both = _RingRows(np.concatenate([[q.circle.center for q in patches], rings.c]),
                          np.concatenate([np.full(n, -np.inf), rings.r_in]),
                          np.concatenate([[q.circle.radius for q in patches], rings.r_out]))
         slack = _slack(both)
-        tol = np.where((both.c[:, None] == both.c).all(axis=2), 0.0, slack)
-        tol[n:] = 0.0
-        holds, met = _relation(both.c, both.r_out, both, tol)
+        tol = np.where((both.c[:n, None] == both.c).all(axis=2), 0.0, slack[:n])
+        holds, met = _relation(both.c, both.r_out, both.take(slice(n)), tol)
+        frees = _relation(both.c[:n], both.r_out[:n], rings, 0.0)[0]
         annulus = rings.r_in > -np.inf  # an annulus takes part of every patch, as in the full scan
         offsets = list(accumulate((len(q.tris) for q in patches), initial=0))
         wholes, parts, straddlers = [], [], []
@@ -86,7 +86,7 @@ class CellSplit:
             live = (met[i, n:] | annulus) & ~holds[later, n:].any(axis=0)
             if not live.any():
                 continue
-            free = holds[n:, i]  # the regions that hold the patch circle clip nothing of it
+            free = frees[:, i]  # the regions that hold the patch circle clip nothing of it
             cut, nt = np.flatnonzero(live & ~free), len(patch.tris)
             held, meets = np.full((len(live), nt), flat is None), np.ones((len(live), nt), dtype=bool)
             hidden, clear = np.False_, np.True_

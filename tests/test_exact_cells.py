@@ -312,10 +312,14 @@ def _lens(c1, r1, c2, r2):
 
 
 def _visible_region(u, kind, rng):
-    """(region, |region ∩ domain|): a random disk, annulus or Rect that the
-    domain circle may cross, or None, and its area in the domain in closed
-    form. The regions keep at least a fair share of their area in the
-    domain, where the closed forms are well conditioned."""
+    """(region, |region ∩ domain|): a random disk, annulus or Rect, or None
+    for the domain, and its area in the domain in closed form. About the
+    domain's centre c0, with its radius R: a disk's centre is uniform on
+    c0 + [-0.9 R, 0.9 R]^2, up to 1.27 R from c0, its radius log-uniform on
+    [1e-3 R, R], so it may miss the domain; an annulus' centre is uniform on
+    c0 + [-0.5 R, 0.5 R]^2, its inner radius on [0, 0.6 R] and its width on
+    [0.01 R, 0.6 R]; a Rect's centre is uniform on c0 + [-0.7 R, 0.7 R]^2
+    and its half-sides on [0.05 R, 0.6 R]."""
     scale, c0, R = u.domain.radius, np.asarray(u.domain.center), u.domain.radius
     if kind == "none":
         return None, np.pi * R * R
@@ -362,6 +366,49 @@ def test_split_measures_the_visible_region_exactly(visible_maps, which, log_fact
         assert np.all(np.abs(split.gmag - g) <= 1e-14 * g)
         for q in (1.0, 1.5, 2.5):
             assert abs(u.modular_of_gradient(q, region) - g**q * want) <= 1e-12 * g**q * want
+
+
+def _dilated(region, origin, factor):
+    """The region pushed through x -> factor (x - origin), as dilate_map
+    pushes a map about its domain's centre origin."""
+    o = np.asarray(origin, dtype=float)
+    if isinstance(region, Rect):
+        (x0, y0), (x1, y1) = (factor * (np.array(c) - o) for c in ((region.x0, region.y0), (region.x1, region.y1)))
+        return Rect(x0, x1, y0, y1)
+    c = tuple(factor * (np.asarray(region.center) - o))
+    if isinstance(region, Annulus):
+        return Annulus(c, factor * region.r_inner, factor * region.r_outer)
+    return Disk(c, factor * region.radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from(["disk", "annulus", "rect"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# a row at round-off in the split at one scale and dropped at the other:
+# clipped to an annulus, and in a disk of the local_phi output, at factors 10
+# and 10^-2.5
+@example(which=1, log_factor=1.0, kind="annulus", seed=0)
+@example(which=1, log_factor=-2.5, kind="disk", seed=2248135035)
+def test_split_rows_do_not_depend_on_the_scale(visible_maps, which, log_factor, kind, seed):
+    """The split of the affine map or its local_phi output over a random
+    disk, annulus or Rect, and the split of the map and the region dilated
+    about the domain's centre by 1e-3..1e3, have the same rows:
+    each (cell, point) the dilation of the other's, and each w_f / f^2
+    within 1e-13 of its cell's area of w. No absolute length, and no
+    round-off sliver, decides which rows exist."""
+    rng = np.random.default_rng(seed)
+    factor, u = 10.0**log_factor, visible_maps[which]
+    region, _ = _visible_region(u, kind, rng)
+    c0 = np.asarray(u.domain.center)
+    split = u._split([region])
+    dilated = dilate_map(u, factor)._split([_dilated(region, c0, factor)])
+    assert np.array_equal(dilated.whole, split.whole) and np.array_equal(dilated.cell, split.cell)
+    assert np.all(np.abs(dilated.pts - factor * (split.pts - c0)) <= 1e-9 * factor * u.domain.radius)
+    assert np.all(np.abs(dilated.w / factor**2 - split.w) <= 1e-13 * split.area[split.cell])
 
 
 @settings(max_examples=40, deadline=None)
